@@ -201,12 +201,3 @@ def regional_annual_series(station_series, key):
         years=np.array(years, dtype=int),
         values=np.array(vals, dtype=float),
     )
-
-
-def annual_series_csv(series_list):
-    """CSV rendering `key,metric,year,value` at full float precision."""
-    lines = ["key,metric,year,value"]
-    for s in series_list:
-        for y, v in zip(s.years, s.values):
-            lines.append(f"{s.key},{s.metric},{int(y)},{v:.17g}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .qc import STUDY_WINDOW
 from .series import DailySeries, MonthlySeries, ProvenanceMask, month_index
@@ -161,13 +160,100 @@ class Variogram:
 
 _ZERO_RESIDUAL_ATOL = 1e-9
 
+# Range search of the variogram fit: a log-spaced grid of _RANGE_GRID points
+# from _RANGE_MIN_KM to _RANGE_MAX_SCALE times the binned distance span, then
+# _RANGE_ZOOMS passes that re-grid between the neighbours of the best point.
+# Each of the _RANGE_BASINS lowest local minima of the first grid is zoomed,
+# because two basins can come within a grid step of each other in cost.  The
+# upper bound stands in for an unbounded range: a field whose semivariance
+# grows linearly over the binned distances is best fitted as the range runs
+# off to infinity, and at 1e9 spans the model is linear to within 1e-9.
+_RANGE_MIN_KM = 1e-6
+_RANGE_MAX_SCALE = 1e9
+_RANGE_GRID = 64
+_RANGE_ZOOMS = 5
+_RANGE_BASINS = 3
+
+
+def _fit_exponential(gam, dmean, cnt, half_max):
+    """Global weighted-LS fit of nugget + delta * (1 - exp(-3d/range)).
+
+    Variable projection: at a fixed range the model is linear in (nugget,
+    delta), so the count-weighted least squares has a closed form, leaving
+    a 1-D search over log range between _RANGE_MIN_KM and _RANGE_MAX_SCALE
+    * half_max.  At each range the unconstrained 2x2 solution counts where
+    both parameters come out non-negative; otherwise the better of the two
+    boundary solutions (delta = 0, and nugget = 0 with delta clipped at 0)
+    is the constrained optimum, the problem being convex in (nugget,
+    delta).  Costs come from the residuals themselves, not from expanded
+    normal-equation sums, which lose precision to cancellation.  Returns
+    (nugget, delta, range_km).
+    """
+    sw = cnt.sum()
+    sy = cnt @ gam
+    cg = cnt * gam
+    mean = sy / sw
+    cost_mean = cnt @ (mean - gam) ** 2
+    d3 = -3.0 * dmean
+
+    def fits(log_r):
+        # f carries a trailing bin axis; sums, parameters and costs are
+        # shaped like log_r
+        f = -np.expm1(d3 / np.exp(log_r)[..., None])
+        sf = f @ cnt
+        sff = (f * f) @ cnt
+        sfy = f @ cg
+        delta_zero = np.maximum(sfy / sff, 0.0)
+        cost_zero = (delta_zero[..., None] * f - gam) ** 2 @ cnt
+        det = sw * sff - sf * sf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta_free = (sw * sfy - sf * sy) / det
+            nugget_free = (sy - delta_free * sf) / sw
+            cost_free = (nugget_free[..., None] + delta_free[..., None] * f - gam) ** 2 @ cnt
+            # NaN or inf from a singular system fails this test too
+            free_ok = np.minimum(nugget_free, delta_free) >= 0.0
+        use_zero = cost_zero < cost_mean
+        nugget = np.where(free_ok, nugget_free, np.where(use_zero, 0.0, mean))
+        delta = np.where(free_ok, delta_free, np.where(use_zero, delta_zero, 0.0))
+        cost = np.where(free_ok, cost_free, np.minimum(cost_zero, cost_mean))
+        return nugget, delta, cost
+
+    lo, hi = np.log(_RANGE_MIN_KM), np.log(_RANGE_MAX_SCALE * half_max)
+    log_r = np.linspace(lo, hi, _RANGE_GRID)
+    nugget, delta, cost = fits(log_r)
+    k = int(np.argmin(cost))
+    best = (cost[k], nugget[k], delta[k], log_r[k])
+
+    # a grid point is a local minimum when strictly below its left
+    # neighbour and no higher than its right one, so a flat run counts once
+    padded = np.concatenate(([np.inf], cost, [np.inf]))
+    minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
+    minima = minima[np.argsort(cost[minima], kind="stable")[:_RANGE_BASINS]]
+    centers = log_r[minima]
+    rows = np.arange(centers.size)
+    step = log_r[1] - log_r[0]
+    offsets = np.linspace(-1.0, 1.0, _RANGE_GRID)
+    for _ in range(_RANGE_ZOOMS):
+        log_r = np.clip(centers[:, None] + step * offsets, lo, hi)
+        nugget, delta, cost = fits(log_r)
+        k = np.argmin(cost, axis=1)
+        centers = log_r[rows, k]
+        b = int(np.argmin(cost[rows, k]))
+        if cost[b, k[b]] < best[0]:
+            best = (cost[b, k[b]], nugget[b, k[b]], delta[b, k[b]], centers[b])
+        step *= 2.0 / (_RANGE_GRID - 1)
+    return float(best[1]), float(best[2]), float(np.exp(best[3]))
+
 
 def fit_variogram(lat, lon, residuals):
     """Fit an exponential variogram to residuals at sites.
 
     Empirical semivariances go into 10 equal-width distance bins reaching
-    half the maximum pairwise distance; the model is least-squares fitted
-    to bin means weighted by pair counts. Residuals that are all zero (to
+    half the maximum pairwise distance.  The model is fitted to the bin
+    means weighted by pair counts, and the fit is the global weighted
+    least-squares minimum over nugget >= 0, sill >= nugget and a range
+    between 1e-6 km and 1e9 times that half distance, found by variable
+    projection (see _fit_exponential).  Residuals that are all zero (to
     1e-9 absolute) give the degenerate variogram that tells callers to
     skip kriging.
     """
@@ -208,23 +294,8 @@ def fit_variogram(lat, lon, residuals):
             return Variogram(0.0, 0.0, 1.0, degenerate=True)
         return Variogram(0.0, sill, float(half_max))
 
-    g_bar = float(np.average(gam, weights=cnt))
-    nugget0 = max(float(gam[0]) * 0.5, 1e-12)
-    x0 = np.array([nugget0, max(g_bar - nugget0, 1e-12), max(float(dmean[-1]) / 2.0, 1e-6)])
-    root_w = np.sqrt(cnt)
-
-    def model_residuals(theta):
-        nugget, delta, rng = theta
-        g = nugget + delta * -np.expm1(-3.0 * dmean / rng)
-        return root_w * (g - gam)
-
-    fit = scipy.optimize.least_squares(
-        model_residuals, x0, bounds=([0.0, 0.0, 1e-9], [np.inf, np.inf, np.inf])
-    )
-    nugget = max(float(fit.x[0]), 0.0)
-    sill = nugget + max(float(fit.x[1]), 0.0)
-    range_km = max(float(fit.x[2]), 1e-9)
-    return Variogram(nugget, sill, range_km)
+    nugget, delta, range_km = _fit_exponential(gam, dmean, cnt, float(half_max))
+    return Variogram(nugget, nugget + delta, range_km)
 
 
 def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_lon):

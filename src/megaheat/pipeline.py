@@ -35,7 +35,6 @@ from .qc import (
     STUDY_WINDOW,
     filter_daily_stations,
     filter_monthly_stations,
-    qc_report_csv,
 )
 from .regions import (
     COVARIATE_COLUMNS,
@@ -574,6 +573,10 @@ def stage_ingest(out_dir, cfg: RunConfig, threads: int = 1):
         raise DataError("no stations parsed from the inventory")
     if not daily and not monthly:
         raise DataError("no temperature series parsed")
+    unknown = sorted({s.station_id for s in daily + monthly} - {st.station_id for st in stations})
+    if unknown:
+        listed = ", ".join(repr(sid) for sid in unknown)
+        raise DataError(f"records for stations missing from the inventory: {listed}")
 
     try:
         region_set = load_regions(paths["regions"])
@@ -640,8 +643,15 @@ def stage_qc(out_dir, cfg: RunConfig, threads: int = 1):
         jja_max_missing_frac=cfg.qc.daily_jja_max_missing_frac,
         max_gap_days=cfg.qc.daily_max_gap_days,
     )
-    (out / F_QC_MONTHLY).write_text(qc_report_csv(monthly_reports))
-    (out / F_QC_DAILY).write_text(qc_report_csv(daily_reports))
+    for name, reports in ((F_QC_MONTHLY, monthly_reports), (F_QC_DAILY, daily_reports)):
+        _write_csv(
+            out / name,
+            ("station", "element", "verdict", "reason", "missing_frac", "longest_gap"),
+            [
+                (r.station_id, r.element, r.verdict, r.reason, _g(r.missing_frac), r.longest_gap)
+                for r in reports
+            ],
+        )
     (out / F_KEPT_MONTHLY).write_bytes(serialize_ghcnm(kept_monthly))
     (out / F_KEPT_DAILY).write_bytes(serialize_ghcnd(kept_daily))
 

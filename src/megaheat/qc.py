@@ -13,7 +13,6 @@ exactly-30-day gap survives.
 from __future__ import annotations
 
 import datetime as dt
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +177,3 @@ def filter_daily_stations(
             )
         )
     return kept, reports
-
-
-def qc_report_csv(reports: list[QcReport]) -> str:
-    buf = io.StringIO()
-    buf.write("station,verdict,reason,missing_frac,longest_gap\n")
-    for r in reports:
-        buf.write(f"{r.station_id},{r.verdict},{r.reason},{r.missing_frac:.17g},{r.longest_gap}\n")
-    return buf.getvalue()

@@ -64,12 +64,6 @@ class DailySeries:
     def index_of(self, d: dt.date) -> int:
         return (d - self.start).days
 
-    def value_on(self, d: dt.date) -> float:
-        i = self.index_of(d)
-        if i < 0 or i >= len(self.values):
-            return float("nan")
-        return float(self.values[i])
-
     def day_serials(self) -> np.ndarray:
         s0 = date_to_serial(self.start)
         return np.arange(s0, s0 + len(self.values), dtype=np.int64)
@@ -159,6 +153,3 @@ class ProvenanceMask:
     def observed_where(cls, values: np.ndarray) -> "ProvenanceMask":
         codes = np.where(np.isnan(values), cls.UNIMPUTABLE, cls.OBSERVED)
         return cls(codes=codes.astype("<U1"))
-
-    def counts(self) -> dict[str, int]:
-        return {c: int(np.sum(self.codes == c)) for c in ("o", "i", "u")}

@@ -74,6 +74,20 @@ class TestDataErrors:
     def test_trends_before_indices(self, tmp_path):
         assert cli.main(["trends", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("records", ["ghcnd.dly", "ghcnm.dat"])
+    def test_records_for_station_missing_from_inventory(self, tmp_path, capsys, records):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        path = out / records
+        text = path.read_text()
+        # one more copy of the first record, under an 11-character id that
+        # stations.txt does not list
+        path.write_text(text + "ZZZ00000001" + text.splitlines(keepends=True)[0][11:])
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error" in err and "ZZZ00000001" in err
+
 
 class TestRuns:
     def test_synth_then_all(self, tmp_path, capsys):

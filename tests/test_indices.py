@@ -10,7 +10,6 @@ from megaheat.indices import (
     annual_cdd,
     annual_cnm,
     annual_p95,
-    annual_series_csv,
     max_consecutive_mean,
     percentile_95,
     regional_annual_series,
@@ -266,13 +265,5 @@ class TestRegionalSeries:
 
 
 class TestCsv:
-    def test_round_trip_precision(self):
-        s = AnnualSeries("A", "cdd", np.array([1990, 1991]), np.array([1.0 / 3.0, 6.11]))
-        text = annual_series_csv([s])
-        lines = text.strip().split("\n")
-        assert lines[0] == "key,metric,year,value"
-        assert lines[1].startswith("A,cdd,1990,")
-        assert float(lines[1].split(",")[3]) == 1.0 / 3.0
-
     def test_base_constant(self):
         assert CDD_BASE_C == 23.89

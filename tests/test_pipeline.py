@@ -406,6 +406,21 @@ class TestStages:
         assert {r["verdict"] for r in monthly + daily} <= {"kept", "dropped"}
         assert sum(r["verdict"] == "kept" for r in monthly) > 0
 
+    def test_qc_tables_name_the_element(self, full_run):
+        out, _, _ = full_run
+        for name, elements in (
+            (pipeline.F_QC_MONTHLY, {"TMIN", "TAVG", "TMAX"}),
+            (pipeline.F_QC_DAILY, {"TMIN", "TMAX"}),
+        ):
+            header = (out / name).read_text().splitlines()[0]
+            assert header == "station,element,verdict,reason,missing_frac,longest_gap"
+            rows = _read_csv_rows(out / name)
+            keys = [(r["station"], r["element"]) for r in rows]
+            assert len(set(keys)) == len(keys)
+            assert {r["element"] for r in rows} == elements
+            for r in rows:
+                assert (r["verdict"] == "kept") == (r["reason"] == "")
+
     def test_impute_fills_every_window_slot(self, full_run):
         out, cfg, _ = full_run
         from megaheat.ghcn import parse_ghcnd, parse_ghcnm

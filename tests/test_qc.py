@@ -13,7 +13,6 @@ from megaheat.qc import (
     STUDY_WINDOW,
     filter_daily_stations,
     filter_monthly_stations,
-    qc_report_csv,
 )
 from megaheat.series import DailySeries, MonthlySeries
 
@@ -181,15 +180,3 @@ class TestDailyFilter:
         assert len(kept) == 1
         assert reports[0].longest_gap == 0
 
-
-class TestReportCsv:
-    def test_schema(self):
-        s1 = full_window_monthly(sid="A1")
-        s2 = full_window_monthly(sid="A2")
-        s2.values[:100] = np.nan
-        _, reports = filter_monthly_stations([s1, s2])
-        text = qc_report_csv(reports)
-        lines = text.strip().splitlines()
-        assert lines[0] == "station,verdict,reason,missing_frac,longest_gap"
-        assert lines[1].startswith("A1,kept,")
-        assert lines[2].startswith("A2,dropped,missing_frac,")
