@@ -9,9 +9,12 @@ urban-minus-nonurban differences.  Here the summaries are wired so that
 one covariate should correlate perfectly and the rest should not.
 """
 
+import csv
+import sys
+
 import numpy as np
 
-from megaheat.pipeline import correlation_csv, rank_correlation_matrices
+from megaheat.pipeline import CORRELATION_HEADER, correlation_rows, rank_correlation_matrices
 from megaheat.regions import ExplanatoryVars
 
 rng = np.random.default_rng(3)
@@ -63,4 +66,4 @@ strong = [
 print("cells with |rho| > 0.75:", [(r[2], c, round(float(v), 2)) for r, c, v in strong])
 print()
 print("the same matrices render to CSV for the report bundle:")
-print("\n".join(correlation_csv(m_uc).splitlines()[:4]))
+csv.writer(sys.stdout, lineterminator="\n").writerows([CORRELATION_HEADER] + correlation_rows(m_uc)[:3])

@@ -182,6 +182,11 @@ def _bytes_column(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, lo:hi]).view(f"S{w}")[:, 0]
 
 
+def _station_id(raw: bytes) -> str:
+    """The 11-char id field as every parser reports it: padding stripped."""
+    return raw.decode("ascii", "replace").strip()
+
+
 def _group_bounds(keys: np.ndarray):
     order = np.argsort(keys, kind="stable")
     if keys.size == 0:
@@ -256,7 +261,7 @@ def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
         r0 = rows[0]
         out.append(
             DailySeries(
-                station_id=ids[r0].decode("ascii"),
+                station_id=_station_id(ids[r0]),
                 element=element[r0].decode("ascii"),
                 start=serial_to_date(s0),
                 values=vals,
@@ -310,7 +315,7 @@ def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
         r0 = rows[0]
         out.append(
             MonthlySeries(
-                station_id=ids[r0].decode("ascii"),
+                station_id=_station_id(ids[r0]),
                 element=element[r0].decode("ascii"),
                 first_year=y0,
                 first_month=1,
@@ -333,7 +338,7 @@ def parse_stations(source) -> tuple[list[StationMeta], list[ParseIssue]]:
         if len(raw) < _STATION_LEN:
             issues.append(ParseIssue(line=lineno, message="short inventory line"))
             continue
-        sid = raw[0:11].decode("ascii", "replace").strip()
+        sid = _station_id(raw[0:11])
         try:
             lat = float(raw[12:20])
             lon = float(raw[21:30])

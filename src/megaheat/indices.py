@@ -18,6 +18,7 @@ from .series import AnnualSeries, DailySeries, MonthlySeries, month_index
 CDD_BASE_C = 23.89
 
 SEASON_MONTHS = {"DJF": ((-1, 12), (0, 1), (0, 2)), "JJA": ((0, 6), (0, 7), (0, 8))}
+_SEASONS = tuple(SEASON_MONTHS)
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,33 @@ def seasonal_means(series):
     for s in series:
         base = month_index(s.first_year, s.first_month)
         last_year = (base + s.values.size - 1) // 12
-        for year in range(s.first_year, last_year + 1):
-            for season in ("DJF", "JJA"):
-                months = []
-                for year_off, month in SEASON_MONTHS[season]:
-                    idx = month_index(year + year_off, month) - base
-                    if 0 <= idx < s.values.size and np.isfinite(s.values[idx]):
-                        months.append(s.values[idx])
-                if len(months) == 3:
-                    value = float((months[0] + months[1] + months[2]) / 3.0)
-                    out.append(SeasonalValue(s.station_id, year, season, s.element, value))
+        n_years = last_year - s.first_year + 1
+        if n_years <= 0:
+            continue
+        # year x month grid from January of the year before the record, NaN
+        # where the record has no value
+        grid = np.full((n_years + 1) * 12, np.nan)
+        start = base - month_index(s.first_year - 1, 1)
+        grid[start : start + s.values.size] = s.values
+        grid = grid.reshape(n_years + 1, 12)
+        # months[y, k, m]: month m of season k in year first_year + y
+        months = np.stack(
+            [
+                np.stack(
+                    [grid[1 + off : 1 + off + n_years, month - 1] for off, month in SEASON_MONTHS[season]],
+                    axis=1,
+                )
+                for season in _SEASONS
+            ],
+            axis=1,
+        )
+        complete = np.isfinite(months).all(axis=2)
+        means = (months[:, :, 0] + months[:, :, 1] + months[:, :, 2]) / 3.0
+        year_idx, season_idx = np.nonzero(complete)
+        for y, k, value in zip(
+            (year_idx + s.first_year).tolist(), season_idx.tolist(), means[complete].tolist()
+        ):
+            out.append(SeasonalValue(s.station_id, y, _SEASONS[k], s.element, value))
     out.sort(key=lambda v: (v.station_id, v.element, v.year, v.season))
     return out
 

@@ -439,15 +439,25 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
     return matrices[0], matrices[1]
 
 
-def correlation_csv(matrix: CorrelationMatrix) -> str:
-    lines = ["metric,season,stat,covariate,rho,p,n,flag"]
-    for i, (metric, season, stat) in enumerate(matrix.rows):
-        for j, name in enumerate(matrix.columns):
-            lines.append(
-                f"{metric},{season},{stat},{name},{matrix.rho[i, j]:.17g},"
-                f"{matrix.p[i, j]:.17g},{matrix.n[i, j]},{matrix.flags[i][j]}"
-            )
-    return "\n".join(lines) + "\n"
+CORRELATION_HEADER = ("metric", "season", "stat", "covariate", "rho", "p", "n", "flag")
+
+
+def correlation_rows(matrix: CorrelationMatrix) -> list[tuple]:
+    """One table row per (matrix row, covariate) cell, under CORRELATION_HEADER."""
+    return [
+        (
+            metric,
+            season,
+            stat,
+            name,
+            _g(matrix.rho[i, j]),
+            _g(matrix.p[i, j]),
+            int(matrix.n[i, j]),
+            matrix.flags[i][j],
+        )
+        for i, (metric, season, stat) in enumerate(matrix.rows)
+        for j, name in enumerate(matrix.columns)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +484,12 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _g(value) -> str:
     return f"{float(value):.17g}"
+
+
+def _codes_text(codes: np.ndarray) -> str:
+    """A provenance code array as one string, without a per-slot join."""
+    codes = np.ascontiguousarray(codes, dtype="<U1")
+    return str(codes.view(f"<U{codes.size}")[0]) if codes.size else ""
 
 
 def _read_rows(path: Path) -> list[dict]:
@@ -672,7 +688,7 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
         out / F_MONTHLY_MASK,
         ("station", "element", "first_year", "first_month", "codes"),
         [
-            (s.station_id, s.element, s.first_year, s.first_month, "".join(m.codes))
+            (s.station_id, s.element, s.first_year, s.first_month, _codes_text(m.codes))
             for s, m in zip(completed, masks)
         ],
     )
@@ -685,7 +701,7 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
         out / F_DAILY_MASK,
         ("station", "element", "start", "codes"),
         [
-            (s.station_id, s.element, s.start.isoformat(), "".join(m.codes))
+            (s.station_id, s.element, s.start.isoformat(), _codes_text(m.codes))
             for s, m in filled_pairs
         ],
     )
@@ -868,37 +884,46 @@ def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
         cell_rows,
     )
 
-    regional_entries = []
+    regional_rows = []
     notes = []
-    for pair in pairs:
-        for metric, season in _cell_rows(cfg.metrics, cfg.seasons):
-            for group, members in (("uc", pair.uc_stations), ("nonuc", pair.nonuc_stations)):
-                member_series = [
-                    station_series[(sid, metric, season)]
-                    for sid in members
-                    if (sid, metric, season) in station_series
-                ]
-                if not member_series:
-                    continue
-                regional = stats.regional_mann_kendall(member_series)
-                key = (pair.uc_id, group, metric, season)
-                reg_series = regional_series.get(key)
-                slope = (
-                    stats.theil_sen(reg_series.years, reg_series.values)
-                    if reg_series is not None and reg_series.years.size >= 2
-                    else float("nan")
+    # cells follow coords, which run pair, then (metric, season)
+    for (pair, metric, season), cell in zip(coords, cells):
+        station_results = {(group, sid): r for group, sid, r in cell.station_rows}
+        for group, members in (("uc", pair.uc_stations), ("nonuc", pair.nonuc_stations)):
+            present = [sid for sid in members if (sid, metric, season) in station_series]
+            if not present:
+                continue
+            regional = stats.regional_mann_kendall(
+                [station_series[(sid, metric, season)] for sid in present],
+                [station_results[(group, sid)] for sid in present],
+            )
+            reg_series = regional_series.get((pair.uc_id, group, metric, season))
+            slope = (
+                stats.theil_sen(reg_series.years, reg_series.values)
+                if reg_series is not None and reg_series.years.size >= 2
+                else float("nan")
+            )
+            regional_rows.append(
+                (
+                    pair.uc_id,
+                    metric,
+                    season,
+                    group,
+                    regional.s,
+                    _g(regional.var_s),
+                    _g(regional.z),
+                    _g(regional.p),
+                    "",
+                    _g(slope),
                 )
-                result = stats.TrendResult(
-                    s=regional.s,
-                    var_s=regional.var_s,
-                    z=regional.z,
-                    p=regional.p,
-                    slope=slope,
-                )
-                regional_entries.append((pair.uc_id, metric, season, group, result))
-                for flag in regional.flags:
-                    notes.append(f"{pair.uc_id} {metric} {season} {group}: {flag}")
-    (out / F_TRENDS).write_text(stats.trends_csv(regional_entries))
+            )
+            for flag in regional.flags:
+                notes.append(f"{pair.uc_id} {metric} {season} {group}: {flag}")
+    _write_csv(
+        out / F_TRENDS,
+        ("pair", "metric", "season", "group", "S", "var", "z", "p", "p_adj", "slope"),
+        regional_rows,
+    )
     (out / F_TREND_NOTES).write_text("".join(line + "\n" for line in notes))
 
 
@@ -925,20 +950,33 @@ def stage_compare(out_dir, cfg: RunConfig, threads: int = 1):
             )
             trend_row = prop_by_cell.get((pair.uc_id, metric, season), {})
             rows.append(
-                stats.ComparisonRow(
-                    pair=cell.pair,
-                    metric=cell.metric,
-                    season=cell.season,
-                    median_uc=cell.median_uc,
-                    median_nonuc=cell.median_nonuc,
-                    wilcoxon_p=cell.wilcoxon_p,
-                    prop_uc=float(trend_row.get("uc_prop", "nan")),
-                    prop_nonuc=float(trend_row.get("nonuc_prop", "nan")),
-                    prop_p=float(trend_row.get("prop_p", "nan")),
-                    direction=cell.direction,
+                (
+                    cell.pair,
+                    cell.metric,
+                    cell.season,
+                    _g(cell.median_uc - cell.median_nonuc),
+                    _g(cell.wilcoxon_p),
+                    _g(trend_row.get("uc_prop", "nan")),
+                    _g(trend_row.get("nonuc_prop", "nan")),
+                    _g(trend_row.get("prop_p", "nan")),
+                    cell.direction,
                 )
             )
-    (out / F_COMPARISON).write_text(stats.comparison_csv(rows))
+    _write_csv(
+        out / F_COMPARISON,
+        (
+            "pair",
+            "metric",
+            "season",
+            "median_diff",
+            "wilcoxon_p",
+            "prop_uc",
+            "prop_nonuc",
+            "prop_p",
+            "direction",
+        ),
+        rows,
+    )
 
 
 def stage_correlate(out_dir, cfg: RunConfig, threads: int = 1):
@@ -982,8 +1020,8 @@ def stage_correlate(out_dir, cfg: RunConfig, threads: int = 1):
     m_uc, m_diff = rank_correlation_matrices(
         pair_ids, summaries, covariates, cfg.metrics, cfg.seasons
     )
-    (out / F_CORR_UC).write_text(correlation_csv(m_uc))
-    (out / F_CORR_DIFF).write_text(correlation_csv(m_diff))
+    _write_csv(out / F_CORR_UC, CORRELATION_HEADER, correlation_rows(m_uc))
+    _write_csv(out / F_CORR_DIFF, CORRELATION_HEADER, correlation_rows(m_diff))
 
 
 _FIGURES = (
@@ -1006,17 +1044,13 @@ def stage_report(out_dir, cfg: RunConfig, threads: int = 1):
         source = out / source_name
         if not source.exists():
             continue
-        lines = source.read_text().splitlines()
-        if season_filter is None:
-            kept = lines[1:]
-        else:
-            header_cols = lines[0].split(",")
-            season_idx = header_cols.index("season")
-            wanted = (lambda s: s != "annual") if season_filter == "seasonal" else (
-                lambda s: s == "annual"
-            )
-            kept = [line for line in lines[1:] if wanted(line.split(",")[season_idx])]
-        (report / fig_name).write_text("\n".join([lines[0]] + kept) + "\n")
+        with open(source, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        if season_filter is not None:
+            season_idx = header.index("season")
+            annual = season_filter == "annual"
+            rows = [row for row in rows if (row[season_idx] == "annual") == annual]
+        _write_csv(report / fig_name, header, rows)
         bundle.append(fig_name)
 
     inputs = {}

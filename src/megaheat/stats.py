@@ -147,7 +147,30 @@ def rank_covariance(x, y):
     return (concordance + 4.0 * float(rx @ ry) - n * (n + 1) ** 2) / 3.0
 
 
-def regional_mann_kendall(series_list):
+def _common_years_numerators(members):
+    """Covariance numerators 3*cov for every station pair, or None.
+
+    Applies when all members cover the same years with finite values.
+    Stacking them as a k x n matrix, the concordance sums are the Gram
+    matrix of the per-station sign vectors over year pairs i < j and the
+    midrank cross-products the Gram matrix of the rank vectors.  Every
+    entry is an integer (midranks are multiples of 1/2), so the float64
+    products are exact and each pair's value equals rank_covariance * 3.
+    """
+    years = members[0].years
+    if not all(np.array_equal(s.years, years) for s in members[1:]):
+        return None
+    x = np.array([s.values for s in members])
+    if not np.all(np.isfinite(x)):
+        return None
+    n = years.size
+    i, j = np.triu_indices(n, k=1)
+    signs = np.sign(x[:, j] - x[:, i])
+    ranks = scipy.stats.rankdata(x, axis=1)
+    return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
+
+
+def regional_mann_kendall(series_list, results=None):
     """Group-level Mann-Kendall over a set of station annual series.
 
     The group score is the sum of station scores; its variance adds
@@ -155,14 +178,20 @@ def regional_mann_kendall(series_list):
     Pairs without overlap skip the covariance term; a raw variance below
     1% of the summed station variances is floored there. Both events are
     flagged. Stations individually untestable are excluded and flagged.
+
+    ``results`` holds each series' mann_kendall result when the caller
+    has them already.  Members covering identical years get all their
+    covariances from two matrix products; otherwise each pair goes
+    through rank_covariance on its common years.
     """
     if not series_list:
         raise ValueError("empty station group")
+    if results is None:
+        results = [mann_kendall(s) for s in series_list]
 
     members = []
     flags = []
-    for s in series_list:
-        r = mann_kendall(s)
+    for s, r in zip(series_list, results, strict=True):
         if r.untestable:
             flags.append(f"{s.key}: untestable station excluded")
         else:
@@ -176,16 +205,22 @@ def regional_mann_kendall(series_list):
     s_r = sum(r.s for _, r in members)
     var_sum = sum(r.var_s for _, r in members)
     cov_sum = 0.0
-    for (sa, _), (sb, _) in combinations(members, 2):
-        map_a = sa.as_dict()
-        map_b = sb.as_dict()
-        common = sorted(map_a.keys() & map_b.keys())
-        if not common:
-            flags.append(f"{sa.key}/{sb.key}: no overlapping years; covariance skipped")
-            continue
-        xa = np.array([map_a[y] for y in common])
-        xb = np.array([map_b[y] for y in common])
-        cov_sum += rank_covariance(xa, xb)
+    numerators = _common_years_numerators([s for s, _ in members])
+    if numerators is not None:
+        # added one at a time in combinations order, as the per-pair path does
+        for cov in (numerators[np.triu_indices(len(members), k=1)] / 3.0).tolist():
+            cov_sum += cov
+    else:
+        for (sa, _), (sb, _) in combinations(members, 2):
+            map_a = sa.as_dict()
+            map_b = sb.as_dict()
+            common = sorted(map_a.keys() & map_b.keys())
+            if not common:
+                flags.append(f"{sa.key}/{sb.key}: no overlapping years; covariance skipped")
+                continue
+            xa = np.array([map_a[y] for y in common])
+            xb = np.array([map_b[y] for y in common])
+            cov_sum += rank_covariance(xa, xb)
 
     var_raw = var_sum + 2.0 * cov_sum
     floor = 0.01 * var_sum
@@ -353,51 +388,3 @@ def comparison_direction(median_diff, p, alpha=ALPHA):
     if p < alpha and median_diff < 0:
         return "nonUC-higher"
     return "not-significant"
-
-
-TRENDS_CSV_HEADER = "pair,metric,season,group,S,var,z,p,p_adj,slope"
-
-
-def trends_csv(entries):
-    """Render (pair, metric, season, group, TrendResult) rows as CSV."""
-    lines = [TRENDS_CSV_HEADER]
-    for pair, metric, season, group, r in entries:
-        p_adj = "" if r.p_adj is None else f"{r.p_adj:.17g}"
-        lines.append(
-            f"{pair},{metric},{season},{group},{r.s},{r.var_s:.17g},"
-            f"{r.z:.17g},{r.p:.17g},{p_adj},{r.slope:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-COMPARISON_CSV_HEADER = (
-    "pair,metric,season,median_diff,wilcoxon_p,prop_uc,prop_nonuc,prop_p,direction"
-)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    pair: str
-    metric: str
-    season: str
-    median_uc: float
-    median_nonuc: float
-    wilcoxon_p: float
-    prop_uc: float
-    prop_nonuc: float
-    prop_p: float
-    direction: str
-
-    @property
-    def median_diff(self):
-        return self.median_uc - self.median_nonuc
-
-
-def comparison_csv(rows):
-    lines = [COMPARISON_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.pair},{r.metric},{r.season},{r.median_diff:.17g},{r.wilcoxon_p:.17g},"
-            f"{r.prop_uc:.17g},{r.prop_nonuc:.17g},{r.prop_p:.17g},{r.direction}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """Exit codes, flag handling, and an end-to-end run through the console entry."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -127,3 +129,51 @@ class TestRuns:
             worlds[name] = (out / "ghcnm.dat").read_bytes()
         assert worlds["a"] == worlds["b"]
         assert worlds["a"] != worlds["c"]
+
+    def test_short_station_id_matches_inventory(self, tmp_path):
+        # ids shorter than the 11-char field arrive space-padded in all three
+        # record files; every parser must report them the same way
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        long_id = (out / "stations.txt").read_text()[:11]
+        for name in ("stations.txt", "ghcnm.dat", "ghcnd.dly"):
+            path = out / name
+            path.write_text(path.read_text().replace(long_id, "PAD1       "))
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        pair = json.loads((out / pipeline.F_PAIRS).read_text())["pairs"][0]
+        assert "PAD1" in pair["uc_stations"] + pair["nonuc_stations"]
+        assert "PAD1," in (out / pipeline.F_ANNUAL_STATION).read_text()
+
+    def test_region_name_with_comma_yields_valid_csv(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        regions = out / "regions.json"
+        regions.write_text(regions.read_text().replace('"UC00"', '"UC,00"'))
+        covariates = out / "covariates.csv"
+        rows = list(csv.reader(io.StringIO(covariates.read_text())))
+        rows[1][0] = "UC,00"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        covariates.write_text(buf.getvalue())
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+
+        tables = sorted(out.glob("*.csv")) + sorted((out / pipeline.REPORT_DIR).glob("*.csv"))
+        assert len(tables) > 10
+        for path in tables:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len({len(row) for row in rows}) == 1, path.name
+
+        with open(out / pipeline.F_TRENDS, newline="") as fh:
+            trends = list(csv.reader(fh))
+        assert trends[0] == ["pair", "metric", "season", "group", "S", "var", "z", "p", "p_adj", "slope"]
+        assert {row[0] for row in trends[1:]} == {"UC,00"}
+        with open(out / pipeline.REPORT_DIR / "fig2a.csv", newline="") as fh:
+            fig2a = list(csv.reader(fh))
+        assert fig2a[0] == [
+            "pair", "metric", "season", "median_diff", "wilcoxon_p",
+            "prop_uc", "prop_nonuc", "prop_p", "direction",
+        ]
+        assert len(fig2a) == 1 + 2 and all(row[0] == "UC,00" for row in fig2a[1:])

@@ -100,6 +100,40 @@ class TestSeasonalMeans:
         assert_allclose(a_jja.values, [30.0, 31.0])
 
 
+def _seasonal_means_by_year(series):
+    """Per-year, per-season reference for seasonal_means."""
+    out = []
+    for s in series:
+        for year in range(s.first_year, s.month_of(s.values.size - 1)[0] + 1):
+            for season, months in (("DJF", ((year - 1, 12), (year, 1), (year, 2))),
+                                   ("JJA", ((year, 6), (year, 7), (year, 8)))):
+                got = [s.value_in(y, m) for y, m in months]
+                if all(np.isfinite(got)):
+                    out.append(SeasonalValue(s.station_id, year, season, s.element,
+                                             (got[0] + got[1] + got[2]) / 3.0))
+    out.sort(key=lambda v: (v.station_id, v.element, v.year, v.season))
+    return out
+
+
+class TestSeasonalMeansMatchPerYearLoop:
+    def test_random_gappy_series_bit_identical(self):
+        rng = np.random.default_rng(51)
+        series = []
+        for i in range(30):
+            v = rng.normal(15.0, 8.0, int(rng.integers(1, 80)))
+            v[rng.random(v.size) < 0.1] = np.nan
+            series.append(
+                _monthly(v, int(rng.integers(1950, 1960)), int(rng.integers(1, 13)),
+                         station=f"S{i % 7}", element=("TMIN", "TAVG", "TMAX")[i % 3])
+            )
+        got = seasonal_means(series)
+        assert got == _seasonal_means_by_year(series)
+        assert len(got) > 100
+
+    def test_empty_series_yields_nothing(self):
+        assert seasonal_means([_monthly([], 1990)]) == []
+
+
 class TestAnnualCdd:
     def test_single_hot_day_contribution(self):
         tmax = _full_year(2001, base=10.0)

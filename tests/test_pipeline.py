@@ -250,6 +250,19 @@ def _uniform_summaries(pair_ids, rng, metrics=("TAVG",), seasons=("JJA",)):
     return rows
 
 
+class TestCodesText:
+    def test_same_string_as_a_join(self):
+        codes = np.array(list("ooiuoi"), dtype="<U1")
+        assert pipeline._codes_text(codes) == "ooiuoi"
+        grid = np.array([list("oiu"), list("uuo")], dtype="<U1")
+        assert pipeline._codes_text(grid[1]) == "uuo"
+        assert pipeline._codes_text(grid[:, 0]) == "ou"
+        assert pipeline._codes_text(np.array([b"o", b"i"], dtype="S1")) == "oi"
+
+    def test_empty_mask(self):
+        assert pipeline._codes_text(np.array([], dtype="<U1")) == ""
+
+
 class TestRankCorrelation:
     def test_self_covariate_gives_rho_one(self):
         rng = np.random.default_rng(5)

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from megaheat.series import AnnualSeries
 from megaheat.stats import (
-    COMPARISON_CSV_HEADER,
-    TRENDS_CSV_HEADER,
-    ComparisonRow,
+    RegionalTrendResult,
+    _common_years_numerators,
+    _two_sided_p,
+    _z_with_continuity,
     by_fdr_adjust,
-    comparison_csv,
     comparison_direction,
     equal_proportions_test,
     field_significance,
@@ -19,7 +21,6 @@ from megaheat.stats import (
     regional_mann_kendall,
     spearman,
     theil_sen,
-    trends_csv,
     wilcoxon_ranksum,
 )
 
@@ -175,6 +176,133 @@ class TestRegionalMannKendall:
         assert reg.var_s == pytest.approx(0.01 * 2 * 125.0, rel=1e-12)
         assert any("floor" in f for f in reg.flags)
         assert reg.s == 0 and reg.p == 1.0
+
+
+def _per_pair_oracle(series_list):
+    """The regional test with every covariance taken from rank_covariance
+    on the pair's common years, one pair at a time."""
+    members, flags = [], []
+    for s in series_list:
+        r = mann_kendall(s)
+        if r.untestable:
+            flags.append(f"{s.key}: untestable station excluded")
+        else:
+            members.append((s, r))
+    if not members:
+        return RegionalTrendResult(0, 0.0, 0.0, 1.0, tuple(flags + ["no testable stations"]))
+    s_r = sum(r.s for _, r in members)
+    var_sum = sum(r.var_s for _, r in members)
+    cov_sum = 0.0
+    for a, (sa, _) in enumerate(members):
+        for sb, _ in members[a + 1 :]:
+            common = np.intersect1d(sa.years, sb.years)
+            if common.size == 0:
+                flags.append(f"{sa.key}/{sb.key}: no overlapping years; covariance skipped")
+                continue
+            xa = sa.values[np.isin(sa.years, common)]
+            xb = sb.values[np.isin(sb.years, common)]
+            cov_sum += rank_covariance(xa, xb)
+    var_r = var_sum + 2.0 * cov_sum
+    if var_r < 0.01 * var_sum:
+        var_r = 0.01 * var_sum
+        flags.append("variance floored at 1% of summed station variances")
+    z = _z_with_continuity(s_r, var_r)
+    return RegionalTrendResult(s_r, var_r, z, _two_sided_p(z), tuple(flags))
+
+
+def _group(values, first_year=1960):
+    return [_annual(v, first_year=first_year, key=f"S{m:02d}") for m, v in enumerate(values)]
+
+
+def _half_degree_group(rng, k, n):
+    """k stations over n shared years, rounded to 0.5 so ties occur."""
+    trend = rng.normal(0.0, 0.05) * np.arange(n)
+    return np.round((trend + rng.normal(0.0, 1.0, (k, n))) * 2.0) / 2.0
+
+
+class TestCommonYearsCovariance:
+    """The matrix-product covariances against rank_covariance per pair."""
+
+    def _assert_fast_path_equals_oracle(self, group):
+        testable = [s for s in group if not mann_kendall(s).untestable]
+        assert _common_years_numerators(testable) is not None
+        assert regional_mann_kendall(group) == _per_pair_oracle(group)
+
+    def test_random_groups(self):
+        rng = np.random.default_rng(41)
+        for k, n in [(2, 4), (3, 60), (25, 4), (25, 60), (7, 17), (12, 33), (20, 60)]:
+            self._assert_fast_path_equals_oracle(_group(_half_degree_group(rng, k, n)))
+
+    def test_numerators_match_rank_covariance(self):
+        rng = np.random.default_rng(42)
+        x = _half_degree_group(rng, 9, 23)
+        numerators = _common_years_numerators(_group(x))
+        for a in range(9):
+            for b in range(9):
+                assert numerators[a, b] / 3.0 == rank_covariance(x[a], x[b])
+
+    def test_constant_member_excluded(self):
+        rng = np.random.default_rng(43)
+        x = _half_degree_group(rng, 6, 30)
+        x[2] = 1.5
+        group = _group(x)
+        reg = regional_mann_kendall(group)
+        assert reg == _per_pair_oracle(group)
+        assert reg.flags == ("S02: untestable station excluded",)
+
+    def test_single_member(self):
+        rng = np.random.default_rng(44)
+        group = _group(_half_degree_group(rng, 1, 40))
+        self._assert_fast_path_equals_oracle(group)
+        lone = mann_kendall(group[0])
+        assert regional_mann_kendall(group).var_s == lone.var_s
+
+    def test_anticorrelated_pair_hits_floor(self):
+        rng = np.random.default_rng(45)
+        v = _half_degree_group(rng, 1, 25)[0]
+        group = _group([v, -v])
+        self._assert_fast_path_equals_oracle(group)
+        assert any("floor" in f for f in regional_mann_kendall(group).flags)
+
+    def test_given_station_results_are_used(self):
+        rng = np.random.default_rng(46)
+        group = _group(_half_degree_group(rng, 5, 20))
+        results = [mann_kendall(s) for s in group]
+        assert regional_mann_kendall(group, results) == regional_mann_kendall(group)
+
+    def test_ragged_and_disjoint_groups_keep_per_pair_path(self):
+        rng = np.random.default_rng(47)
+        x = _half_degree_group(rng, 4, 40)
+        ragged = [
+            _annual(x[0], 1960, key="A"),
+            _annual(x[1][:30], 1970, key="B"),
+            _annual(x[2][5:], 1965, key="C"),
+        ]
+        disjoint = ragged + [_annual(x[3][:8], 2010, key="D")]
+        for group in (ragged, disjoint):
+            assert _common_years_numerators(group) is None
+            assert regional_mann_kendall(group) == _per_pair_oracle(group)
+        assert "A/D: no overlapping years; covariance skipped" in regional_mann_kendall(disjoint).flags
+
+    def test_non_finite_values_keep_per_pair_path(self):
+        rng = np.random.default_rng(48)
+        x = _half_degree_group(rng, 3, 12)
+        x[1, 4] = np.nan
+        assert _common_years_numerators(_group(x)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda k: st.integers(4, 30).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k
+                )
+            )
+        )
+    )
+    def test_property_equals_per_pair_oracle(self, halves):
+        group = _group(np.array(halves, dtype=float) / 2.0)
+        assert regional_mann_kendall(group) == _per_pair_oracle(group)
 
 
 class TestByFdr:
@@ -383,35 +511,3 @@ class TestDirectionAndCsv:
         assert comparison_direction(-0.5, 0.04) == "nonUC-higher"
         assert comparison_direction(2.0, 0.05) == "not-significant"
         assert comparison_direction(0.0, 0.001) == "not-significant"
-
-    def test_trends_csv_shape(self):
-        r = mann_kendall(_annual([1, 2, 3, 4, 5]))
-        r.p_adj = 0.5
-        text = trends_csv([("NYC", "cdd", "annual", "uc", r)])
-        lines = text.strip().split("\n")
-        assert lines[0] == TRENDS_CSV_HEADER
-        fields = lines[1].split(",")
-        assert fields[:4] == ["NYC", "cdd", "annual", "uc"]
-        assert int(fields[4]) == 10
-        assert float(fields[9]) == pytest.approx(1.0)
-
-    def test_comparison_csv_shape(self):
-        row = ComparisonRow(
-            pair="NYC",
-            metric="cdd",
-            season="annual",
-            median_uc=12.0,
-            median_nonuc=10.5,
-            wilcoxon_p=0.01,
-            prop_uc=0.5,
-            prop_nonuc=0.25,
-            prop_p=0.2,
-            direction="UC-higher",
-        )
-        text = comparison_csv([row])
-        lines = text.strip().split("\n")
-        assert lines[0] == COMPARISON_CSV_HEADER
-        fields = lines[1].split(",")
-        assert fields[0] == "NYC"
-        assert float(fields[3]) == pytest.approx(1.5)
-        assert fields[-1] == "UC-higher"
