@@ -460,6 +460,53 @@ def correlation_rows(matrix: CorrelationMatrix) -> list[tuple]:
     ]
 
 
+TRENDS_HEADER = ("pair", "metric", "season", "group", "S", "var", "z", "p", "p_adj", "slope")
+
+
+def trends_row(pair, metric, season, group, regional: stats.RegionalTrendResult, slope) -> tuple:
+    """One trends.csv row, under TRENDS_HEADER; p_adj is left empty."""
+    return (
+        pair,
+        metric,
+        season,
+        group,
+        regional.s,
+        _g(regional.var_s),
+        _g(regional.z),
+        _g(regional.p),
+        "",
+        _g(slope),
+    )
+
+
+COMPARISON_HEADER = (
+    "pair",
+    "metric",
+    "season",
+    "median_diff",
+    "wilcoxon_p",
+    "prop_uc",
+    "prop_nonuc",
+    "prop_p",
+    "direction",
+)
+
+
+def comparison_row(cell: MedianCell, trend_row: dict) -> tuple:
+    """One comparison.csv row, under COMPARISON_HEADER; proportions come from trend_cells.csv."""
+    return (
+        cell.pair,
+        cell.metric,
+        cell.season,
+        _g(cell.median_uc - cell.median_nonuc),
+        _g(cell.wilcoxon_p),
+        _g(trend_row.get("uc_prop", "nan")),
+        _g(trend_row.get("nonuc_prop", "nan")),
+        _g(trend_row.get("prop_p", "nan")),
+        cell.direction,
+    )
+
+
 # ---------------------------------------------------------------------------
 # file helpers
 
@@ -903,27 +950,10 @@ def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
                 if reg_series is not None and reg_series.years.size >= 2
                 else float("nan")
             )
-            regional_rows.append(
-                (
-                    pair.uc_id,
-                    metric,
-                    season,
-                    group,
-                    regional.s,
-                    _g(regional.var_s),
-                    _g(regional.z),
-                    _g(regional.p),
-                    "",
-                    _g(slope),
-                )
-            )
+            regional_rows.append(trends_row(pair.uc_id, metric, season, group, regional, slope))
             for flag in regional.flags:
                 notes.append(f"{pair.uc_id} {metric} {season} {group}: {flag}")
-    _write_csv(
-        out / F_TRENDS,
-        ("pair", "metric", "season", "group", "S", "var", "z", "p", "p_adj", "slope"),
-        regional_rows,
-    )
+    _write_csv(out / F_TRENDS, TRENDS_HEADER, regional_rows)
     (out / F_TREND_NOTES).write_text("".join(line + "\n" for line in notes))
 
 
@@ -948,35 +978,8 @@ def stage_compare(out_dir, cfg: RunConfig, threads: int = 1):
                 regional.get((pair.uc_id, "nonuc", metric, season)),
                 cfg.alpha,
             )
-            trend_row = prop_by_cell.get((pair.uc_id, metric, season), {})
-            rows.append(
-                (
-                    cell.pair,
-                    cell.metric,
-                    cell.season,
-                    _g(cell.median_uc - cell.median_nonuc),
-                    _g(cell.wilcoxon_p),
-                    _g(trend_row.get("uc_prop", "nan")),
-                    _g(trend_row.get("nonuc_prop", "nan")),
-                    _g(trend_row.get("prop_p", "nan")),
-                    cell.direction,
-                )
-            )
-    _write_csv(
-        out / F_COMPARISON,
-        (
-            "pair",
-            "metric",
-            "season",
-            "median_diff",
-            "wilcoxon_p",
-            "prop_uc",
-            "prop_nonuc",
-            "prop_p",
-            "direction",
-        ),
-        rows,
-    )
+            rows.append(comparison_row(cell, prop_by_cell.get((pair.uc_id, metric, season), {})))
+    _write_csv(out / F_COMPARISON, COMPARISON_HEADER, rows)
 
 
 def stage_correlate(out_dir, cfg: RunConfig, threads: int = 1):

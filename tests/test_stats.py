@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from megaheat import pipeline
 from megaheat.series import AnnualSeries
 from megaheat.stats import (
     RegionalTrendResult,
@@ -511,3 +514,42 @@ class TestDirectionAndCsv:
         assert comparison_direction(-0.5, 0.04) == "nonUC-higher"
         assert comparison_direction(2.0, 0.05) == "not-significant"
         assert comparison_direction(0.0, 0.001) == "not-significant"
+
+    def test_trends_csv_shape(self, tmp_path):
+        series = _annual([1, 2, 3, 4, 5])
+        regional = regional_mann_kendall([series])
+        slope = theil_sen(series.years, series.values)
+        row = pipeline.trends_row("NYC", "cdd", "annual", "uc", regional, slope)
+        path = tmp_path / "trends.csv"
+        pipeline._write_csv(path, pipeline.TRENDS_HEADER, [row])
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert tuple(lines[0]) == pipeline.TRENDS_HEADER
+        fields = lines[1]
+        assert fields[:4] == ["NYC", "cdd", "annual", "uc"]
+        assert int(fields[4]) == 10
+        assert fields[8] == ""
+        assert float(fields[9]) == pytest.approx(1.0)
+
+    def test_comparison_csv_shape(self, tmp_path):
+        cell = pipeline.MedianCell(
+            pair="NYC",
+            metric="cdd",
+            season="annual",
+            median_uc=12.0,
+            median_nonuc=10.5,
+            wilcoxon_p=0.01,
+            direction="UC-higher",
+            note="",
+        )
+        trend_row = {"uc_prop": "0.5", "nonuc_prop": "0.25", "prop_p": "0.2"}
+        path = tmp_path / "comparison.csv"
+        pipeline._write_csv(path, pipeline.COMPARISON_HEADER, [pipeline.comparison_row(cell, trend_row)])
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert tuple(lines[0]) == pipeline.COMPARISON_HEADER
+        fields = lines[1]
+        assert fields[0] == "NYC"
+        assert float(fields[3]) == pytest.approx(1.5)
+        assert [float(f) for f in fields[5:8]] == [0.5, 0.25, 0.2]
+        assert fields[-1] == "UC-higher"
