@@ -13,7 +13,9 @@ import dataclasses
 import datetime as dt
 import hashlib
 import io
+import itertools
 import json
+import operator
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, indices, stats
-from .ghcn import parse_ghcnd, parse_ghcnm, parse_stations, serialize_ghcnd, serialize_ghcnm
+from .ghcn import parse_ghcnd, parse_ghcnm, parse_stations
 from .interpolate import GwrConfig, impute_monthly, lwma_fill
 from .qc import (
     DAILY_END_CUTOFF,
@@ -43,7 +45,7 @@ from .regions import (
     load_regions,
     pair_uc_nonuc,
 )
-from .series import AnnualSeries
+from .series import AnnualSeries, DailySeries, MonthlySeries, load_series, save_series
 from .synth import SynthParams, synth_generate, write_world
 
 
@@ -71,13 +73,15 @@ DEFAULT_PATHS = {
 F_PARSE_ISSUES = "parse_issues.csv"
 F_INGEST_SUMMARY = "ingest_summary.json"
 F_PAIRS = "pairs.json"
+F_PARSED_MONTHLY = "parsed_monthly.npz"
+F_PARSED_DAILY = "parsed_daily.npz"
 F_QC_MONTHLY = "qc_monthly.csv"
 F_QC_DAILY = "qc_daily.csv"
-F_KEPT_MONTHLY = "kept_monthly.dat"
-F_KEPT_DAILY = "kept_daily.dly"
-F_COMPLETED_MONTHLY = "completed_monthly.dat"
+F_KEPT_MONTHLY = "kept_monthly.npz"
+F_KEPT_DAILY = "kept_daily.npz"
+F_COMPLETED_MONTHLY = "completed_monthly.npz"
 F_MONTHLY_MASK = "monthly_mask.csv"
-F_FILLED_DAILY = "filled_daily.dly"
+F_FILLED_DAILY = "filled_daily.npz"
 F_DAILY_MASK = "daily_mask.csv"
 F_IMPUTE_NOTES = "impute_notes.txt"
 F_ANNUAL_STATION = "annual_station.csv"
@@ -521,6 +525,34 @@ def _require(path: Path, producer: str) -> None:
         raise DataError(f"missing {path.name}; run the {producer} stage first")
 
 
+def _load_series(path: Path, kind, producer: str) -> list:
+    """Series a stage saved with save_series; DataError when missing or unreadable."""
+    _require(path, producer)
+    try:
+        series = load_series(path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage") from exc
+    if not all(isinstance(s, kind) for s in series):
+        raise DataError(f"{path.name} does not hold {kind.__name__} records; rerun the {producer} stage")
+    return series
+
+
+def at_record_precision(series: list) -> list:
+    """Copies of the series rounded to 0.1 C (daily) or 0.01 C (monthly).
+
+    This is the precision of the fixed-width record files, and what impute
+    hands on: bit for bit what parsing those records back would return
+    (``+ 0.0`` turns the -0.0 of a small negative value into the 0.0 the
+    text reads as).  Observed values already sit on this grid, so only
+    imputed and filled slots move.
+    """
+    out = []
+    for s in series:
+        scale = 100.0 if isinstance(s, MonthlySeries) else 10.0
+        out.append(dataclasses.replace(s, values=np.rint(s.values * scale) / scale + 0.0))
+    return out
+
+
 def _write_csv(path: Path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -575,39 +607,45 @@ def _read_pairs(out_dir) -> list[RegionPair]:
     ]
 
 
+def _read_annual(path: Path, key_columns) -> dict:
+    """An annual table as {key tuple: (years, values)}, years ascending.
+
+    Rows are read by column index and grouped by one sort over
+    (key, year, value); building one dict per row cost more than the rest.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        key_of = operator.itemgetter(*(header.index(name) for name in key_columns))
+        year_i, value_i = header.index("year"), header.index("value")
+        records = sorted((key_of(row), int(row[year_i]), float(row[value_i])) for row in reader)
+    out = {}
+    for key, group in itertools.groupby(records, key=operator.itemgetter(0)):
+        _, years, values = zip(*group)
+        out[key] = (np.array(years, dtype=int), np.array(values, dtype=float))
+    return out
+
+
 def _read_annual_station(out_dir) -> dict:
     """annual_station.csv -> {(station, metric, season): AnnualSeries}"""
-    grouped = {}
-    for row in _read_rows(Path(out_dir) / F_ANNUAL_STATION):
-        key = (row["station"], row["metric"], row["season"])
-        grouped.setdefault(key, []).append((int(row["year"]), float(row["value"])))
-    out = {}
-    for (station, metric, season), pts in grouped.items():
-        pts.sort()
-        out[(station, metric, season)] = AnnualSeries(
-            key=station,
-            metric=f"{metric}:{season}",
-            years=np.array([y for y, _ in pts], dtype=int),
-            values=np.array([v for _, v in pts], dtype=float),
+    return {
+        (station, metric, season): AnnualSeries(
+            key=station, metric=f"{metric}:{season}", years=years, values=values
         )
-    return out
+        for (station, metric, season), (years, values) in _read_annual(
+            Path(out_dir) / F_ANNUAL_STATION, ("station", "metric", "season")
+        ).items()
+    }
 
 
 def _read_annual_regional(out_dir) -> dict:
-    grouped = {}
-    for row in _read_rows(Path(out_dir) / F_ANNUAL_REGIONAL):
-        key = (row["pair"], row["group"], row["metric"], row["season"])
-        grouped.setdefault(key, []).append((int(row["year"]), float(row["value"])))
-    out = {}
-    for key, pts in grouped.items():
-        pts.sort()
-        out[key] = AnnualSeries(
-            key=f"{key[0]}:{key[1]}",
-            metric=f"{key[2]}:{key[3]}",
-            years=np.array([y for y, _ in pts], dtype=int),
-            values=np.array([v for _, v in pts], dtype=float),
-        )
-    return out
+    """annual_regional.csv -> {(pair, group, metric, season): AnnualSeries}"""
+    return {
+        key: AnnualSeries(key=f"{key[0]}:{key[1]}", metric=f"{key[2]}:{key[3]}", years=years, values=values)
+        for key, (years, values) in _read_annual(
+            Path(out_dir) / F_ANNUAL_REGIONAL, ("pair", "group", "metric", "season")
+        ).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +709,8 @@ def stage_ingest(out_dir, cfg: RunConfig, threads: int = 1):
         ]
     }
     (out / F_PAIRS).write_text(json.dumps(pairs_doc, indent=2, sort_keys=True) + "\n")
+    save_series(out / F_PARSED_MONTHLY, monthly)
+    save_series(out / F_PARSED_DAILY, daily)
     summary = {
         "n_daily_series": len(daily),
         "n_monthly_series": len(monthly),
@@ -684,20 +724,14 @@ def stage_ingest(out_dir, cfg: RunConfig, threads: int = 1):
 
 def stage_qc(out_dir, cfg: RunConfig, threads: int = 1):
     out = Path(out_dir)
-    daily_path = _input_path(out, cfg, "daily")
-    monthly_path = _input_path(out, cfg, "monthly")
-    for path in (daily_path, monthly_path):
-        if not path.exists():
-            raise DataError(f"missing input file {path}")
-
-    monthly, _ = parse_ghcnm(monthly_path.read_bytes())
+    monthly = _load_series(out / F_PARSED_MONTHLY, MonthlySeries, "ingest")
+    daily = _load_series(out / F_PARSED_DAILY, DailySeries, "ingest")
     kept_monthly, monthly_reports = filter_monthly_stations(
         monthly,
         window=cfg.window,
         max_missing_frac=cfg.qc.monthly_max_missing_frac,
         max_gap_months=cfg.qc.monthly_max_gap_months,
     )
-    daily, _ = parse_ghcnd(daily_path.read_bytes())
     kept_daily, daily_reports = filter_daily_stations(
         daily,
         window=cfg.window,
@@ -715,22 +749,21 @@ def stage_qc(out_dir, cfg: RunConfig, threads: int = 1):
                 for r in reports
             ],
         )
-    (out / F_KEPT_MONTHLY).write_bytes(serialize_ghcnm(kept_monthly))
-    (out / F_KEPT_DAILY).write_bytes(serialize_ghcnd(kept_daily))
+    save_series(out / F_KEPT_MONTHLY, kept_monthly)
+    save_series(out / F_KEPT_DAILY, kept_daily)
 
 
 def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
     out = Path(out_dir)
-    _require(out / F_KEPT_MONTHLY, "qc")
-    _require(out / F_KEPT_DAILY, "qc")
+    kept_monthly = _load_series(out / F_KEPT_MONTHLY, MonthlySeries, "qc")
+    kept_daily = _load_series(out / F_KEPT_DAILY, DailySeries, "qc")
     stations_path = _input_path(out, cfg, "stations")
     if not stations_path.exists():
         raise DataError(f"missing input file {stations_path}")
     stations, _ = parse_stations(stations_path.read_bytes())
 
-    kept_monthly, _ = parse_ghcnm((out / F_KEPT_MONTHLY).read_bytes())
     completed, masks, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
-    (out / F_COMPLETED_MONTHLY).write_bytes(serialize_ghcnm(completed))
+    save_series(out / F_COMPLETED_MONTHLY, at_record_precision(completed))
     _write_csv(
         out / F_MONTHLY_MASK,
         ("station", "element", "first_year", "first_month", "codes"),
@@ -741,9 +774,8 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
     )
     (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
 
-    kept_daily, _ = parse_ghcnd((out / F_KEPT_DAILY).read_bytes())
     filled_pairs = parallel_map(lwma_fill, kept_daily, threads)
-    (out / F_FILLED_DAILY).write_bytes(serialize_ghcnd([s for s, _ in filled_pairs]))
+    save_series(out / F_FILLED_DAILY, at_record_precision([s for s, _ in filled_pairs]))
     _write_csv(
         out / F_DAILY_MASK,
         ("station", "element", "start", "codes"),
@@ -756,13 +788,11 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
 
 def stage_indices(out_dir, cfg: RunConfig, threads: int = 1):
     out = Path(out_dir)
-    _require(out / F_COMPLETED_MONTHLY, "impute")
-    _require(out / F_FILLED_DAILY, "impute")
+    completed = _load_series(out / F_COMPLETED_MONTHLY, MonthlySeries, "impute")
+    filled = _load_series(out / F_FILLED_DAILY, DailySeries, "impute")
     _require(out / F_PAIRS, "ingest")
 
     station_series: dict = {}
-
-    completed, _ = parse_ghcnm((out / F_COMPLETED_MONTHLY).read_bytes())
     for series in indices.seasonal_annual_series(indices.seasonal_means(completed)):
         metric, season = _metric_season(series.metric)
         if metric in cfg.metrics and season in cfg.seasons:
@@ -770,7 +800,6 @@ def stage_indices(out_dir, cfg: RunConfig, threads: int = 1):
             if clipped is not None:
                 station_series[(series.key, metric, season)] = clipped
 
-    filled, _ = parse_ghcnd((out / F_FILLED_DAILY).read_bytes())
     by_station: dict = {}
     for series in filled:
         by_station.setdefault(series.station_id, {})[series.element] = series

@@ -8,6 +8,7 @@ carry NaN as an explicit marker; sentinel temperatures from source files
 from __future__ import annotations
 
 import datetime as dt
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,95 @@ class MonthlySeries:
         if i < 0 or i >= len(self.values):
             return float("nan")
         return float(self.values[i])
+
+
+def save_series(path, series) -> None:
+    """Write daily or monthly series (not both) to one uncompressed ``.npz``.
+
+    The file holds the station ids, the elements, each series' start (a
+    day serial for daily series; first year and first month for monthly
+    ones), the lengths, and all values as one float64 array.  np.savez
+    stamps every entry with zipfile's fixed 1980 date, so the same series
+    always give the same bytes.
+    """
+    series = list(series)
+    arrays = {
+        "station_id": np.array([s.station_id for s in series], dtype=str),
+        "element": np.array([s.element for s in series], dtype=str),
+        "length": np.array([len(s.values) for s in series], dtype=np.int64),
+        "values": np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series])
+        if series
+        else np.empty(0),
+    }
+    if all(isinstance(s, MonthlySeries) for s in series):
+        arrays["first_year"] = np.array([s.first_year for s in series], dtype=np.int64)
+        arrays["first_month"] = np.array([s.first_month for s in series], dtype=np.int64)
+    elif all(isinstance(s, DailySeries) for s in series):
+        arrays["start_day"] = np.array([date_to_serial(s.start) for s in series], dtype=np.int64)
+    else:
+        raise TypeError("save_series takes only DailySeries or only MonthlySeries")
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_series(path) -> list:
+    """The series save_series wrote to path, in the order it wrote them.
+
+    Loading never unpickles, so reading a file runs no code.  Raises
+    OSError when the file cannot be read and ValueError when it is not a
+    series file (not an ``.npz``, truncated, or with inconsistent arrays).
+    Each series' values are a view into one array read from the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable .npz archive: {exc}") from exc
+
+    monthly = "first_year" in arrays
+    starts = ("first_year", "first_month") if monthly else ("start_day",)
+    missing = sorted({"station_id", "element", "length", "values", *starts} - arrays.keys())
+    if missing:
+        raise ValueError(f"series file lacks {', '.join(missing)}")
+    ids, elements, lengths, values = (arrays[k] for k in ("station_id", "element", "length", "values"))
+    columns = [ids, elements, lengths] + [arrays[k] for k in starts]
+    if (
+        ids.dtype.kind != "U"
+        or elements.dtype.kind != "U"
+        or values.dtype != np.float64
+        or any(a.dtype.kind != "i" for a in columns[2:])
+        or any(a.shape != ids.shape for a in columns)
+        or ids.ndim != 1
+        or values.ndim != 1
+        or np.any(lengths < 0)
+        or int(lengths.sum()) != values.size
+    ):
+        raise ValueError("series file arrays do not fit together")
+    chunks = np.split(values, np.cumsum(lengths)[:-1]) if ids.size else []
+    if monthly:
+        if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
+            raise ValueError("series file holds a month outside 1-12")
+        return [
+            MonthlySeries(sid, el, year, month, v)
+            for sid, el, year, month, v in zip(
+                ids.tolist(),
+                elements.tolist(),
+                arrays["first_year"].tolist(),
+                arrays["first_month"].tolist(),
+                chunks,
+            )
+        ]
+    try:
+        return [
+            DailySeries(sid, el, serial_to_date(day), v)
+            for sid, el, day, v in zip(ids.tolist(), elements.tolist(), arrays["start_day"].tolist(), chunks)
+        ]
+    except OverflowError as exc:
+        raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
 
 
 @dataclass

@@ -10,6 +10,7 @@ rank-sum test, and Spearman rank correlation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -78,8 +79,20 @@ def _z_with_continuity(s, var_s):
     return (s + shift) / math.sqrt(var_s)
 
 
+@functools.lru_cache(maxsize=256)
+def _pairs(n):
+    """Index arrays (i, j) over all pairs i < j of n items, in row-major order.
+
+    Built once per n and shared by every caller, so they are read-only.
+    """
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _kendall_s(values):
-    i, j = np.triu_indices(values.size, k=1)
+    i, j = _pairs(values.size)
     return int(np.sign(values[j] - values[i]).sum())
 
 
@@ -94,7 +107,7 @@ def theil_sen(times, values):
     """Median of pairwise slopes (values[j]-values[i])/(times[j]-times[i])."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    i, j = np.triu_indices(values.size, k=1)
+    i, j = _pairs(values.size)
     return float(np.median((values[j] - values[i]) / (times[j] - times[i])))
 
 
@@ -140,7 +153,7 @@ def rank_covariance(x, y):
     n = x.size
     if n < 2:
         return 0.0
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pairs(n)
     concordance = float(np.sum(np.sign(x[j] - x[i]) * np.sign(y[j] - y[i])))
     rx = scipy.stats.rankdata(x)
     ry = scipy.stats.rankdata(y)
@@ -164,7 +177,7 @@ def _common_years_numerators(members):
     if not np.all(np.isfinite(x)):
         return None
     n = years.size
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pairs(n)
     signs = np.sign(x[:, j] - x[:, i])
     ranks = scipy.stats.rankdata(x, axis=1)
     return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
@@ -208,7 +221,7 @@ def regional_mann_kendall(series_list, results=None):
     numerators = _common_years_numerators([s for s, _ in members])
     if numerators is not None:
         # added one at a time in combinations order, as the per-pair path does
-        for cov in (numerators[np.triu_indices(len(members), k=1)] / 3.0).tolist():
+        for cov in (numerators[_pairs(len(members))] / 3.0).tolist():
             cov_sum += cov
     else:
         for (sa, _), (sb, _) in combinations(members, 2):

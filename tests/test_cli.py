@@ -91,6 +91,24 @@ class TestDataErrors:
         assert "megaheat: error" in err and "ZZZ00000001" in err
 
 
+    def test_truncated_intermediate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 0
+        assert cli.main(["qc", "--out", str(out), "--config", cfg]) == 0
+        kept = out / pipeline.F_KEPT_DAILY
+        kept.write_bytes(kept.read_bytes()[:-100])
+        capsys.readouterr()
+        assert cli.main(["impute", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error" in err and pipeline.F_KEPT_DAILY in err
+
+    def test_qc_before_ingest(self, tmp_path, capsys):
+        assert cli.main(["qc", "--out", str(tmp_path)]) == 2
+        assert "run the ingest stage first" in capsys.readouterr().err
+
+
 class TestRuns:
     def test_synth_then_all(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,6 +1,7 @@
 """Tests for orchestration: config parsing, comparison cells, correlation
 matrices, and the file-to-file stages."""
 
+import dataclasses
 import json
 import shutil
 
@@ -263,6 +264,87 @@ class TestCodesText:
         assert pipeline._codes_text(np.array([], dtype="<U1")) == ""
 
 
+def _slot_bits(series):
+    """{absolute slot: value bits} per (station, element): day serials for
+    daily series, linear month indices for monthly ones."""
+    from megaheat.series import DailySeries, date_to_serial, month_index
+
+    out = {}
+    for s in series:
+        if isinstance(s, DailySeries):
+            first = date_to_serial(s.start)
+        else:
+            first = month_index(s.first_year, s.first_month)
+        bits = np.asarray(s.values, dtype=np.float64).view(np.uint64)
+        out[(s.station_id, s.element)] = dict(zip(range(first, first + bits.size), bits.tolist()))
+    return out
+
+
+class TestRecordPrecisionHop:
+    """What impute hands on equals what the fixed-width text hop returned."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        import datetime as dt
+
+        from megaheat.interpolate import impute_monthly, lwma_fill
+        from megaheat.synth import SynthParams, synth_generate
+
+        params = SynthParams(
+            n_pairs=2,
+            uc_stations=3,
+            nonuc_stations=3,
+            end_year=1965,
+            noise_sd_c=2.0,
+            gap_rate=0.02,
+            gap_mean_len_steps=2.0,
+        )
+        world = synth_generate(911, params)
+        completed, _, _ = impute_monthly(world.monthly, world.stations, window=(1956, 1965))
+        # series that start and end mid-month, so the text form pads them
+        cut = [
+            dataclasses.replace(s, start=s.start + dt.timedelta(days=17), values=s.values[17:-9])
+            for s in world.daily
+        ]
+        filled = [lwma_fill(s)[0] for s in world.daily + cut]
+        return completed, filled
+
+    def _check(self, tmp_path, series, serialize, parse):
+        from megaheat.series import load_series, save_series
+
+        rounded = pipeline.at_record_precision(series)
+        assert any(
+            not np.array_equal(a.values, b.values, equal_nan=True) for a, b in zip(series, rounded)
+        ), "nothing to round: the oracle would not test the rounding"
+        save_series(tmp_path / "hop.npz", rounded)
+        binary = _slot_bits(load_series(tmp_path / "hop.npz"))
+        text = _slot_bits(parse(serialize(series))[0])
+        assert binary.keys() == text.keys()
+        nan_bits = np.array(np.nan).view(np.uint64)
+        for key, text_slots in text.items():
+            got = binary[key]
+            assert got.keys() <= text_slots.keys(), key
+            for slot, bits in text_slots.items():
+                if slot in got:
+                    assert got[slot] == bits, (key, slot)
+                else:
+                    assert np.isnan(np.uint64(bits).view(np.float64)), (key, slot)
+                    assert bits == nan_bits
+
+    def test_monthly_equals_the_text_hop(self, outputs, tmp_path):
+        from megaheat.ghcn import parse_ghcnm, serialize_ghcnm
+
+        self._check(tmp_path, outputs[0], serialize_ghcnm, parse_ghcnm)
+
+    def test_daily_equals_the_text_hop(self, outputs, tmp_path):
+        from megaheat.ghcn import parse_ghcnd, serialize_ghcnd
+
+        # the cut copies share their ids; check them apart from the originals
+        half = len(outputs[1]) // 2
+        self._check(tmp_path, outputs[1][:half], serialize_ghcnd, parse_ghcnd)
+        self._check(tmp_path, outputs[1][half:], serialize_ghcnd, parse_ghcnd)
+
+
 class TestRankCorrelation:
     def test_self_covariate_gives_rho_one(self):
         rng = np.random.default_rng(5)
@@ -436,10 +518,9 @@ class TestStages:
 
     def test_impute_fills_every_window_slot(self, full_run):
         out, cfg, _ = full_run
-        from megaheat.ghcn import parse_ghcnd, parse_ghcnm
-        from megaheat.series import month_index
+        from megaheat.series import load_series, month_index
 
-        completed, _ = parse_ghcnm((out / pipeline.F_COMPLETED_MONTHLY).read_bytes())
+        completed = load_series(out / pipeline.F_COMPLETED_MONTHLY)
         assert completed
         w0 = month_index(cfg.window[0], 1)
         w1 = month_index(cfg.window[1], 12)
@@ -450,13 +531,9 @@ class TestStages:
 
     def test_impute_mask_marks_previous_gaps(self, full_run):
         out, cfg, _ = full_run
-        from megaheat.ghcn import parse_ghcnm
-        from megaheat.series import month_index
+        from megaheat.series import load_series, month_index
 
-        kept = {
-            (s.station_id, s.element): s
-            for s in parse_ghcnm((out / pipeline.F_KEPT_MONTHLY).read_bytes())[0]
-        }
+        kept = {(s.station_id, s.element): s for s in load_series(out / pipeline.F_KEPT_MONTHLY)}
         w0 = month_index(cfg.window[0], 1)
         n_imputed_marked = 0
         for row in _read_csv_rows(out / pipeline.F_MONTHLY_MASK):
@@ -605,10 +682,48 @@ class TestStageErrors:
         with pytest.raises(DataError, match="ghcnd.dly"):
             pipeline.stage_ingest(tmp_path, cfg)
 
+    def test_qc_requires_ingest_outputs(self, tmp_path):
+        cfg = load_config({})
+        with pytest.raises(DataError, match="run the ingest stage first"):
+            pipeline.stage_qc(tmp_path, cfg)
+
     def test_impute_requires_qc_outputs(self, tmp_path):
         cfg = load_config({})
         with pytest.raises(DataError, match="qc"):
             pipeline.stage_impute(tmp_path, cfg)
+
+    def test_indices_requires_impute_outputs(self, tmp_path):
+        cfg = load_config({})
+        with pytest.raises(DataError, match="run the impute stage first"):
+            pipeline.stage_indices(tmp_path, cfg)
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            (pipeline.F_PARSED_MONTHLY, pipeline.stage_qc),
+            (pipeline.F_KEPT_DAILY, pipeline.stage_impute),
+            (pipeline.F_FILLED_DAILY, pipeline.stage_indices),
+        ],
+    )
+    def test_unreadable_intermediate_names_the_file(self, tmp_path, name, stage):
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute"])
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DataError, match=name):
+            stage(tmp_path, cfg)
+        path.write_text("not a series file\n")
+        with pytest.raises(DataError, match=name):
+            stage(tmp_path, cfg)
+
+    def test_intermediate_of_the_wrong_kind(self, tmp_path):
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.stage_ingest(tmp_path, cfg)
+        shutil.copy(tmp_path / pipeline.F_PARSED_DAILY, tmp_path / pipeline.F_PARSED_MONTHLY)
+        with pytest.raises(DataError, match=pipeline.F_PARSED_MONTHLY):
+            pipeline.stage_qc(tmp_path, cfg)
 
     def test_trends_requires_indices(self, tmp_path):
         cfg = load_config({})
