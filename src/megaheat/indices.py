@@ -91,33 +91,33 @@ def seasonal_annual_series(values):
     return out
 
 
-def _complete_year_slices(series):
-    """(year, start, stop) index ranges for calendar years fully covered."""
-    first, last = series.start, series.end
+def _complete_years(first, last):
+    """(years, lo, hi) arrays: the calendar years fully inside the days
+    first..last, as index ranges counted from first."""
     year = first.year if (first.month, first.day) == (1, 1) else first.year + 1
-    out = []
-    while True:
-        jan1 = dt.date(year, 1, 1)
-        dec31 = dt.date(year, 12, 31)
-        if dec31 > last:
-            break
-        out.append((year, (jan1 - first).days, (dec31 - first).days + 1))
+    years, lo, hi = [], [], []
+    while dt.date(year, 12, 31) <= last:
+        years.append(year)
+        lo.append((dt.date(year, 1, 1) - first).days)
+        hi.append((dt.date(year, 12, 31) - first).days + 1)
         year += 1
-    return out
+    return np.array(years, dtype=int), np.array(lo, dtype=int), np.array(hi, dtype=int)
 
 
-def _annual_from_daily(series, metric, reducer):
-    years, vals = [], []
-    for year, lo, hi in _complete_year_slices(series):
-        window = series.values[lo:hi]
-        if np.all(np.isfinite(window)):
-            years.append(year)
-            vals.append(reducer(window))
+def _finite_years(values, first, last):
+    """_complete_years of first..last whose values are all finite."""
+    years, lo, hi = _complete_years(first, last)
+    missing = np.concatenate(([0], np.cumsum(~np.isfinite(values))))
+    keep = missing[hi] == missing[lo]
+    return years[keep], lo[keep], hi[keep]
+
+
+def _annual(series, metric, years, values):
     return AnnualSeries(
         key=series.station_id,
         metric=metric,
-        years=np.array(years, dtype=int),
-        values=np.array(vals, dtype=float),
+        years=years,
+        values=np.asarray(values, dtype=float),
     )
 
 
@@ -131,26 +131,30 @@ def annual_cdd(tmax, tmin, base=CDD_BASE_C):
         raise ValueError("tmax and tmin must be the same station")
     if tmax.element != "TMAX" or tmin.element != "TMIN":
         raise ValueError("expected a TMAX series and a TMIN series")
-    by_year_max = {y: (lo, hi) for y, lo, hi in _complete_year_slices(tmax)}
-    by_year_min = {y: (lo, hi) for y, lo, hi in _complete_year_slices(tmin)}
-    years, vals = [], []
-    for year in sorted(by_year_max.keys() & by_year_min.keys()):
-        lo_x, hi_x = by_year_max[year]
-        lo_n, hi_n = by_year_min[year]
-        vx = tmax.values[lo_x:hi_x]
-        vn = tmin.values[lo_n:hi_n]
-        if np.all(np.isfinite(vx)) and np.all(np.isfinite(vn)):
-            years.append(year)
-            # summing only the positive excesses keeps the total identical
-            # for identical weather whether or not the year has a Feb 29
-            excess = (vx + vn) / 2.0 - base
-            vals.append(float(excess[excess > 0.0].sum()))
-    return AnnualSeries(
-        key=tmax.station_id,
-        metric="cdd",
-        years=np.array(years, dtype=int),
-        values=np.array(vals, dtype=float),
-    )
+    # the days both series cover
+    first, last = max(tmax.start, tmin.start), min(tmax.end, tmin.end)
+    n_days = max((last - first).days + 1, 0)
+    vx = tmax.values[(first - tmax.start).days :][:n_days]
+    vn = tmin.values[(first - tmin.start).days :][:n_days]
+    excess = (vx + vn) / 2.0 - base
+    years, lo, hi = _finite_years(excess, first, last)
+    # summing only the positive excesses keeps the total identical for
+    # identical weather whether or not the year has a Feb 29; one pairwise
+    # sum per year, as a sum over the whole record would round differently
+    totals = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        year = excess[a:b]
+        totals.append(float(year[year > 0.0].sum()))
+    return _annual(tmax, "cdd", years, totals)
+
+
+def _window_means(values, width):
+    """Means of every run of `width` consecutive values, summed in order."""
+    n = values.size - width + 1
+    total = values[:n]
+    for k in range(1, width):
+        total = total + values[k : k + n]
+    return total / width
 
 
 def max_consecutive_mean(values, width=3):
@@ -158,8 +162,7 @@ def max_consecutive_mean(values, width=3):
     v = np.asarray(values, dtype=float)
     if v.size < width:
         raise ValueError(f"need at least {width} values, got {v.size}")
-    windows = np.lib.stride_tricks.sliding_window_view(v, width)
-    return float((windows.sum(axis=1) / width).max())
+    return float(_window_means(v, width).max())
 
 
 def annual_cnm(tmin):
@@ -167,7 +170,30 @@ def annual_cnm(tmin):
     calendar year; windows never span a year boundary."""
     if tmin.element != "TMIN":
         raise ValueError("expected a TMIN series")
-    return _annual_from_daily(tmin, "cnm", max_consecutive_mean)
+    years, lo, hi = _finite_years(tmin.values, tmin.start, tmin.end)
+    if not years.size:
+        return _annual(tmin, "cnm", years, [])
+    # window k covers days k..k+2; a year's windows start on lo..hi-3, and
+    # the segments between years are reduced too and dropped.  The trailing
+    # NaN keeps the last segment start inside the array.
+    means = np.append(_window_means(tmin.values, 3), np.nan)
+    maxima = np.maximum.reduceat(means, np.column_stack([lo, hi - 2]).ravel())[::2]
+    return _annual(tmin, "cnm", years, maxima)
+
+
+def _percentile_95_sorted(rows):
+    """percentile_95 of each row of an ascending-sorted 2-D block."""
+    n = rows.shape[1]
+    if n == 1:
+        return rows[:, 0]
+    rank = 0.95 * (n - 1) + 1.0
+    whole = int(rank)
+    frac = rank - whole
+    if whole >= n:
+        return rows[:, -1]
+    if frac == 0.0:
+        return rows[:, whole - 1]
+    return rows[:, whole - 1] + frac * (rows[:, whole] - rows[:, whole - 1])
 
 
 def percentile_95(values):
@@ -177,26 +203,23 @@ def percentile_95(values):
     result interpolates between the two bracketing order statistics.
     """
     v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         raise ValueError("percentile of an empty set")
-    if n == 1:
-        return float(v[0])
-    rank = 0.95 * (n - 1) + 1.0
-    whole = int(rank)
-    frac = rank - whole
-    if whole >= n:
-        return float(v[-1])
-    if frac == 0.0:
-        return float(v[whole - 1])
-    return float(v[whole - 1] + frac * (v[whole] - v[whole - 1]))
+    return float(_percentile_95_sorted(v[None, :])[0])
 
 
 def annual_p95(tmax):
     """Within-year 95th percentile of daily maxima per complete year."""
     if tmax.element != "TMAX":
         raise ValueError("expected a TMAX series")
-    return _annual_from_daily(tmax, "p95", percentile_95)
+    years, lo, hi = _finite_years(tmax.values, tmax.start, tmax.end)
+    out = np.empty(years.size)
+    # one sorted year x day block per year length (365 and 366)
+    for n_days in set((hi - lo).tolist()):
+        rows = np.flatnonzero(hi - lo == n_days)
+        block = np.sort(tmax.values[lo[rows, None] + np.arange(n_days)], axis=1)
+        out[rows] = _percentile_95_sorted(block)
+    return _annual(tmax, "p95", years, out)
 
 
 def regional_annual_series(station_series, key):

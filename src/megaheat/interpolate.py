@@ -59,12 +59,17 @@ def _bisquare_weights(dist, k):
     if k >= n:
         return np.ones((m, n))
     h = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    # (1 - (dist / h)^2)^2, in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = (1.0 - (dist / h) ** 2) ** 2
-    w = np.where(dist < h, w, 0.0)
+        w = dist / h
+    w *= w
+    np.subtract(1.0, w, out=w)
+    w *= w
+    w[~(dist < h)] = 0.0
     # coincident bandwidth (k-th neighbor at distance zero): keep the
     # stations at the target itself
-    w = np.where(h > 0, w, (dist == 0).astype(float))
+    if not np.all(h > 0):
+        w = np.where(h > 0, w, (dist == 0).astype(float))
     # a distance tie putting every neighbor exactly at h zeroes the whole
     # row; fall back to uniform weights over the stations within reach
     dead = w.sum(axis=1) == 0.0
@@ -73,18 +78,31 @@ def _bisquare_weights(dist, k):
     return w
 
 
-def _wls_on_elevation(weights, elev, values, target_elev):
-    """Per-row weighted least squares of values on elevation.
+@dataclass(frozen=True)
+class _WlsGeometry:
+    """The value-free part of a per-row weighted regression on elevation:
+    the weights, the weight and elevation sums, and which rows fall back
+    to the weighted mean."""
 
-    Falls back to the weighted mean when the weighted elevations are all
-    equal within 1e-9 relative (floored at 1 m) or the normal equations
-    are numerically singular.
+    weights: np.ndarray
+    elev: np.ndarray
+    target_elev: np.ndarray
+    sw: np.ndarray
+    swx: np.ndarray
+    use_mean: np.ndarray
+    det: np.ndarray
+
+
+def _wls_geometry(weights, elev, target_elev):
+    """Sums and fallback flags of the per-row weighted least squares.
+
+    A row falls back to the weighted mean when its weighted elevations
+    are all equal within 1e-9 relative (floored at 1 m) or its normal
+    equations are numerically singular.
     """
     sw = weights.sum(axis=1)
     swx = weights @ elev
     swxx = weights @ (elev * elev)
-    swy = weights @ values
-    swxy = weights @ (elev * values)
 
     masked = np.where(weights > 0, elev, np.nan)
     xmin = np.nanmin(masked, axis=1)
@@ -95,12 +113,36 @@ def _wls_on_elevation(weights, elev, values, target_elev):
     det = sw * swxx - swx * swx
     unstable = det <= 1e-12 * np.maximum(sw * swxx, 1e-300)
     use_mean = flat | unstable
+    return _WlsGeometry(
+        weights, elev, target_elev, sw, swx, use_mean, np.where(use_mean, 1.0, det)
+    )
 
-    safe_det = np.where(use_mean, 1.0, det)
-    slope = (sw * swxy - swx * swy) / safe_det
-    intercept = (swy - slope * swx) / sw
-    mean = swy / sw
-    return np.where(use_mean, mean, intercept + slope * target_elev)
+
+def _wls_predict(geometry, values):
+    """Per-row weighted least squares of values on elevation, evaluated
+    at the target elevations."""
+    g = geometry
+    swy = g.weights @ values
+    swxy = g.weights @ (g.elev * values)
+    slope = (g.sw * swxy - g.swx * swy) / g.det
+    intercept = (swy - slope * g.swx) / g.sw
+    mean = swy / g.sw
+    return np.where(g.use_mean, mean, intercept + slope * g.target_elev)
+
+
+def _gwr_geometry(d_targets, d_train, elev, target_elev, k):
+    """Regression geometry for targets and for the training sites
+    themselves, from target x train and train x train distances."""
+    return (
+        _wls_geometry(_bisquare_weights(d_targets, k), elev, target_elev),
+        _wls_geometry(_bisquare_weights(d_train, k), elev, elev),
+    )
+
+
+def _gwr_apply(geometry, values):
+    """(predictions at targets, residuals at training sites)."""
+    at_targets, at_train = geometry
+    return _wls_predict(at_targets, values), values - _wls_predict(at_train, values)
 
 
 def gwr_fit_predict(train, targets, cfg):
@@ -123,15 +165,15 @@ def gwr_fit_predict(train, targets, cfg):
         raise ValueError("training elevations must all be present")
 
     lat, lon, elev, vals = train.T
-
-    def predict(tlat, tlon, telev):
-        dist = great_circle_km(tlat[:, None], tlon[:, None], lat[None, :], lon[None, :])
-        w = _bisquare_weights(dist, cfg.neighbors)
-        return _wls_on_elevation(w, elev, vals, telev)
-
-    preds = predict(targets[:, 0], targets[:, 1], targets[:, 2])
-    resid = vals - predict(lat, lon, elev)
-    return preds, resid
+    tlat, tlon, telev = targets.T
+    geometry = _gwr_geometry(
+        great_circle_km(tlat[:, None], tlon[:, None], lat[None, :], lon[None, :]),
+        great_circle_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :]),
+        elev,
+        telev,
+        cfg.neighbors,
+    )
+    return _gwr_apply(geometry, vals)
 
 
 @dataclass
@@ -245,6 +287,58 @@ def _fit_exponential(gam, dmean, cnt, half_max):
     return float(best[1]), float(best[2]), float(np.exp(best[3]))
 
 
+@dataclass(frozen=True)
+class _VariogramBins:
+    """The value-free part of the empirical variogram: the site pairs
+    within half the maximum distance, their distance bins, and each
+    filled bin's pair count and mean distance."""
+
+    i: np.ndarray
+    j: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+    filled: np.ndarray
+    dmean: np.ndarray
+    half_max: float
+
+
+def _variogram_bins(d, i, j):
+    """Bin the site pairs (i, j) at distances d; None when every site is
+    coincident, leaving no distance structure to fit."""
+    half_max = float(d.max() / 2.0)
+    if half_max <= 0.0:
+        return None
+    keep = d <= half_max
+    width = half_max / 10.0
+    bins = np.minimum((d[keep] / width).astype(int), 9)
+    counts = np.bincount(bins, minlength=10).astype(float)
+    dist_sum = np.bincount(bins, weights=d[keep], minlength=10)
+    filled = counts > 0
+    return _VariogramBins(
+        i[keep], j[keep], bins, counts, filled, dist_sum[filled] / counts[filled], half_max
+    )
+
+
+def _fit_binned(bins, residuals):
+    """Fit the exponential model to the binned semivariances of residuals."""
+    if bins is None or np.max(np.abs(residuals)) <= _ZERO_RESIDUAL_ATOL:
+        return Variogram(0.0, 0.0, 1.0, degenerate=True)
+    sv = 0.5 * (residuals[bins.i] - residuals[bins.j]) ** 2
+    gamma_sum = np.bincount(bins.bins, weights=sv, minlength=10)
+    cnt = bins.counts[bins.filled]
+    gam = gamma_sum[bins.filled] / cnt
+
+    if cnt.size < 3:
+        # not enough bins to constrain three parameters
+        sill = float(np.average(gam, weights=cnt))
+        if sill <= 0.0:
+            return Variogram(0.0, 0.0, 1.0, degenerate=True)
+        return Variogram(0.0, sill, bins.half_max)
+
+    nugget, delta, range_km = _fit_exponential(gam, bins.dmean, cnt, bins.half_max)
+    return Variogram(nugget, nugget + delta, range_km)
+
+
 def fit_variogram(lat, lon, residuals):
     """Fit an exponential variogram to residuals at sites.
 
@@ -264,38 +358,25 @@ def fit_variogram(lat, lon, residuals):
     n_pairs = n * (n - 1) // 2
     if n_pairs < 5:
         raise ValueError(f"need at least 5 site pairs, got {n_pairs}")
-    if np.max(np.abs(residuals)) <= _ZERO_RESIDUAL_ATOL:
-        return Variogram(0.0, 0.0, 1.0, degenerate=True)
-
     i, j = np.triu_indices(n, k=1)
     d = great_circle_km(lat[i], lon[i], lat[j], lon[j])
-    sv = 0.5 * (residuals[i] - residuals[j]) ** 2
+    return _fit_binned(_variogram_bins(d, i, j), residuals)
 
-    half_max = d.max() / 2.0
-    if half_max <= 0.0:
-        # every site coincident: no distance structure to fit
-        return Variogram(0.0, 0.0, 1.0, degenerate=True)
-    keep = d <= half_max
-    width = half_max / 10.0
-    bins = np.minimum((d[keep] / width).astype(int), 9)
-    counts = np.bincount(bins, minlength=10).astype(float)
-    gamma_sum = np.bincount(bins, weights=sv[keep], minlength=10)
-    dist_sum = np.bincount(bins, weights=d[keep], minlength=10)
 
-    filled = counts > 0
-    gam = gamma_sum[filled] / counts[filled]
-    dmean = dist_sum[filled] / counts[filled]
-    cnt = counts[filled]
+def _krige(d_ss, d_ts, residuals, variogram):
+    """Ordinary kriging from site x site and target x site distances."""
+    n = residuals.size
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = variogram.gamma(d_ss)
+    a[n, n] = 0.0
+    b = np.ones((n + 1, d_ts.shape[0]))
+    b[:n, :] = variogram.gamma(d_ts).T
 
-    if filled.sum() < 3:
-        # not enough bins to constrain three parameters
-        sill = float(np.average(gam, weights=cnt))
-        if sill <= 0.0:
-            return Variogram(0.0, 0.0, 1.0, degenerate=True)
-        return Variogram(0.0, sill, float(half_max))
-
-    nugget, delta, range_km = _fit_exponential(gam, dmean, cnt, float(half_max))
-    return Variogram(nugget, nugget + delta, range_km)
+    try:
+        weights = scipy.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return _idw_squared(d_ts, residuals), True
+    return residuals @ weights[:n, :], False
 
 
 def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_lon):
@@ -309,8 +390,7 @@ def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_
     residuals = np.asarray(residuals, dtype=float)
     target_lat = np.atleast_1d(np.asarray(target_lat, dtype=float))
     target_lon = np.atleast_1d(np.asarray(target_lon, dtype=float))
-    n = residuals.size
-    if n == 0:
+    if residuals.size == 0:
         raise ValueError("kriging needs at least one site")
 
     d_ts = great_circle_km(
@@ -319,18 +399,7 @@ def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_
     d_ss = great_circle_km(
         site_lat[:, None], site_lon[:, None], site_lat[None, :], site_lon[None, :]
     )
-
-    a = np.ones((n + 1, n + 1))
-    a[:n, :n] = variogram.gamma(d_ss)
-    a[n, n] = 0.0
-    b = np.ones((n + 1, target_lat.size))
-    b[:n, :] = variogram.gamma(d_ts).T
-
-    try:
-        weights = scipy.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return _idw_squared(d_ts, residuals), True
-    return residuals @ weights[:n, :], False
+    return _krige(d_ss, d_ts, residuals, variogram)
 
 
 def _idw_squared(d_ts, residuals):
@@ -355,6 +424,13 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     masks, notes), with completed series spanning December before the
     window through its end so winter seasons at the window edge stay
     computable; the leading December is passed through, never imputed.
+
+    Timesteps sharing a set of training stations share everything but the
+    values: distances, regression weights and sums, and variogram bins are
+    built once per such set (gwr_fit_predict, fit_variogram and
+    ordinary_krige compose the same helpers), and only the value-dependent
+    sums, the variogram fit and the kriging solve run per timestep.  One
+    set's geometry is held at a time.
     """
     cfg = cfg or GwrConfig()
     meta = stations if isinstance(stations, dict) else {st.station_id: st for st in stations}
@@ -395,54 +471,32 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
         codes = np.where(np.isfinite(grid), ProvenanceMask.OBSERVED, ProvenanceMask.UNIMPUTABLE)
 
         has_elev = np.isfinite(elev)
-        for t in range(1, n_steps + 1):
-            col = grid[:, t]
-            obs = np.isfinite(col)
-            if obs.all():
-                continue
-            year, month = divmod(t0 + t - 1, 12)
-            stamp = f"{year}-{month + 1:02d}"
-            train_rows = obs & has_elev
-            n_train = int(train_rows.sum())
-            if n_train < cfg.min_train:
-                notes.append(
-                    f"{element} {stamp}: {n_train} usable stations < min_train; unimputable"
+        observed = np.isfinite(grid)
+        steps = np.flatnonzero(~observed[:, 1:].all(axis=0)) + 1
+        reasons = {}
+        if steps.size:
+            # dist[r, c] takes station r as the first point, as the public
+            # gwr_fit_predict, fit_variogram and ordinary_krige do, so its
+            # slices equal their distances bit for bit
+            dist = great_circle_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+            train_masks, group_of = np.unique(
+                (observed[:, steps] & has_elev[:, None]).T, axis=0, return_inverse=True
+            )
+            for g, train_mask in enumerate(train_masks):
+                _impute_group(
+                    grid,
+                    codes,
+                    reasons,
+                    steps[group_of.ravel() == g],
+                    np.flatnonzero(train_mask),
+                    np.flatnonzero(has_elev & ~train_mask),
+                    dist,
+                    elev,
+                    cfg,
                 )
-                continue
-            target_rows = np.where(~obs & has_elev)[0]
-            if target_rows.size == 0:
-                continue
-
-            train = np.column_stack(
-                [lat[train_rows], lon[train_rows], elev[train_rows], col[train_rows]]
-            )
-            targets = np.column_stack(
-                [lat[target_rows], lon[target_rows], elev[target_rows]]
-            )
-            pred, resid = gwr_fit_predict(train, targets, cfg)
-
-            if n_train * (n_train - 1) // 2 >= 5:
-                vg = fit_variogram(lat[train_rows], lon[train_rows], resid)
-                if not vg.degenerate:
-                    correction, used_idw = ordinary_krige(
-                        lat[train_rows],
-                        lon[train_rows],
-                        resid,
-                        vg,
-                        lat[target_rows],
-                        lon[target_rows],
-                    )
-                    pred = pred + correction
-                    if used_idw:
-                        notes.append(
-                            f"{element} {stamp}: singular kriging system; "
-                            "inverse-distance fallback"
-                        )
-            else:
-                notes.append(f"{element} {stamp}: too few site pairs; regression only")
-
-            grid[target_rows, t] = pred
-            codes[target_rows, t] = ProvenanceMask.IMPUTED
+        for t in sorted(reasons):
+            year, month = divmod(t0 + t - 1, 12)
+            notes.append(f"{element} {year}-{month + 1:02d}: {reasons[t]}")
 
         for row, sid in enumerate(ids):
             out_series.append(
@@ -459,6 +513,49 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     return out_series, out_masks, notes
 
 
+def _impute_group(grid, codes, reasons, steps, train_rows, target_rows, dist, elev, cfg):
+    """Impute the grid columns `steps`, which share their training stations.
+
+    Writes predictions into grid and codes, and the note on each step that
+    needs one into reasons, keyed by step.
+    """
+    n_train = train_rows.size
+    if n_train < cfg.min_train:
+        for t in steps:
+            reasons[t] = f"{n_train} usable stations < min_train; unimputable"
+        return
+    if target_rows.size == 0:
+        return
+
+    d_train = dist[np.ix_(train_rows, train_rows)]
+    d_targets = dist[np.ix_(target_rows, train_rows)]
+    # elevations and values are strided columns of one (n, 4) array, the
+    # layout gwr_fit_predict receives: BLAS rounds `weights @ x` differently
+    # for a strided and a contiguous x
+    train = np.empty((n_train, 4))
+    train[:, 2] = elev[train_rows]
+    gwr = _gwr_geometry(d_targets, d_train, train[:, 2], elev[target_rows], cfg.neighbors)
+    krige = n_train * (n_train - 1) // 2 >= 5
+    if krige:
+        i, j = np.triu_indices(n_train, k=1)
+        bins = _variogram_bins(d_train[i, j], i, j)
+
+    for t in steps:
+        train[:, 3] = grid[train_rows, t]
+        pred, resid = _gwr_apply(gwr, train[:, 3])
+        if not krige:
+            reasons[t] = "too few site pairs; regression only"
+        else:
+            vg = _fit_binned(bins, resid)
+            if not vg.degenerate:
+                correction, used_idw = _krige(d_train, d_targets, resid, vg)
+                pred = pred + correction
+                if used_idw:
+                    reasons[t] = "singular kriging system; inverse-distance fallback"
+        grid[target_rows, t] = pred
+        codes[target_rows, t] = ProvenanceMask.IMPUTED
+
+
 def lwma_fill(series):
     """Fill gaps in a daily series with flank-weighted moving averages.
 
@@ -468,41 +565,50 @@ def lwma_fill(series):
     that would cross another missing day stays unfilled and is flagged.
     """
     values = series.values.copy()
-    observed = np.isfinite(series.values)
-    codes = np.where(observed, ProvenanceMask.OBSERVED, ProvenanceMask.UNIMPUTABLE)
+    missing = ~np.isfinite(series.values)
+    codes = np.full(values.size, ProvenanceMask.OBSERVED)
+    codes[missing] = ProvenanceMask.UNIMPUTABLE
     size = values.size
 
-    missing = ~observed
+    # gap g covers days [starts[g], stops[g]); a flank is clean when it
+    # ends before the neighbouring gap (or the series edge) begins
     edges = np.flatnonzero(np.diff(np.concatenate(([False], missing, [False]))))
-    for g0, g_end in zip(edges[::2], edges[1::2]):
-        g1 = g_end - 1
-        n = g1 - g0 + 1
-        span = 2 * n
+    starts, stops = edges[::2], edges[1::2]
+    lengths = stops - starts
+    span = 2 * lengths
+    before_ok = starts - span >= np.concatenate(([0], stops[:-1]))
+    after_ok = stops + span <= np.concatenate((starts[1:], [size]))
+    at_left = starts == 0
+    at_right = stops == size
+    # an edge gap has only the other flank; a gap spanning the series has none
+    fillable = np.where(at_left, after_ok, np.where(at_right, before_ok, before_ok & after_ok))
+
+    for n in sorted(set(lengths[fillable].tolist())):
+        gaps = np.flatnonzero(fillable & (lengths == n))
+        w_up = np.arange(1, 2 * n + 1, dtype=float)
+        # an edge gap's missing flank is gathered clipped and then ignored
+        before = values.take(starts[gaps, None] + np.arange(-2 * n, 0), mode="clip")
+        after = values.take(stops[gaps, None] + np.arange(2 * n), mode="clip")
+        # The fills must equal a 1-D dot per flank bit for bit.  Reversed
+        # weights have a negative stride, which keeps numpy off BLAS both
+        # there and in this product: both sum left to right.  The rising
+        # weights go through BLAS ddot, whose rounding no batched product
+        # reproduces once a weight (3 and up) makes a product inexact, so
+        # those numerators take the same 1-D dot per gap.
+        num_after = after @ w_up[::-1]
+        if n == 1:
+            num_before = before @ w_up
+        else:
+            num_before = np.array([w_up @ row for row in before])
         denom = float(n * (2 * n + 1))  # 1 + 2 + ... + 2n
-
-        before_ok = g0 - span >= 0 and observed[g0 - span : g0].all()
-        after_ok = g1 + 1 + span <= size and observed[g1 + 1 : g1 + 1 + span].all()
-        at_left_edge = g0 == 0
-        at_right_edge = g1 == size - 1
-
-        w_up = np.arange(1, span + 1, dtype=float)
-        fill = None
-        if at_left_edge and at_right_edge:
-            fill = None
-        elif at_left_edge:
-            if after_ok:
-                fill = float(w_up[::-1] @ values[g1 + 1 : g1 + 1 + span]) / denom
-        elif at_right_edge:
-            if before_ok:
-                fill = float(w_up @ values[g0 - span : g0]) / denom
-        elif before_ok and after_ok:
-            num_before = float(w_up @ values[g0 - span : g0])
-            num_after = float(w_up[::-1] @ values[g1 + 1 : g1 + 1 + span])
-            fill = (num_before + num_after) / (2.0 * denom)
-
-        if fill is not None:
-            values[g0 : g1 + 1] = fill
-            codes[g0 : g1 + 1] = ProvenanceMask.IMPUTED
+        fill = np.where(
+            at_left[gaps],
+            num_after / denom,
+            np.where(at_right[gaps], num_before / denom, (num_before + num_after) / (2.0 * denom)),
+        )
+        days = starts[gaps, None] + np.arange(n)
+        values[days] = fill[:, None]
+        codes[days] = ProvenanceMask.IMPUTED
 
     completed = DailySeries(
         station_id=series.station_id,

@@ -87,11 +87,33 @@ COVARIATE_COLUMNS = (
 )
 
 
+def _json_type(value) -> str:
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+    if value is None:
+        return "null"
+    return names.get(type(value), "a number")
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {_json_type(value)}")
+    return value
+
+
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {_json_type(value)}")
+    return value
+
+
 def _coerce_rings(name: str, rings) -> list[np.ndarray]:
     out = []
-    for ring in rings:
-        a = np.asarray(ring, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 4:
+    for ring in _json_array(rings, f"region {name!r}: rings"):
+        try:
+            a = np.asarray(ring, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 4:
             raise ValueError(f"region {name!r}: ring must be >=4 lon/lat vertices")
         if not np.array_equal(a[0], a[-1]):
             raise ValueError(f"region {name!r}: ring is not closed")
@@ -107,21 +129,25 @@ def load_regions(doc) -> RegionSet:
     elif isinstance(doc, (str, os.PathLike)):
         with open(doc) as fh:
             doc = json.load(fh)
-    features = doc.get("features", [])
+    features = _json_object(doc, "regions document").get("features", [])
     rs = RegionSet()
-    for feat in features:
-        props = feat.get("properties", {})
+    for k, feat in enumerate(_json_array(features, "regions document: features")):
+        where = f"regions document: feature {k}"
+        props = _json_object(_json_object(feat, where).get("properties", {}), f"{where} properties")
         name = props.get("name")
         kind = props.get("kind")
         if not name:
             raise ValueError("feature without a name")
-        geom = feat.get("geometry", {})
+        geom = _json_object(feat.get("geometry", {}), f"{where} geometry")
         gtype = geom.get("type")
         coords = geom.get("coordinates", [])
         if gtype == "Polygon":
             parts = [_coerce_rings(name, coords)]
         elif gtype == "MultiPolygon":
-            parts = [_coerce_rings(name, rings) for rings in coords]
+            parts = [
+                _coerce_rings(name, rings)
+                for rings in _json_array(coords, f"region {name!r}: coordinates")
+            ]
         else:
             raise ValueError(f"region {name!r}: unsupported geometry {gtype!r}")
         region = Region(name=name, kind=kind, parts=parts)

@@ -104,6 +104,30 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "megaheat: error" in err and pipeline.F_KEPT_DAILY in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[]",
+            '{"features": "x"}',
+            '{"features": [1]}',
+            '{"features": [{"properties": null, "geometry": null}]}',
+            '{"features": [{"properties": {"name": "A", "kind": "uc"}, "geometry": []}]}',
+            '{"features": [{"properties": {"name": "A", "kind": "uc"},'
+            ' "geometry": {"type": "MultiPolygon", "coordinates": [7]}}]}',
+            '{"features": [{"properties": {"name": "A", "kind": "uc"},'
+            ' "geometry": {"type": "Polygon", "coordinates": [[{}]]}}]}',
+        ],
+    )
+    def test_malformed_regions_exit_2(self, tmp_path, capsys, doc):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        (out / "regions.json").write_text(doc)
+        capsys.readouterr()
+        assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error" in err and "Traceback" not in err
+
     def test_qc_before_ingest(self, tmp_path, capsys):
         assert cli.main(["qc", "--out", str(tmp_path)]) == 2
         assert "run the ingest stage first" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from megaheat.ghcn import (
@@ -12,7 +14,7 @@ from megaheat.ghcn import (
     serialize_ghcnm,
     serialize_stations,
 )
-from megaheat.series import DailySeries, MonthlySeries, StationMeta
+from megaheat.series import DailySeries, MonthlySeries, ParseIssue, StationMeta
 
 # Fixture lines are assembled by hand here so the parser and the package's
 # own serializer are checked against an independent construction.
@@ -307,3 +309,176 @@ class TestRoundTrip:
         parsed, issues = parse_stations(blob)
         assert issues == []
         assert parsed == stations
+
+
+# Property tests: any valid series survives its serializer and parser, and
+# no damage to a line makes a parser raise.
+
+# ids without spaces (the parsers strip the field's padding); 1-11 chars
+_IDS = st.text("ABCXYZ0189-_", min_size=1, max_size=11)
+# integer record units: tenths (daily) or hundredths (monthly); -9999 is
+# the missing sentinel, so valid values stop one short of it
+_UNITS = st.lists(st.one_of(st.integers(-9998, 99999), st.none()), min_size=1, max_size=100)
+
+
+def _scaled(units, scale):
+    return np.array([np.nan if u is None else u / scale for u in units])
+
+
+def _unique_keys(items):
+    return len({(s.station_id, s.element) for s in items}) == len(items)
+
+
+_DAILY_SERIES = st.lists(
+    st.builds(
+        lambda sid, element, start, units: DailySeries(sid, element, start, _scaled(units, 10.0)),
+        _IDS,
+        st.sampled_from(["TMAX", "TMIN"]),
+        st.dates(min_value=dt.date(1800, 1, 1), max_value=dt.date(2100, 12, 31)),
+        _UNITS,
+    ),
+    min_size=1,
+    max_size=5,
+).filter(_unique_keys)
+
+_MONTHLY_SERIES = st.lists(
+    st.builds(
+        lambda sid, element, year, month, units: MonthlySeries(
+            sid, element, year, month, _scaled(units, 100.0)
+        ),
+        _IDS,
+        st.sampled_from(["TMIN", "TAVG", "TMAX"]),
+        st.integers(1800, 2100),
+        st.integers(1, 12),
+        _UNITS,
+    ),
+    min_size=1,
+    max_size=5,
+).filter(_unique_keys)
+
+_STATIONS = st.lists(
+    st.builds(
+        lambda sid, lat, lon, elev: StationMeta(
+            sid, lat / 1e4, lon / 1e4, None if elev is None else elev / 10.0
+        ),
+        _IDS,
+        st.integers(-900_000, 900_000),
+        st.integers(-1_800_000, 1_800_000),
+        st.one_of(st.none(), st.integers(-9998, 99999)),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda s: s.station_id,
+)
+
+
+def _assert_covers(parsed, original, offset):
+    """parsed holds original's values from offset on, bit for bit, and NaN
+    in the padding around them."""
+    n = original.values.size
+    assert np.array_equal(parsed.values[offset : offset + n], original.values, equal_nan=True)
+    assert np.isnan(parsed.values[:offset]).all()
+    assert np.isnan(parsed.values[offset + n :]).all()
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(series=_DAILY_SERIES)
+    def test_daily(self, series):
+        parsed, issues = parse_ghcnd(serialize_ghcnd(series))
+        assert issues == []
+        by_key = {(s.station_id, s.element): s for s in parsed}
+        assert len(by_key) == len(parsed) == len(series)
+        for s in series:
+            p = by_key[(s.station_id, s.element)]
+            assert p.start == s.start.replace(day=1)
+            _assert_covers(p, s, (s.start - p.start).days)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=_MONTHLY_SERIES)
+    def test_monthly(self, series):
+        parsed, issues = parse_ghcnm(serialize_ghcnm(series))
+        assert issues == []
+        by_key = {(s.station_id, s.element): s for s in parsed}
+        assert len(by_key) == len(parsed) == len(series)
+        for s in series:
+            p = by_key[(s.station_id, s.element)]
+            assert (p.first_year, p.first_month) == (s.first_year, 1)
+            _assert_covers(p, s, s.first_month - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stations=_STATIONS)
+    def test_stations(self, stations):
+        parsed, issues = parse_stations(serialize_stations(stations))
+        assert issues == []
+        assert parsed == stations
+
+
+_SAMPLES = {
+    "daily": (
+        parse_ghcnd,
+        serialize_ghcnd(
+            [DailySeries("USW00000001", "TMAX", dt.date(1999, 12, 30), np.arange(40) / 10.0)]
+        ),
+    ),
+    "monthly": (
+        parse_ghcnm,
+        serialize_ghcnm([MonthlySeries("USW00000001", "TAVG", 1999, 6, np.arange(20) / 100.0)]),
+    ),
+    "stations": (
+        parse_stations,
+        serialize_stations([StationMeta(f"USW0000000{i}", 40.0 + i, -90.0, 100.0) for i in range(3)]),
+    ),
+}
+
+# one damage to one line: overwrite, insert or delete a byte, or cut the
+# line; any byte but the line breaks, so line numbers stay put
+_EDITS = st.tuples(
+    st.sampled_from(["overwrite", "insert", "delete", "truncate"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 255).filter(lambda b: b not in b"\r\n").map(lambda b: bytes([b])),
+)
+
+
+def _damage(blob, edits):
+    lines = blob.split(b"\n")[:-1]
+    for kind, line_pick, pos_pick, byte in edits:
+        k = line_pick % len(lines)
+        line = lines[k]
+        pos = pos_pick % (len(line) + 1)
+        if kind == "overwrite" and pos < len(line):
+            line = line[:pos] + byte + line[pos + 1 :]
+        elif kind == "insert":
+            line = line[:pos] + byte + line[pos:]
+        elif kind == "delete" and pos < len(line):
+            line = line[:pos] + line[pos + 1 :]
+        elif kind == "truncate":
+            line = line[:pos]
+        lines[k] = line
+    return lines
+
+
+class TestDamagedLines:
+    @pytest.mark.parametrize("layout", sorted(_SAMPLES))
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(_EDITS, min_size=1, max_size=4))
+    def test_damage_becomes_issues_never_exceptions(self, layout, edits):
+        parse, good = _SAMPLES[layout]
+        width = len(good.split(b"\n")[0])
+        lines = _damage(good, edits)
+        records, issues = parse(b"\n".join(lines) + b"\n")
+        assert all(isinstance(i, ParseIssue) for i in issues)
+        flagged = {i.line for i in issues}
+        assert flagged <= set(range(1, len(lines) + 1))
+        for number, line in enumerate(lines, 1):
+            # a record line of the wrong width is always reported; an empty
+            # line (a blank one, for the inventory) carries no record, and
+            # inventory lines may run long
+            if layout == "stations":
+                wrong = line.strip() and len(line) < width
+            else:
+                wrong = line and len(line) != width
+            if wrong:
+                assert number in flagged, (number, line)
+        assert isinstance(records, list)

@@ -265,6 +265,117 @@ class TestAnnualP95:
         assert p95.values[0] == pytest.approx(float(np.percentile(v, 95.0)), rel=1e-12)
 
 
+def _year_slices(series):
+    first, last = series.start, series.end
+    year = first.year if (first.month, first.day) == (1, 1) else first.year + 1
+    out = []
+    while dt.date(year, 12, 31) <= last:
+        out.append((year, (dt.date(year, 1, 1) - first).days, (dt.date(year, 12, 31) - first).days + 1))
+        year += 1
+    return out
+
+
+# Per-year loops: the reference the year x day block versions must match
+# bit for bit.
+def _by_year(series, reducer):
+    years, vals = [], []
+    for year, lo, hi in _year_slices(series):
+        window = series.values[lo:hi]
+        if np.all(np.isfinite(window)):
+            years.append(year)
+            vals.append(reducer(window))
+    return years, vals
+
+
+def _cnm_by_year(tmin):
+    def warmest(v):
+        windows = np.lib.stride_tricks.sliding_window_view(v, 3)
+        return float((windows.sum(axis=1) / 3).max())
+
+    return _by_year(tmin, warmest)
+
+
+def _p95_by_year(tmax):
+    def p95(v):
+        v = np.sort(v)
+        rank = 0.95 * (v.size - 1) + 1.0
+        whole = int(rank)
+        frac = rank - whole
+        return float(v[whole - 1] + frac * (v[whole] - v[whole - 1]))
+
+    return _by_year(tmax, p95)
+
+
+def _cdd_by_year(tmax, tmin, base=CDD_BASE_C):
+    by_year_min = {y: (lo, hi) for y, lo, hi in _year_slices(tmin)}
+    years, vals = [], []
+    for year, lo_x, hi_x in _year_slices(tmax):
+        if year not in by_year_min:
+            continue
+        lo_n, hi_n = by_year_min[year]
+        vx, vn = tmax.values[lo_x:hi_x], tmin.values[lo_n:hi_n]
+        if np.all(np.isfinite(vx)) and np.all(np.isfinite(vn)):
+            years.append(year)
+            excess = (vx + vn) / 2.0 - base
+            vals.append(float(excess[excess > 0.0].sum()))
+    return years, vals
+
+
+class TestHeatIndicesMatchPerYearLoop:
+    def _pairs(self, rng, n):
+        # partial edge years, leap years (2000 included, 1900 excluded),
+        # NaN days and runs, and TMIN records offset from TMAX ones
+        for _ in range(n):
+            start = dt.date(int(rng.choice([1899, 1950, 1999])), 1, 1) + dt.timedelta(
+                days=int(rng.integers(0, 400))
+            )
+            size = int(rng.integers(300, 6 * 366))
+            tmax = np.round(rng.normal(26.0, 6.0, size), 1)
+            tmin = np.round(tmax - rng.uniform(5.0, 12.0, size), 1)
+            for v in (tmax, tmin):
+                v[rng.random(size) < 0.0005] = np.nan
+                if rng.random() < 0.3:
+                    lo = int(rng.integers(0, size))
+                    v[lo : lo + int(rng.integers(1, 40))] = np.nan
+            shift = int(rng.integers(-40, 40))
+            yield (
+                _daily(tmax, start, element="TMAX"),
+                _daily(tmin[max(shift, 0) :], start + dt.timedelta(days=max(shift, 0)), element="TMIN"),
+            )
+
+    @staticmethod
+    def _assert_same(got, years, vals):
+        assert got.years.dtype.kind == "i" and got.values.dtype == float
+        assert got.years.tolist() == years
+        assert got.values.tolist() == vals  # exact
+
+    def test_seeded_records(self):
+        rng = np.random.default_rng(61)
+        for tmax, tmin in self._pairs(rng, 60):
+            self._assert_same(annual_cnm(tmin), *_cnm_by_year(tmin))
+            self._assert_same(annual_p95(tmax), *_p95_by_year(tmax))
+            self._assert_same(annual_cdd(tmax, tmin), *_cdd_by_year(tmax, tmin))
+
+    def test_synthetic_world(self):
+        from megaheat.synth import SynthParams, synth_generate
+
+        world = synth_generate(62, SynthParams(n_pairs=1, uc_stations=2, nonuc_stations=2, gap_rate=0.005))
+        by_station = {}
+        for s in world.daily:
+            by_station.setdefault(s.station_id, {})[s.element] = s
+        for elements in by_station.values():
+            tmax, tmin = elements["TMAX"], elements["TMIN"]
+            self._assert_same(annual_cnm(tmin), *_cnm_by_year(tmin))
+            self._assert_same(annual_p95(tmax), *_p95_by_year(tmax))
+            self._assert_same(annual_cdd(tmax, tmin), *_cdd_by_year(tmax, tmin))
+
+    def test_short_and_disjoint_records(self):
+        tmax = _daily(np.full(200, 30.0), dt.date(2001, 3, 1))
+        tmin = _daily(np.full(200, 20.0), dt.date(2003, 3, 1), element="TMIN")
+        for got in (annual_cnm(tmin), annual_p95(tmax), annual_cdd(tmax, tmin)):
+            assert got.years.size == 0 and got.values.size == 0
+
+
 class TestRegionalSeries:
     def test_mean_of_two(self):
         a = AnnualSeries("A", "cdd", np.array([1990]), np.array([10.0]))

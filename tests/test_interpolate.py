@@ -593,3 +593,204 @@ class TestLwmaFill:
         obs = ~np.isnan(v)
         assert np.array_equal(filled.values[obs], v[obs])
         assert filled is not s
+
+
+# Reference implementations: impute_monthly and lwma_fill as one loop per
+# timestep and per gap, through the public gwr_fit_predict -> fit_variogram
+# -> ordinary_krige chain.  The module computes the same arithmetic once per
+# training-station mask and once per gap length; these must match it bit
+# for bit.
+def _impute_monthly_reference(series, stations, cfg=None, window=interpolate.STUDY_WINDOW):
+    cfg = cfg or GwrConfig()
+    meta = {st.station_id: st for st in stations}
+    year0, year1 = window
+    t0 = interpolate.month_index(year0, 1)
+    n_steps = (year1 - year0 + 1) * 12
+    notes, out_series, out_masks = [], [], []
+    by_element = {}
+    for s in series:
+        by_element.setdefault(s.element, []).append(s)
+    for element in sorted(by_element):
+        group = sorted(by_element[element], key=lambda s: s.station_id)
+        ids = [s.station_id for s in group]
+        lat = np.array([meta[i].lat for i in ids])
+        lon = np.array([meta[i].lon for i in ids])
+        elev = np.array([meta[i].elev if meta[i].elev is not None else np.nan for i in ids])
+        for sid in ids:
+            if meta[sid].elev is None:
+                notes.append(f"{element} {sid}: no elevation; missing slots unimputable")
+        grid = np.full((len(group), n_steps + 1), np.nan)
+        for row, s in enumerate(group):
+            s_t0 = interpolate.month_index(s.first_year, s.first_month)
+            lo = max(s_t0, t0 - 1)
+            hi = min(s_t0 + s.values.size, t0 + n_steps)
+            if hi > lo:
+                grid[row, lo - (t0 - 1) : hi - (t0 - 1)] = s.values[lo - s_t0 : hi - s_t0]
+        codes = np.where(np.isfinite(grid), "o", "u")
+        has_elev = np.isfinite(elev)
+        for t in range(1, n_steps + 1):
+            col = grid[:, t]
+            obs = np.isfinite(col)
+            if obs.all():
+                continue
+            year, month = divmod(t0 + t - 1, 12)
+            stamp = f"{year}-{month + 1:02d}"
+            train_rows = obs & has_elev
+            n_train = int(train_rows.sum())
+            if n_train < cfg.min_train:
+                notes.append(f"{element} {stamp}: {n_train} usable stations < min_train; unimputable")
+                continue
+            target_rows = np.where(~obs & has_elev)[0]
+            if target_rows.size == 0:
+                continue
+            train = np.column_stack(
+                [lat[train_rows], lon[train_rows], elev[train_rows], col[train_rows]]
+            )
+            targets = np.column_stack([lat[target_rows], lon[target_rows], elev[target_rows]])
+            pred, resid = gwr_fit_predict(train, targets, cfg)
+            if n_train * (n_train - 1) // 2 >= 5:
+                vg = fit_variogram(lat[train_rows], lon[train_rows], resid)
+                if not vg.degenerate:
+                    correction, used_idw = ordinary_krige(
+                        lat[train_rows], lon[train_rows], resid, vg,
+                        lat[target_rows], lon[target_rows],
+                    )
+                    pred = pred + correction
+                    if used_idw:
+                        notes.append(
+                            f"{element} {stamp}: singular kriging system; inverse-distance fallback"
+                        )
+            else:
+                notes.append(f"{element} {stamp}: too few site pairs; regression only")
+            grid[target_rows, t] = pred
+            codes[target_rows, t] = "i"
+        out_series.extend(grid)
+        out_masks.extend(codes)
+    return out_series, out_masks, notes
+
+
+def _lwma_reference(values):
+    values = values.copy()
+    observed = np.isfinite(values)
+    codes = np.where(observed, "o", "u")
+    size = values.size
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~observed, [False]))))
+    for g0, g_end in zip(edges[::2], edges[1::2]):
+        g1 = g_end - 1
+        n = g1 - g0 + 1
+        span = 2 * n
+        denom = float(n * (2 * n + 1))
+        before_ok = g0 - span >= 0 and observed[g0 - span : g0].all()
+        after_ok = g1 + 1 + span <= size and observed[g1 + 1 : g1 + 1 + span].all()
+        at_left_edge, at_right_edge = g0 == 0, g1 == size - 1
+        w_up = np.arange(1, span + 1, dtype=float)
+        fill = None
+        if at_left_edge and at_right_edge:
+            fill = None
+        elif at_left_edge:
+            if after_ok:
+                fill = float(w_up[::-1] @ values[g1 + 1 : g1 + 1 + span]) / denom
+        elif at_right_edge:
+            if before_ok:
+                fill = float(w_up @ values[g0 - span : g0]) / denom
+        elif before_ok and after_ok:
+            num_before = float(w_up @ values[g0 - span : g0])
+            num_after = float(w_up[::-1] @ values[g1 + 1 : g1 + 1 + span])
+            fill = (num_before + num_after) / (2.0 * denom)
+        if fill is not None:
+            values[g0 : g1 + 1] = fill
+            codes[g0 : g1 + 1] = "i"
+    return values, codes
+
+
+def _assert_impute_matches_reference(series, stations, cfg=None, window=WINDOW):
+    got_series, got_masks, got_notes = impute_monthly(series, stations, cfg, window=window)
+    ref_series, ref_masks, ref_notes = _impute_monthly_reference(series, stations, cfg, window)
+    assert got_notes == ref_notes
+    assert len(got_series) == len(ref_series)
+    for got, mask, ref, ref_codes in zip(got_series, got_masks, ref_series, ref_masks):
+        assert np.array_equal(got.values, ref, equal_nan=True)
+        assert np.array_equal(mask.codes, ref_codes)
+    return got_notes
+
+
+class TestGeometryOnceMatchesPerTimestepLoop:
+    def test_gappy_world_with_multi_step_gaps(self):
+        params = SynthParams(
+            n_pairs=2,
+            uc_stations=3,
+            nonuc_stations=3,
+            gap_rate=0.03,
+            gap_mean_len_steps=3.0,
+            noise_sd_c=2.0,
+        )
+        world = synth_generate(23, params)
+        # one station loses its elevation: never trained, never predicted
+        stations = list(world.stations)
+        stations[1] = StationMeta(stations[1].station_id, stations[1].lat, stations[1].lon, None)
+        notes = _assert_impute_matches_reference(world.monthly, stations, window=(1956, 1970))
+        assert any("no elevation" in n for n in notes)
+
+    def test_every_fallback_path(self):
+        rng = np.random.default_rng(31)
+        stations = _station_grid(8, rng)
+        # station 1 sits on station 0: kriging systems holding both are singular
+        stations[1] = StationMeta("ST00001", stations[0].lat, stations[0].lon, stations[1].elev)
+        stations[7] = StationMeta("ST00007", stations[7].lat, stations[7].lon, None)
+        series = [
+            _monthly_for(st, np.round(rng.normal(15, 5, N_MONTHS), 2), element=element)
+            for st in stations
+            for element in ("TMAX", "TMIN")
+        ]
+        for s in series:
+            s.values[rng.random(N_MONTHS) < 0.12] = np.nan
+        # series come in station order, TMAX and TMIN per station
+        for s in series[:12]:
+            s.values[40] = np.nan  # one station with elevation left: below min_train
+        for s in series[:8]:
+            s.values[41:44] = np.nan  # three left: regression only, over a 3-step gap
+        for s in series[8:12]:
+            s.values[[50, 52]] = np.nan  # one mask twice, training stations 0 and 1
+        notes = _assert_impute_matches_reference(series, stations)
+        for text in ("< min_train", "too few site pairs", "singular kriging", "no elevation"):
+            assert any(text in n for n in notes), text
+
+    def test_window_with_nothing_missing_and_wide_bandwidth(self):
+        rng = np.random.default_rng(32)
+        stations = _station_grid(6, rng)
+        series = [_monthly_for(st, rng.normal(15, 5, N_MONTHS)) for st in stations]
+        _assert_impute_matches_reference(series, stations)
+        for s in series:
+            s.values[rng.random(N_MONTHS) < 0.2] = np.nan
+        _assert_impute_matches_reference(series, stations, GwrConfig(neighbors=3))
+        _assert_impute_matches_reference(series, stations, GwrConfig(neighbors=30))
+
+    def test_lwma_matches_per_gap_loop(self):
+        rng = np.random.default_rng(33)
+        for case in range(300):
+            size = int(rng.integers(1, 120))
+            # values on the 0.1 C grid of the records, where fills often
+            # land on rounding ties
+            v = np.round(rng.normal(20.0, 8.0, size), 1)
+            for _ in range(int(rng.integers(0, 6))):
+                start = int(rng.integers(0, size))
+                v[start : start + int(rng.integers(1, 7))] = np.nan
+            if case % 10 == 0:
+                v[:] = np.nan
+            filled, mask = lwma_fill(_daily(v))
+            ref_values, ref_codes = _lwma_reference(v)
+            assert np.array_equal(filled.values, ref_values, equal_nan=True), case
+            assert np.array_equal(mask.codes, ref_codes), case
+
+    def test_lwma_matches_per_gap_loop_on_gappy_world(self):
+        params = SynthParams(n_pairs=2, uc_stations=2, nonuc_stations=2, gap_rate=0.01)
+        world = synth_generate(34, params)
+        lengths = set()
+        for s in world.daily:
+            filled, mask = lwma_fill(s)
+            ref_values, ref_codes = _lwma_reference(s.values)
+            assert np.array_equal(filled.values, ref_values, equal_nan=True)
+            assert np.array_equal(mask.codes, ref_codes)
+            edges = np.flatnonzero(np.diff(np.concatenate(([0], np.isnan(s.values), [0]))))
+            lengths.update((edges[1::2] - edges[::2]).tolist())
+        assert {1, 2, 3} <= lengths
