@@ -36,7 +36,7 @@ cfg = load_config(
 )
 
 stage_synth(out, cfg)
-timings = run_all(out, cfg, threads=2)
+timings = run_all(out, cfg)
 print("stage seconds:", {k: round(v, 2) for k, v in timings.items()})
 print()
 

@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=_STAGE_HELP[name])
         p.add_argument("--config", metavar="FILE", help="JSON config file (defaults apply)")
         p.add_argument("--seed", type=int, metavar="N", help="override config.seed")
-        p.add_argument("--threads", type=int, default=1, metavar="N", help="worker threads (default 1)")
+        p.add_argument(
+            "--threads", type=int, default=1, metavar="N", help="accepted and unused: stages run serially (default 1)"
+        )
         p.add_argument("--out", required=True, metavar="DIR", help="run directory for all artifacts")
     return parser
 
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         out = Path(args.out)
         names = pipeline.STAGE_ORDER if args.stage == "all" else (args.stage,)
-        timings = pipeline.run_stages(out, cfg, names, threads=args.threads)
+        timings = pipeline.run_stages(out, cfg, names)
         # timing lives beside the report bundle, not inside it, so reruns
         # of the same config stay byte-identical under report/
         out.mkdir(parents=True, exist_ok=True)

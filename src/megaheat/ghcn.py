@@ -370,14 +370,6 @@ def _encode_prefixes(texts: Iterable[str], width: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8).reshape(-1, width)
 
 
-def _monthly_grid(values: np.ndarray, first_idx: int, scale: float):
-    """Scatter a contiguous series into whole-month rows of integer fields."""
-    n = values.size
-    pos = np.arange(first_idx, first_idx + n)
-    ints = np.where(np.isnan(values), MISSING_INT, np.rint(values * scale)).astype(np.int64)
-    return pos, ints
-
-
 def serialize_ghcnd(series: list[DailySeries]) -> bytes:
     """Render daily series back to the fixed-width layout (flags as spaces).
 

@@ -9,34 +9,25 @@ Station values average into regional series per station group.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AnnualSeries, DailySeries, MonthlySeries, month_index
+from .series import AnnualSeries, month_index
 
 CDD_BASE_C = 23.89
 
 SEASON_MONTHS = {"DJF": ((-1, 12), (0, 1), (0, 2)), "JJA": ((0, 6), (0, 7), (0, 8))}
-_SEASONS = tuple(SEASON_MONTHS)
 
 
-@dataclass(frozen=True)
-class SeasonalValue:
-    station_id: str
-    year: int
-    season: str
-    element: str
-    value: float
-
-
-def seasonal_means(series):
-    """Three-month seasonal means per station year.
+def seasonal_annual_series(series):
+    """Three-month seasonal means as one AnnualSeries per (station, season,
+    element), metric named like "jja_tmax", sorted by those three.
 
     Winter (DJF) of year Y spans December of Y-1 through February of Y.
-    A season missing any of its three months is omitted.
+    A season missing any of its three months is omitted, and a season
+    complete in no year yields no series.
     """
-    out = []
+    keyed = []
     for s in series:
         base = month_index(s.first_year, s.first_month)
         last_year = (base + s.values.size - 1) // 12
@@ -49,46 +40,21 @@ def seasonal_means(series):
         start = base - month_index(s.first_year - 1, 1)
         grid[start : start + s.values.size] = s.values
         grid = grid.reshape(n_years + 1, 12)
-        # months[y, k, m]: month m of season k in year first_year + y
-        months = np.stack(
-            [
-                np.stack(
-                    [grid[1 + off : 1 + off + n_years, month - 1] for off, month in SEASON_MONTHS[season]],
-                    axis=1,
+        for season, months in SEASON_MONTHS.items():
+            # m0, m1, m2: the season's months in year first_year + y, summed
+            # in season order (another order can round differently)
+            m0, m1, m2 = (grid[1 + off : 1 + off + n_years, month - 1] for off, month in months)
+            complete = np.isfinite(m0) & np.isfinite(m1) & np.isfinite(m2)
+            if complete.any():
+                annual = AnnualSeries(
+                    key=s.station_id,
+                    metric=f"{season.lower()}_{s.element.lower()}",
+                    years=np.flatnonzero(complete) + s.first_year,
+                    values=(m0[complete] + m1[complete] + m2[complete]) / 3.0,
                 )
-                for season in _SEASONS
-            ],
-            axis=1,
-        )
-        complete = np.isfinite(months).all(axis=2)
-        means = (months[:, :, 0] + months[:, :, 1] + months[:, :, 2]) / 3.0
-        year_idx, season_idx = np.nonzero(complete)
-        for y, k, value in zip(
-            (year_idx + s.first_year).tolist(), season_idx.tolist(), means[complete].tolist()
-        ):
-            out.append(SeasonalValue(s.station_id, y, _SEASONS[k], s.element, value))
-    out.sort(key=lambda v: (v.station_id, v.element, v.year, v.season))
-    return out
-
-
-def seasonal_annual_series(values):
-    """Regroup SeasonalValue records into one AnnualSeries per
-    (station, season, element), metric named like "jja_tmax"."""
-    grouped = {}
-    for v in values:
-        grouped.setdefault((v.station_id, v.season, v.element), []).append(v)
-    out = []
-    for (station, season, element), group in sorted(grouped.items()):
-        group.sort(key=lambda v: v.year)
-        out.append(
-            AnnualSeries(
-                key=station,
-                metric=f"{season.lower()}_{element.lower()}",
-                years=np.array([v.year for v in group], dtype=int),
-                values=np.array([v.value for v in group]),
-            )
-        )
-    return out
+                keyed.append(((s.station_id, season, s.element), annual))
+    keyed.sort(key=lambda item: item[0])
+    return [annual for _, annual in keyed]
 
 
 def _complete_years(first, last):

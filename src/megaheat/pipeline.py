@@ -18,7 +18,6 @@ import json
 import operator
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .qc import (
     STUDY_WINDOW,
     filter_daily_stations,
     filter_monthly_stations,
+    observed_in_window,
 )
 from .regions import (
     COVARIATE_COLUMNS,
@@ -107,6 +107,16 @@ class QcParams:
     daily_end_cutoff: dt.date = DAILY_END_CUTOFF
     daily_jja_max_missing_frac: float = DAILY_JJA_MAX_MISSING_FRAC
     daily_max_gap_days: int = DAILY_MAX_GAP_DAYS
+
+    def __post_init__(self):
+        for name in ("monthly_max_missing_frac", "daily_jja_max_missing_frac"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("monthly_max_gap_months", "daily_min_span_months", "daily_max_gap_days"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,9 +191,11 @@ def load_config(source) -> RunConfig:
         not isinstance(window, (list, tuple))
         or len(window) != 2
         or not all(isinstance(y, int) for y in window)
-        or window[0] >= window[1]
+        or not dt.MINYEAR <= window[0] < window[1] <= dt.MAXYEAR
     ):
-        raise ConfigError(f"window must be [start_year, end_year] with start < end, got {window!r}")
+        raise ConfigError(
+            f"window must be [start_year, end_year] with {dt.MINYEAR} <= start < end <= {dt.MAXYEAR}, got {window!r}"
+        )
 
     seasons = _string_choices(source.get("seasons", list(ALL_SEASONS)), ALL_SEASONS, "season")
     metrics = _string_choices(source.get("metrics", list(ALL_METRICS)), ALL_METRICS, "metric")
@@ -199,7 +211,10 @@ def load_config(source) -> RunConfig:
             qc_block["daily_end_cutoff"] = dt.date.fromisoformat(qc_block["daily_end_cutoff"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"qc.daily_end_cutoff: {exc}") from exc
-    qc_params = QcParams(**qc_block)
+    try:
+        qc_params = QcParams(**qc_block)
+    except ValueError as exc:
+        raise ConfigError(f"qc: {exc}") from exc
 
     gwr_block = source.get("gwr", {})
     _check_keys(gwr_block, ("neighbors", "min_train"), "gwr")
@@ -251,15 +266,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_hash(cfg: RunConfig) -> str:
     canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Apply fn across items, results in input order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +658,14 @@ def _read_annual_regional(out_dir) -> dict:
 # stages
 
 
-def stage_synth(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_synth(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world = synth_generate(cfg.seed, cfg.synth)
     return write_world(world, out)
 
 
-def stage_ingest(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_ingest(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: _input_path(out, cfg, name) for name in DEFAULT_PATHS}
@@ -722,10 +728,12 @@ def stage_ingest(out_dir, cfg: RunConfig, threads: int = 1):
     return summary
 
 
-def stage_qc(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_qc(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     monthly = _load_series(out / F_PARSED_MONTHLY, MonthlySeries, "ingest")
     daily = _load_series(out / F_PARSED_DAILY, DailySeries, "ingest")
+    if not observed_in_window(monthly + daily, cfg.window):
+        raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
     kept_monthly, monthly_reports = filter_monthly_stations(
         monthly,
         window=cfg.window,
@@ -753,7 +761,7 @@ def stage_qc(out_dir, cfg: RunConfig, threads: int = 1):
     save_series(out / F_KEPT_DAILY, kept_daily)
 
 
-def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_impute(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     kept_monthly = _load_series(out / F_KEPT_MONTHLY, MonthlySeries, "qc")
     kept_daily = _load_series(out / F_KEPT_DAILY, DailySeries, "qc")
@@ -774,7 +782,7 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
     )
     (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
 
-    filled_pairs = parallel_map(lwma_fill, kept_daily, threads)
+    filled_pairs = [lwma_fill(s) for s in kept_daily]
     save_series(out / F_FILLED_DAILY, at_record_precision([s for s, _ in filled_pairs]))
     _write_csv(
         out / F_DAILY_MASK,
@@ -786,14 +794,14 @@ def stage_impute(out_dir, cfg: RunConfig, threads: int = 1):
     )
 
 
-def stage_indices(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_indices(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     completed = _load_series(out / F_COMPLETED_MONTHLY, MonthlySeries, "impute")
     filled = _load_series(out / F_FILLED_DAILY, DailySeries, "impute")
     _require(out / F_PAIRS, "ingest")
 
     station_series: dict = {}
-    for series in indices.seasonal_annual_series(indices.seasonal_means(completed)):
+    for series in indices.seasonal_annual_series(completed):
         metric, season = _metric_season(series.metric)
         if metric in cfg.metrics and season in cfg.seasons:
             clipped = _clip_years(series, cfg.window)
@@ -804,19 +812,15 @@ def stage_indices(out_dir, cfg: RunConfig, threads: int = 1):
     for series in filled:
         by_station.setdefault(series.station_id, {})[series.element] = series
 
-    def _heat_indices(item):
-        station, elements = item
-        got = []
+    for station, elements in sorted(by_station.items()):
         tmax, tmin = elements.get("TMAX"), elements.get("TMIN")
+        got = []
         if "CDD" in cfg.metrics and tmax is not None and tmin is not None:
             got.append(("CDD", indices.annual_cdd(tmax, tmin)))
         if "CNM" in cfg.metrics and tmin is not None:
             got.append(("CNM", indices.annual_cnm(tmin)))
         if "P95" in cfg.metrics and tmax is not None:
             got.append(("P95", indices.annual_p95(tmax)))
-        return station, got
-
-    for station, got in parallel_map(_heat_indices, sorted(by_station.items()), threads):
         for metric, series in got:
             clipped = _clip_years(series, cfg.window)
             if clipped is not None and clipped.years.size:
@@ -853,7 +857,7 @@ def stage_indices(out_dir, cfg: RunConfig, threads: int = 1):
     )
 
 
-def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_trends(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     _require(out / F_ANNUAL_STATION, "indices")
     _require(out / F_ANNUAL_REGIONAL, "indices")
@@ -868,8 +872,8 @@ def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
         for metric, season in _cell_rows(cfg.metrics, cfg.seasons)
     ]
 
-    def _cell(coord):
-        pair, metric, season = coord
+    cells = []
+    for pair, metric, season in coords:
         uc_list = [
             station_series[(sid, metric, season)]
             for sid in pair.uc_stations
@@ -880,9 +884,7 @@ def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
             for sid in pair.nonuc_stations
             if (sid, metric, season) in station_series
         ]
-        return trend_comparison_cell(pair.uc_id, metric, season, uc_list, nonuc_list, cfg.alpha)
-
-    cells = parallel_map(_cell, coords, threads)
+        cells.append(trend_comparison_cell(pair.uc_id, metric, season, uc_list, nonuc_list, cfg.alpha))
 
     station_rows = []
     for cell in cells:
@@ -986,7 +988,7 @@ def stage_trends(out_dir, cfg: RunConfig, threads: int = 1):
     (out / F_TREND_NOTES).write_text("".join(line + "\n" for line in notes))
 
 
-def stage_compare(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_compare(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     _require(out / F_ANNUAL_REGIONAL, "indices")
     _require(out / F_TREND_CELLS, "trends")
@@ -1011,7 +1013,7 @@ def stage_compare(out_dir, cfg: RunConfig, threads: int = 1):
     _write_csv(out / F_COMPARISON, COMPARISON_HEADER, rows)
 
 
-def stage_correlate(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_correlate(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     _require(out / F_ANNUAL_REGIONAL, "indices")
     _require(out / F_PAIRS, "ingest")
@@ -1066,7 +1068,7 @@ _FIGURES = (
 )
 
 
-def stage_report(out_dir, cfg: RunConfig, threads: int = 1):
+def stage_report(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     report = out / REPORT_DIR
     report.mkdir(parents=True, exist_ok=True)
@@ -1121,7 +1123,11 @@ _STAGES = {
 
 
 def run_stages(out_dir, cfg: RunConfig, names, threads: int = 1) -> dict:
-    """Run the named stages in canonical order; returns wall seconds each."""
+    """Run the named stages in canonical order; returns wall seconds each.
+
+    ``threads`` is accepted and unused: every stage runs serially, so
+    results never depend on it.
+    """
     unknown = sorted(set(names) - set(_STAGES))
     if unknown:
         raise ConfigError(f"unknown stages: {', '.join(unknown)}")
@@ -1129,10 +1135,11 @@ def run_stages(out_dir, cfg: RunConfig, names, threads: int = 1) -> dict:
     timings = {}
     for name in ordered:
         started = time.perf_counter()
-        _STAGES[name](out_dir, cfg, threads)
+        _STAGES[name](out_dir, cfg)
         timings[name] = time.perf_counter() - started
     return timings
 
 
 def run_all(out_dir, cfg: RunConfig, threads: int = 1) -> dict:
-    return run_stages(out_dir, cfg, STAGE_ORDER, threads)
+    """Run every analysis stage; ``threads`` is accepted and unused, as in run_stages."""
+    return run_stages(out_dir, cfg, STAGE_ORDER)

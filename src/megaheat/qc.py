@@ -42,6 +42,18 @@ class QcReport:
     longest_gap: int  # months (monthly rules) or days (daily rules)
 
 
+def observed_in_window(series, window: tuple[int, int]) -> bool:
+    """Whether any monthly or daily series holds a value inside the window years."""
+    for s in series:
+        if isinstance(s, MonthlySeries):
+            lo, hi = s.index_of(window[0], 1), s.index_of(window[1], 12)
+        else:
+            lo, hi = s.index_of(dt.date(window[0], 1, 1)), s.index_of(dt.date(window[1], 12, 31))
+        if not np.isnan(s.values[max(lo, 0) : max(hi + 1, 0)]).all():
+            return True
+    return False
+
+
 def _longest_run(mask: np.ndarray) -> int:
     if mask.size == 0 or not mask.any():
         return 0
@@ -110,15 +122,13 @@ def filter_daily_stations(
     end_cutoff: dt.date = DAILY_END_CUTOFF,
     jja_max_missing_frac: float = DAILY_JJA_MAX_MISSING_FRAC,
     max_gap_days: int = DAILY_MAX_GAP_DAYS,
-    length_rule_conjunction: bool = True,
 ):
     """Drop daily series per the record-length, summer-missing, and
     consecutive-gap rules.
 
-    The length rule reads as a conjunction by default (span < min_span_months
-    AND record ends before end_cutoff); set length_rule_conjunction=False for
-    the stricter either-clause-drops reading.  The summer and gap rules look
-    at the observed extent intersected with the window; the reported
+    The length rule is a conjunction: a series drops when its span is under
+    min_span_months AND it ends before end_cutoff.  The summer and gap rules
+    look at the observed extent intersected with the window; the reported
     missing_frac is the summer missing fraction.
     """
     win_lo = date_to_serial(dt.date(window[0], 1, 1))
@@ -138,10 +148,7 @@ def filter_daily_stations(
         first_day = s.start + dt.timedelta(days=first_i)
         last_day = s.start + dt.timedelta(days=last_i)
 
-        span = _span_months(first_day, last_day)
-        short = span < min_span_months
-        early = last_day < end_cutoff
-        length_drop = (short and early) if length_rule_conjunction else (short or early)
+        length_drop = _span_months(first_day, last_day) < min_span_months and last_day < end_cutoff
 
         lo = max(serial0 + first_i, win_lo)
         hi = min(serial0 + last_i, win_hi)

@@ -238,8 +238,3 @@ class ProvenanceMask:
     OBSERVED = "o"
     IMPUTED = "i"
     UNIMPUTABLE = "u"
-
-    @classmethod
-    def observed_where(cls, values: np.ndarray) -> "ProvenanceMask":
-        codes = np.where(np.isnan(values), cls.UNIMPUTABLE, cls.OBSERVED)
-        return cls(codes=codes.astype("<U1"))

@@ -17,7 +17,6 @@ from itertools import combinations
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 from .series import AnnualSeries
 
@@ -91,6 +90,23 @@ def _pairs(n):
     return i, j
 
 
+def _midranks(x):
+    """Ranks along the last axis, tied values sharing the mean of their
+    1-based positions; a row holding NaN ranks as all NaN.
+
+    Every rank is a multiple of 1/2, so the float64 result is exact and
+    equals SciPy's ``rankdata(x, axis=-1)`` (method "average").
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        return np.array([_midranks(row) for row in x]).reshape(x.shape)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    s = np.sort(x)
+    # the values tied with x[i] fill the 1-based sorted positions lo+1 .. hi
+    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") + 1) / 2.0
+
+
 def _kendall_s(values):
     i, j = _pairs(values.size)
     return int(np.sign(values[j] - values[i]).sum())
@@ -155,8 +171,8 @@ def rank_covariance(x, y):
         return 0.0
     i, j = _pairs(n)
     concordance = float(np.sum(np.sign(x[j] - x[i]) * np.sign(y[j] - y[i])))
-    rx = scipy.stats.rankdata(x)
-    ry = scipy.stats.rankdata(y)
+    rx = _midranks(x)
+    ry = _midranks(y)
     return (concordance + 4.0 * float(rx @ ry) - n * (n + 1) ** 2) / 3.0
 
 
@@ -179,7 +195,7 @@ def _common_years_numerators(members):
     n = years.size
     i, j = _pairs(n)
     signs = np.sign(x[:, j] - x[:, i])
-    ranks = scipy.stats.rankdata(x, axis=1)
+    ranks = _midranks(x)
     return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
 
 
@@ -340,7 +356,7 @@ def wilcoxon_ranksum(a, b, method="auto"):
         raise ValueError("both samples must be nonempty")
     pooled = np.concatenate([a, b])
     n = n1 + n2
-    ranks = scipy.stats.rankdata(pooled)
+    ranks = _midranks(pooled)
     w = float(ranks[:n1].sum())
     mu = n1 * (n + 1) / 2.0
 
@@ -381,8 +397,8 @@ def spearman(x, y):
     if np.unique(x).size < 2 or np.unique(y).size < 2:
         return SpearmanResult(rho=float("nan"), p=float("nan"), undefined=True)
 
-    rx = scipy.stats.rankdata(x)
-    ry = scipy.stats.rankdata(y)
+    rx = _midranks(x)
+    ry = _midranks(y)
     cx = rx - rx.mean()
     cy = ry - ry.mean()
     rho = float(cx @ cy / math.sqrt((cx @ cx) * (cy @ cy)))
@@ -390,7 +406,7 @@ def spearman(x, y):
     if abs(rho) == 1.0:
         return SpearmanResult(rho=rho, p=0.0, undefined=False)
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(scipy.stats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(scipy.special.stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho=rho, p=min(1.0, p), undefined=False)
 
 

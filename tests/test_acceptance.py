@@ -452,18 +452,18 @@ def test_8_throughput(tmp_path):
     assert n_values > 40_000_000
 
     t0 = time.perf_counter()
-    pipeline.stage_ingest(out, cfg, threads=4)
-    pipeline.stage_qc(out, cfg, threads=4)
+    pipeline.stage_ingest(out, cfg)
+    pipeline.stage_qc(out, cfg)
     t_first = time.perf_counter()
-    pipeline.stage_impute(out, cfg, threads=4)  # plumbing between timed stages
+    pipeline.stage_impute(out, cfg)  # plumbing between timed stages
     t_impute = time.perf_counter()
-    pipeline.stage_indices(out, cfg, threads=4)
+    pipeline.stage_indices(out, cfg)
     timed = t_first - t0 + (time.perf_counter() - t_impute)
 
     daily_rows = (out / pipeline.F_QC_DAILY).read_text().splitlines()[1:]
     assert len(daily_rows) == 2000 and all(",kept," in r for r in daily_rows)
     assert timed < 60.0, f"{timed:.1f}s"
-    return f"{timed:.1f}s for {n_values / 1e6:.0f}M day-values, 4 threads"
+    return f"{timed:.1f}s for {n_values / 1e6:.0f}M day-values"
 
 
 if __name__ == "__main__":

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import megaheat
 from megaheat import cli, pipeline
 
 CFG = {
@@ -60,6 +65,33 @@ class TestUsageErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"wndow": [1956, 2015]}')
         assert cli.main(["synth", "--out", str(tmp_path), "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "qc",
+        [
+            {"monthly_max_missing_frac": -1},
+            {"daily_jja_max_missing_frac": 2.5},
+            {"daily_max_gap_days": -5},
+            {"monthly_max_gap_months": -3},
+            {"monthly_max_missing_frac": "abc"},
+            {"monthly_max_missing_frac": None},
+            {"daily_jja_max_missing_frac": True},
+            {"daily_min_span_months": 1.5},
+        ],
+    )
+    def test_bad_qc_value_exits_1(self, tmp_path, capsys, qc):
+        out = tmp_path / "run"
+        assert cli.main(["synth", "--out", str(out), "--config", _cfg_file(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["all", "--out", str(out), "--config", _cfg_file(tmp_path, {"qc": qc})]) == 1
+        err = capsys.readouterr().err
+        assert f"qc: {next(iter(qc))}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("window", [[0, 5], [9998, 10001]])
+    def test_window_outside_the_calendar_exits_1(self, tmp_path, capsys, window):
+        cfg = _cfg_file(tmp_path, {"window": window})
+        assert cli.main(["synth", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        assert "window must be" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -127,6 +159,16 @@ class TestDataErrors:
         assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "megaheat: error" in err and "Traceback" not in err
+
+    def test_window_without_observations_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"window": [1000, 1001], "synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        capsys.readouterr()
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error: window 1000-1001 holds no observed value" in err
+        assert not (out / pipeline.F_QC_MONTHLY).exists()
 
     def test_qc_before_ingest(self, tmp_path, capsys):
         assert cli.main(["qc", "--out", str(tmp_path)]) == 2
@@ -219,3 +261,11 @@ class TestRuns:
             "prop_uc", "prop_nonuc", "prop_p", "direction",
         ]
         assert len(fig2a) == 1 + 2 and all(row[0] == "UC,00" for row in fig2a[1:])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(megaheat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, megaheat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from megaheat.indices import (
     CDD_BASE_C,
-    SeasonalValue,
     annual_cdd,
     annual_cnm,
     annual_p95,
@@ -14,7 +13,6 @@ from megaheat.indices import (
     percentile_95,
     regional_annual_series,
     seasonal_annual_series,
-    seasonal_means,
 )
 from megaheat.series import AnnualSeries, DailySeries, MonthlySeries
 
@@ -42,66 +40,73 @@ def _full_year(year, rng=None, base=20.0):
     return base + rng.normal(0, 5, n)
 
 
+def _by_metric(out):
+    return {(a.key, a.metric): a for a in out}
+
+
 class TestSeasonalMeans:
     def test_jja_mean(self):
         v = np.full(12, np.nan)
         v[5], v[6], v[7] = 20.0, 30.0, 25.0
-        out = seasonal_means([_monthly(v, 1990)])
-        jja = [s for s in out if s.season == "JJA"]
-        assert len(jja) == 1
-        assert jja[0].year == 1990
-        assert jja[0].value == pytest.approx(25.0)
-        assert jja[0].element == "TAVG"
+        out = seasonal_annual_series([_monthly(v, 1990)])
+        assert [(a.key, a.metric) for a in out] == [("S1", "jja_tavg")]
+        assert list(out[0].years) == [1990]
+        assert out[0].values[0] == pytest.approx(25.0)
 
     def test_djf_uses_previous_december(self):
         # Dec 1959 = 0, Jan 1960 = -10, Feb 1960 = -5
         v = np.full(15, np.nan)  # Dec 1959 .. Feb 1961
         v[0], v[1], v[2] = 0.0, -10.0, -5.0
-        out = seasonal_means([_monthly(v, 1959, first_month=12)])
-        djf = [s for s in out if s.season == "DJF"]
-        assert len(djf) == 1
-        assert djf[0].year == 1960
-        assert djf[0].value == pytest.approx(-5.0)
+        out = seasonal_annual_series([_monthly(v, 1959, first_month=12)])
+        djf = _by_metric(out)[("S1", "djf_tavg")]
+        assert list(djf.years) == [1960]
+        assert djf.values[0] == pytest.approx(-5.0)
 
     def test_missing_month_omits_season(self):
         v = np.full(12, 10.0)
         v[6] = np.nan  # July
-        out = seasonal_means([_monthly(v, 1990)])
-        assert not any(s.season == "JJA" for s in out)
+        out = seasonal_annual_series([_monthly(v, 1990)])
+        assert not any(a.metric.startswith("jja") for a in out)
 
     def test_season_outside_coverage_omitted(self):
         # series starts in January: no Dec(Y-1), so no DJF at all
-        out = seasonal_means([_monthly(np.full(12, 1.0), 2000)])
-        assert [s.season for s in out] == ["JJA"]
+        out = seasonal_annual_series([_monthly(np.full(12, 1.0), 2000)])
+        assert [a.metric for a in out] == ["jja_tavg"]
 
     def test_shift_by_twelve_months_shifts_years(self):
         rng = np.random.default_rng(17)
         v = rng.normal(10, 8, 120)
         v[rng.random(120) < 0.08] = np.nan
-        a = seasonal_means([_monthly(v, 1980)])
-        b = seasonal_means([_monthly(v, 1981)])
-        key = lambda s: (s.year, s.season, s.element)
-        assert sorted((s.year + 1, s.season, s.element, s.value) for s in a) == sorted(
-            (s.year, s.season, s.element, s.value) for s in b
-        )
+        a = seasonal_annual_series([_monthly(v, 1980)])
+        b = seasonal_annual_series([_monthly(v, 1981)])
+        assert [s.metric for s in a] == [s.metric for s in b]
+        for sa, sb in zip(a, b):
+            assert list(sa.years + 1) == list(sb.years)
+            assert list(sa.values) == list(sb.values)
 
     def test_seasonal_annual_series_grouping(self):
-        vals = [
-            SeasonalValue("A", 1990, "JJA", "TMAX", 30.0),
-            SeasonalValue("A", 1991, "JJA", "TMAX", 31.0),
-            SeasonalValue("A", 1990, "DJF", "TMAX", 1.0),
-            SeasonalValue("B", 1990, "JJA", "TMAX", 28.0),
+        a = np.full(21, np.nan)  # Dec 1989 .. Aug 1991
+        a[0:3] = 1.0  # DJF 1990
+        a[6:9] = 30.0  # JJA 1990
+        a[18:21] = 31.0  # JJA 1991
+        b = np.full(12, np.nan)
+        b[5:8] = 28.0  # JJA 1990
+        out = seasonal_annual_series(
+            [_monthly(b, 1990, station="B", element="TMAX"),
+             _monthly(a, 1989, first_month=12, station="A", element="TMAX")]
+        )
+        assert [(s.key, s.metric) for s in out] == [
+            ("A", "djf_tmax"), ("A", "jja_tmax"), ("B", "jja_tmax")
         ]
-        out = seasonal_annual_series(vals)
-        keys = {(s.key, s.metric) for s in out}
-        assert keys == {("A", "jja_tmax"), ("A", "djf_tmax"), ("B", "jja_tmax")}
-        a_jja = next(s for s in out if s.key == "A" and s.metric == "jja_tmax")
+        a_jja = _by_metric(out)[("A", "jja_tmax")]
         assert list(a_jja.years) == [1990, 1991]
         assert_allclose(a_jja.values, [30.0, 31.0])
 
 
 def _seasonal_means_by_year(series):
-    """Per-year, per-season reference for seasonal_means."""
+    """Per-year, per-season reference for seasonal_annual_series: one
+    (station, metric, year, value) tuple per complete season, sorted by
+    station, season, element and year."""
     out = []
     for s in series:
         for year in range(s.first_year, s.month_of(s.values.size - 1)[0] + 1):
@@ -109,10 +114,9 @@ def _seasonal_means_by_year(series):
                                    ("JJA", ((year, 6), (year, 7), (year, 8)))):
                 got = [s.value_in(y, m) for y, m in months]
                 if all(np.isfinite(got)):
-                    out.append(SeasonalValue(s.station_id, year, season, s.element,
-                                             (got[0] + got[1] + got[2]) / 3.0))
-    out.sort(key=lambda v: (v.station_id, v.element, v.year, v.season))
-    return out
+                    out.append((s.station_id, season, s.element, year, (got[0] + got[1] + got[2]) / 3.0))
+    out.sort(key=lambda v: v[:4])
+    return [(sid, f"{season.lower()}_{element.lower()}", year, value) for sid, season, element, year, value in out]
 
 
 class TestSeasonalMeansMatchPerYearLoop:
@@ -124,14 +128,18 @@ class TestSeasonalMeansMatchPerYearLoop:
             v[rng.random(v.size) < 0.1] = np.nan
             series.append(
                 _monthly(v, int(rng.integers(1950, 1960)), int(rng.integers(1, 13)),
-                         station=f"S{i % 7}", element=("TMIN", "TAVG", "TMAX")[i % 3])
+                         station=f"S{i % 10}", element=("TMIN", "TAVG", "TMAX")[i // 10])
             )
-        got = seasonal_means(series)
+        got = [
+            (a.key, a.metric, int(year), float(value))
+            for a in seasonal_annual_series(series)
+            for year, value in zip(a.years, a.values)
+        ]
         assert got == _seasonal_means_by_year(series)
         assert len(got) > 100
 
     def test_empty_series_yields_nothing(self):
-        assert seasonal_means([_monthly([], 1990)]) == []
+        assert seasonal_annual_series([_monthly([], 1990)]) == []
 
 
 class TestAnnualCdd:

@@ -15,7 +15,6 @@ from megaheat.pipeline import (
     config_hash,
     load_config,
     median_comparison_cell,
-    parallel_map,
     rank_correlation_matrices,
     trend_comparison_cell,
 )
@@ -108,22 +107,6 @@ class TestConfig:
         c = load_config({"seed": 4, "alpha": 0.05})
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 64
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-
-    def test_single_thread_path(self):
-        assert parallel_map(str, [1, 2], threads=1) == ["1", "2"]
-
-    def test_propagates_errors(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1], threads=3)
 
 
 class TestMedianCell:

@@ -13,6 +13,7 @@ from megaheat.qc import (
     STUDY_WINDOW,
     filter_daily_stations,
     filter_monthly_stations,
+    observed_in_window,
 )
 from megaheat.series import DailySeries, MonthlySeries
 
@@ -122,12 +123,6 @@ class TestDailyFilter:
         kept, _ = filter_daily_stations([s])
         assert len(kept) == 1
 
-    def test_disjunction_mode_drops_short_record(self):
-        s = complete_daily(dt.date(1982, 3, 1), dt.date(2015, 6, 30))
-        kept, reports = filter_daily_stations([s], length_rule_conjunction=False)
-        assert kept == []
-        assert reports[0].reason == "short_record"
-
     def test_thirty_one_day_gap_dropped(self):
         s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
         s.values[1000:1031] = np.nan
@@ -180,3 +175,34 @@ class TestDailyFilter:
         assert len(kept) == 1
         assert reports[0].longest_gap == 0
 
+
+
+class TestObservedInWindow:
+    def test_monthly_values_only_before_the_window(self):
+        s = monthly(np.full(24, 10.0), first_year=1990)
+        assert not observed_in_window([s], (1992, 1995))
+        assert observed_in_window([s], (1991, 1995))
+
+    def test_monthly_last_window_month_counts(self):
+        v = np.full(36, np.nan)
+        v[23] = 5.0  # December 1991
+        s = monthly(v, first_year=1990)
+        assert observed_in_window([s], (1980, 1991))
+        assert not observed_in_window([s], (1992, 1999))
+
+    def test_daily_gap_covering_the_window(self):
+        start = dt.date(1990, 1, 1)
+        v = np.full((dt.date(1999, 12, 31) - start).days + 1, 20.0)
+        lo, hi = (dt.date(1992, 1, 1) - start).days, (dt.date(1993, 12, 31) - start).days
+        v[lo : hi + 1] = np.nan
+        s = daily(start, v)
+        assert not observed_in_window([s], (1992, 1993))
+        v[hi] = 21.0
+        assert observed_in_window([s], (1992, 1993))
+
+    def test_any_series_is_enough(self):
+        empty = daily(dt.date(2000, 1, 1), [np.nan, np.nan])
+        after = monthly([1.0], first_year=2020)
+        assert not observed_in_window([empty, after], (2000, 2015))
+        assert observed_in_window([empty, after, monthly([1.0], first_year=2015)], (2000, 2015))
+        assert not observed_in_window([], (2000, 2015))

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from megaheat.series import AnnualSeries
 from megaheat.stats import (
     RegionalTrendResult,
     _common_years_numerators,
+    _midranks,
     _two_sided_p,
     _z_with_continuity,
     by_fdr_adjust,
@@ -306,6 +308,32 @@ class TestCommonYearsCovariance:
     def test_property_equals_per_pair_oracle(self, halves):
         group = _group(np.array(halves, dtype=float) / 2.0)
         assert regional_mann_kendall(group) == _per_pair_oracle(group)
+
+
+class TestRanksAndTailsMatchScipy:
+    def test_midranks_equal_rankdata_on_tied_inputs(self):
+        rng = np.random.default_rng(2024)
+        for i in range(2000):
+            n = int(rng.integers(0, 70))
+            x = rng.integers(0, n // 3 + 1, n) * 0.5 - 3.0
+            if i % 40 == 0 and n:
+                x[rng.integers(0, n)] = np.nan
+            got, ref = _midranks(x), scipy.stats.rankdata(x)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_midranks_along_rows_equal_rankdata_axis_1(self):
+        rng = np.random.default_rng(7)
+        x = np.round(rng.normal(0.0, 2.0, (25, 60)) * 2) / 2
+        x[3, 17] = np.nan
+        assert np.array_equal(_midranks(x), scipy.stats.rankdata(x, axis=1), equal_nan=True)
+        assert _midranks(np.empty((0, 4))).shape == (0, 4)
+
+    def test_student_t_tail_equals_t_sf(self):
+        rng = np.random.default_rng(99)
+        t = rng.normal(0.0, 4.0, 20_000)
+        df = rng.integers(1, 300, t.size)
+        assert np.array_equal(scipy.special.stdtr(df, -np.abs(t)), scipy.stats.t.sf(np.abs(t), df))
 
 
 class TestByFdr:

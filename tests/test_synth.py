@@ -139,16 +139,11 @@ class TestValidation:
             synth_generate(1, dataclasses.replace(SMALL_MONTHLY, daily=False, monthly=False))
 
 
-def _station_seasonal(world):
-    values = indices.seasonal_means(world.monthly)
-    return indices.seasonal_annual_series(values)
-
-
 class TestZeroNoiseZeroTrend:
     def test_every_seasonal_trend_untestable(self):
         params = dataclasses.replace(SMALL_MONTHLY, noise_sd_c=0.0)
         world = synth_generate(4, params)
-        annual = _station_seasonal(world)
+        annual = indices.seasonal_annual_series(world.monthly)
         assert len(annual) == len(world.stations) * 6
         for series in annual:
             res = stats.mann_kendall(series)
@@ -184,7 +179,7 @@ class TestPlantedSignals:
     def test_uc_offset_recovered_as_uc_higher(self):
         params = dataclasses.replace(SMALL_MONTHLY, end_year=2015, uc_offset_c=1.0)
         world = synth_generate(13, params)
-        annual = _station_seasonal(world)
+        annual = indices.seasonal_annual_series(world.monthly)
         rs = regions.load_regions(world.regions_doc)
         pairs = regions.pair_uc_nonuc(rs, world.stations)
 
@@ -215,7 +210,7 @@ class TestPlantedSignals:
             )
             for sid in pair.uc_stations
         }
-        for series in _station_seasonal(world):
+        for series in indices.seasonal_annual_series(world.monthly):
             res = stats.mann_kendall(series)
             if series.key in uc_ids:
                 assert res.p < 0.01
