@@ -187,13 +187,19 @@ def _station_id(raw: bytes) -> str:
     return raw.decode("ascii", "replace").strip()
 
 
-def _group_bounds(keys: np.ndarray):
+def _series_rows(ids: np.ndarray, element: np.ndarray, ok: np.ndarray) -> list[np.ndarray]:
+    """The ok rows of each (reported id, element) series, in file order; series sorted by that pair.
+
+    Grouping by the reported id, not the raw field, makes lines under
+    ``PAD1       `` and `` PAD1      `` one series.
+    """
+    raw, raw_of_row = np.unique(ids, return_inverse=True)
+    _, sid_of_raw = np.unique(np.array([_station_id(r) for r in raw.tolist()], dtype=object), return_inverse=True)
+    elements, element_of_row = np.unique(element, return_inverse=True)
+    rows = np.flatnonzero(ok)
+    keys = (sid_of_raw[raw_of_row] * elements.size + element_of_row)[rows]
     order = np.argsort(keys, kind="stable")
-    if keys.size == 0:
-        return order, np.zeros(1, dtype=np.int64)
-    ks = keys[order]
-    edges = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1], [True])))
-    return order, edges
+    return np.split(rows[order], np.flatnonzero(np.diff(keys[order])) + 1) if rows.size else []
 
 
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
@@ -240,14 +246,9 @@ def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
     for n in numbers[~ok_line]:
         issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
 
-    key = np.char.add(ids, element)
-    order, edges = _group_bounds(key[ok_line])
-    rows_all = np.flatnonzero(ok_line)
     day_col = np.arange(31)
-
     out: list[DailySeries] = []
-    for g in range(edges.size - 1):
-        rows = rows_all[order[edges[g] : edges[g + 1]]]
+    for rows in _series_rows(ids, element, ok_line):
         rows = rows[_dedup_last(mstart[rows])]
         ms, dm = mstart[rows], dim[rows]
         s0 = int(ms.min())
@@ -297,13 +298,8 @@ def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
     for n in numbers[~ok_line]:
         issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
 
-    key = np.char.add(ids, element)
-    order, edges = _group_bounds(key[ok_line])
-    rows_all = np.flatnonzero(ok_line)
-
     out: list[MonthlySeries] = []
-    for g in range(edges.size - 1):
-        rows = rows_all[order[edges[g] : edges[g + 1]]]
+    for rows in _series_rows(ids, element, ok_line):
         rows = rows[_dedup_last(year[rows])]
         ys = year[rows]
         y0, y1 = int(ys.min()), int(ys.max())

@@ -43,10 +43,10 @@ class GwrConfig:
     min_train: int = 3
 
     def __post_init__(self):
-        if self.neighbors < 3:
-            raise ValueError("neighbors must be >= 3")
-        if self.min_train < 3:
-            raise ValueError("min_train must be >= 3")
+        for name in ("neighbors", "min_train"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 3:
+                raise ValueError(f"{name} must be an integer >= 3, got {value!r}")
 
 
 def _bisquare_weights(dist, k):

@@ -13,9 +13,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import io
-import itertools
 import json
-import operator
 import platform
 import time
 from pathlib import Path
@@ -45,7 +43,7 @@ from .regions import (
     load_regions,
     pair_uc_nonuc,
 )
-from .series import AnnualSeries, DailySeries, MonthlySeries, load_series, save_series
+from .series import AnnualSeries, DailySeries, MonthlySeries, load_annual, load_series, save_annual, save_series
 from .synth import SynthParams, synth_generate, write_world
 
 
@@ -77,15 +75,13 @@ F_PARSED_MONTHLY = "parsed_monthly.npz"
 F_PARSED_DAILY = "parsed_daily.npz"
 F_QC_MONTHLY = "qc_monthly.csv"
 F_QC_DAILY = "qc_daily.csv"
-F_KEPT_MONTHLY = "kept_monthly.npz"
-F_KEPT_DAILY = "kept_daily.npz"
 F_COMPLETED_MONTHLY = "completed_monthly.npz"
 F_MONTHLY_MASK = "monthly_mask.csv"
 F_FILLED_DAILY = "filled_daily.npz"
 F_DAILY_MASK = "daily_mask.csv"
 F_IMPUTE_NOTES = "impute_notes.txt"
-F_ANNUAL_STATION = "annual_station.csv"
-F_ANNUAL_REGIONAL = "annual_regional.csv"
+F_ANNUAL_STATION = "annual_station.npz"
+F_ANNUAL_REGIONAL = "annual_regional.npz"
 F_TREND_STATIONS = "trend_stations.csv"
 F_TRENDS = "trends.csv"
 F_TREND_NOTES = "trend_notes.txt"
@@ -95,6 +91,10 @@ F_CORR_UC = "correlation_uc.csv"
 F_CORR_DIFF = "correlation_diff.csv"
 REPORT_DIR = "report"
 F_MANIFEST = "manifest.json"
+
+QC_HEADER = ("station", "element", "verdict", "reason", "missing_frac", "longest_gap")
+ANNUAL_STATION_KEYS = ("station", "metric", "season")
+ANNUAL_REGIONAL_KEYS = ("pair", "group", "metric", "season")
 
 MIN_ANNUAL_VALUES = 5
 
@@ -133,6 +133,8 @@ class RunConfig:
 
 
 def _check_keys(block: dict, allowed, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
@@ -204,8 +206,9 @@ def load_config(source) -> RunConfig:
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    qc_block = dict(source.get("qc", {}))
+    qc_block = source.get("qc", {})
     _check_keys(qc_block, [f.name for f in dataclasses.fields(QcParams)], "qc")
+    qc_block = dict(qc_block)
     if "daily_end_cutoff" in qc_block:
         try:
             qc_block["daily_end_cutoff"] = dt.date.fromisoformat(qc_block["daily_end_cutoff"])
@@ -224,7 +227,7 @@ def load_config(source) -> RunConfig:
         raise ConfigError(f"gwr: {exc}") from exc
 
     seed = source.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     synth_block = source.get("synth", {})
@@ -531,13 +534,18 @@ def _require(path: Path, producer: str) -> None:
         raise DataError(f"missing {path.name}; run the {producer} stage first")
 
 
-def _load_series(path: Path, kind, producer: str) -> list:
-    """Series a stage saved with save_series; DataError when missing or unreadable."""
+def _load(path: Path, producer: str, load, *args):
+    """load(path, *args), for a file a stage saved; DataError when missing or unreadable."""
     _require(path, producer)
     try:
-        series = load_series(path)
-    except (OSError, ValueError) as exc:
+        return load(path, *args)
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage") from exc
+
+
+def _load_series(path: Path, kind, producer: str) -> list:
+    """Series a stage saved with save_series; DataError when missing, unreadable or of another kind."""
+    series = _load(path, producer, load_series)
     if not all(isinstance(s, kind) for s in series):
         raise DataError(f"{path.name} does not hold {kind.__name__} records; rerun the {producer} stage")
     return series
@@ -577,9 +585,9 @@ def _codes_text(codes: np.ndarray) -> str:
     return str(codes.view(f"<U{codes.size}")[0]) if codes.size else ""
 
 
-def _read_rows(path: Path) -> list[dict]:
+def _read_csv(path: Path) -> list[list[str]]:
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        return list(csv.reader(fh))
 
 
 def _metric_season(series_metric: str):
@@ -599,59 +607,36 @@ def _clip_years(series: AnnualSeries, window) -> AnnualSeries | None:
     )
 
 
-def _read_pairs(out_dir) -> list[RegionPair]:
-    doc = json.loads((Path(out_dir) / F_PAIRS).read_text())
-    return [
-        RegionPair(
-            uc_id=p["uc_id"],
-            cr_id=p["cr_id"],
-            uc_stations=list(p["uc_stations"]),
-            nonuc_stations=list(p["nonuc_stations"]),
-            warning=p.get("warning"),
-        )
-        for p in doc["pairs"]
-    ]
+def _read_pairs(path: Path) -> list[RegionPair]:
+    """The pairs ingest wrote to pairs.json; ValueError when it is not such a file."""
+    try:
+        return [RegionPair(**p) for p in json.loads(path.read_text())["pairs"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a pairs file ({exc!r})") from exc
 
 
-def _read_annual(path: Path, key_columns) -> dict:
-    """An annual table as {key tuple: (years, values)}, years ascending.
+def _present(station_series: dict, stations, metric: str, season: str) -> list:
+    """The annual series of those stations that have one for (metric, season), in station order."""
+    return [station_series[key] for key in ((sid, metric, season) for sid in stations) if key in station_series]
 
-    Rows are read by column index and grouped by one sort over
-    (key, year, value); building one dict per row cost more than the rest.
+
+def _load_kept(out: Path, parsed_name: str, qc_name: str, kind) -> list:
+    """The series in parsed_name whose row in qc_name reads kept.
+
+    qc writes one verdict per parsed series, in order; DataError when the
+    two files no longer match, as after rerunning ingest alone.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        key_of = operator.itemgetter(*(header.index(name) for name in key_columns))
-        year_i, value_i = header.index("year"), header.index("value")
-        records = sorted((key_of(row), int(row[year_i]), float(row[value_i])) for row in reader)
-    out = {}
-    for key, group in itertools.groupby(records, key=operator.itemgetter(0)):
-        _, years, values = zip(*group)
-        out[key] = (np.array(years, dtype=int), np.array(values, dtype=float))
-    return out
-
-
-def _read_annual_station(out_dir) -> dict:
-    """annual_station.csv -> {(station, metric, season): AnnualSeries}"""
-    return {
-        (station, metric, season): AnnualSeries(
-            key=station, metric=f"{metric}:{season}", years=years, values=values
-        )
-        for (station, metric, season), (years, values) in _read_annual(
-            Path(out_dir) / F_ANNUAL_STATION, ("station", "metric", "season")
-        ).items()
-    }
-
-
-def _read_annual_regional(out_dir) -> dict:
-    """annual_regional.csv -> {(pair, group, metric, season): AnnualSeries}"""
-    return {
-        key: AnnualSeries(key=f"{key[0]}:{key[1]}", metric=f"{key[2]}:{key[3]}", years=years, values=values)
-        for key, (years, values) in _read_annual(
-            Path(out_dir) / F_ANNUAL_REGIONAL, ("pair", "group", "metric", "season")
-        ).items()
-    }
+    header, *rows = _load(out / qc_name, "qc", _read_csv) or [[]]
+    series = _load_series(out / parsed_name, kind, "ingest")
+    verdicts = [row[2] for row in rows if len(row) == len(QC_HEADER)]
+    if (
+        tuple(header) != QC_HEADER
+        or [tuple(row[:2]) for row in rows] != [(s.station_id, s.element) for s in series]
+        or len(verdicts) != len(rows)
+        or not set(verdicts) <= {"kept", "dropped"}
+    ):
+        raise DataError(f"{qc_name} does not match {parsed_name}; rerun the qc stage")
+    return [s for s, verdict in zip(series, verdicts) if verdict == "kept"]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +676,11 @@ def stage_ingest(out_dir, cfg: RunConfig):
         load_explanatory_vars(paths["covariates"], [p.uc_id for p in pairs])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    # the .npz files key series by station and corridor id in numpy string
+    # arrays, which drop trailing NULs; such an id would not come back
+    cut = sorted(i for i in {s.station_id for s in daily + monthly} | {p.uc_id for p in pairs} if i.endswith("\x00"))
+    if cut:
+        raise DataError(f"ids ending in a NUL character are not supported: {', '.join(map(repr, cut))}")
 
     issues = (
         [("daily", i) for i in daily_issues]
@@ -702,18 +692,7 @@ def stage_ingest(out_dir, cfg: RunConfig):
         ("file", "line", "message"),
         [(fname, issue.line, issue.message) for fname, issue in issues],
     )
-    pairs_doc = {
-        "pairs": [
-            {
-                "uc_id": p.uc_id,
-                "cr_id": p.cr_id,
-                "uc_stations": p.uc_stations,
-                "nonuc_stations": p.nonuc_stations,
-                "warning": p.warning,
-            }
-            for p in sorted(pairs, key=lambda p: p.uc_id)
-        ]
-    }
+    pairs_doc = {"pairs": [dataclasses.asdict(p) for p in sorted(pairs, key=lambda p: p.uc_id)]}
     (out / F_PAIRS).write_text(json.dumps(pairs_doc, indent=2, sort_keys=True) + "\n")
     save_series(out / F_PARSED_MONTHLY, monthly)
     save_series(out / F_PARSED_DAILY, daily)
@@ -734,13 +713,13 @@ def stage_qc(out_dir, cfg: RunConfig):
     daily = _load_series(out / F_PARSED_DAILY, DailySeries, "ingest")
     if not observed_in_window(monthly + daily, cfg.window):
         raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
-    kept_monthly, monthly_reports = filter_monthly_stations(
+    _, monthly_reports = filter_monthly_stations(
         monthly,
         window=cfg.window,
         max_missing_frac=cfg.qc.monthly_max_missing_frac,
         max_gap_months=cfg.qc.monthly_max_gap_months,
     )
-    kept_daily, daily_reports = filter_daily_stations(
+    _, daily_reports = filter_daily_stations(
         daily,
         window=cfg.window,
         min_span_months=cfg.qc.daily_min_span_months,
@@ -751,20 +730,18 @@ def stage_qc(out_dir, cfg: RunConfig):
     for name, reports in ((F_QC_MONTHLY, monthly_reports), (F_QC_DAILY, daily_reports)):
         _write_csv(
             out / name,
-            ("station", "element", "verdict", "reason", "missing_frac", "longest_gap"),
+            QC_HEADER,
             [
                 (r.station_id, r.element, r.verdict, r.reason, _g(r.missing_frac), r.longest_gap)
                 for r in reports
             ],
         )
-    save_series(out / F_KEPT_MONTHLY, kept_monthly)
-    save_series(out / F_KEPT_DAILY, kept_daily)
 
 
 def stage_impute(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    kept_monthly = _load_series(out / F_KEPT_MONTHLY, MonthlySeries, "qc")
-    kept_daily = _load_series(out / F_KEPT_DAILY, DailySeries, "qc")
+    kept_monthly = _load_kept(out, F_PARSED_MONTHLY, F_QC_MONTHLY, MonthlySeries)
+    kept_daily = _load_kept(out, F_PARSED_DAILY, F_QC_DAILY, DailySeries)
     stations_path = _input_path(out, cfg, "stations")
     if not stations_path.exists():
         raise DataError(f"missing input file {stations_path}")
@@ -798,7 +775,7 @@ def stage_indices(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     completed = _load_series(out / F_COMPLETED_MONTHLY, MonthlySeries, "impute")
     filled = _load_series(out / F_FILLED_DAILY, DailySeries, "impute")
-    _require(out / F_PAIRS, "ingest")
+    pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     station_series: dict = {}
     for series in indices.seasonal_annual_series(completed):
@@ -826,45 +803,25 @@ def stage_indices(out_dir, cfg: RunConfig):
             if clipped is not None and clipped.years.size:
                 station_series[(station, metric, "annual")] = clipped
 
-    rows = [
-        (station, metric, season, int(year), _g(value))
-        for (station, metric, season), series in sorted(station_series.items())
-        for year, value in zip(series.years, series.values)
-    ]
-    _write_csv(out / F_ANNUAL_STATION, ("station", "metric", "season", "year", "value"), rows)
+    save_annual(out / F_ANNUAL_STATION, ANNUAL_STATION_KEYS, station_series)
 
-    pairs = _read_pairs(out)
-    regional_rows = []
+    regional = {}
     for pair in pairs:
         for group, members in (("uc", pair.uc_stations), ("nonuc", pair.nonuc_stations)):
             for metric, season in _cell_rows(cfg.metrics, cfg.seasons):
-                present = [
-                    station_series[(sid, metric, season)]
-                    for sid in members
-                    if (sid, metric, season) in station_series
-                ]
-                if not present:
-                    continue
-                regional = indices.regional_annual_series(present, key=f"{pair.uc_id}:{group}")
-                regional_rows.extend(
-                    (pair.uc_id, group, metric, season, int(year), _g(value))
-                    for year, value in zip(regional.years, regional.values)
-                )
-    _write_csv(
-        out / F_ANNUAL_REGIONAL,
-        ("pair", "group", "metric", "season", "year", "value"),
-        regional_rows,
-    )
+                present = _present(station_series, members, metric, season)
+                if present:
+                    regional[(pair.uc_id, group, metric, season)] = indices.regional_annual_series(
+                        present, key=f"{pair.uc_id}:{group}"
+                    )
+    save_annual(out / F_ANNUAL_REGIONAL, ANNUAL_REGIONAL_KEYS, regional)
 
 
 def stage_trends(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    _require(out / F_ANNUAL_STATION, "indices")
-    _require(out / F_ANNUAL_REGIONAL, "indices")
-    _require(out / F_PAIRS, "ingest")
-    station_series = _read_annual_station(out)
-    regional_series = _read_annual_regional(out)
-    pairs = _read_pairs(out)
+    station_series = _load(out / F_ANNUAL_STATION, "indices", load_annual, ANNUAL_STATION_KEYS)
+    regional_series = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
+    pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     coords = [
         (pair, metric, season)
@@ -874,16 +831,8 @@ def stage_trends(out_dir, cfg: RunConfig):
 
     cells = []
     for pair, metric, season in coords:
-        uc_list = [
-            station_series[(sid, metric, season)]
-            for sid in pair.uc_stations
-            if (sid, metric, season) in station_series
-        ]
-        nonuc_list = [
-            station_series[(sid, metric, season)]
-            for sid in pair.nonuc_stations
-            if (sid, metric, season) in station_series
-        ]
+        uc_list = _present(station_series, pair.uc_stations, metric, season)
+        nonuc_list = _present(station_series, pair.nonuc_stations, metric, season)
         cells.append(trend_comparison_cell(pair.uc_id, metric, season, uc_list, nonuc_list, cfg.alpha))
 
     station_rows = []
@@ -968,13 +917,10 @@ def stage_trends(out_dir, cfg: RunConfig):
     for (pair, metric, season), cell in zip(coords, cells):
         station_results = {(group, sid): r for group, sid, r in cell.station_rows}
         for group, members in (("uc", pair.uc_stations), ("nonuc", pair.nonuc_stations)):
-            present = [sid for sid in members if (sid, metric, season) in station_series]
+            present = _present(station_series, members, metric, season)
             if not present:
                 continue
-            regional = stats.regional_mann_kendall(
-                [station_series[(sid, metric, season)] for sid in present],
-                [station_results[(group, sid)] for sid in present],
-            )
+            regional = stats.regional_mann_kendall(present, [station_results[(group, s.key)] for s in present])
             reg_series = regional_series.get((pair.uc_id, group, metric, season))
             slope = (
                 stats.theil_sen(reg_series.years, reg_series.values)
@@ -990,16 +936,13 @@ def stage_trends(out_dir, cfg: RunConfig):
 
 def stage_compare(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    _require(out / F_ANNUAL_REGIONAL, "indices")
+    regional = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
     _require(out / F_TREND_CELLS, "trends")
-    _require(out / F_PAIRS, "ingest")
-    regional = _read_annual_regional(out)
-    prop_by_cell = {
-        (row["pair"], row["metric"], row["season"]): row
-        for row in _read_rows(out / F_TREND_CELLS)
-    }
+    pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
+    header, *cells = _read_csv(out / F_TREND_CELLS)
+    prop_by_cell = {tuple(row[:3]): dict(zip(header, row)) for row in cells}
     rows = []
-    for pair in _read_pairs(out):
+    for pair in pairs:
         for metric, season in _cell_rows(cfg.metrics, cfg.seasons):
             cell = median_comparison_cell(
                 pair.uc_id,
@@ -1015,19 +958,17 @@ def stage_compare(out_dir, cfg: RunConfig):
 
 def stage_correlate(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    _require(out / F_ANNUAL_REGIONAL, "indices")
-    _require(out / F_PAIRS, "ingest")
+    regional = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
+    pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
     cov_path = _input_path(out, cfg, "covariates")
     if not cov_path.exists():
         raise DataError(f"missing input file {cov_path}")
 
-    pairs = _read_pairs(out)
     pair_ids = tuple(p.uc_id for p in pairs)
     try:
         covariates = load_explanatory_vars(cov_path, pair_ids)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    regional = _read_annual_regional(out)
 
     def _summary(series):
         if series is None or series.values.size == 0:
@@ -1078,8 +1019,7 @@ def stage_report(out_dir, cfg: RunConfig):
         source = out / source_name
         if not source.exists():
             continue
-        with open(source, newline="") as fh:
-            header, *rows = csv.reader(fh)
+        header, *rows = _read_csv(source)
         if season_filter is not None:
             season_idx = header.index("season")
             annual = season_filter == "annual"

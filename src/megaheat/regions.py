@@ -285,6 +285,8 @@ def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
     for row in reader:
         if not row or not any(cell.strip() for cell in row):
             continue
+        if len(row) != len(COVARIATE_COLUMNS):
+            raise ValueError(f"covariate line {reader.line_num} has {len(row)} fields, expected {len(COVARIATE_COLUMNS)}")
         rec = dict(zip(COVARIATE_COLUMNS, row))
         ev = ExplanatoryVars(
             uc_id=rec["uc_id"].strip(),

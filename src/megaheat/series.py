@@ -112,9 +112,7 @@ def save_series(path, series) -> None:
         "station_id": np.array([s.station_id for s in series], dtype=str),
         "element": np.array([s.element for s in series], dtype=str),
         "length": np.array([len(s.values) for s in series], dtype=np.int64),
-        "values": np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series])
-        if series
-        else np.empty(0),
+        "values": np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series] + [np.empty(0)]),
     }
     if all(isinstance(s, MonthlySeries) for s in series):
         arrays["first_year"] = np.array([s.first_year for s in series], dtype=np.int64)
@@ -127,64 +125,113 @@ def save_series(path, series) -> None:
         np.savez(fh, **arrays)
 
 
-def load_series(path) -> list:
-    """The series save_series wrote to path, in the order it wrote them.
-
-    Loading never unpickles, so reading a file runs no code.  Raises
-    OSError when the file cannot be read and ValueError when it is not a
-    series file (not an ``.npz``, truncated, or with inconsistent arrays).
-    Each series' values are a view into one array read from the file.
-    """
+def _read_npz(path) -> dict:
+    """Every array of an ``.npz``; never unpickles, so reading runs no code."""
     try:
         with open(path, "rb") as fh:
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                arrays = {name: npz[name] for name in npz.files}
+                return {name: npz[name] for name in npz.files}
     except (zipfile.BadZipFile, EOFError) as exc:
         raise ValueError(f"not a readable .npz archive: {exc}") from exc
 
-    monthly = "first_year" in arrays
-    starts = ("first_year", "first_month") if monthly else ("start_day",)
-    missing = sorted({"station_id", "element", "length", "values", *starts} - arrays.keys())
+
+def _series_slices(arrays: dict, per_series: dict, concatenated: dict) -> list:
+    """Each series' slice of the ``concatenated`` arrays, after checking that all fit together.
+
+    Both dicts map array names to a dtype kind ('U', 'i', or 'f' for
+    float64).  ``per_series`` arrays, ``length`` among them, hold one entry
+    per series; ``concatenated`` ones hold every series' entries in turn.
+    """
+    kinds = {**per_series, **concatenated}
+    missing = sorted(kinds.keys() - arrays.keys())
     if missing:
         raise ValueError(f"series file lacks {', '.join(missing)}")
-    ids, elements, lengths, values = (arrays[k] for k in ("station_id", "element", "length", "values"))
-    columns = [ids, elements, lengths] + [arrays[k] for k in starts]
+    lengths = arrays["length"]
     if (
-        ids.dtype.kind != "U"
-        or elements.dtype.kind != "U"
-        or values.dtype != np.float64
-        or any(a.dtype.kind != "i" for a in columns[2:])
-        or any(a.shape != ids.shape for a in columns)
-        or ids.ndim != 1
-        or values.ndim != 1
+        any(arrays[k].dtype != np.float64 if kind == "f" else arrays[k].dtype.kind != kind for k, kind in kinds.items())
+        or lengths.ndim != 1
+        or any(arrays[k].shape != lengths.shape for k in per_series)
         or np.any(lengths < 0)
-        or int(lengths.sum()) != values.size
+        or any(arrays[k].shape != (int(lengths.sum()),) for k in concatenated)
     ):
         raise ValueError("series file arrays do not fit together")
-    chunks = np.split(values, np.cumsum(lengths)[:-1]) if ids.size else []
+    ends = np.cumsum(lengths).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def load_series(path) -> list:
+    """The series save_series wrote to path, in the order it wrote them.
+
+    Raises OSError when the file cannot be read and ValueError when it is
+    not a series file (not an ``.npz``, truncated, or with inconsistent
+    arrays).  Each series' values are a view into one array.
+    """
+    arrays = _read_npz(path)
+    monthly = "first_year" in arrays
+    starts = ("first_year", "first_month") if monthly else ("start_day",)
+    slices = _series_slices(
+        arrays,
+        {"station_id": "U", "element": "U", "length": "i", **dict.fromkeys(starts, "i")},
+        {"values": "f"},
+    )
+    ids, elements, values = arrays["station_id"].tolist(), arrays["element"].tolist(), arrays["values"]
     if monthly:
         if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
             raise ValueError("series file holds a month outside 1-12")
         return [
-            MonthlySeries(sid, el, year, month, v)
-            for sid, el, year, month, v in zip(
-                ids.tolist(),
-                elements.tolist(),
-                arrays["first_year"].tolist(),
-                arrays["first_month"].tolist(),
-                chunks,
+            MonthlySeries(sid, el, year, month, values[sl])
+            for sid, el, year, month, sl in zip(
+                ids, elements, arrays["first_year"].tolist(), arrays["first_month"].tolist(), slices
             )
         ]
     try:
         return [
-            DailySeries(sid, el, serial_to_date(day), v)
-            for sid, el, day, v in zip(ids.tolist(), elements.tolist(), arrays["start_day"].tolist(), chunks)
+            DailySeries(sid, el, serial_to_date(day), values[sl])
+            for sid, el, day, sl in zip(ids, elements, arrays["start_day"].tolist(), slices)
         ]
     except OverflowError as exc:
         raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
+
+
+def save_annual(path, key_columns, series: dict) -> None:
+    """Write annual series keyed by string tuples to one uncompressed ``.npz``.
+
+    ``series`` maps a key, one string per name in ``key_columns``, to an
+    AnnualSeries.  The file holds, in key order, one string array per key
+    column, the lengths, and all years (int64) and values (float64) in
+    turn; the same series give the same bytes.  Keys must not end in a
+    NUL character, which string arrays drop.
+    """
+    keys = sorted(series)
+    arrays = {name: np.array([key[i] for key in keys], dtype=str) for i, name in enumerate(key_columns)}
+    arrays["length"] = np.array([len(series[key]) for key in keys], dtype=np.int64)
+    arrays["year"] = np.concatenate([series[key].years for key in keys] + [np.empty(0, dtype=np.int64)])
+    arrays["value"] = np.concatenate([series[key].values for key in keys] + [np.empty(0)])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_annual(path, key_columns) -> dict:
+    """{key tuple: AnnualSeries} as save_annual wrote them under key_columns.
+
+    Each series' key is its first key column and its metric the others
+    joined by ':'.  Raises as load_series does, also when a key repeats.
+    """
+    arrays = _read_npz(path)
+    slices = _series_slices(
+        arrays, {**dict.fromkeys(key_columns, "U"), "length": "i"}, {"year": "i", "value": "f"}
+    )
+    keys = zip(*(arrays[name].tolist() for name in key_columns))
+    out = {
+        key: AnnualSeries(key=key[0], metric=":".join(key[1:]), years=arrays["year"][sl], values=arrays["value"][sl])
+        for key, sl in zip(keys, slices)
+    }
+    if len(out) != len(slices):
+        raise ValueError("annual file repeats a key")
+    return out
 
 
 @dataclass

@@ -14,6 +14,7 @@ import dataclasses
 import datetime as dt
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,17 @@ class SynthParams:
     elev_max_m: float = 600.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(value, bool)
+            elif f.type == "int":
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = not isinstance(value, bool) and (isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+            if not ok:
+                wanted = {"bool": "true or false", "int": "an integer"}.get(f.type, "a finite number")
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
         if not 1 <= self.n_pairs <= _MAX_PAIRS:
             raise ValueError(f"n_pairs must be in 1..{_MAX_PAIRS}, got {self.n_pairs}")
         if self.uc_stations < 0 or self.nonuc_stations < 0:

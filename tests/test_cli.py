@@ -4,14 +4,18 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import megaheat
 from megaheat import cli, pipeline
+from megaheat.series import load_annual
 
 CFG = {
     "window": [1956, 1966],
@@ -26,6 +30,26 @@ CFG = {
         "daily": False,
         "noise_sd_c": 0.4,
     },
+}
+
+
+RUN_FILES = {
+    # inputs
+    "ghcnd.dly", "ghcnm.dat", "stations.txt", "regions.json", "covariates.csv",
+    # ingest
+    "parse_issues.csv", "ingest_summary.json", "pairs.json", "parsed_monthly.npz", "parsed_daily.npz",
+    # qc
+    "qc_monthly.csv", "qc_daily.csv",
+    # impute
+    "completed_monthly.npz", "monthly_mask.csv", "filled_daily.npz", "daily_mask.csv", "impute_notes.txt",
+    # indices
+    "annual_station.npz", "annual_regional.npz",
+    # trends, compare, correlate
+    "trend_stations.csv", "trends.csv", "trend_notes.txt", "trend_cells.csv", "comparison.csv",
+    "correlation_uc.csv", "correlation_diff.csv",
+    # report, and the timings beside it
+    "report/fig2a.csv", "report/fig2c.csv", "report/fig3a.csv", "report/fig3b.csv",
+    "report/fig4a.csv", "report/fig4b.csv", "report/manifest.json", "timings.json",
 }
 
 
@@ -87,6 +111,28 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"qc: {next(iter(qc))}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"gwr": {"neighbors": "abc"}}, "gwr: neighbors"),
+            ({"gwr": {"min_train": None}}, "gwr: min_train"),
+            ({"gwr": {"neighbors": 3.5}}, "gwr: neighbors"),
+            ({"synth": {"n_pairs": "x"}}, "synth: n_pairs"),
+            ({"synth": {"noise_sd_c": None}}, "synth: noise_sd_c"),
+            ({"synth": {"daily": 1}}, "synth: daily"),
+            ({"seed": True}, "seed"),
+            ({"gwr": 5}, "gwr must be a JSON object"),
+            ({"qc": "x"}, "qc must be a JSON object"),
+            ({"synth": []}, "synth must be a JSON object"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["synth", "--out", str(tmp_path / "run"), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"megaheat: error: {where}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("window", [[0, 5], [9998, 10001]])
     def test_window_outside_the_calendar_exits_1(self, tmp_path, capsys, window):
         cfg = _cfg_file(tmp_path, {"window": window})
@@ -127,14 +173,51 @@ class TestDataErrors:
         out = tmp_path / "run"
         cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
         assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        for stage in ("ingest", "qc", "impute", "indices"):
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 0
+        for name, stage, producer in (
+            (pipeline.F_ANNUAL_STATION, "trends", "indices"),
+            (pipeline.F_PARSED_DAILY, "impute", "ingest"),
+        ):
+            path = out / name
+            path.write_bytes(path.read_bytes()[:-100])
+            capsys.readouterr()
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "megaheat: error" in err and name in err
+            assert f"rerun the {producer} stage" in err and "Traceback" not in err
+
+    def test_qc_verdicts_from_an_earlier_ingest_exit_2(self, tmp_path, capsys):
+        # ingest rerun on records that lost a station: the verdicts qc wrote
+        # before no longer line up with parsed_daily.npz
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
         assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 0
         assert cli.main(["qc", "--out", str(out), "--config", cfg]) == 0
-        kept = out / pipeline.F_KEPT_DAILY
-        kept.write_bytes(kept.read_bytes()[:-100])
+        daily = out / "ghcnd.dly"
+        first = daily.read_text()[:11]
+        daily.write_text("".join(ln for ln in daily.read_text().splitlines(True) if not ln.startswith(first)))
+        assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 0
         capsys.readouterr()
         assert cli.main(["impute", "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "megaheat: error" in err and pipeline.F_KEPT_DAILY in err
+        assert f"{pipeline.F_QC_DAILY} does not match {pipeline.F_PARSED_DAILY}; rerun the qc stage" in err
+        assert "Traceback" not in err
+
+    def test_station_id_ending_in_nul_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        long_id = (out / "stations.txt").read_bytes()[:11]
+        for name in ("stations.txt", "ghcnm.dat"):
+            path = out / name
+            path.write_bytes(path.read_bytes().replace(long_id, b"NUL\x00       "))
+        capsys.readouterr()
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error: ids ending in a NUL character are not supported: 'NUL\\x00'" in err
+        assert not (out / pipeline.F_PARSED_MONTHLY).exists()
 
     @pytest.mark.parametrize(
         "doc",
@@ -227,7 +310,21 @@ class TestRuns:
         assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
         pair = json.loads((out / pipeline.F_PAIRS).read_text())["pairs"][0]
         assert "PAD1" in pair["uc_stations"] + pair["nonuc_stations"]
-        assert "PAD1," in (out / pipeline.F_ANNUAL_STATION).read_text()
+        station = load_annual(out / pipeline.F_ANNUAL_STATION, pipeline.ANNUAL_STATION_KEYS)
+        assert "PAD1" in {sid for sid, _, _ in station}
+
+    def test_run_directory_holds_the_documented_files(self, tmp_path):
+        # the Outputs section of the README lists these; no stage leaves a copy
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        trees = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+            assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert set(trees[0]) == RUN_FILES
+        for rel in sorted(RUN_FILES - {cli.F_TIMINGS}):
+            assert trees[0][rel] == trees[1][rel], rel
 
     def test_region_name_with_comma_yields_valid_csv(self, tmp_path):
         out = tmp_path / "run"
@@ -269,3 +366,58 @@ def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, megaheat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A synthetic world and its run under the corridor id UC00."""
+    out = tmp_path_factory.mktemp("world")
+    cfg = _cfg_file(out)
+    assert cli.main(["synth", "--out", str(out / "run"), "--config", cfg]) == 0
+    assert cli.main(["all", "--out", str(out / "run"), "--config", cfg]) == 0
+    return out / "run", cfg
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(uc_id=st.text(max_size=6))
+@example(uc_id="UC\x00")
+@example(uc_id="U\x00C")
+@example(uc_id='U"C,\n')
+@example(uc_id="UC\r")
+@example(uc_id=" UC")
+def test_any_corridor_id_survives_or_exits_2(world, tmp_path_factory, capsys, uc_id):
+    src, cfg = world
+    out = tmp_path_factory.mktemp("id")
+    for name in ("ghcnd.dly", "ghcnm.dat", "stations.txt", "covariates.csv"):
+        shutil.copy(src / name, out / name)
+    doc = json.loads((src / "regions.json").read_text())
+    for feature in doc["features"]:
+        if feature["properties"]["kind"] == "uc":
+            feature["properties"]["name"] = uc_id
+    (out / "regions.json").write_text(json.dumps(doc))
+    with open(out / "covariates.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][0] = uc_id
+    with open(out / "covariates.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+    capsys.readouterr()
+    rc = cli.main(["all", "--out", str(out), "--config", cfg])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 2:
+        assert "megaheat: error" in err and not (out / pipeline.F_PAIRS).exists()
+        return
+    assert rc == 0
+    for path in sorted(out.glob("*.csv")) + sorted((out / pipeline.REPORT_DIR).glob("*.csv")):
+        assert len({len(row) for row in _rows(path)}) == 1, path.name
+    # the id comes back unchanged, and so does every number beside it
+    for name in (pipeline.F_TRENDS, pipeline.F_COMPARISON, pipeline.F_TREND_CELLS):
+        header, *reference = _rows(src / name)
+        assert header[0] == "pair" and {row[0] for row in reference} == {"UC00"}, name
+        assert _rows(out / name) == [header] + [[uc_id] + row[1:] for row in reference], name

@@ -188,6 +188,39 @@ class TestParseGhcnm:
         assert s.value_in(1962, 1) == pytest.approx(2.0)
 
 
+class TestPaddedIds:
+    """Lines whose id fields differ only in padding belong to one series;
+    a repeated month still keeps the later line."""
+
+    def test_daily(self):
+        lines = "\n".join(
+            [
+                dly_line("PAD1", 1956, 7, "TMAX", [100]),
+                dly_line(" PAD1", 1956, 8, "TMAX", [150]),
+                dly_line(" PAD1", 1956, 7, "TMAX", [200]),
+            ]
+        )
+        series, issues = parse_ghcnd(lines.encode())
+        assert issues == []
+        assert [(s.station_id, s.element) for s in series] == [("PAD1", "TMAX")]
+        assert series[0].start == dt.date(1956, 7, 1) and series[0].values.size == 62
+        assert series[0].values[0] == 20.0 and series[0].values[31] == 15.0
+
+    def test_monthly(self):
+        lines = "\n".join(
+            [
+                ghcnm_line("PAD1", 1960, "TAVG", [100] * 12),
+                ghcnm_line(" PAD1", 1961, "TAVG", [200] * 12),
+                ghcnm_line(" PAD1", 1960, "TAVG", [300] * 12),
+            ]
+        )
+        series, issues = parse_ghcnm(lines.encode())
+        assert issues == []
+        assert [(s.station_id, s.element) for s in series] == [("PAD1", "TAVG")]
+        assert series[0].first_year == 1960 and series[0].values.size == 24
+        assert series[0].values[0] == 3.0 and series[0].values[12] == 2.0
+
+
 class TestParseStations:
     def test_example_line(self):
         line = inv_line("USW00000001", 42.36, -71.06, 12.0)

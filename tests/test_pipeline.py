@@ -1,6 +1,7 @@
 """Tests for orchestration: config parsing, comparison cells, correlation
 matrices, and the file-to-file stages."""
 
+import csv
 import dataclasses
 import json
 import shutil
@@ -19,7 +20,7 @@ from megaheat.pipeline import (
     trend_comparison_cell,
 )
 from megaheat.regions import ExplanatoryVars
-from megaheat.series import AnnualSeries
+from megaheat.series import AnnualSeries, load_annual
 
 YEARS = np.arange(1956, 2016)
 
@@ -516,7 +517,12 @@ class TestStages:
         out, cfg, _ = full_run
         from megaheat.series import load_series, month_index
 
-        kept = {(s.station_id, s.element): s for s in load_series(out / pipeline.F_KEPT_MONTHLY)}
+        verdicts = _read_csv_rows(out / pipeline.F_QC_MONTHLY)
+        kept = {
+            (s.station_id, s.element): s
+            for s, row in zip(load_series(out / pipeline.F_PARSED_MONTHLY), verdicts)
+            if row["verdict"] == "kept"
+        }
         w0 = month_index(cfg.window[0], 1)
         n_imputed_marked = 0
         for row in _read_csv_rows(out / pipeline.F_MONTHLY_MASK):
@@ -536,15 +542,15 @@ class TestStages:
 
     def test_indices_files(self, full_run):
         out, cfg, _ = full_run
-        rows = _read_csv_rows(out / pipeline.F_ANNUAL_STATION)
-        metrics = {r["metric"] for r in rows}
+        station = load_annual(out / pipeline.F_ANNUAL_STATION, pipeline.ANNUAL_STATION_KEYS)
+        metrics = {metric for _, metric, _ in station}
         assert metrics == set(cfg.metrics)
-        assert {r["season"] for r in rows} == {"DJF", "JJA", "annual"}
-        years = {int(r["year"]) for r in rows}
+        assert {season for _, _, season in station} == {"DJF", "JJA", "annual"}
+        years = np.concatenate([s.years for s in station.values()])
         assert min(years) >= cfg.window[0] and max(years) <= cfg.window[1]
 
-        regional = _read_csv_rows(out / pipeline.F_ANNUAL_REGIONAL)
-        groups = {(r["pair"], r["group"]) for r in regional}
+        regional = load_annual(out / pipeline.F_ANNUAL_REGIONAL, pipeline.ANNUAL_REGIONAL_KEYS)
+        groups = {(pair, group) for pair, group, _, _ in regional}
         assert groups == {(p, g) for p in ("UC00", "UC01") for g in ("uc", "nonuc")}
 
     def test_trend_files(self, full_run):
@@ -684,14 +690,18 @@ class TestStageErrors:
         "name, stage",
         [
             (pipeline.F_PARSED_MONTHLY, pipeline.stage_qc),
-            (pipeline.F_KEPT_DAILY, pipeline.stage_impute),
+            (pipeline.F_PARSED_DAILY, pipeline.stage_impute),
             (pipeline.F_FILLED_DAILY, pipeline.stage_indices),
+            (pipeline.F_ANNUAL_STATION, pipeline.stage_trends),
+            (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_compare),
+            (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_correlate),
+            (pipeline.F_PAIRS, pipeline.stage_trends),
         ],
     )
     def test_unreadable_intermediate_names_the_file(self, tmp_path, name, stage):
         cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
         pipeline.stage_synth(tmp_path, cfg)
-        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute"])
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute", "indices", "trends"])
         path = tmp_path / name
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(DataError, match=name):
@@ -699,6 +709,65 @@ class TestStageErrors:
         path.write_text("not a series file\n")
         with pytest.raises(DataError, match=name):
             stage(tmp_path, cfg)
+
+    def test_missing_annual_file_names_the_stage(self, tmp_path):
+        cfg = load_config(LIGHT_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute", "indices", "trends"])
+        for name, stage in (
+            (pipeline.F_ANNUAL_STATION, pipeline.stage_trends),
+            (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_trends),
+            (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_compare),
+            (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_correlate),
+        ):
+            path = tmp_path / name
+            path.rename(tmp_path / "aside")
+            with pytest.raises(DataError, match=f"missing {name}; run the indices stage first"):
+                stage(tmp_path, cfg)
+            (tmp_path / "aside").rename(path)
+
+    def test_annual_files_are_not_interchangeable(self, tmp_path):
+        cfg = load_config(LIGHT_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute", "indices"])
+        shutil.copy(tmp_path / pipeline.F_ANNUAL_REGIONAL, tmp_path / pipeline.F_ANNUAL_STATION)
+        with pytest.raises(DataError, match=f"cannot read {pipeline.F_ANNUAL_STATION}: .*station"):
+            pipeline.stage_trends(tmp_path, cfg)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:-1],
+            lambda rows: rows + [rows[-1]],
+            lambda rows: rows[:1] + rows[2:] + rows[1:2],
+            lambda rows: rows[:1] + [["ZZZ00000001"] + rows[1][1:]] + rows[2:],
+            lambda rows: rows[:1] + [rows[1][:2] + ["kept?"] + rows[1][3:]] + rows[2:],
+            lambda rows: rows[:1] + [rows[1][:3]] + rows[2:],
+            lambda rows: [["station", "element", "verdict"]] + rows[1:],
+        ],
+        ids=["row-lost", "row-added", "rows-reordered", "station-renamed", "bad-verdict", "short-row", "header"],
+    )
+    def test_qc_verdicts_out_of_step_with_parsed_series(self, tmp_path, edit):
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc"])
+        path = tmp_path / pipeline.F_QC_DAILY
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+        with pytest.raises(DataError) as err:
+            pipeline.stage_impute(tmp_path, cfg)
+        assert str(err.value) == (
+            f"{pipeline.F_QC_DAILY} does not match {pipeline.F_PARSED_DAILY}; rerun the qc stage"
+        )
+
+    def test_impute_requires_qc_verdicts(self, tmp_path):
+        cfg = load_config(LIGHT_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.stage_ingest(tmp_path, cfg)
+        with pytest.raises(DataError, match=f"missing {pipeline.F_QC_MONTHLY}; run the qc stage first"):
+            pipeline.stage_impute(tmp_path, cfg)
 
     def test_intermediate_of_the_wrong_kind(self, tmp_path):
         cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))

@@ -1,5 +1,5 @@
-"""The binary series file: save_series / load_series round trips and
-rejection of files that are not series files."""
+"""The binary series files: save_series / load_series and save_annual /
+load_annual round trips, and rejection of files that are not series files."""
 
 import datetime as dt
 import zipfile
@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megaheat.series import DailySeries, MonthlySeries, load_series, save_series
+from megaheat.series import (
+    AnnualSeries,
+    DailySeries,
+    MonthlySeries,
+    load_annual,
+    load_series,
+    save_annual,
+    save_series,
+)
 
 # short, padded-looking and full-width ids; the fixed-width field holds 11
 _IDS = st.sampled_from(["A", "PAD1", "USC00012345", "X-1 Y", "UC,00"])
@@ -116,7 +124,7 @@ class TestBadFiles:
                 load_series(cut)
 
     def test_text_is_a_value_error(self, tmp_path):
-        path = tmp_path / "kept_daily.npz"
+        path = tmp_path / "parsed_daily.npz"
         path.write_text("USC00012345195601TMAX   12\n")
         with pytest.raises(ValueError):
             load_series(path)
@@ -159,3 +167,123 @@ class TestBadFiles:
             zf.writestr("station_id.npy", b"not an array")
         with pytest.raises(ValueError):
             load_series(bad)
+
+
+# numpy string arrays drop trailing NULs, so keys never end in one
+_KEY = st.text(max_size=8).filter(lambda t: not t.endswith("\x00"))
+_KEY_COLUMNS = ("station", "metric", "season")
+_ANNUAL = st.lists(st.integers(1, 9999), unique=True, max_size=12).flatmap(
+    lambda years: st.lists(
+        st.one_of(st.floats(width=64), st.just(-0.0)), min_size=len(years), max_size=len(years)
+    ).map(lambda values: AnnualSeries("", "", sorted(years), values))
+)
+_TABLE = st.dictionaries(st.tuples(_KEY, _KEY, _KEY), _ANNUAL, max_size=5)
+
+
+def _annual_round_trip(tmp_path, table):
+    path = tmp_path / "annual.npz"
+    save_annual(path, _KEY_COLUMNS, table)
+    return load_annual(path, _KEY_COLUMNS)
+
+
+def _assert_same_table(got, want):
+    assert list(got) == sorted(want)
+    for key, series in got.items():
+        assert (series.key, series.metric) == (key[0], ":".join(key[1:]))
+        assert series.years.dtype == np.int64 and series.values.dtype == np.float64
+        assert np.array_equal(series.years, want[key].years)
+        assert np.array_equal(_bits(series.values), _bits(want[key].values))
+
+
+class TestAnnualRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(table=_TABLE)
+    def test_tables(self, tmp_path_factory, table):
+        _assert_same_table(_annual_round_trip(tmp_path_factory.mktemp("a"), table), table)
+
+    def test_nan_payloads_signed_zero_one_year_and_empty_series(self, tmp_path):
+        odd = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x8000000000000000], dtype=np.uint64)
+        table = {
+            ("A", "TMAX", "JJA"): AnnualSeries("", "", [1956, 1957, 1990], odd.view(np.float64)),
+            ("A", "TMAX", "DJF"): AnnualSeries("", "", [2015], [-0.0]),
+            ("UC,00", "CDD", "annual"): AnnualSeries("", "", [], []),
+        }
+        _assert_same_table(_annual_round_trip(tmp_path, table), table)
+
+    def test_empty_table(self, tmp_path):
+        assert _annual_round_trip(tmp_path, {}) == {}
+
+    def test_same_series_give_same_bytes(self, tmp_path):
+        table = {("A", "TAVG", "JJA"): AnnualSeries("", "", np.arange(1956, 2016), np.arange(60.0) / 7)}
+        save_annual(tmp_path / "a.npz", _KEY_COLUMNS, table)
+        save_annual(tmp_path / "b.npz", _KEY_COLUMNS, dict(table))
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+class TestBadAnnualFiles:
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.npz"
+        table = {
+            ("A", "TAVG", "JJA"): AnnualSeries("", "", np.arange(1956, 2016), np.arange(60.0)),
+            ("B", "TAVG", "JJA"): AnnualSeries("", "", [1960], [1.5]),
+        }
+        save_annual(path, _KEY_COLUMNS, table)
+        return path
+
+    def _rewrite(self, good, tmp_path, **changes):
+        with np.load(good) as npz:
+            arrays = dict(npz)
+        arrays.update(changes)
+        arrays = {k: v for k, v in arrays.items() if v is not None}
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        return bad
+
+    def test_every_truncation_is_a_value_error(self, good, tmp_path):
+        blob = good.read_bytes()
+        cut = tmp_path / "cut.npz"
+        for size in range(0, len(blob), 61):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(ValueError):
+                load_annual(cut, _KEY_COLUMNS)
+
+    def test_text_is_a_value_error(self, tmp_path):
+        path = tmp_path / "annual_station.npz"
+        path.write_text("station,metric,season,year,value\nA,TAVG,JJA,1956,1.5\n")
+        with pytest.raises(ValueError):
+            load_annual(path, _KEY_COLUMNS)
+
+    def test_other_key_columns_are_missing_arrays(self, good):
+        with pytest.raises(ValueError, match="group, pair"):
+            load_annual(good, ("pair", "group", "metric", "season"))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"length": np.array([60, 2])},
+            {"length": np.array([61, 0])},
+            {"length": np.array([62, -1])},
+            {"year": np.arange(62)},
+            {"value": np.arange(60.0)},
+            {"value": np.arange(61, dtype=np.float32)},
+            {"year": np.arange(61.0)},
+            {"station": np.array(["A"])},
+            {"station": np.array([1, 2])},
+            {"length": np.array([[60, 1]])},
+            {"year": None},
+        ],
+    )
+    def test_inconsistent_arrays(self, good, tmp_path, changes):
+        with pytest.raises(ValueError):
+            load_annual(self._rewrite(good, tmp_path, **changes), _KEY_COLUMNS)
+
+    def test_years_must_increase(self, good, tmp_path):
+        years = np.concatenate([np.arange(1956, 2016)[::-1], [1960]])
+        with pytest.raises(ValueError, match="increasing"):
+            load_annual(self._rewrite(good, tmp_path, year=years), _KEY_COLUMNS)
+
+    def test_repeated_key(self, good, tmp_path):
+        with pytest.raises(ValueError, match="repeats"):
+            load_annual(self._rewrite(good, tmp_path, station=np.array(["A", "A"])), _KEY_COLUMNS)
