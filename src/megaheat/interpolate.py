@@ -195,9 +195,16 @@ class Variogram:
             raise ValueError("range_km must be > 0")
 
     def gamma(self, dist):
-        dist = np.asarray(dist, dtype=float)
-        g = self.nugget + (self.sill - self.nugget) * -np.expm1(-3.0 * dist / self.range_km)
-        return np.where(dist > 0, g, 0.0)
+        return _gamma(-3.0 * np.asarray(dist, dtype=float), self.nugget, self.sill, self.range_km)
+
+
+def _gamma(neg3_dist, nugget, sill, range_km):
+    """Variogram.gamma of the distances dist, given as -3.0 * dist (the
+    first operation of the model, so callers can hoist it); the parameters
+    broadcast against neg3_dist.  -3.0 * dist is negative exactly where
+    dist is positive."""
+    g = nugget + (sill - nugget) * -np.expm1(neg3_dist / range_km)
+    return np.where(neg3_dist < 0.0, g, 0.0)
 
 
 _ZERO_RESIDUAL_ATOL = 1e-9
@@ -216,75 +223,135 @@ _RANGE_GRID = 64
 _RANGE_ZOOMS = 5
 _RANGE_BASINS = 3
 
+# Problems per stacked range search.  A zoom pass holds a few (basins zoomed,
+# grid, bins) arrays, up to 1 MB each at 64 problems of 10 bins.
+_FIT_CHUNK = 64
+
+# Matrix entries per stacked kriging solve (8 MB of float64), so that a mask
+# group of many timesteps over hundreds of sites is solved in pieces.
+_SOLVE_ENTRIES = 1 << 20
+
+
+def _rowdot(a, b):
+    """Row-wise a[r] @ b[r] of two (rows, n) stacks, one BLAS dot per row,
+    as `a[r] @ b[r]` computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
 
 def _fit_exponential(gam, dmean, cnt, half_max):
     """Global weighted-LS fit of nugget + delta * (1 - exp(-3d/range)).
 
-    Variable projection: at a fixed range the model is linear in (nugget,
-    delta), so the count-weighted least squares has a closed form, leaving
-    a 1-D search over log range between _RANGE_MIN_KM and _RANGE_MAX_SCALE
-    * half_max.  At each range the unconstrained 2x2 solution counts where
+    Takes a stack of problems with the same number of bins: gam, dmean and
+    cnt are (problems, bins), half_max is (problems,).  Variable
+    projection: at a fixed range the model is linear in (nugget, delta),
+    so the count-weighted least squares has a closed form, leaving a 1-D
+    search over log range between _RANGE_MIN_KM and _RANGE_MAX_SCALE *
+    half_max.  At each range the unconstrained 2x2 solution counts where
     both parameters come out non-negative; otherwise the better of the two
     boundary solutions (delta = 0, and nugget = 0 with delta clipped at 0)
     is the constrained optimum, the problem being convex in (nugget,
     delta).  Costs come from the residuals themselves, not from expanded
-    normal-equation sums, which lose precision to cancellation.  Returns
-    (nugget, delta, range_km).
-    """
-    sw = cnt.sum()
-    sy = cnt @ gam
-    cg = cnt * gam
-    mean = sy / sw
-    cost_mean = cnt @ (mean - gam) ** 2
-    d3 = -3.0 * dmean
+    normal-equation sums, which lose precision to cancellation.
 
-    def fits(log_r):
-        # f carries a trailing bin axis; sums, parameters and costs are
-        # shaped like log_r
-        f = -np.expm1(d3 / np.exp(log_r)[..., None])
-        sf = f @ cnt
-        sff = (f * f) @ cnt
-        sfy = f @ cg
+    Each problem's arithmetic is the same as on its own: every reduction
+    over the bins is one BLAS dot or matrix-vector product per problem
+    (and per zoomed basin), so a problem's fit does not depend on the
+    others in the stack.  Returns (nugget, delta, range_km), each
+    (problems,).
+    """
+    rows = np.arange(half_max.size)
+    sw = cnt.sum(axis=1)
+    sy = _rowdot(cnt, gam)
+    mean = sy / sw
+    cost_mean = _rowdot(cnt, (mean[:, None] - gam) ** 2)
+    d3 = -3.0 * dmean
+    cg = cnt * gam
+
+    def fits(log_r, p):
+        # log_r is (search, grid point), search s on problem p[s]; the sums,
+        # parameters and costs are shaped like log_r, f and the residuals
+        # carry a trailing bin axis, and each weighted sum over the bins is
+        # one matrix-vector product per search
+        f = -np.expm1(d3[p, None, :] / np.exp(log_r)[..., None])
+        g, c = gam[p, None, :], cnt[p, :, None]
+        w, y, m, cm = (x[p, None] for x in (sw, sy, mean, cost_mean))
+        sf = (f @ c)[..., 0]
+        sff = ((f * f) @ c)[..., 0]
+        sfy = (f @ cg[p, :, None])[..., 0]
         delta_zero = np.maximum(sfy / sff, 0.0)
-        cost_zero = (delta_zero[..., None] * f - gam) ** 2 @ cnt
-        det = sw * sff - sf * sf
+        cost_zero = ((delta_zero[..., None] * f - g) ** 2 @ c)[..., 0]
+        det = w * sff - sf * sf
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta_free = (sw * sfy - sf * sy) / det
-            nugget_free = (sy - delta_free * sf) / sw
-            cost_free = (nugget_free[..., None] + delta_free[..., None] * f - gam) ** 2 @ cnt
+            delta_free = (w * sfy - sf * y) / det
+            nugget_free = (y - delta_free * sf) / w
+            resid = nugget_free[..., None] + delta_free[..., None] * f - g
+            cost_free = (resid**2 @ c)[..., 0]
             # NaN or inf from a singular system fails this test too
             free_ok = np.minimum(nugget_free, delta_free) >= 0.0
-        use_zero = cost_zero < cost_mean
-        nugget = np.where(free_ok, nugget_free, np.where(use_zero, 0.0, mean))
+        use_zero = cost_zero < cm
+        nugget = np.where(free_ok, nugget_free, np.where(use_zero, 0.0, m))
         delta = np.where(free_ok, delta_free, np.where(use_zero, delta_zero, 0.0))
-        cost = np.where(free_ok, cost_free, np.minimum(cost_zero, cost_mean))
+        cost = np.where(free_ok, cost_free, np.minimum(cost_zero, cm))
         return nugget, delta, cost
 
-    lo, hi = np.log(_RANGE_MIN_KM), np.log(_RANGE_MAX_SCALE * half_max)
-    log_r = np.linspace(lo, hi, _RANGE_GRID)
-    nugget, delta, cost = fits(log_r)
-    k = int(np.argmin(cost))
-    best = (cost[k], nugget[k], delta[k], log_r[k])
+    lo = np.log(_RANGE_MIN_KM)
+    hi = np.log(_RANGE_MAX_SCALE * half_max)
+    log_r = np.linspace(lo, hi, _RANGE_GRID, axis=-1)
+    nugget, delta, cost = fits(log_r, rows)
+    k = np.argmin(cost, axis=1)
+    best = [cost[rows, k], nugget[rows, k], delta[rows, k], log_r[rows, k]]
 
     # a grid point is a local minimum when strictly below its left
-    # neighbour and no higher than its right one, so a flat run counts once
-    padded = np.concatenate(([np.inf], cost, [np.inf]))
-    minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
-    minima = minima[np.argsort(cost[minima], kind="stable")[:_RANGE_BASINS]]
-    centers = log_r[minima]
-    rows = np.arange(centers.size)
-    step = log_r[1] - log_r[0]
+    # neighbour and no higher than its right one, so a flat run counts
+    # once; search s zooms basin slot[s] of problem p[s], one search for
+    # each of a problem's _RANGE_BASINS lowest minima
+    padded = np.pad(cost, ((0, 0), (1, 1)), constant_values=np.inf)
+    minima = (cost < padded[:, :-2]) & (cost <= padded[:, 2:])
+    order = np.argsort(np.where(minima, cost, np.inf), axis=1, kind="stable")
+    order = order[:, :_RANGE_BASINS]
+    p, slot = np.nonzero(np.take_along_axis(minima, order, axis=1))
+    searches = np.arange(p.size)
+    search_of = np.zeros_like(order)
+    search_of[p, slot] = searches
+    centers = log_r[p, order[p, slot]]
+    step = (log_r[:, 1] - log_r[:, 0])[p, None]
     offsets = np.linspace(-1.0, 1.0, _RANGE_GRID)
     for _ in range(_RANGE_ZOOMS):
-        log_r = np.clip(centers[:, None] + step * offsets, lo, hi)
-        nugget, delta, cost = fits(log_r)
+        log_r = np.clip(centers[:, None] + step * offsets, lo, hi[p, None])
+        nugget, delta, cost = fits(log_r, p)
         k = np.argmin(cost, axis=1)
-        centers = log_r[rows, k]
-        b = int(np.argmin(cost[rows, k]))
-        if cost[b, k[b]] < best[0]:
-            best = (cost[b, k[b]], nugget[b, k[b]], delta[b, k[b]], centers[b])
+        centers = log_r[searches, k]
+        # a problem takes its lowest basin, the first of equals; empty slots
+        # stay at inf
+        basin_cost = np.full(order.shape, np.inf)
+        basin_cost[p, slot] = cost[searches, k]
+        b = np.argmin(basin_cost, axis=1)
+        s = search_of[rows, b]
+        better = basin_cost[rows, b] < best[0]
+        for i, x in enumerate((cost[s, k[s]], nugget[s, k[s]], delta[s, k[s]], centers[s])):
+            best[i] = np.where(better, x, best[i])
         step *= 2.0 / (_RANGE_GRID - 1)
-    return float(best[1]), float(best[2]), float(np.exp(best[3]))
+    return best[1], best[2], np.exp(best[3])
+
+
+def _fit_stacked(fits):
+    """Complete a list of _bin_residuals results: each (gam, dmean, cnt,
+    half_max) problem becomes its fitted variogram, through one stacked
+    range search per count of filled bins, in chunks of _FIT_CHUNK
+    problems; variograms pass through."""
+    fitted = list(fits)
+    by_bins = {}
+    for p, fit in enumerate(fits):
+        if not isinstance(fit, Variogram):
+            by_bins.setdefault(fit[0].size, []).append(p)
+    for batch in by_bins.values():
+        for start in range(0, len(batch), _FIT_CHUNK):
+            chunk = batch[start : start + _FIT_CHUNK]
+            stacks = (np.array(column) for column in zip(*(fits[p] for p in chunk)))
+            params = (x.tolist() for x in _fit_exponential(*stacks))
+            for p, nugget, delta, range_km in zip(chunk, *params):
+                fitted[p] = Variogram(nugget, nugget + delta, range_km)
+    return fitted
 
 
 @dataclass(frozen=True)
@@ -319,8 +386,10 @@ def _variogram_bins(d, i, j):
     )
 
 
-def _fit_binned(bins, residuals):
-    """Fit the exponential model to the binned semivariances of residuals."""
+def _bin_residuals(bins, residuals):
+    """The variogram of residuals when it needs no range search, else the
+    range search's input for _fit_stacked: the binned semivariances as a
+    (gam, dmean, cnt, half_max) problem."""
     if bins is None or np.max(np.abs(residuals)) <= _ZERO_RESIDUAL_ATOL:
         return Variogram(0.0, 0.0, 1.0, degenerate=True)
     sv = 0.5 * (residuals[bins.i] - residuals[bins.j]) ** 2
@@ -334,9 +403,7 @@ def _fit_binned(bins, residuals):
         if sill <= 0.0:
             return Variogram(0.0, 0.0, 1.0, degenerate=True)
         return Variogram(0.0, sill, bins.half_max)
-
-    nugget, delta, range_km = _fit_exponential(gam, bins.dmean, cnt, bins.half_max)
-    return Variogram(nugget, nugget + delta, range_km)
+    return gam, bins.dmean, cnt, bins.half_max
 
 
 def fit_variogram(lat, lon, residuals):
@@ -360,23 +427,51 @@ def fit_variogram(lat, lon, residuals):
         raise ValueError(f"need at least 5 site pairs, got {n_pairs}")
     i, j = np.triu_indices(n, k=1)
     d = great_circle_km(lat[i], lon[i], lat[j], lon[j])
-    return _fit_binned(_variogram_bins(d, i, j), residuals)
+    return _fit_stacked([_bin_residuals(_variogram_bins(d, i, j), residuals)])[0]
 
 
-def _krige(d_ss, d_ts, residuals, variogram):
-    """Ordinary kriging from site x site and target x site distances."""
-    n = residuals.size
-    a = np.ones((n + 1, n + 1))
-    a[:n, :n] = variogram.gamma(d_ss)
-    a[n, n] = 0.0
-    b = np.ones((n + 1, d_ts.shape[0]))
-    b[:n, :] = variogram.gamma(d_ts).T
-
+def _solve_or_none(a, b):
     try:
-        weights = scipy.linalg.solve(a, b)
+        return scipy.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return _idw_squared(d_ts, residuals), True
-    return residuals @ weights[:n, :], False
+        return None
+
+
+def _krige(d_ss, d_ts, residuals, variograms):
+    """Ordinary kriging of each row of residuals (steps x sites) under its
+    own variogram, from site x site and target x site distances.
+
+    The systems are built and solved as stacks of about _SOLVE_ENTRIES
+    matrix entries.  A stack holding a singular system is solved again one
+    system at a time, so that only the singular ones drop to
+    inverse-distance-squared weighting.  Returns (estimates, fallback),
+    (steps x targets) and (steps,).
+    """
+    steps, n = residuals.shape
+    neg3_ss, neg3_ts = -3.0 * d_ss, -3.0 * d_ts
+    estimates = np.empty((steps, d_ts.shape[0]))
+    fallback = np.zeros(steps, dtype=bool)
+    size = max(1, _SOLVE_ENTRIES // (n + 1) ** 2)
+    for start in range(0, steps, size):
+        chunk = range(start, min(start + size, steps))
+        params = np.array([[v.nugget, v.sill, v.range_km] for v in variograms[start : chunk.stop]])
+        nugget, sill, range_km = params.T[:, :, None, None]
+        a = np.ones((len(chunk), n + 1, n + 1))
+        a[:, :n, :n] = _gamma(neg3_ss, nugget, sill, range_km)
+        a[:, n, n] = 0.0
+        b = np.ones((len(chunk), n + 1, d_ts.shape[0]))
+        b[:, :n, :] = _gamma(neg3_ts, nugget, sill, range_km).transpose(0, 2, 1)
+        try:
+            weights = scipy.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            weights = [_solve_or_none(a_s, b_s) for a_s, b_s in zip(a, b)]
+        for s, w in zip(chunk, weights):
+            if w is None:
+                estimates[s] = _idw_squared(d_ts, residuals[s])
+                fallback[s] = True
+            else:
+                estimates[s] = residuals[s] @ w[:n, :]
+    return estimates, fallback
 
 
 def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_lon):
@@ -399,7 +494,8 @@ def ordinary_krige(site_lat, site_lon, residuals, variogram, target_lat, target_
     d_ss = great_circle_km(
         site_lat[:, None], site_lon[:, None], site_lat[None, :], site_lon[None, :]
     )
-    return _krige(d_ss, d_ts, residuals, variogram)
+    estimates, fallback = _krige(d_ss, d_ts, residuals[None, :], [variogram])
+    return estimates[0], bool(fallback[0])
 
 
 def _idw_squared(d_ts, residuals):
@@ -428,9 +524,11 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     Timesteps sharing a set of training stations share everything but the
     values: distances, regression weights and sums, and variogram bins are
     built once per such set (gwr_fit_predict, fit_variogram and
-    ordinary_krige compose the same helpers), and only the value-dependent
-    sums, the variogram fit and the kriging solve run per timestep.  One
-    set's geometry is held at a time.
+    ordinary_krige compose the same helpers).  Each element takes three
+    passes: the regression and the binned semivariances per set; one
+    stacked range search over every timestep of the element that needs a
+    variogram fit; and the kriging solves per set, stacked.  One set's
+    distances are held at a time.
     """
     cfg = cfg or GwrConfig()
     meta = stations if isinstance(stations, dict) else {st.station_id: st for st in stations}
@@ -482,8 +580,9 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
             train_masks, group_of = np.unique(
                 (observed[:, steps] & has_elev[:, None]).T, axis=0, return_inverse=True
             )
+            kriged = []
             for g, train_mask in enumerate(train_masks):
-                _impute_group(
+                part = _regress_group(
                     grid,
                     codes,
                     reasons,
@@ -494,6 +593,13 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
                     elev,
                     cfg,
                 )
+                if part is not None:
+                    kriged.append(part)
+            fitted = iter(_fit_stacked([vg for part in kriged for vg in part.variograms]))
+            for part in kriged:
+                part.variograms[:] = [next(fitted) for _ in part.variograms]
+            for part in kriged:
+                _krige_group(grid, reasons, part, dist)
         for t in sorted(reasons):
             year, month = divmod(t0 + t - 1, 12)
             notes.append(f"{element} {year}-{month + 1:02d}: {reasons[t]}")
@@ -513,19 +619,34 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     return out_series, out_masks, notes
 
 
-def _impute_group(grid, codes, reasons, steps, train_rows, target_rows, dist, elev, cfg):
-    """Impute the grid columns `steps`, which share their training stations.
+@dataclass(frozen=True)
+class _KrigedSteps:
+    """A mask group's timesteps that go on to kriging, between the passes
+    of impute_monthly: their grid columns, regression residuals and
+    variograms (or the range-search problems still to be fitted)."""
 
-    Writes predictions into grid and codes, and the note on each step that
-    needs one into reasons, keyed by step.
+    train_rows: np.ndarray
+    target_rows: np.ndarray
+    steps: list
+    residuals: list
+    variograms: list
+
+
+def _regress_group(grid, codes, reasons, steps, train_rows, target_rows, dist, elev, cfg):
+    """Regression pass over the grid columns `steps`, which share their
+    training stations.
+
+    Writes the regression predictions into grid and codes, and the note on
+    each step that needs one into reasons, keyed by step.  Returns the
+    steps whose residuals have a variogram to krige with, or None.
     """
     n_train = train_rows.size
     if n_train < cfg.min_train:
         for t in steps:
             reasons[t] = f"{n_train} usable stations < min_train; unimputable"
-        return
+        return None
     if target_rows.size == 0:
-        return
+        return None
 
     d_train = dist[np.ix_(train_rows, train_rows)]
     d_targets = dist[np.ix_(target_rows, train_rows)]
@@ -540,20 +661,36 @@ def _impute_group(grid, codes, reasons, steps, train_rows, target_rows, dist, el
         i, j = np.triu_indices(n_train, k=1)
         bins = _variogram_bins(d_train[i, j], i, j)
 
+    kriged = _KrigedSteps(train_rows, target_rows, [], [], [])
     for t in steps:
         train[:, 3] = grid[train_rows, t]
         pred, resid = _gwr_apply(gwr, train[:, 3])
-        if not krige:
-            reasons[t] = "too few site pairs; regression only"
-        else:
-            vg = _fit_binned(bins, resid)
-            if not vg.degenerate:
-                correction, used_idw = _krige(d_train, d_targets, resid, vg)
-                pred = pred + correction
-                if used_idw:
-                    reasons[t] = "singular kriging system; inverse-distance fallback"
         grid[target_rows, t] = pred
         codes[target_rows, t] = ProvenanceMask.IMPUTED
+        if not krige:
+            reasons[t] = "too few site pairs; regression only"
+            continue
+        vg = _bin_residuals(bins, resid)
+        if not (isinstance(vg, Variogram) and vg.degenerate):
+            kriged.steps.append(t)
+            kriged.residuals.append(resid)
+            kriged.variograms.append(vg)
+    return kriged if kriged.steps else None
+
+
+def _krige_group(grid, reasons, kriged, dist):
+    """Kriging pass: add the kriged residuals to the regression predictions
+    in grid, and note each step that fell back to inverse distance."""
+    train, targets = kriged.train_rows, kriged.target_rows
+    correction, used_idw = _krige(
+        dist[np.ix_(train, train)],
+        dist[np.ix_(targets, train)],
+        np.array(kriged.residuals),
+        kriged.variograms,
+    )
+    grid[np.ix_(targets, kriged.steps)] += correction.T
+    for t in np.array(kriged.steps)[used_idw]:
+        reasons[t] = "singular kriging system; inverse-distance fallback"
 
 
 def lwma_fill(series):

@@ -567,12 +567,21 @@ def at_record_precision(series: list) -> list:
     return out
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_text(rows, quoting) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    rows = [header, *rows]
+    text = _csv_text(rows, csv.QUOTE_MINIMAL)
+    if "\r" in text:
+        # the writer quotes a cell for the characters of its line terminator
+        # only, so a carriage return in a name would end the row for a
+        # reader: such a table quotes every cell
+        text = _csv_text(rows, csv.QUOTE_ALL)
+    path.write_text(text)
 
 
 def _g(value) -> str:

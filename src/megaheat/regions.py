@@ -260,13 +260,15 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
 def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
     """Read the covariate table and return one ExplanatoryVars per corridor.
 
-    Raises on a missing corridor row or a land-share percentage outside
-    [0, 100].
+    A row belongs to the corridor whose name equals its uc_id field
+    exactly, whitespace included.  Raises on a missing corridor row or a
+    land-share percentage outside [0, 100].
     """
     if isinstance(source, (bytes, bytearray)):
         text = source.decode("utf-8")
     elif isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-        with open(source) as fh:
+        # newline="" leaves line breaks inside quoted fields to the csv module
+        with open(source, newline="") as fh:
             text = fh.read()
     elif isinstance(source, str):
         text = source
@@ -289,7 +291,7 @@ def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
             raise ValueError(f"covariate line {reader.line_num} has {len(row)} fields, expected {len(COVARIATE_COLUMNS)}")
         rec = dict(zip(COVARIATE_COLUMNS, row))
         ev = ExplanatoryVars(
-            uc_id=rec["uc_id"].strip(),
+            uc_id=rec["uc_id"],
             cr_id=rec["cr_id"].strip(),
             **{k: float(rec[k]) for k in COVARIATE_COLUMNS[2:]},
         )

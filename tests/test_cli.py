@@ -389,6 +389,7 @@ def world(tmp_path_factory):
 @example(uc_id="U\x00C")
 @example(uc_id='U"C,\n')
 @example(uc_id="UC\r")
+@example(uc_id="U\rC")
 @example(uc_id=" UC")
 def test_any_corridor_id_survives_or_exits_2(world, tmp_path_factory, capsys, uc_id):
     src, cfg = world
@@ -410,10 +411,13 @@ def test_any_corridor_id_survives_or_exits_2(world, tmp_path_factory, capsys, uc
     rc = cli.main(["all", "--out", str(out), "--config", cfg])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if rc == 2:
-        assert "megaheat: error" in err and not (out / pipeline.F_PAIRS).exists()
+    # a feature needs a name, and numpy string arrays drop trailing NULs;
+    # every other id, whitespace and line breaks included, matches its
+    # covariate row and comes through
+    if not uc_id or uc_id.endswith("\x00"):
+        assert rc == 2 and "megaheat: error" in err and not (out / pipeline.F_PAIRS).exists()
         return
-    assert rc == 0
+    assert rc == 0, err
     for path in sorted(out.glob("*.csv")) + sorted((out / pipeline.REPORT_DIR).glob("*.csv")):
         assert len({len(row) for row in _rows(path)}) == 1, path.name
     # the id comes back unchanged, and so does every number beside it
@@ -421,3 +425,51 @@ def test_any_corridor_id_survives_or_exits_2(world, tmp_path_factory, capsys, uc
         header, *reference = _rows(src / name)
         assert header[0] == "pair" and {row[0] for row in reference} == {"UC00"}, name
         assert _rows(out / name) == [header] + [[uc_id] + row[1:] for row in reference], name
+
+
+RENAMED_STATION = b"SYN00U00000"
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# the fixed-width id field holds 11 ASCII characters, none of them a line break
+@given(station_id=st.text(st.characters(max_codepoint=127, exclude_characters="\n\r"), max_size=11))
+@example(station_id="ZZZ")
+@example(station_id=" A\tB ")
+@example(station_id='S"1,2')
+@example(station_id="A\x00B")
+@example(station_id="A\x00")
+@example(station_id="   ")
+def test_any_station_id_survives_or_exits_2(world, tmp_path_factory, capsys, station_id):
+    src, cfg = world
+    out = tmp_path_factory.mktemp("station")
+    for name in ("regions.json", "covariates.csv"):
+        shutil.copy(src / name, out / name)
+    field = station_id.encode("ascii").ljust(11)
+    for name in ("ghcnd.dly", "ghcnm.dat", "stations.txt"):
+        lines = (src / name).read_bytes().split(b"\n")
+        renamed = (field + line[11:] if line.startswith(RENAMED_STATION) else line for line in lines)
+        (out / name).write_bytes(b"\n".join(renamed))
+
+    capsys.readouterr()
+    rc = cli.main(["all", "--out", str(out), "--config", cfg])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 2:
+        assert "megaheat: error" in err and not (out / pipeline.F_PAIRS).exists()
+        return
+    assert rc == 0
+    # the parsers strip the field's padding; rows move to the new id's
+    # place in sort order, and no number beside the id changes
+    reported = station_id.strip()
+    for name in [pipeline.F_TRENDS] + sorted(
+        p.name for p in (src / pipeline.REPORT_DIR).glob("*.csv")
+    ):
+        path = name if name == pipeline.F_TRENDS else f"{pipeline.REPORT_DIR}/{name}"
+        assert _rows(out / path) == _rows(src / path), name
+    header, *reference = _rows(src / pipeline.F_TREND_STATIONS)
+    got_header, *got = _rows(out / pipeline.F_TREND_STATIONS)
+    col = header.index("station")
+    assert got_header == header
+    assert reported in {row[col] for row in got}
+    restored = [row[:col] + [RENAMED_STATION.decode()] + row[col + 1 :] if row[col] == reported else row for row in got]
+    assert sorted(restored) == sorted(reference)

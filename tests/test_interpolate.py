@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 
@@ -180,6 +181,12 @@ def _weighted_cost(gam, dmean, cnt, nugget, delta, range_km):
     return float(cnt @ (model - gam) ** 2)
 
 
+def _fit_one(gam, dmean, cnt, half_max):
+    """The stacked range search on a stack of one problem."""
+    stacks = (np.asarray(x, dtype=float)[None] for x in (gam, dmean, cnt, half_max))
+    return tuple(float(x[0]) for x in interpolate._fit_exponential(*stacks))
+
+
 def _check_against_reference(gam, dmean, cnt, half_max, fitted):
     nugget, delta, range_km = fitted
     assert nugget >= 0.0 and delta >= 0.0
@@ -215,7 +222,7 @@ class TestVariogramFitOracle:
                 # best range runs off to the upper bound
                 gam = rng.uniform(0.0, 1.0) + rng.uniform(1e-4, 1e-2) * dmean
             gam = gam * (1.0 + rng.normal(0.0, 0.05, k))
-            fitted = interpolate._fit_exponential(gam, dmean, cnt, half_max)
+            fitted = _fit_one(gam, dmean, cnt, half_max)
             _check_against_reference(gam, dmean, cnt, half_max, fitted)
 
     def test_every_fit_on_gappy_world_no_worse_than_reference(self, monkeypatch):
@@ -233,9 +240,10 @@ class TestVariogramFitOracle:
         fits = []
         solve = interpolate._fit_exponential
 
-        def recording(*args):
-            fitted = solve(*args)
-            fits.append((args, fitted))
+        def recording(*stacks):
+            fitted = solve(*stacks)
+            # one (problem inputs, fitted parameters) pair per stacked row
+            fits.extend(zip(zip(*stacks), zip(*fitted)))
             return fitted
 
         monkeypatch.setattr(interpolate, "_fit_exponential", recording)
@@ -243,6 +251,7 @@ class TestVariogramFitOracle:
         assert len(fits) == 552
         for args, fitted in fits:
             _check_against_reference(*args, fitted)
+            assert fitted == _fit_exponential_reference(*args)
 
     # binned residual semivariances of two gappy-world timesteps, each with
     # the global minimum at a pure-structure fit (nugget 0) of finite range
@@ -286,7 +295,7 @@ class TestVariogramFitOracle:
         gam, dmean, cnt, half_max, range_km, excess = (
             np.asarray(x, dtype=float) for x in self.LOCAL_MINIMA[case]
         )
-        fitted = interpolate._fit_exponential(gam, dmean, cnt, float(half_max))
+        fitted = _fit_one(gam, dmean, cnt, half_max)
         cost = _weighted_cost(gam, dmean, cnt, *fitted)
         reference = _weighted_cost(gam, dmean, cnt, *_trf_reference(gam, dmean, cnt))
         assert reference >= (1.0 + excess) * cost
@@ -299,9 +308,198 @@ class TestVariogramFitOracle:
         gam = np.array([3.0, 2.5, 2.0, 1.8, 1.0])
         dmean = np.array([50.0, 150.0, 250.0, 350.0, 450.0])
         cnt = np.array([4.0, 9.0, 12.0, 7.0, 3.0])
-        nugget, delta, _ = interpolate._fit_exponential(gam, dmean, cnt, 500.0)
+        nugget, delta, _ = _fit_one(gam, dmean, cnt, 500.0)
         assert delta == 0.0
         assert nugget == pytest.approx(np.average(gam, weights=cnt), rel=1e-15)
+
+
+def _fit_exponential_reference(gam, dmean, cnt, half_max, seen=None):
+    """The single-problem range search, kept as the reference the stacked
+    search must equal bit for bit.  seen, when given, collects the paths
+    the problem takes: its number of zoomed basins, a flat run of equal
+    costs on the first grid, a singular 2x2 system, and zoom grids clipped
+    at the lower or upper range bound."""
+    gam, dmean, cnt = (np.asarray(x, dtype=float) for x in (gam, dmean, cnt))
+    sw = cnt.sum()
+    sy = cnt @ gam
+    cg = cnt * gam
+    mean = sy / sw
+    cost_mean = cnt @ (mean - gam) ** 2
+    d3 = -3.0 * dmean
+
+    def fits(log_r):
+        f = -np.expm1(d3 / np.exp(log_r)[..., None])
+        sf = f @ cnt
+        sff = (f * f) @ cnt
+        sfy = f @ cg
+        delta_zero = np.maximum(sfy / sff, 0.0)
+        cost_zero = (delta_zero[..., None] * f - gam) ** 2 @ cnt
+        det = sw * sff - sf * sf
+        if seen is not None and np.any(det == 0.0):
+            seen.add("singular")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta_free = (sw * sfy - sf * sy) / det
+            nugget_free = (sy - delta_free * sf) / sw
+            cost_free = (nugget_free[..., None] + delta_free[..., None] * f - gam) ** 2 @ cnt
+            free_ok = np.minimum(nugget_free, delta_free) >= 0.0
+        use_zero = cost_zero < cost_mean
+        nugget = np.where(free_ok, nugget_free, np.where(use_zero, 0.0, mean))
+        delta = np.where(free_ok, delta_free, np.where(use_zero, delta_zero, 0.0))
+        cost = np.where(free_ok, cost_free, np.minimum(cost_zero, cost_mean))
+        return nugget, delta, cost
+
+    grid, zooms, basins = interpolate._RANGE_GRID, interpolate._RANGE_ZOOMS, interpolate._RANGE_BASINS
+    lo = np.log(interpolate._RANGE_MIN_KM)
+    hi = np.log(interpolate._RANGE_MAX_SCALE * half_max)
+    log_r = np.linspace(lo, hi, grid)
+    nugget, delta, cost = fits(log_r)
+    k = int(np.argmin(cost))
+    best = (cost[k], nugget[k], delta[k], log_r[k])
+
+    padded = np.concatenate(([np.inf], cost, [np.inf]))
+    minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
+    minima = minima[np.argsort(cost[minima], kind="stable")[:basins]]
+    centers = log_r[minima]
+    rows = np.arange(centers.size)
+    step = log_r[1] - log_r[0]
+    offsets = np.linspace(-1.0, 1.0, grid)
+    if seen is not None:
+        seen.add(f"{centers.size} basins")
+        if np.any(cost[1:] == cost[:-1]):
+            seen.add("flat run")
+    for _ in range(zooms):
+        raw = centers[:, None] + step * offsets
+        if seen is not None:
+            seen.update(name for name, hit in (("clip lo", raw < lo), ("clip hi", raw > hi)) if hit.any())
+        log_r = np.clip(raw, lo, hi)
+        nugget, delta, cost = fits(log_r)
+        k = np.argmin(cost, axis=1)
+        centers = log_r[rows, k]
+        b = int(np.argmin(cost[rows, k]))
+        if cost[b, k[b]] < best[0]:
+            best = (cost[b, k[b]], nugget[b, k[b]], delta[b, k[b]], centers[b])
+        step *= 2.0 / (grid - 1)
+    return float(best[1]), float(best[2]), float(np.exp(best[3]))
+
+
+def _range_problems(rng, count, bins=None):
+    """Seeded binned-semivariance problems of every shape the fit meets:
+    exponential structure, pure nugget, still rising at the last bin, and
+    falling (a flat cost at the mean)."""
+    problems = []
+    for p in range(count):
+        k = bins or int(rng.integers(3, 11))
+        half_max = float(rng.uniform(50.0, 3000.0))
+        dmean = np.sort(rng.uniform(0.02, 1.0, k)) * half_max
+        cnt = rng.integers(1, 60, k).astype(float)
+        shape = p % 4
+        if shape == 0:
+            nugget, sill = rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)
+            gam = nugget + (sill - nugget) * -np.expm1(-3.0 * dmean / (rng.uniform(0.05, 2.0) * half_max))
+        elif shape == 1:
+            gam = np.full(k, rng.uniform(0.5, 3.0))
+        elif shape == 2:
+            gam = rng.uniform(0.0, 1.0) + rng.uniform(1e-4, 1e-2) * dmean
+        else:
+            gam = np.sort(rng.uniform(0.5, 3.0, k))[::-1].copy()
+        gam = gam * (1.0 + rng.normal(0.0, 0.05 * (p % 3), k))
+        problems.append((gam, dmean, cnt, half_max))
+    return problems
+
+
+class TestStackedRangeSearchMatchesSingleProblem:
+    """The stacked range search gives every problem exactly the fit the
+    single-problem search gives it, whatever else shares its stack."""
+
+    @pytest.mark.parametrize("chunk", [interpolate._FIT_CHUNK, 5])
+    def test_mixed_stacks_equal_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(interpolate, "_FIT_CHUNK", chunk)
+        rng = np.random.default_rng(41)
+        # mixed bin counts, and more ten-bin problems than one chunk holds
+        problems = _range_problems(rng, 120) + _range_problems(rng, 80, bins=10)
+        seen = set()
+        expected = [_fit_exponential_reference(*p, seen=seen) for p in problems]
+        fitted = interpolate._fit_stacked(problems)
+        for vg, (nugget, delta, range_km) in zip(fitted, expected):
+            assert (vg.nugget, vg.sill, vg.range_km) == (nugget, nugget + delta, range_km)
+        assert {p[0].size for p in problems} == set(range(3, 11))
+        assert seen >= {"1 basins", "2 basins", "3 basins", "flat run", "singular", "clip lo", "clip hi"}
+        # fits at both ends of the range search
+        assert min(vg.range_km for vg in fitted) < 1e-5
+        assert any(vg.range_km > 1e8 * p[3] for vg, p in zip(fitted, problems))
+
+    def test_raw_parameters_equal_reference(self):
+        rng = np.random.default_rng(42)
+        problems = _range_problems(rng, 70, bins=7)
+        stacks = (np.array(column) for column in zip(*problems))
+        got = zip(*(x.tolist() for x in interpolate._fit_exponential(*stacks)))
+        assert list(got) == [_fit_exponential_reference(*p) for p in problems]
+
+
+def _krige_reference(d_ss, d_ts, residuals, vg):
+    """One kriging system, built and solved on its own."""
+
+    def gamma(d):
+        g = vg.nugget + (vg.sill - vg.nugget) * -np.expm1(-3.0 * d / vg.range_km)
+        return np.where(d > 0, g, 0.0)
+
+    n = residuals.size
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = gamma(d_ss)
+    a[n, n] = 0.0
+    b = np.ones((n + 1, d_ts.shape[0]))
+    b[:n, :] = gamma(d_ts).T
+    return residuals @ scipy.linalg.solve(a, b)[:n, :]
+
+
+class TestStackedKrigingSolve:
+    def test_singular_system_falls_back_alone(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        lat, lon = rng.uniform(30, 40, 7), rng.uniform(-105, -95, 7)
+        tlat, tlon = rng.uniform(30, 40, 3), rng.uniform(-105, -95, 3)
+        residuals = rng.normal(0.0, 1.0, (10, 7))
+        variograms = [Variogram(rng.uniform(0.0, 0.3), rng.uniform(1.0, 2.0), rng.uniform(50.0, 900.0)) for _ in range(10)]
+        # an all-zero model gives the bordered system [[0, 1], [1, 0]]: singular
+        variograms[6] = Variogram(0.0, 0.0, 1.0)
+        d_ss = great_circle_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        d_ts = great_circle_km(tlat[:, None], tlon[:, None], lat[None, :], lon[None, :])
+
+        calls = []
+        solve = interpolate.scipy.linalg.solve
+
+        def recording(a, b):
+            try:
+                x = solve(a, b)
+            except np.linalg.LinAlgError:
+                calls.append((a.shape, "singular"))
+                raise
+            calls.append((a.shape, "solved"))
+            return x
+
+        # chunks of 4, 4 and 2 systems
+        monkeypatch.setattr(interpolate, "_SOLVE_ENTRIES", 4 * 8 * 8)
+        monkeypatch.setattr(interpolate.scipy.linalg, "solve", recording)
+        estimates, fallback = interpolate._krige(d_ss, d_ts, residuals, variograms)
+        monkeypatch.undo()
+        # the failed chunk is solved again one system at a time
+        assert calls == [
+            ((4, 8, 8), "solved"),
+            ((4, 8, 8), "singular"),
+            ((8, 8), "solved"),
+            ((8, 8), "solved"),
+            ((8, 8), "singular"),
+            ((8, 8), "solved"),
+            ((2, 8, 8), "solved"),
+        ]
+
+        assert fallback.tolist() == [s == 6 for s in range(10)]
+        for s in range(10):
+            alone, used_idw = ordinary_krige(lat, lon, residuals[s], variograms[s], tlat, tlon)
+            assert used_idw == (s == 6)
+            assert np.array_equal(estimates[s], alone)
+            if s != 6:
+                assert np.array_equal(estimates[s], _krige_reference(d_ss, d_ts, residuals[s], variograms[s]))
+        assert np.array_equal(estimates[6], interpolate._idw_squared(d_ts, residuals[6]))
 
 
 class TestOrdinaryKrige:
