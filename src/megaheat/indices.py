@@ -8,8 +8,6 @@ Station values average into regional series per station group.
 
 from __future__ import annotations
 
-import datetime as dt
-
 import numpy as np
 
 from .series import AnnualSeries, month_index
@@ -60,14 +58,13 @@ def seasonal_annual_series(series):
 def _complete_years(first, last):
     """(years, lo, hi) arrays: the calendar years fully inside the days
     first..last, as index ranges counted from first."""
-    year = first.year if (first.month, first.day) == (1, 1) else first.year + 1
-    years, lo, hi = [], [], []
-    while dt.date(year, 12, 31) <= last:
-        years.append(year)
-        lo.append((dt.date(year, 1, 1) - first).days)
-        hi.append((dt.date(year, 12, 31) - first).days + 1)
-        year += 1
-    return np.array(years, dtype=int), np.array(lo, dtype=int), np.array(hi, dtype=int)
+    y0 = first.year if (first.month, first.day) == (1, 1) else first.year + 1
+    y1 = last.year if (last.month, last.day) == (12, 31) else last.year - 1
+    years = np.arange(y0, max(y0, y1 + 1))
+    # day offsets of 1 January of each year and of the year after the last
+    jan1 = np.arange(y0, y0 + years.size + 1) - 1970
+    edges = (jan1.astype("datetime64[Y]").astype("datetime64[D]") - np.datetime64(first, "D")).astype(int)
+    return years, edges[:-1], edges[1:]
 
 
 def _finite_years(values, first, last):
@@ -189,22 +186,30 @@ def annual_p95(tmax):
 
 
 def regional_annual_series(station_series, key):
-    """Unweighted mean across stations, per year, over reporting stations."""
+    """Unweighted mean across stations, per year, over reporting stations.
+
+    The values sit in one year x station matrix, stations in key order.
+    The years where the same stations report share one row-wise mean over
+    their compressed block, a reduction along the contiguous last axis,
+    which sums each year exactly as np.mean of that year's values does.
+    """
     if not station_series:
         raise ValueError("empty station group")
     metrics = {s.metric for s in station_series}
     if len(metrics) != 1:
         raise ValueError(f"mixed metrics in one group: {sorted(metrics)}")
     ordered = sorted(station_series, key=lambda s: s.key)
-    maps = [s.as_dict() for s in ordered]
-    years = sorted({int(y) for m in maps for y in m})
-    vals = []
-    for y in years:
-        reporting = [m[y] for m in maps if y in m]
-        vals.append(float(np.mean(reporting)))
-    return AnnualSeries(
-        key=key,
-        metric=metrics.pop(),
-        years=np.array(years, dtype=int),
-        values=np.array(vals, dtype=float),
-    )
+    years = np.unique(np.concatenate([s.years for s in ordered]))
+    values = np.zeros((years.size, len(ordered)))
+    reports = np.zeros(values.shape, dtype=bool)
+    for m, s in enumerate(ordered):
+        rows = np.searchsorted(years, s.years)
+        values[rows, m] = s.values
+        reports[rows, m] = True
+    by_mask: dict = {}
+    for year, mask in enumerate(reports):
+        by_mask.setdefault(mask.tobytes(), []).append(year)
+    means = np.empty(years.size)
+    for rows in by_mask.values():
+        means[rows] = values[np.ix_(rows, np.flatnonzero(reports[rows[0]]))].mean(axis=1)
+    return AnnualSeries(key=key, metric=metrics.pop(), years=years, values=means)

@@ -318,27 +318,35 @@ class TrendCell:
     direction: str
     note: str
     station_rows: tuple  # (group, station_id, TrendResult)
+    regional: tuple  # (group, RegionalTrendResult) for each group with stations
 
 
 def _group_trend(group_id, series_list, alpha):
-    rows = []
-    for series in sorted(series_list, key=lambda s: s.key):
-        rows.append((series.key, stats.mann_kendall(series)))
+    """(field-significance summary or None, (station id, TrendResult) rows
+    in station-id order, regional result or None) for one station group."""
+    if not series_list:
+        return None, [], None
+    regional = stats.regional_mann_kendall(series_list)
+    rows = sorted(zip([s.key for s in series_list], regional.stations), key=lambda row: row[0])
     testable = [r for _, r in rows if not r.untestable]
     if not testable:
-        return None, rows
+        return None, rows, regional
     adjusted = stats.by_fdr_adjust([r.p for r in testable])
     for r, p_adj in zip(testable, adjusted):
         r.p_adj = float(p_adj)
-    return stats.field_significance(group_id, testable, alpha), rows
+    return stats.field_significance(group_id, testable, alpha), rows, regional
 
 
 def trend_comparison_cell(pair, metric, season, uc_list, nonuc_list, alpha=stats.ALPHA) -> TrendCell:
-    """Station trends per group, FDR-adjusted, then a proportion test."""
-    uc_summary, uc_rows = _group_trend("uc", uc_list, alpha)
-    nonuc_summary, nonuc_rows = _group_trend("nonuc", nonuc_list, alpha)
+    """Station trends per group, FDR-adjusted, then a proportion test;
+    the regional test of each group comes from the same station scores."""
+    uc_summary, uc_rows, uc_regional = _group_trend("uc", uc_list, alpha)
+    nonuc_summary, nonuc_rows, nonuc_regional = _group_trend("nonuc", nonuc_list, alpha)
     station_rows = tuple(("uc", sid, r) for sid, r in uc_rows) + tuple(
         ("nonuc", sid, r) for sid, r in nonuc_rows
+    )
+    regional = tuple(
+        (group, result) for group, result in (("uc", uc_regional), ("nonuc", nonuc_regional)) if result is not None
     )
     if uc_summary is None or nonuc_summary is None:
         return TrendCell(
@@ -351,12 +359,13 @@ def trend_comparison_cell(pair, metric, season, uc_list, nonuc_list, alpha=stats
             "insufficient-data",
             "insufficient-data",
             station_rows,
+            regional,
         )
     prop = stats.equal_proportions_test(
         uc_summary.n_sig, uc_summary.n, nonuc_summary.n_sig, nonuc_summary.n, alpha
     )
     direction = stats.comparison_direction(prop.diff, prop.p, alpha)
-    return TrendCell(pair, metric, season, uc_summary, nonuc_summary, prop, direction, "", station_rows)
+    return TrendCell(pair, metric, season, uc_summary, nonuc_summary, prop, direction, "", station_rows, regional)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +407,18 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
 
     Returns (uc-absolute matrix, uc-minus-nonuc matrix).  Cells use the
     pairs where both sides are finite; under 8 pairs the cell is flagged
-    and under 3 it is left empty.
+    and under 3 it is left empty.  The covariates of a row that share one
+    finite mask with it are ranked against it in one block.
     """
     rows = _matrix_rows(metrics, seasons)
+    y = np.array(
+        [
+            [getattr(covariates[pid], name) if pid in covariates else np.nan for name in COVARIATE_NAMES]
+            for pid in pair_ids
+        ],
+        dtype=float,
+    ).reshape(len(pair_ids), len(COVARIATE_NAMES))
+    y_finite = np.isfinite(y)
     matrices = []
     for flavor in ("uc", "diff"):
         rho = np.full((len(rows), len(COVARIATE_NAMES)), np.nan)
@@ -415,28 +433,25 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
                 ],
                 dtype=float,
             )
-            row_flags = []
-            for j, name in enumerate(COVARIATE_NAMES):
-                y = np.array(
-                    [
-                        getattr(covariates[pid], name) if pid in covariates else np.nan
-                        for pid in pair_ids
-                    ],
-                    dtype=float,
-                )
-                ok = np.isfinite(x) & np.isfinite(y)
-                n = int(ok.sum())
-                n_used[i, j] = n
+            ok = np.isfinite(x)[:, None] & y_finite
+            n_used[i] = ok.sum(axis=0)
+            row_flags = ["insufficient"] * len(COVARIATE_NAMES)
+            by_mask: dict = {}
+            for col, mask in enumerate(ok.T):
+                by_mask.setdefault(mask.tobytes(), []).append(col)
+            for cols in by_mask.values():
+                mask = ok[:, cols[0]]
+                n = int(mask.sum())
                 if n < 3:
-                    row_flags.append("insufficient")
                     continue
-                result = stats.spearman(x[ok], y[ok])
-                if result.undefined:
-                    row_flags.append("undefined")
-                    continue
-                rho[i, j] = result.rho
-                pval[i, j] = result.p
-                row_flags.append("n<8" if n < 8 else "")
+                r, p, undefined = stats.spearman_columns(x[mask], y[np.ix_(mask, cols)])
+                for col, r_, p_, undef in zip(cols, r.tolist(), p.tolist(), undefined.tolist()):
+                    if undef:
+                        row_flags[col] = "undefined"
+                        continue
+                    rho[i, col] = r_
+                    pval[i, col] = p_
+                    row_flags[col] = "n<8" if n < 8 else ""
             flags.append(tuple(row_flags))
         matrices.append(
             CorrelationMatrix(
@@ -832,17 +847,18 @@ def stage_trends(out_dir, cfg: RunConfig):
     regional_series = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
-    coords = [
-        (pair, metric, season)
+    cells = [
+        trend_comparison_cell(
+            pair.uc_id,
+            metric,
+            season,
+            _present(station_series, pair.uc_stations, metric, season),
+            _present(station_series, pair.nonuc_stations, metric, season),
+            cfg.alpha,
+        )
         for pair in pairs
         for metric, season in _cell_rows(cfg.metrics, cfg.seasons)
     ]
-
-    cells = []
-    for pair, metric, season in coords:
-        uc_list = _present(station_series, pair.uc_stations, metric, season)
-        nonuc_list = _present(station_series, pair.nonuc_stations, metric, season)
-        cells.append(trend_comparison_cell(pair.uc_id, metric, season, uc_list, nonuc_list, cfg.alpha))
 
     station_rows = []
     for cell in cells:
@@ -920,25 +936,16 @@ def stage_trends(out_dir, cfg: RunConfig):
         cell_rows,
     )
 
+    keyed = [(cell, group, regional) for cell in cells for group, regional in cell.regional]
+    reg_series = [regional_series.get((cell.pair, group, cell.metric, cell.season)) for cell, group, _ in keyed]
+    slopes = iter(stats.sen_slopes([s for s in reg_series if s is not None]))
     regional_rows = []
     notes = []
-    # cells follow coords, which run pair, then (metric, season)
-    for (pair, metric, season), cell in zip(coords, cells):
-        station_results = {(group, sid): r for group, sid, r in cell.station_rows}
-        for group, members in (("uc", pair.uc_stations), ("nonuc", pair.nonuc_stations)):
-            present = _present(station_series, members, metric, season)
-            if not present:
-                continue
-            regional = stats.regional_mann_kendall(present, [station_results[(group, s.key)] for s in present])
-            reg_series = regional_series.get((pair.uc_id, group, metric, season))
-            slope = (
-                stats.theil_sen(reg_series.years, reg_series.values)
-                if reg_series is not None and reg_series.years.size >= 2
-                else float("nan")
-            )
-            regional_rows.append(trends_row(pair.uc_id, metric, season, group, regional, slope))
-            for flag in regional.flags:
-                notes.append(f"{pair.uc_id} {metric} {season} {group}: {flag}")
+    for (cell, group, regional), series in zip(keyed, reg_series):
+        slope = float("nan") if series is None else next(slopes)
+        regional_rows.append(trends_row(cell.pair, cell.metric, cell.season, group, regional, slope))
+        for flag in regional.flags:
+            notes.append(f"{cell.pair} {cell.metric} {cell.season} {group}: {flag}")
     _write_csv(out / F_TRENDS, TRENDS_HEADER, regional_rows)
     (out / F_TREND_NOTES).write_text("".join(line + "\n" for line in notes))
 
@@ -979,22 +986,22 @@ def stage_correlate(out_dir, cfg: RunConfig):
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    def _summary(series):
-        if series is None or series.values.size == 0:
-            return np.nan, np.nan
-        median = float(np.median(series.values))
-        slope = (
-            stats.theil_sen(series.years, series.values)
-            if series.years.size >= 2
-            else float("nan")
-        )
-        return median, slope
+    cells = _cell_rows(cfg.metrics, cfg.seasons)
+    keys = [(pid, group, metric, season) for pid in pair_ids for metric, season in cells for group in ("uc", "nonuc")]
+    found = [s if s is not None and s.values.size else None for s in map(regional.get, keys)]
+    slopes = iter(stats.sen_slopes([series for series in found if series is not None]))
+    # (median, Sen slope) per regional series, NaN for a missing one
+    summary = {
+        key: (np.nan, np.nan) if series is None else (float(np.median(series.values)), next(slopes))
+        for key, series in zip(keys, found)
+    }
 
     summaries = {}
     for pid in pair_ids:
-        for metric, season in _cell_rows(cfg.metrics, cfg.seasons):
-            uc_median, uc_slope = _summary(regional.get((pid, "uc", metric, season)))
-            non_median, non_slope = _summary(regional.get((pid, "nonuc", metric, season)))
+        for metric, season in cells:
+            (uc_median, uc_slope), (non_median, non_slope) = (
+                summary[(pid, group, metric, season)] for group in ("uc", "nonuc")
+            )
             summaries[(pid, metric, season)] = {
                 "uc_median": uc_median,
                 "uc_slope": uc_slope,

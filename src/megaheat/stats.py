@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +41,8 @@ class RegionalTrendResult:
     z: float
     p: float
     flags: tuple
+    # each input series' TrendResult, in input order; not part of equality
+    stations: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,24 @@ def _pairs(n):
     return i, j
 
 
+def _runs(rows):
+    """Runs of equal values in each row of a 2-D block with n > 0 columns,
+    each row sorted ascending.
+
+    Returns the flat indices into rows that sort each row, and the flat
+    start and the length of every run in that sorted order; each row
+    starts a run of its own.
+    """
+    k, n = rows.shape
+    flat = (np.argsort(rows, axis=1, kind="stable") + np.arange(0, k * n, n)[:, None]).ravel()
+    s = rows.ravel()[flat]
+    starts = np.ones(k * n, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    starts[::n] = True
+    begin = np.flatnonzero(starts)
+    return flat, begin, np.diff(begin, append=k * n)
+
+
 def _midranks(x):
     """Ranks along the last axis, tied values sharing the mean of their
     1-based positions; a row holding NaN ranks as all NaN.
@@ -98,37 +118,102 @@ def _midranks(x):
     equals SciPy's ``rankdata(x, axis=-1)`` (method "average").
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        return np.array([_midranks(row) for row in x]).reshape(x.shape)
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
-    s = np.sort(x)
-    # the values tied with x[i] fill the 1-based sorted positions lo+1 .. hi
-    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") + 1) / 2.0
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    finite = ~np.isnan(rows).any(axis=1)
+    ranks = np.full(rows.shape, np.nan)
+    n = rows.shape[1]
+    if n and finite.any():
+        flat, begin, length = _runs(rows[finite])
+        # a run of length c starting at 0-based position b holds the ranks
+        # b+1 .. b+c, whose mean is b + (c+1)/2
+        ranked = np.empty(flat.size)
+        ranked[flat] = np.repeat(begin % n + (length + 1) / 2.0, length)
+        ranks[finite] = ranked.reshape(-1, n)
+    return ranks.reshape(x.shape)
 
 
-def _kendall_s(values):
-    i, j = _pairs(values.size)
-    return int(np.sign(values[j] - values[i]).sum())
+def _pair_diffs(x):
+    """x[:, j] - x[:, i] for every pair of columns i < j, row by row."""
+    i, j = _pairs(x.shape[1])
+    # np.take gathers columns several times faster than x[:, j]
+    return np.take(x, j, axis=1) - np.take(x, i, axis=1)
 
 
-def _mk_variance(values):
-    n = values.size
-    _, counts = np.unique(values, return_counts=True)
-    ties = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
-    return (n * (n - 1) * (2 * n + 5) - ties) / 18.0
+def _sen_rows(times, diffs):
+    """Theil-Sen slope of each row given its _pair_diffs over the shared
+    times: the median of the pairwise slopes."""
+    i, j = _pairs(times.size)
+    return np.median(diffs / (times[j] - times[i]), axis=1)
 
 
 def theil_sen(times, values):
     """Median of pairwise slopes (values[j]-values[i])/(times[j]-times[i])."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    i, j = _pairs(values.size)
-    return float(np.median((values[j] - values[i]) / (times[j] - times[i])))
+    return float(_sen_rows(times, _pair_diffs(values[None, :]))[0])
+
+
+def sen_slopes(series_list):
+    """Theil-Sen slope of each AnnualSeries, NaN under two years.
+
+    Series covering equal years share one stacked median.
+    """
+    slopes = np.full(len(series_list), np.nan)
+    stacks: dict = {}
+    for k, series in enumerate(series_list):
+        if series.years.size >= 2:
+            stacks.setdefault(series.years.tobytes(), []).append(k)
+    for rows in stacks.values():
+        times = series_list[rows[0]].years.astype(float)
+        slopes[rows] = _sen_rows(times, _pair_diffs(np.array([series_list[k].values for k in rows])))
+    return slopes.tolist()
+
+
+def _trend_rows(years, x):
+    """Mann-Kendall results for the rows of x, finite values over the
+    shared, strictly increasing years, and the sign matrix over year
+    pairs i < j.
+
+    S is a row sum of the sign matrix and the tie correction counts each
+    row's runs of equal values; both are integers, exact in float64.
+    Fewer than 4 years, or a row of equal values, yields an untestable
+    result with s=0 and p=1.  The slope denominator uses the actual year
+    spacing, so omitted years widen the gap.
+    """
+    k, n = x.shape
+    diffs = _pair_diffs(x)
+    signs = np.sign(diffs)
+    slopes = _sen_rows(np.asarray(years, dtype=float), diffs) if n >= 2 else np.full(k, np.nan)
+    if n < 4:
+        return [_untestable(slope) for slope in slopes.tolist()], signs
+
+    _, begin, length = _runs(x)
+    row = begin // n
+    # integer sums, exact in float64
+    ties = np.bincount(row, weights=length * (length - 1) * (2 * length + 5), minlength=k)
+    var_s = (n * (n - 1) * (2 * n + 5) - ties) / 18.0
+    s = signs.sum(axis=1).astype(np.int64)
+    z = np.zeros(k)
+    moving = (s != 0) & (var_s > 0.0)
+    z[moving] = (s[moving] - np.sign(s[moving])) / np.sqrt(var_s[moving])
+    p = np.minimum(1.0, 2.0 * scipy.special.ndtr(-np.abs(z)))
+    # a row of equal values is a single run
+    testable = np.bincount(row, minlength=k) > 1
+    results = [
+        TrendResult(s=s_, var_s=v, z=z_, p=p_, slope=slope) if ok else _untestable(slope)
+        for s_, v, z_, p_, slope, ok in zip(
+            s.tolist(), var_s.tolist(), z.tolist(), p.tolist(), slopes.tolist(), testable.tolist()
+        )
+    ]
+    return results, signs
+
+
+def _untestable(slope):
+    return TrendResult(s=0, var_s=0.0, z=0.0, p=1.0, slope=slope, untestable=True)
 
 
 def mann_kendall(series):
-    """Mann-Kendall trend test on an annual series.
+    """Mann-Kendall trend test on an annual series, over its finite values.
 
     Fewer than 4 values, or all values equal, yields an untestable result
     with s=0 and p=1. The slope denominator uses actual year spacing, so
@@ -141,19 +226,7 @@ def mann_kendall(series):
         values = np.asarray(series, dtype=float)
         years = np.arange(values.size, dtype=float)
     keep = np.isfinite(values)
-    values, years = values[keep], years[keep]
-    n = values.size
-
-    if n < 4 or np.unique(values).size < 2:
-        slope = theil_sen(years, values) if n >= 2 else float("nan")
-        return TrendResult(s=0, var_s=0.0, z=0.0, p=1.0, slope=slope, untestable=True)
-
-    s = _kendall_s(values)
-    var_s = _mk_variance(values)
-    z = _z_with_continuity(s, var_s)
-    return TrendResult(
-        s=s, var_s=var_s, z=z, p=_two_sided_p(z), slope=theil_sen(years, values)
-    )
+    return _trend_rows(years[keep], values[keep][None, :])[0][0]
 
 
 def rank_covariance(x, y):
@@ -171,9 +244,27 @@ def rank_covariance(x, y):
         return 0.0
     i, j = _pairs(n)
     concordance = float(np.sum(np.sign(x[j] - x[i]) * np.sign(y[j] - y[i])))
-    rx = _midranks(x)
-    ry = _midranks(y)
+    rx, ry = _midranks(np.stack((x, y)))
     return (concordance + 4.0 * float(rx @ ry) - n * (n + 1) ** 2) / 3.0
+
+
+def _shared_years(series_list):
+    """(years, k x n values) when every series covers the same years with
+    finite values, else None."""
+    years = series_list[0].years
+    if not all(np.array_equal(s.years, years) for s in series_list[1:]):
+        return None
+    x = np.array([s.values for s in series_list])
+    if not np.all(np.isfinite(x)):
+        return None
+    return years, x
+
+
+def _numerators(signs, ranks):
+    """3*cov for every pair of rows: Gram matrices of the sign vectors over
+    year pairs i < j and of the midrank vectors."""
+    n = ranks.shape[1]
+    return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
 
 
 def _common_years_numerators(members):
@@ -186,20 +277,13 @@ def _common_years_numerators(members):
     entry is an integer (midranks are multiples of 1/2), so the float64
     products are exact and each pair's value equals rank_covariance * 3.
     """
-    years = members[0].years
-    if not all(np.array_equal(s.years, years) for s in members[1:]):
+    block = _shared_years(members)
+    if block is None:
         return None
-    x = np.array([s.values for s in members])
-    if not np.all(np.isfinite(x)):
-        return None
-    n = years.size
-    i, j = _pairs(n)
-    signs = np.sign(x[:, j] - x[:, i])
-    ranks = _midranks(x)
-    return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
+    return _numerators(np.sign(_pair_diffs(block[1])), _midranks(block[1]))
 
 
-def regional_mann_kendall(series_list, results=None):
+def regional_mann_kendall(series_list):
     """Group-level Mann-Kendall over a set of station annual series.
 
     The group score is the sum of station scores; its variance adds
@@ -208,15 +292,26 @@ def regional_mann_kendall(series_list, results=None):
     1% of the summed station variances is floored there. Both events are
     flagged. Stations individually untestable are excluded and flagged.
 
-    ``results`` holds each series' mann_kendall result when the caller
-    has them already.  Members covering identical years get all their
-    covariances from two matrix products; otherwise each pair goes
-    through rank_covariance on its common years.
+    The result's ``stations`` holds each series' mann_kendall result.
+    When every series covers the same years with finite values, one sign
+    matrix over the group gives both the station scores and the
+    covariances.  Otherwise each series is tested alone; members covering
+    identical years still get all their covariances from two matrix
+    products, and failing that each pair goes through rank_covariance on
+    its common years.
     """
     if not series_list:
         raise ValueError("empty station group")
-    if results is None:
+    numerators = None
+    block = _shared_years(series_list)
+    if block is None:
         results = [mann_kendall(s) for s in series_list]
+    else:
+        years, x = block
+        results, signs = _trend_rows(years, x)
+        testable = np.array([not r.untestable for r in results])
+        numerators = _numerators(signs[testable], _midranks(x[testable]))
+    stations = tuple(results)
 
     members = []
     flags = []
@@ -228,13 +323,14 @@ def regional_mann_kendall(series_list, results=None):
 
     if not members:
         return RegionalTrendResult(
-            s=0, var_s=0.0, z=0.0, p=1.0, flags=tuple(flags + ["no testable stations"])
+            s=0, var_s=0.0, z=0.0, p=1.0, flags=tuple(flags + ["no testable stations"]), stations=stations
         )
 
     s_r = sum(r.s for _, r in members)
     var_sum = sum(r.var_s for _, r in members)
     cov_sum = 0.0
-    numerators = _common_years_numerators([s for s, _ in members])
+    if numerators is None:
+        numerators = _common_years_numerators([s for s, _ in members])
     if numerators is not None:
         # added one at a time in combinations order, as the per-pair path does
         for cov in (numerators[_pairs(len(members))] / 3.0).tolist():
@@ -260,7 +356,9 @@ def regional_mann_kendall(series_list, results=None):
         var_r = var_raw
 
     z = _z_with_continuity(s_r, var_r)
-    return RegionalTrendResult(s=s_r, var_s=var_r, z=z, p=_two_sided_p(z), flags=tuple(flags))
+    return RegionalTrendResult(
+        s=s_r, var_s=var_r, z=z, p=_two_sided_p(z), flags=tuple(flags), stations=stations
+    )
 
 
 def by_fdr_adjust(pvalues):
@@ -385,29 +483,49 @@ def wilcoxon_ranksum(a, b, method="auto"):
     return w, _two_sided_p(z)
 
 
+def spearman_columns(x, ys):
+    """Spearman rank correlation of x with every column of ys, n rows each.
+
+    Returns (rho, p, undefined) arrays with one entry per column; a
+    column, or x, holding a single distinct value is undefined, with rho
+    and p NaN.  Centred midranks are multiples of 1/2, so every dot
+    product is exact in any order and each column's rho and t-based
+    two-sided p equal those of a lone call.
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n, m = ys.shape
+    rho = np.full(m, np.nan)
+    p = np.full(m, np.nan)
+    undefined = ys.min(axis=0) == ys.max(axis=0)
+    if x.min() == x.max():
+        undefined[:] = True
+    cols = np.flatnonzero(~undefined)
+    if not cols.size:
+        return rho, p, undefined
+    rx = _midranks(x)
+    ry = _midranks(ys[:, cols].T)
+    cx = rx - rx.mean()
+    cy = ry - ry.mean(axis=1, keepdims=True)
+    r = np.clip(cy @ cx / np.sqrt((cx @ cx) * np.sum(cy * cy, axis=1)), -1.0, 1.0)
+    rho[cols] = r
+    p[cols] = 0.0
+    inner = np.abs(r) != 1.0
+    t = r[inner] * np.sqrt((n - 2) / (1.0 - r[inner] * r[inner]))
+    p[cols[inner]] = np.minimum(1.0, 2.0 * scipy.special.stdtr(n - 2, -np.abs(t)))
+    return rho, p, undefined
+
+
 def spearman(x, y):
     """Spearman rank correlation with the t-based two-sided p-value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError("inputs must have equal length")
-    n = x.size
-    if n < 3:
+    if x.size < 3:
         raise ValueError("need at least 3 observations")
-    if np.unique(x).size < 2 or np.unique(y).size < 2:
-        return SpearmanResult(rho=float("nan"), p=float("nan"), undefined=True)
-
-    rx = _midranks(x)
-    ry = _midranks(y)
-    cx = rx - rx.mean()
-    cy = ry - ry.mean()
-    rho = float(cx @ cy / math.sqrt((cx @ cx) * (cy @ cy)))
-    rho = max(-1.0, min(1.0, rho))
-    if abs(rho) == 1.0:
-        return SpearmanResult(rho=rho, p=0.0, undefined=False)
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(scipy.special.stdtr(n - 2, -abs(t)))
-    return SpearmanResult(rho=rho, p=min(1.0, p), undefined=False)
+    rho, p, undefined = spearman_columns(x, y[:, None])
+    return SpearmanResult(rho=float(rho[0]), p=float(p[0]), undefined=bool(undefined[0]))
 
 
 def comparison_direction(median_diff, p, alpha=ALPHA):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from megaheat.indices import (
     CDD_BASE_C,
+    _complete_years,
     annual_cdd,
     annual_cnm,
     annual_p95,
@@ -274,7 +275,12 @@ class TestAnnualP95:
 
 
 def _year_slices(series):
-    first, last = series.start, series.end
+    return _year_ranges(series.start, series.end)
+
+
+def _year_ranges(first, last):
+    """(year, lo, hi) per calendar year fully inside first..last, by a
+    loop over dt.date values."""
     year = first.year if (first.month, first.day) == (1, 1) else first.year + 1
     out = []
     while dt.date(year, 12, 31) <= last:
@@ -382,6 +388,72 @@ class TestHeatIndicesMatchPerYearLoop:
         tmin = _daily(np.full(200, 20.0), dt.date(2003, 3, 1), element="TMIN")
         for got in (annual_cnm(tmin), annual_p95(tmax), annual_cdd(tmax, tmin)):
             assert got.years.size == 0 and got.values.size == 0
+
+
+class TestCompleteYearsMatchDateLoop:
+    def test_random_spans(self):
+        rng = np.random.default_rng(31)
+        base = dt.date(1895, 1, 1)
+        edges = [dt.date(1899, 12, 31), dt.date(1900, 1, 1), dt.date(1999, 12, 31), dt.date(2000, 1, 1)]
+        for i in range(600):
+            first = base + dt.timedelta(days=int(rng.integers(0, 45_000)))
+            last = first + dt.timedelta(days=int(rng.integers(-400, 4_000)))
+            if i % 10 == 0:
+                first = edges[i // 10 % 4]
+            if i % 7 == 0:
+                last = edges[(i // 7 + 1) % 4] + dt.timedelta(days=365 * int(rng.integers(0, 30)))
+            years, lo, hi = _complete_years(first, last)
+            ref = _year_ranges(first, last)
+            for got, column in zip((years, lo, hi), zip(*ref) if ref else ((), (), ())):
+                assert got.dtype == np.array([0]).dtype
+                assert got.tolist() == list(column)
+
+
+def _regional_by_year(station_series, key):
+    """The per-year reference: np.mean of each year's reporting values,
+    stations in key order."""
+    ordered = sorted(station_series, key=lambda s: s.key)
+    maps = [s.as_dict() for s in ordered]
+    years = sorted({int(y) for m in maps for y in m})
+    vals = [float(np.mean([m[y] for m in maps if y in m])) for y in years]
+    return AnnualSeries(key=key, metric=ordered[0].metric, years=np.array(years, dtype=int), values=np.array(vals))
+
+
+def _ragged_group(rng, k, magnitude):
+    """k stations over random subsets of 60 years, keys in shuffled order."""
+    out = []
+    for m in rng.permutation(k):
+        keep = rng.random(60) < rng.uniform(0.3, 1.0)
+        keep[rng.integers(0, 60)] = True
+        years = np.flatnonzero(keep) + 1956
+        values = rng.normal(0.0, 1.0, years.size) * magnitude * 10.0 ** rng.uniform(-1, 1, years.size)
+        out.append(AnnualSeries(f"S{m:02d}", "p95", years, values))
+    return out
+
+
+class TestRegionalSeriesMatchesPerYearLoop:
+    """The year x station block against np.mean per year, bit for bit."""
+
+    def _assert_same(self, group):
+        got, ref = regional_annual_series(group, key="g"), _regional_by_year(group, "g")
+        assert got.years.tolist() == ref.years.tolist()
+        assert got.values.tolist() == ref.values.tolist()
+
+    def test_ragged_groups_across_magnitudes(self):
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            k = int(rng.integers(1, 30)) if i % 3 else int(rng.integers(8, 30))
+            self._assert_same(_ragged_group(rng, k, 10.0 ** rng.uniform(-3, 3)))
+
+    def test_full_reporting_wide_group(self):
+        rng = np.random.default_rng(6)
+        years = np.arange(1956, 2016)
+        for k in (8, 9, 16, 17, 29, 40):
+            group = [
+                AnnualSeries(f"S{m:02d}", "cdd", years, rng.normal(0, 1, 60) * 10.0 ** rng.uniform(-3, 3, 60))
+                for m in range(k)
+            ]
+            self._assert_same(group)
 
 
 class TestRegionalSeries:

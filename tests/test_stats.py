@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from megaheat import pipeline
+from megaheat.regions import ExplanatoryVars
 from megaheat.series import AnnualSeries
 from megaheat.stats import (
     RegionalTrendResult,
+    SpearmanResult,
+    TrendResult,
     _common_years_numerators,
     _midranks,
     _two_sided_p,
@@ -24,7 +29,9 @@ from megaheat.stats import (
     mann_kendall,
     rank_covariance,
     regional_mann_kendall,
+    sen_slopes,
     spearman,
+    spearman_columns,
     theil_sen,
     wilcoxon_ranksum,
 )
@@ -269,11 +276,10 @@ class TestCommonYearsCovariance:
         self._assert_fast_path_equals_oracle(group)
         assert any("floor" in f for f in regional_mann_kendall(group).flags)
 
-    def test_given_station_results_are_used(self):
+    def test_station_results_come_with_the_group_result(self):
         rng = np.random.default_rng(46)
         group = _group(_half_degree_group(rng, 5, 20))
-        results = [mann_kendall(s) for s in group]
-        assert regional_mann_kendall(group, results) == regional_mann_kendall(group)
+        assert regional_mann_kendall(group).stations == tuple(mann_kendall(s) for s in group)
 
     def test_ragged_and_disjoint_groups_keep_per_pair_path(self):
         rng = np.random.default_rng(47)
@@ -328,6 +334,23 @@ class TestRanksAndTailsMatchScipy:
         x[3, 17] = np.nan
         assert np.array_equal(_midranks(x), scipy.stats.rankdata(x, axis=1), equal_nan=True)
         assert _midranks(np.empty((0, 4))).shape == (0, 4)
+
+    def test_midranks_of_tied_blocks_with_nan_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            k, n = int(rng.integers(1, 12)), int(rng.integers(1, 50))
+            x = rng.integers(0, n // 4 + 1, (k, n)) * 0.5 - 2.0
+            nan_rows = rng.random(k) < 0.3
+            x[nan_rows, rng.integers(0, n)] = np.nan
+            got = _midranks(x)
+            assert np.array_equal(got, scipy.stats.rankdata(x, axis=1), equal_nan=True)
+            assert np.isnan(got[nan_rows]).all() and not np.isnan(got[~nan_rows]).any()
+            assert np.array_equal(got[~nan_rows] * 2.0, np.round(got[~nan_rows] * 2.0))
+
+    def test_midranks_of_a_3d_block(self):
+        x = np.round(np.random.default_rng(9).normal(0.0, 1.0, (3, 4, 25)) * 2) / 2
+        x[1, 2, 0] = np.nan
+        assert np.array_equal(_midranks(x), scipy.stats.rankdata(x, axis=-1), equal_nan=True)
 
     def test_student_t_tail_equals_t_sf(self):
         rng = np.random.default_rng(99)
@@ -581,3 +604,163 @@ class TestDirectionAndCsv:
         assert float(fields[3]) == pytest.approx(1.5)
         assert [float(f) for f in fields[5:8]] == [0.5, 0.25, 0.2]
         assert fields[-1] == "UC-higher"
+
+
+# Per-series and per-cell references: the code the row blocks replaced,
+# which they must match bit for bit.
+def _mann_kendall_per_series(years, values):
+    years = np.asarray(years, dtype=float)
+    n = values.size
+    i, j = np.triu_indices(n, k=1)
+    slope = float(np.median((values[j] - values[i]) / (years[j] - years[i]))) if n >= 2 else float("nan")
+    if n < 4 or np.unique(values).size < 2:
+        return TrendResult(s=0, var_s=0.0, z=0.0, p=1.0, slope=slope, untestable=True)
+    s = int(np.sign(values[j] - values[i]).sum())
+    _, counts = np.unique(values, return_counts=True)
+    ties = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
+    var_s = (n * (n - 1) * (2 * n + 5) - ties) / 18.0
+    z = _z_with_continuity(s, var_s)
+    return TrendResult(s=s, var_s=var_s, z=z, p=_two_sided_p(z), slope=slope)
+
+
+def _spearman_per_cell(x, y):
+    n = x.size
+    if np.unique(x).size < 2 or np.unique(y).size < 2:
+        return SpearmanResult(rho=float("nan"), p=float("nan"), undefined=True)
+    rx, ry = scipy.stats.rankdata(x), scipy.stats.rankdata(y)
+    cx, cy = rx - rx.mean(), ry - ry.mean()
+    rho = max(-1.0, min(1.0, float(cx @ cy / math.sqrt((cx @ cx) * (cy @ cy)))))
+    if abs(rho) == 1.0:
+        return SpearmanResult(rho=rho, p=0.0, undefined=False)
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return SpearmanResult(rho=rho, p=min(1.0, 2.0 * float(scipy.special.stdtr(n - 2, -abs(t)))), undefined=False)
+
+
+def _same(a, b):
+    """Equal field by field, types included, NaN equal to NaN, -0.0 apart from 0.0."""
+    return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
+
+
+def _tied_block(rng, k, n):
+    """k rows over n values: ties, constant rows and magnitudes 1e-3 to 1e3."""
+    scale = 10.0 ** rng.uniform(-3, 3, (k, 1))
+    x = rng.integers(-4, 5, (k, n)) * scale if rng.random() < 0.5 else rng.normal(0.0, 1.0, (k, n)) * scale
+    x[rng.random(k) < 0.15] = 2.5
+    return x
+
+
+class TestBlocksMatchPerSeriesCode:
+    def test_station_trends_in_shared_year_blocks(self):
+        rng = np.random.default_rng(60)
+        for _ in range(150):
+            k, n = int(rng.integers(1, 26)), int(rng.integers(0, 40))
+            years = np.sort(rng.choice(np.arange(1900, 2020), n, replace=False))
+            x = _tied_block(rng, k, n)
+            group = [AnnualSeries(f"S{m:02d}", "cdd", years, x[m]) for m in range(k)]
+            ref = [_mann_kendall_per_series(years, x[m]) for m in range(k)]
+            stations = regional_mann_kendall(group).stations
+            assert len(stations) == k
+            assert all(_same(got, want) for got, want in zip(stations, ref))
+            assert all(_same(mann_kendall(s), want) for s, want in zip(group, ref))
+
+    def test_lone_series_with_non_finite_values(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            n = int(rng.integers(0, 30))
+            v = _tied_block(rng, 1, n)[0]
+            v[rng.random(n) < 0.2] = np.nan
+            years = np.arange(1950, 1950 + n)
+            keep = np.isfinite(v)
+            assert _same(mann_kendall(AnnualSeries("A", "cdd", years, v)), _mann_kendall_per_series(years[keep], v[keep]))
+
+    def test_sen_slopes_stack_equal_years(self):
+        rng = np.random.default_rng(62)
+        spans = [np.arange(1956, 2016), np.arange(1956, 2015), np.array([2000, 2003, 2004, 2010]), np.array([1990]), np.array([], dtype=int)]
+        series = []
+        for m in range(40):
+            years = spans[int(rng.integers(0, len(spans)))]
+            series.append(AnnualSeries(f"S{m}", "cdd", years, _tied_block(rng, 1, years.size)[0]))
+        got = sen_slopes(series)
+        for s, slope in zip(series, got):
+            ref = _mann_kendall_per_series(s.years, s.values).slope
+            assert repr(slope) == repr(ref)
+            if s.years.size >= 2:
+                assert repr(theil_sen(s.years, s.values)) == repr(ref)
+
+    def test_spearman_columns(self):
+        rng = np.random.default_rng(63)
+        for _ in range(300):
+            n, m = int(rng.integers(3, 30)), int(rng.integers(1, 9))
+            x = _tied_block(rng, 1, n)[0]
+            ys = _tied_block(rng, m, n).T
+            # exactly monotone columns give rho of +1 and -1
+            ys[:, 0] = np.argsort(np.argsort(x)) * (1.0 if rng.random() < 0.5 else -1.0)
+            rho, p, undefined = spearman_columns(x, ys)
+            for col in range(m):
+                ref = _spearman_per_cell(x, ys[:, col])
+                got = SpearmanResult(rho=float(rho[col]), p=float(p[col]), undefined=bool(undefined[col]))
+                assert _same(got, ref)
+                assert _same(spearman(x, ys[:, col]), ref)
+
+
+def _rank_correlations_per_cell(pair_ids, summaries, covariates, metrics, seasons):
+    """rank_correlation_matrices one cell at a time, the reference."""
+    rows = pipeline._matrix_rows(metrics, seasons)
+    out = []
+    for flavor in ("uc", "diff"):
+        rho = np.full((len(rows), len(pipeline.COVARIATE_NAMES)), np.nan)
+        pval = np.full_like(rho, np.nan)
+        n_used = np.zeros(rho.shape, dtype=int)
+        flags = []
+        for i, (metric, season, stat) in enumerate(rows):
+            x = np.array([summaries.get((pid, metric, season), {}).get(f"{flavor}_{stat}", np.nan) for pid in pair_ids])
+            row_flags = []
+            for j, name in enumerate(pipeline.COVARIATE_NAMES):
+                y = np.array([getattr(covariates[pid], name) if pid in covariates else np.nan for pid in pair_ids])
+                ok = np.isfinite(x) & np.isfinite(y)
+                n = int(ok.sum())
+                n_used[i, j] = n
+                if n < 3:
+                    row_flags.append("insufficient")
+                    continue
+                result = _spearman_per_cell(x[ok], y[ok])
+                if result.undefined:
+                    row_flags.append("undefined")
+                    continue
+                rho[i, j], pval[i, j] = result.rho, result.p
+                row_flags.append("n<8" if n < 8 else "")
+            flags.append(tuple(row_flags))
+        out.append((rho, pval, n_used, tuple(flags)))
+    return out
+
+
+class TestRankCorrelationMatricesMatchPerCellLoop:
+    def test_nan_covariates_ties_and_small_n(self):
+        rng = np.random.default_rng(64)
+        metrics, seasons = ("TAVG", "CDD"), ("JJA",)
+        cells = pipeline._cell_rows(metrics, seasons)
+        for _ in range(40):
+            n_pairs = int(rng.integers(0, 14))
+            pair_ids = tuple(f"UC{k:02d}" for k in range(n_pairs))
+            covariates = {}
+            for pid in pair_ids:
+                if rng.random() < 0.1:
+                    continue
+                values = np.round(rng.normal(0.0, 2.0, len(pipeline.COVARIATE_NAMES)) * 2) / 2
+                values[rng.random(values.size) < 0.15] = np.nan
+                covariates[pid] = ExplanatoryVars(pid, "CR" + pid, *values.tolist())
+            summaries = {}
+            for pid in pair_ids:
+                for metric, season in cells:
+                    if rng.random() < 0.1:
+                        continue
+                    v = np.round(rng.normal(0.0, 1.0, 4) * 2) / 2
+                    v[rng.random(4) < 0.15] = np.nan
+                    summaries[(pid, metric, season)] = dict(zip(("uc_median", "uc_slope", "diff_median", "diff_slope"), v.tolist()))
+            got = pipeline.rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
+            ref = _rank_correlations_per_cell(pair_ids, summaries, covariates, metrics, seasons)
+            for matrix, (rho, pval, n_used, flags) in zip(got, ref):
+                assert repr(matrix.rho.tolist()) == repr(rho.tolist())
+                assert repr(matrix.p.tolist()) == repr(pval.tolist())
+                assert np.array_equal(matrix.n, n_used)
+                assert matrix.flags == flags
