@@ -11,16 +11,23 @@ Three layouts are supported:
 * station inventory lines, 37 chars: id (1-11), lat (13-20), lon (22-30),
   elevation in meters (32-37, one decimal, -999.9 missing).
 
-Parsing is vectorized over whole files; per-record problems (bad length,
-non-numeric value fields, impossible months) are reported as ParseIssue
-entries carrying 1-based line numbers while the remaining records still
-parse.  Quality flags are not retained.
+Lines are split and filtered over the whole file; integer fields are then
+parsed in blocks of a few thousand lines.  An integer field must match
+``" *-?[0-9]+"`` (year and month take no sign); inventory lat, lon and
+elevation must be plain decimal text: spaces, an optional sign, digits
+with at most one decimal point, and nothing else.
+
+Per-record problems (bad length, non-numeric fields, impossible months)
+are reported as ParseIssue entries carrying 1-based line numbers while the
+remaining records still parse.  Quality flags are not retained.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import IO, Iterable
+import re
+from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +47,13 @@ MISSING_ELEV = -999.9
 _DAILY_LEN = 269
 _MONTHLY_LEN = 115
 _STATION_LEN = 37
+
+# fields per _parse_int_fields block: a few thousand daily lines, whose byte
+# columns and int32 accumulator stay in a core's cache
+_BLOCK_FIELDS = 1 << 16
+
+# plain decimal text; float() alone would also take "nan", "inf", "1e3", "1_0"
+_DECIMAL = re.compile(rb" *[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+) *")
 
 
 def _read_bytes(source) -> bytes:
@@ -101,48 +115,42 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
 
 
 def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
-    """Parse right-justified integer byte fields of shape (..., width).
+    """Parse right-justified integer byte fields of shape (lines, ..., width).
 
-    Returns (values, ok).  A field is ok when it matches optional leading
-    spaces, an optional single '-', then a contiguous digit run to the end.
-    Accumulates one character column at a time so the transients stay at
-    one byte per field slot; whole-block int64 copies of a full daily file
-    run to gigabytes.
+    Returns int32 (values, ok).  A field is ok when it matches ``" *-?[0-9]+"``
+    (``" *[0-9]+"`` without allow_sign), checked as three rules: every byte
+    is a digit, a space or '-'; a space or '-' only ever follows a space;
+    the last byte is a digit.  Values of fields that are not ok are
+    unspecified.  Lines go through in blocks of about _BLOCK_FIELDS fields,
+    each copied once into one contiguous byte column per position; int32
+    holds any field of up to 9 chars.
     """
-    width = fields.shape[-1]
-    shape = fields.shape[:-1]
-    values = np.zeros(shape, dtype=np.int64)
-    all_valid = np.ones(shape, dtype=bool)
-    any_digit = np.zeros(shape, dtype=bool)
-    seen_nonspace = np.zeros(shape, dtype=bool)
-    interior_space = np.zeros(shape, dtype=bool)
-    minus_leads = np.zeros(shape, dtype=bool)
-    n_minus = np.zeros(shape, dtype=np.int8)
-    for p in range(width):
-        c = fields[..., p]
-        digit = (c >= 0x30) & (c <= 0x39)
-        space = c == 0x20
-        minus = c == 0x2D
-        values *= 10
-        values += np.where(digit, c, 0x30)
-        values -= 0x30
-        minus_leads |= minus & ~seen_nonspace
-        interior_space |= space & seen_nonspace
-        seen_nonspace |= ~space
-        any_digit |= digit
-        all_valid &= digit | space | minus
-        n_minus += minus
-    neg = n_minus > 0
-    np.negative(values, out=values, where=neg)
-    ok = (
-        all_valid
-        & any_digit
-        & ~interior_space
-        & (n_minus <= 1)
-        & (~neg | minus_leads)
-    )
-    if not allow_sign:
-        ok &= ~neg
+    values = np.zeros(fields.shape[:-1], dtype=np.int32)
+    ok = np.empty(fields.shape[:-1], dtype=bool)
+    step = max(1, _BLOCK_FIELDS // math.prod(fields.shape[1:-1]))
+    for lo in range(0, len(fields), step):
+        cols = np.moveaxis(fields[lo : lo + step], -1, 0).copy()
+        val, good = values[lo : lo + step], ok[lo : lo + step]
+        neg = np.zeros(good.shape, dtype=bool)
+        for p, c in enumerate(cols):
+            digit = c - np.uint8(0x30)
+            is_digit = digit < 10
+            space = c == 0x20
+            blank = space
+            if allow_sign:
+                minus = c == 0x2D
+                blank = space | minus
+                neg |= minus
+            if p == 0:
+                np.logical_or(is_digit, blank, out=good)
+            else:
+                good &= is_digit | (blank & after_space)
+            after_space = space
+            digit *= is_digit
+            val *= 10
+            val += digit
+        good &= is_digit
+        np.negative(val, out=val, where=neg)
     return values, ok
 
 
@@ -202,6 +210,17 @@ def _series_rows(ids: np.ndarray, element: np.ndarray, ok: np.ndarray) -> list[n
     return np.split(rows[order], np.flatnonzero(np.diff(keys[order])) + 1) if rows.size else []
 
 
+def _value_fields(matrix, rows, lo: int, n: int, scale: float):
+    """Degrees C (MISSING_INT as NaN) and ok mask of the n value groups of
+    8 chars that start at column lo, for the given rows of the line matrix."""
+    # a view when every line is a wanted record, else one copy of those rows
+    block = matrix[:, lo:] if rows.size == len(matrix) else matrix[rows, lo:]
+    ints, ok = _parse_int_fields(block.reshape(-1, n, 8)[:, :, :5])
+    values = ints / scale
+    values[ints == MISSING_INT] = np.nan
+    return values, ok
+
+
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
     """Indices keeping the last occurrence of each key, in key order."""
     _, idx = np.unique(keys[::-1], return_index=True)
@@ -236,10 +255,8 @@ def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
     year, month = year[ok_head], month[ok_head]
 
     ids = matrix[:, 0:11][rows].view("S11")[:, 0]
-    fields = matrix[:, 21:][rows].reshape(-1, 31, 8)[:, :, :5]
+    values, ok_v = _value_fields(matrix, rows, 21, 31, 10.0)
     matrix = arr = buf = source = None
-    values, ok_v = _parse_int_fields(fields)
-    fields = None
     mstart, dim = _month_starts(year * 12 + (month - 1))
     in_month = np.arange(31)[None, :] < dim[:, None]
     ok_line = (ok_v | ~in_month).all(axis=1)
@@ -255,10 +272,8 @@ def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
         s1 = int((ms + dm).max()) - 1
         vals = np.full(s1 - s0 + 1, np.nan)
         idx = (ms[:, None] - s0) + day_col[None, :]
-        mask = day_col[None, :] < dm[:, None]
-        v = values[rows].astype(np.float64)
-        v[v == MISSING_INT] = np.nan
-        vals[idx[mask]] = v[mask] / 10.0
+        mask = in_month[rows]
+        vals[idx[mask]] = values[rows][mask]
         r0 = rows[0]
         out.append(
             DailySeries(
@@ -290,10 +305,8 @@ def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
     rows, numbers, element, year = rows[ok_y], numbers[ok_y], element[ok_y], year[ok_y]
 
     ids = matrix[:, 0:11][rows].view("S11")[:, 0]
-    fields = matrix[:, 19:][rows].reshape(-1, 12, 8)[:, :, :5]
+    values, ok_v = _value_fields(matrix, rows, 19, 12, 100.0)
     matrix = arr = buf = source = None
-    values, ok_v = _parse_int_fields(fields)
-    fields = None
     ok_line = ok_v.all(axis=1)
     for n in numbers[~ok_line]:
         issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
@@ -305,9 +318,7 @@ def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
         y0, y1 = int(ys.min()), int(ys.max())
         vals = np.full((y1 - y0 + 1) * 12, np.nan)
         idx = (ys[:, None] - y0) * 12 + np.arange(12)[None, :]
-        v = values[rows].astype(np.float64)
-        v[v == MISSING_INT] = np.nan
-        vals[idx.ravel()] = v.ravel() / 100.0
+        vals[idx.ravel()] = values[rows].ravel()
         r0 = rows[0]
         out.append(
             MonthlySeries(
@@ -335,13 +346,11 @@ def parse_stations(source) -> tuple[list[StationMeta], list[ParseIssue]]:
             issues.append(ParseIssue(line=lineno, message="short inventory line"))
             continue
         sid = _station_id(raw[0:11])
-        try:
-            lat = float(raw[12:20])
-            lon = float(raw[21:30])
-            elev = float(raw[31:37])
-        except ValueError:
+        fields = (raw[12:20], raw[21:30], raw[31:37])
+        if not all(_DECIMAL.fullmatch(f) for f in fields):
             issues.append(ParseIssue(line=lineno, message="non-numeric inventory field", station_id=sid))
             continue
+        lat, lon, elev = map(float, fields)
         if not sid:
             issues.append(ParseIssue(line=lineno, message="empty station id"))
             continue

@@ -98,21 +98,8 @@ def filter_monthly_stations(
         else:
             verdict, reason = "kept", ""
             kept.append(s)
-        reports.append(
-            QcReport(
-                station_id=s.station_id,
-                element=s.element,
-                verdict=verdict,
-                reason=reason,
-                missing_frac=frac,
-                longest_gap=gap,
-            )
-        )
+        reports.append(QcReport(s.station_id, s.element, verdict, reason, frac, gap))
     return kept, reports
-
-
-def _span_months(first: dt.date, last: dt.date) -> int:
-    return month_index(last.year, last.month) - month_index(first.year, first.month) + 1
 
 
 def filter_daily_stations(
@@ -133,22 +120,28 @@ def filter_daily_stations(
     """
     win_lo = date_to_serial(dt.date(window[0], 1, 1))
     win_hi = date_to_serial(dt.date(window[1], 12, 31))
+    # one summer calendar over the window clipped to the records' extent;
+    # each series reads its slice of it
+    serial0s = [date_to_serial(s.start) for s in series]
+    ends = [s0 + s.values.size - 1 for s0, s in zip(serial0s, series)]
+    cal_lo = max(win_lo, min(serial0s, default=win_lo))
+    cal_hi = min(win_hi, max(ends, default=win_lo))
+    months = np.arange(cal_lo, cal_hi + 1).astype("M8[D]").astype("M8[M]").astype(np.int64) % 12 + 1
+    jja_calendar = np.isin(months, JJA_MONTHS)
 
     kept: list[DailySeries] = []
     reports: list[QcReport] = []
-    for s in series:
+    for serial0, s in zip(serial0s, series):
         obs = ~np.isnan(s.values)
         if not obs.any():
-            reports.append(
-                QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0)
-            )
+            reports.append(QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0))
             continue
-        serial0 = date_to_serial(s.start)
         first_i, last_i = int(np.argmax(obs)), int(obs.size - 1 - np.argmax(obs[::-1]))
         first_day = s.start + dt.timedelta(days=first_i)
         last_day = s.start + dt.timedelta(days=last_i)
 
-        length_drop = _span_months(first_day, last_day) < min_span_months and last_day < end_cutoff
+        span_months = (last_day.year - first_day.year) * 12 + last_day.month - first_day.month + 1
+        length_drop = span_months < min_span_months and last_day < end_cutoff
 
         lo = max(serial0 + first_i, win_lo)
         hi = min(serial0 + last_i, win_hi)
@@ -157,9 +150,7 @@ def filter_daily_stations(
         if hi >= lo:
             vals = s.values[lo - serial0 : hi - serial0 + 1]
             missing = np.isnan(vals)
-            serials = np.arange(lo, hi + 1)
-            months = serials.astype("M8[D]").astype("M8[M]").astype(np.int64) % 12 + 1
-            jja = np.isin(months, JJA_MONTHS)
+            jja = jja_calendar[lo - cal_lo : hi - cal_lo + 1]
             if jja.any():
                 jja_frac = float(missing[jja].mean())
             gap = _longest_run(missing)
@@ -173,14 +164,5 @@ def filter_daily_stations(
         else:
             verdict, reason = "kept", ""
             kept.append(s)
-        reports.append(
-            QcReport(
-                station_id=s.station_id,
-                element=s.element,
-                verdict=verdict,
-                reason=reason,
-                missing_frac=jja_frac,
-                longest_gap=gap,
-            )
-        )
+        reports.append(QcReport(s.station_id, s.element, verdict, reason, jja_frac, gap))
     return kept, reports

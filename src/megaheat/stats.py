@@ -336,9 +336,8 @@ def regional_mann_kendall(series_list):
         for cov in (numerators[_pairs(len(members))] / 3.0).tolist():
             cov_sum += cov
     else:
-        for (sa, _), (sb, _) in combinations(members, 2):
-            map_a = sa.as_dict()
-            map_b = sb.as_dict()
+        maps = [(s, s.as_dict()) for s, _ in members]
+        for (sa, map_a), (sb, map_b) in combinations(maps, 2):
             common = sorted(map_a.keys() & map_b.keys())
             if not common:
                 flags.append(f"{sa.key}/{sb.key}: no overlapping years; covariance skipped")

@@ -1,4 +1,6 @@
 import datetime as dt
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from megaheat import ghcn
 from megaheat.ghcn import (
     parse_ghcnd,
     parse_ghcnm,
@@ -152,6 +155,74 @@ class TestParseGhcnd:
         assert series[0].values[0] == pytest.approx(20.0)
 
 
+_FIELD_BYTES = st.one_of(st.sampled_from(b" -0123456789"), st.integers(0, 255))
+
+
+def _assert_grammar(fields, allow_sign, values, ok):
+    """Each field is ok exactly when it matches the grammar, and then holds int(field)."""
+    grammar = rb" *-?[0-9]+" if allow_sign else rb" *[0-9]+"
+    assert values.dtype == np.int32 and values.shape == ok.shape == fields.shape[:-1]
+    for index in np.ndindex(ok.shape):
+        field = fields[index].tobytes()
+        assert ok[index] == bool(re.fullmatch(grammar, field)), field
+        if ok[index]:
+            assert values[index] == int(field), field
+
+
+class TestParseIntFields:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        width=st.integers(1, 5),
+        n=st.integers(0, 40),
+        allow_sign=st.booleans(),
+        block=st.integers(1, 9),
+    )
+    def test_matches_the_field_grammar(self, data, width, n, allow_sign, block):
+        raw = data.draw(st.lists(_FIELD_BYTES, min_size=n * width, max_size=n * width))
+        fields = np.array(raw, dtype=np.uint8).reshape(n, width)
+        with mock.patch.object(ghcn, "_BLOCK_FIELDS", block):
+            values, ok = ghcn._parse_int_fields(fields, allow_sign=allow_sign)
+        _assert_grammar(fields, allow_sign, values, ok)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        edge=st.lists(_FIELD_BYTES, min_size=4 * 31 * 5, max_size=4 * 31 * 5),
+        allow_sign=st.booleans(),
+    )
+    def test_rows_on_each_side_of_a_block_boundary(self, edge, allow_sign):
+        # lines of 31 five-byte fields, as in the daily layout; the two
+        # lines on each side of the first block boundary are drawn
+        step = ghcn._BLOCK_FIELDS // 31
+        fields = np.frombuffer(b" -123" * (31 * (step + 3)), dtype=np.uint8).reshape(step + 3, 31, 5).copy()
+        fields[step - 2 : step + 2] = np.array(edge, dtype=np.uint8).reshape(4, 31, 5)
+        values, ok = ghcn._parse_int_fields(fields, allow_sign=allow_sign)
+        edge_lines = slice(step - 2, step + 2)
+        _assert_grammar(fields[edge_lines], allow_sign, values[edge_lines], ok[edge_lines])
+        rest = np.ones(step + 3, dtype=bool)
+        rest[edge_lines] = False
+        assert (ok[rest] == allow_sign).all()
+        if allow_sign:
+            assert (values[rest] == -123).all()
+
+    def test_bad_daily_lines_on_a_block_boundary(self):
+        step = ghcn._BLOCK_FIELDS // 31
+        months = [(1800 + k // 12, k % 12 + 1) for k in range(step + 2)]
+        lines = [dly_line("USW00000001", y, m, "TMAX", [10] * 31) for y, m in months]
+        for k in (step - 1, step):
+            lines[k] = lines[k][:21] + "  1x3" + lines[k][26:]
+        series, issues = parse_ghcnd(("\n".join(lines) + "\n").encode())
+        assert issues == [
+            ParseIssue(step, "non-numeric value field"),
+            ParseIssue(step + 1, "non-numeric value field"),
+        ]
+        (s,) = series
+        assert s.start == dt.date(1800, 1, 1)
+        assert np.isnan(s.values).sum() == sum(
+            (dt.date(y + m // 12, m % 12 + 1, 1) - dt.date(y, m, 1)).days for y, m in months[step - 1 : step + 1]
+        )
+
+
 class TestParseGhcnm:
     def test_hundredths(self):
         line = ghcnm_line("USW00000001", 1960, "TAVG", [-512] + [MISSING] * 11)
@@ -262,6 +333,29 @@ class TestParseStations:
         assert len(stations) == 1
         assert stations[0].lat == pytest.approx(42.0)
         assert len(issues) == 1
+
+
+    @pytest.mark.parametrize(
+        "lat, lon, elev",
+        [
+            ("42.36", "-71.06", "nan"),
+            ("42.36", "-71.06", "-inf"),
+            ("inf", "-71.06", "12.0"),
+            ("42.36", "-71.06", "1_00.5"),
+            ("42.36", "-7.1e1", "12.0"),
+        ],
+    )
+    def test_only_plain_decimal_text_is_a_number(self, lat, lon, elev):
+        line = f"USW00000001 {lat:>8s} {lon:>9s} {elev:>6s}"
+        stations, issues = parse_stations(line.encode())
+        assert stations == []
+        assert issues == [ParseIssue(1, "non-numeric inventory field", "USW00000001")]
+
+    def test_plain_decimal_forms(self):
+        line = f"USW00000001 {'+42.':<8s} {'-71.06':<9s} {'.5':^6s}"
+        stations, issues = parse_stations(line.encode())
+        assert issues == []
+        assert (stations[0].lat, stations[0].lon, stations[0].elev) == (42.0, -71.06, 0.5)
 
 
 class TestRoundTrip:

@@ -1,7 +1,10 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from megaheat.qc import (
     DAILY_END_CUTOFF,
@@ -174,6 +177,73 @@ class TestDailyFilter:
         kept, reports = filter_daily_stations([s])
         assert len(kept) == 1
         assert reports[0].longest_gap == 0
+
+
+
+def _daily_rules_oracle(s, window):
+    """(reason, summer missing fraction, longest gap) of one daily series,
+    walking its days one datetime.date at a time."""
+    observed = [k for k, v in enumerate(s.values) if not math.isnan(v)]
+    if not observed:
+        return "no_data", 1.0, 0
+    first = s.start + dt.timedelta(days=observed[0])
+    last = s.start + dt.timedelta(days=observed[-1])
+    months = (last.year - first.year) * 12 + last.month - first.month + 1
+    day = max(first, dt.date(window[0], 1, 1))
+    summer = summer_missing = run = gap = 0
+    while day <= min(last, dt.date(window[1], 12, 31)):
+        missing = math.isnan(s.values[(day - s.start).days])
+        if day.month in (6, 7, 8):
+            summer += 1
+            summer_missing += missing
+        run = run + 1 if missing else 0
+        gap = max(gap, run)
+        day += dt.timedelta(days=1)
+    frac = summer_missing / summer if summer else 0.0
+    if months < DAILY_MIN_SPAN_MONTHS and last < DAILY_END_CUTOFF:
+        reason = "short_record"
+    elif frac > DAILY_JJA_MAX_MISSING_FRAC:
+        reason = "jja_missing"
+    elif gap > DAILY_MAX_GAP_DAYS:
+        reason = "gap_days"
+    else:
+        reason = ""
+    return reason, frac, gap
+
+
+@st.composite
+def _gappy_daily(draw, around):
+    """A daily series near the year `around` (a leap century or not) with
+    runs of missing days, starting before, inside or after the window."""
+    start = dt.date(around - 2, 1, 1) + dt.timedelta(days=draw(st.integers(0, 5 * 366)))
+    values = np.full(draw(st.integers(1, 5 * 366)), 20.0)
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(st.integers(0, values.size - 1))
+        values[lo : lo + draw(st.integers(1, 120))] = np.nan
+    return daily(start, values, sid=f"S{start.toordinal()}")
+
+
+class TestDailyRulesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), around=st.sampled_from([1900, 1960, 2000]), years=st.integers(0, 3))
+    def test_reports_match_the_per_day_walk(self, data, around, years):
+        window = (around, around + years)
+        series = data.draw(st.lists(_gappy_daily(around), min_size=1, max_size=4))
+        _, reports = filter_daily_stations(series, window=window)
+        for s, r in zip(series, reports, strict=True):
+            assert (r.reason, r.missing_frac, r.longest_gap) == _daily_rules_oracle(s, window)
+            assert r.verdict == ("kept" if r.reason == "" else "dropped")
+
+    def test_widest_window_equals_the_study_window(self):
+        s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
+        s.values[200:230] = np.nan
+        s.values[-3000:-2940] = np.nan
+        short = complete_daily(dt.date(1990, 3, 1), dt.date(2000, 2, 29), sid="S2")
+        _, study = filter_daily_stations([s, short], window=STUDY_WINDOW)
+        _, widest = filter_daily_stations([s, short], window=(1, 9999))
+        assert widest == study
+        assert [r.reason for r in study] == ["gap_days", "short_record"]
+        assert study[0].longest_gap == 60
 
 
 

@@ -295,6 +295,17 @@ class TestCommonYearsCovariance:
             assert regional_mann_kendall(group) == _per_pair_oracle(group)
         assert "A/D: no overlapping years; covariance skipped" in regional_mann_kendall(disjoint).flags
 
+    def test_ragged_group_builds_one_year_map_per_member(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        x = _half_degree_group(rng, 6, 40)
+        group = [_annual(x[m][m:], 1960 + m, key=f"S{m}") for m in range(6)]
+        calls = []
+        as_dict = AnnualSeries.as_dict
+        monkeypatch.setattr(AnnualSeries, "as_dict", lambda s: calls.append(s.key) or as_dict(s))
+        result = regional_mann_kendall(group)
+        assert sorted(calls) == [s.key for s in group]
+        assert result == _per_pair_oracle(group)
+
     def test_non_finite_values_keep_per_pair_path(self):
         rng = np.random.default_rng(48)
         x = _half_degree_group(rng, 3, 12)
