@@ -507,6 +507,26 @@ def trends_row(pair, metric, season, group, regional: stats.RegionalTrendResult,
     )
 
 
+TREND_CELLS_HEADER = (
+    "pair",
+    "metric",
+    "season",
+    "uc_n",
+    "uc_sig",
+    "uc_prop",
+    "uc_field_sig",
+    "nonuc_n",
+    "nonuc_sig",
+    "nonuc_prop",
+    "nonuc_field_sig",
+    "prop_diff",
+    "prop_p",
+    "ci_low",
+    "ci_high",
+    "direction",
+    "note",
+)
+
 COMPARISON_HEADER = (
     "pair",
     "metric",
@@ -614,6 +634,16 @@ def _read_csv(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def _read_table(path: Path, producer: str, header) -> list[list[str]]:
+    """The rows of a table the producer stage wrote under header; DataError
+    when it is missing or unreadable, under another header, or holds a row
+    of another width."""
+    found, *rows = _load(path, producer, _read_csv) or [[]]
+    if tuple(found) != header or any(len(row) != len(header) for row in rows):
+        raise DataError(f"{path.name} is not a {producer} table; rerun the {producer} stage")
+    return rows
+
+
 def _metric_season(series_metric: str):
     """Map an annual-series metric label to (config metric, season)."""
     if "_" in series_metric:
@@ -634,9 +664,23 @@ def _clip_years(series: AnnualSeries, window) -> AnnualSeries | None:
 def _read_pairs(path: Path) -> list[RegionPair]:
     """The pairs ingest wrote to pairs.json; ValueError when it is not such a file."""
     try:
-        return [RegionPair(**p) for p in json.loads(path.read_text())["pairs"]]
+        pairs = [RegionPair(**p) for p in json.loads(path.read_text())["pairs"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a pairs file ({exc!r})") from exc
+    for p in pairs:
+        if not all(isinstance(v, str) for v in (p.uc_id, p.cr_id)) or not all(
+            isinstance(v, list) and all(isinstance(s, str) for s in v) for v in (p.uc_stations, p.nonuc_stations)
+        ):
+            raise ValueError("not a pairs file (ids must be strings and station lists lists of strings)")
+    return pairs
+
+
+def _read_annual(path: Path, key_columns) -> dict:
+    """load_annual; ValueError when a value is not finite, as no stage writes one."""
+    series = load_annual(path, key_columns)
+    if not np.all(np.isfinite(np.concatenate([s.values for s in series.values()] + [np.empty(0)]))):
+        raise ValueError("annual file holds a non-finite value")
+    return series
 
 
 def _present(station_series: dict, stations, metric: str, season: str) -> list:
@@ -843,8 +887,8 @@ def stage_indices(out_dir, cfg: RunConfig):
 
 def stage_trends(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    station_series = _load(out / F_ANNUAL_STATION, "indices", load_annual, ANNUAL_STATION_KEYS)
-    regional_series = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
+    station_series = _load(out / F_ANNUAL_STATION, "indices", _read_annual, ANNUAL_STATION_KEYS)
+    regional_series = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     cells = [
@@ -912,29 +956,7 @@ def stage_trends(out_dir, cfg: RunConfig):
                 cell.note,
             )
         )
-    _write_csv(
-        out / F_TREND_CELLS,
-        (
-            "pair",
-            "metric",
-            "season",
-            "uc_n",
-            "uc_sig",
-            "uc_prop",
-            "uc_field_sig",
-            "nonuc_n",
-            "nonuc_sig",
-            "nonuc_prop",
-            "nonuc_field_sig",
-            "prop_diff",
-            "prop_p",
-            "ci_low",
-            "ci_high",
-            "direction",
-            "note",
-        ),
-        cell_rows,
-    )
+    _write_csv(out / F_TREND_CELLS, TREND_CELLS_HEADER, cell_rows)
 
     keyed = [(cell, group, regional) for cell in cells for group, regional in cell.regional]
     reg_series = [regional_series.get((cell.pair, group, cell.metric, cell.season)) for cell, group, _ in keyed]
@@ -952,11 +974,16 @@ def stage_trends(out_dir, cfg: RunConfig):
 
 def stage_compare(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    regional = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
-    _require(out / F_TREND_CELLS, "trends")
+    regional = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
+    cells = _read_table(out / F_TREND_CELLS, "trends", TREND_CELLS_HEADER)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
-    header, *cells = _read_csv(out / F_TREND_CELLS)
-    prop_by_cell = {tuple(row[:3]): dict(zip(header, row)) for row in cells}
+    props = ("uc_prop", "nonuc_prop", "prop_p")
+    try:
+        prop_by_cell = {
+            tuple(row[:3]): {name: float(row[TREND_CELLS_HEADER.index(name)]) for name in props} for row in cells
+        }
+    except ValueError as exc:
+        raise DataError(f"{F_TREND_CELLS} holds a proportion that is not a number; rerun the trends stage") from exc
     rows = []
     for pair in pairs:
         for metric, season in _cell_rows(cfg.metrics, cfg.seasons):
@@ -974,7 +1001,7 @@ def stage_compare(out_dir, cfg: RunConfig):
 
 def stage_correlate(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    regional = _load(out / F_ANNUAL_REGIONAL, "indices", load_annual, ANNUAL_REGIONAL_KEYS)
+    regional = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
     cov_path = _input_path(out, cfg, "covariates")
     if not cov_path.exists():
@@ -1015,13 +1042,14 @@ def stage_correlate(out_dir, cfg: RunConfig):
     _write_csv(out / F_CORR_DIFF, CORRELATION_HEADER, correlation_rows(m_diff))
 
 
+# figure, source table, the stage that writes it and its header, season filter
 _FIGURES = (
-    ("fig2a.csv", F_COMPARISON, "seasonal"),
-    ("fig2c.csv", F_TREND_CELLS, "seasonal"),
-    ("fig3a.csv", F_COMPARISON, "annual"),
-    ("fig3b.csv", F_TREND_CELLS, "annual"),
-    ("fig4a.csv", F_CORR_UC, None),
-    ("fig4b.csv", F_CORR_DIFF, None),
+    ("fig2a.csv", F_COMPARISON, "compare", COMPARISON_HEADER, "seasonal"),
+    ("fig2c.csv", F_TREND_CELLS, "trends", TREND_CELLS_HEADER, "seasonal"),
+    ("fig3a.csv", F_COMPARISON, "compare", COMPARISON_HEADER, "annual"),
+    ("fig3b.csv", F_TREND_CELLS, "trends", TREND_CELLS_HEADER, "annual"),
+    ("fig4a.csv", F_CORR_UC, "correlate", CORRELATION_HEADER, None),
+    ("fig4b.csv", F_CORR_DIFF, "correlate", CORRELATION_HEADER, None),
 )
 
 
@@ -1031,11 +1059,11 @@ def stage_report(out_dir, cfg: RunConfig):
     report.mkdir(parents=True, exist_ok=True)
 
     bundle = []
-    for fig_name, source_name, season_filter in _FIGURES:
+    for fig_name, source_name, producer, header, season_filter in _FIGURES:
         source = out / source_name
         if not source.exists():
             continue
-        header, *rows = _read_csv(source)
+        rows = _read_table(source, producer, header)
         if season_filter is not None:
             season_idx = header.index("season")
             annual = season_filter == "annual"

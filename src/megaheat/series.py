@@ -254,9 +254,6 @@ class AnnualSeries:
     def __len__(self) -> int:
         return int(self.years.size)
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(y): float(v) for y, v in zip(self.years, self.values)}
-
 
 @dataclass
 class ParseIssue:

@@ -143,7 +143,7 @@ def _sen_rows(times, diffs):
     """Theil-Sen slope of each row given its _pair_diffs over the shared
     times: the median of the pairwise slopes."""
     i, j = _pairs(times.size)
-    return np.median(diffs / (times[j] - times[i]), axis=1)
+    return np.median(diffs / (times[j] - times[i]), axis=1, overwrite_input=True)
 
 
 def theil_sen(times, values):
@@ -169,43 +169,19 @@ def sen_slopes(series_list):
     return slopes.tolist()
 
 
-def _trend_rows(years, x):
-    """Mann-Kendall results for the rows of x, finite values over the
-    shared, strictly increasing years, and the sign matrix over year
-    pairs i < j.
-
-    S is a row sum of the sign matrix and the tie correction counts each
-    row's runs of equal values; both are integers, exact in float64.
-    Fewer than 4 years, or a row of equal values, yields an untestable
-    result with s=0 and p=1.  The slope denominator uses the actual year
-    spacing, so omitted years widen the gap.
-    """
-    k, n = x.shape
-    diffs = _pair_diffs(x)
-    signs = np.sign(diffs)
-    slopes = _sen_rows(np.asarray(years, dtype=float), diffs) if n >= 2 else np.full(k, np.nan)
-    if n < 4:
-        return [_untestable(slope) for slope in slopes.tolist()], signs
-
-    _, begin, length = _runs(x)
-    row = begin // n
-    # integer sums, exact in float64
-    ties = np.bincount(row, weights=length * (length - 1) * (2 * length + 5), minlength=k)
-    var_s = (n * (n - 1) * (2 * n + 5) - ties) / 18.0
-    s = signs.sum(axis=1).astype(np.int64)
-    z = np.zeros(k)
+def _trend_results(s, var_s, slopes, testable):
+    """A TrendResult per station from its integer score S, tie-corrected
+    variance, Sen slope and whether it is testable."""
+    z = np.zeros(s.size)
     moving = (s != 0) & (var_s > 0.0)
     z[moving] = (s[moving] - np.sign(s[moving])) / np.sqrt(var_s[moving])
     p = np.minimum(1.0, 2.0 * scipy.special.ndtr(-np.abs(z)))
-    # a row of equal values is a single run
-    testable = np.bincount(row, minlength=k) > 1
-    results = [
+    return [
         TrendResult(s=s_, var_s=v, z=z_, p=p_, slope=slope) if ok else _untestable(slope)
         for s_, v, z_, p_, slope, ok in zip(
-            s.tolist(), var_s.tolist(), z.tolist(), p.tolist(), slopes.tolist(), testable.tolist()
+            s.tolist(), var_s.tolist(), z.tolist(), p.tolist(), slopes, testable.tolist()
         )
     ]
-    return results, signs
 
 
 def _untestable(slope):
@@ -217,7 +193,9 @@ def mann_kendall(series):
 
     Fewer than 4 values, or all values equal, yields an untestable result
     with s=0 and p=1. The slope denominator uses actual year spacing, so
-    omitted years widen the gap.
+    omitted years widen the gap.  S sums the signs over year pairs and the
+    tie correction counts runs of equal values; both are integers, exact
+    in float64.
     """
     if isinstance(series, AnnualSeries):
         years = series.years.astype(float)
@@ -226,7 +204,16 @@ def mann_kendall(series):
         values = np.asarray(series, dtype=float)
         years = np.arange(values.size, dtype=float)
     keep = np.isfinite(values)
-    return _trend_rows(years[keep], values[keep][None, :])[0][0]
+    x = values[keep][None, :]
+    n = x.shape[1]
+    diffs = _pair_diffs(x)
+    slope = float(_sen_rows(years[keep], diffs)[0]) if n >= 2 else math.nan
+    if n < 4:
+        return _untestable(slope)
+    _, _, length = _runs(x)
+    var_s = (n * (n - 1) * (2 * n + 5) - np.sum(length * (length - 1) * (2 * length + 5))) / 18.0
+    s = np.sign(diffs).sum(axis=1).astype(np.int64)
+    return _trend_results(s, np.array([var_s]), [slope], np.array([length.size > 1]))[0]
 
 
 def rank_covariance(x, y):
@@ -248,41 +235,6 @@ def rank_covariance(x, y):
     return (concordance + 4.0 * float(rx @ ry) - n * (n + 1) ** 2) / 3.0
 
 
-def _shared_years(series_list):
-    """(years, k x n values) when every series covers the same years with
-    finite values, else None."""
-    years = series_list[0].years
-    if not all(np.array_equal(s.years, years) for s in series_list[1:]):
-        return None
-    x = np.array([s.values for s in series_list])
-    if not np.all(np.isfinite(x)):
-        return None
-    return years, x
-
-
-def _numerators(signs, ranks):
-    """3*cov for every pair of rows: Gram matrices of the sign vectors over
-    year pairs i < j and of the midrank vectors."""
-    n = ranks.shape[1]
-    return signs @ signs.T + 4.0 * (ranks @ ranks.T) - n * (n + 1) ** 2
-
-
-def _common_years_numerators(members):
-    """Covariance numerators 3*cov for every station pair, or None.
-
-    Applies when all members cover the same years with finite values.
-    Stacking them as a k x n matrix, the concordance sums are the Gram
-    matrix of the per-station sign vectors over year pairs i < j and the
-    midrank cross-products the Gram matrix of the rank vectors.  Every
-    entry is an integer (midranks are multiples of 1/2), so the float64
-    products are exact and each pair's value equals rank_covariance * 3.
-    """
-    block = _shared_years(members)
-    if block is None:
-        return None
-    return _numerators(np.sign(_pair_diffs(block[1])), _midranks(block[1]))
-
-
 def regional_mann_kendall(series_list):
     """Group-level Mann-Kendall over a set of station annual series.
 
@@ -291,60 +243,72 @@ def regional_mann_kendall(series_list):
     Pairs without overlap skip the covariance term; a raw variance below
     1% of the summed station variances is floored there. Both events are
     flagged. Stations individually untestable are excluded and flagged.
+    A non-finite value counts as an absent year, as in mann_kendall, and
+    the result's ``stations`` holds each series' mann_kendall result.
 
-    The result's ``stations`` holds each series' mann_kendall result.
-    When every series covers the same years with finite values, one sign
-    matrix over the group gives both the station scores and the
-    covariances.  Otherwise each series is tested alone; members covering
-    identical years still get all their covariances from two matrix
-    products, and failing that each pair goes through rank_covariance on
-    its common years.
+    Every group is one k x N block over the union of its years, with a
+    0/1 year mask M.  Station a's sign matrix A_a[t, u] = sign(x_a(t) -
+    x_a(u)), zero where a lacks t or u, gives its S (the sum over t > u)
+    and, with station b, the concordance over their common years C (the
+    Gram product of the sign vectors over t > u).  Row t of A_a @ m_b, m_b
+    row b of M, is q_ab(t): twice the midrank of x_a(t) among C, less
+    |C| + 1.  So 3 * rank_covariance over C is the concordance plus
+    sum_C q_ab q_ba, and a station's own entry is 3 times its
+    tie-corrected Mann-Kendall variance.  Every term is an integer: a sign
+    is -1, 0 or 1 and q sums at most N of them, exact in float32 while N
+    stays below 2**24, and the products are summed in float64.
     """
     if not series_list:
         raise ValueError("empty station group")
-    numerators = None
-    block = _shared_years(series_list)
-    if block is None:
-        results = [mann_kendall(s) for s in series_list]
-    else:
-        years, x = block
-        results, signs = _trend_rows(years, x)
-        testable = np.array([not r.untestable for r in results])
-        numerators = _numerators(signs[testable], _midranks(x[testable]))
-    stations = tuple(results)
+    k = len(series_list)
+    all_years = np.concatenate([s.years for s in series_list])
+    years = np.unique(all_years)
+    n_years = years.size
+    x = np.full((k, n_years), np.nan)
+    x[np.repeat(np.arange(k), [s.years.size for s in series_list]), np.searchsorted(years, all_years)] = (
+        np.concatenate([s.values for s in series_list])
+    )
+    present = np.isfinite(x)
+    x[~present] = np.nan
+    n = present.sum(axis=1)
+    mask = present.astype(np.float32)
+    finite = [
+        s if count == s.years.size else AnnualSeries(s.key, s.metric, years[row], values[row])
+        for s, count, row, values in zip(series_list, n.tolist(), present, x)
+    ]
+    slopes = sen_slopes(finite)
 
-    members = []
-    flags = []
-    for s, r in zip(series_list, results, strict=True):
-        if r.untestable:
-            flags.append(f"{s.key}: untestable station excluded")
-        else:
-            members.append((s, r))
+    # comparisons with NaN are false, so an absent year's signs are 0
+    signs = np.subtract(x[:, :, None] > x[:, None, :], x[:, :, None] < x[:, None, :], dtype=np.float32)
+    i, j = _pairs(n_years)
+    pair_signs = np.take(signs.reshape(k, n_years * n_years), j * n_years + i, axis=1).astype(float)
+    q = (signs.reshape(k * n_years, n_years) @ mask.T).reshape(k, n_years, k).astype(float)
+    numerators = pair_signs @ pair_signs.T + np.einsum("atb,bta->ab", q, q)
+    own = np.diagonal(numerators)
 
-    if not members:
+    # a station of equal values has no sign but 0, and no variance
+    testable = (n >= 4) & (own > 0.0)
+    stations = tuple(_trend_results(pair_signs.sum(axis=1).astype(np.int64), own / 3.0, slopes, testable))
+
+    flags = [f"{s.key}: untestable station excluded" for s, r in zip(series_list, stations) if r.untestable]
+    members = np.flatnonzero(testable)
+    if not members.size:
         return RegionalTrendResult(
             s=0, var_s=0.0, z=0.0, p=1.0, flags=tuple(flags + ["no testable stations"]), stations=stations
         )
 
-    s_r = sum(r.s for _, r in members)
-    var_sum = sum(r.var_s for _, r in members)
+    s_r = sum(stations[m].s for m in members.tolist())
+    var_sum = sum(stations[m].var_s for m in members.tolist())
+    first, second = (members[side] for side in _pairs(members.size))
+    overlap = (mask @ mask.T)[first, second] > 0.0
     cov_sum = 0.0
-    if numerators is None:
-        numerators = _common_years_numerators([s for s, _ in members])
-    if numerators is not None:
-        # added one at a time in combinations order, as the per-pair path does
-        for cov in (numerators[_pairs(len(members))] / 3.0).tolist():
-            cov_sum += cov
-    else:
-        maps = [(s, s.as_dict()) for s, _ in members]
-        for (sa, map_a), (sb, map_b) in combinations(maps, 2):
-            common = sorted(map_a.keys() & map_b.keys())
-            if not common:
-                flags.append(f"{sa.key}/{sb.key}: no overlapping years; covariance skipped")
-                continue
-            xa = np.array([map_a[y] for y in common])
-            xb = np.array([map_b[y] for y in common])
-            cov_sum += rank_covariance(xa, xb)
+    # added one at a time in combinations order, as rank_covariance per pair would be
+    for cov in (numerators[first, second][overlap] / 3.0).tolist():
+        cov_sum += cov
+    flags += [
+        f"{series_list[a].key}/{series_list[b].key}: no overlapping years; covariance skipped"
+        for a, b in zip(first[~overlap].tolist(), second[~overlap].tolist())
+    ]
 
     var_raw = var_sum + 2.0 * cov_sum
     floor = 0.01 * var_sum

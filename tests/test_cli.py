@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -252,6 +253,77 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "megaheat: error: window 1000-1001 holds no observed value" in err
         assert not (out / pipeline.F_QC_MONTHLY).exists()
+
+    @pytest.mark.parametrize(
+        "name, stage, text",
+        [
+            (pipeline.F_TREND_CELLS, "compare", ""),
+            (pipeline.F_TREND_CELLS, "compare", "pair,metric,season\n"),
+            (pipeline.F_COMPARISON, "report", ""),
+            (pipeline.F_COMPARISON, "report", "pair,metric\nNYC,TAVG\n"),
+            (pipeline.F_CORR_UC, "report", ",".join(pipeline.CORRELATION_HEADER) + "\nTAVG,JJA\n"),
+        ],
+        ids=["trend-cells-empty", "trend-cells-header", "comparison-empty", "comparison-no-season", "short-row"],
+    )
+    def test_malformed_table_exits_2(self, tmp_path, capsys, name, stage, text):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: {name} is not a ") and err.count("\n") == 1
+
+    def test_non_numeric_proportion_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        path = out / pipeline.F_TREND_CELLS
+        header, *rows = list(csv.reader(io.StringIO(path.read_text())))
+        rows[0][header.index("uc_prop")] = "many"
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        capsys.readouterr()
+        assert cli.main(["compare", "--out", str(out), "--config", cfg]) == 2
+        assert "is not a number; rerun the trends stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("uc_stations", 5), ("nonuc_stations", "SYN"), ("uc_stations", [7]), ("uc_id", 3), ("cr_id", None)],
+    )
+    def test_pairs_field_of_the_wrong_type_exits_2(self, tmp_path, capsys, field, value):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        path = out / pipeline.F_PAIRS
+        doc = json.loads(path.read_text())
+        doc["pairs"][0][field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["trends", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: cannot read {pipeline.F_PAIRS}: not a pairs file")
+        assert "Traceback" not in err
+
+    def test_non_finite_annual_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        for stage in ("ingest", "qc", "impute", "indices"):
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 0
+        path = out / pipeline.F_ANNUAL_STATION
+        arrays = dict(np.load(path))
+        arrays["value"][3] = np.nan
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        assert cli.main(["trends", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {pipeline.F_ANNUAL_STATION}: annual file holds a non-finite value" in err
+        assert not (out / pipeline.F_TRENDS).exists()
 
     def test_qc_before_ingest(self, tmp_path, capsys):
         assert cli.main(["qc", "--out", str(tmp_path)]) == 2

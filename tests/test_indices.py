@@ -413,7 +413,7 @@ def _regional_by_year(station_series, key):
     """The per-year reference: np.mean of each year's reporting values,
     stations in key order."""
     ordered = sorted(station_series, key=lambda s: s.key)
-    maps = [s.as_dict() for s in ordered]
+    maps = [dict(zip(s.years, s.values)) for s in ordered]
     years = sorted({int(y) for m in maps for y in m})
     vals = [float(np.mean([m[y] for m in maps if y in m])) for y in years]
     return AnnualSeries(key=key, metric=ordered[0].metric, years=np.array(years, dtype=int), values=np.array(vals))

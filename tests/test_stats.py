@@ -18,7 +18,6 @@ from megaheat.stats import (
     RegionalTrendResult,
     SpearmanResult,
     TrendResult,
-    _common_years_numerators,
     _midranks,
     _two_sided_p,
     _z_with_continuity,
@@ -233,25 +232,23 @@ def _half_degree_group(rng, k, n):
 
 
 class TestCommonYearsCovariance:
-    """The matrix-product covariances against rank_covariance per pair."""
-
-    def _assert_fast_path_equals_oracle(self, group):
-        testable = [s for s in group if not mann_kendall(s).untestable]
-        assert _common_years_numerators(testable) is not None
-        assert regional_mann_kendall(group) == _per_pair_oracle(group)
+    """The masked year-block covariances against rank_covariance per pair."""
 
     def test_random_groups(self):
         rng = np.random.default_rng(41)
         for k, n in [(2, 4), (3, 60), (25, 4), (25, 60), (7, 17), (12, 33), (20, 60)]:
-            self._assert_fast_path_equals_oracle(_group(_half_degree_group(rng, k, n)))
+            group = _group(_half_degree_group(rng, k, n))
+            assert regional_mann_kendall(group) == _per_pair_oracle(group)
 
     def test_numerators_match_rank_covariance(self):
         rng = np.random.default_rng(42)
         x = _half_degree_group(rng, 9, 23)
-        numerators = _common_years_numerators(_group(x))
+        lone = [mann_kendall(s) for s in _group(x)]
         for a in range(9):
             for b in range(9):
-                assert numerators[a, b] / 3.0 == rank_covariance(x[a], x[b])
+                pair = [_annual(x[a], key="A"), _annual(x[b], key="B")]
+                want = lone[a].var_s + lone[b].var_s + 2.0 * rank_covariance(x[a], x[b])
+                assert regional_mann_kendall(pair).var_s == want
 
     def test_constant_member_excluded(self):
         rng = np.random.default_rng(43)
@@ -265,7 +262,7 @@ class TestCommonYearsCovariance:
     def test_single_member(self):
         rng = np.random.default_rng(44)
         group = _group(_half_degree_group(rng, 1, 40))
-        self._assert_fast_path_equals_oracle(group)
+        assert regional_mann_kendall(group) == _per_pair_oracle(group)
         lone = mann_kendall(group[0])
         assert regional_mann_kendall(group).var_s == lone.var_s
 
@@ -273,7 +270,7 @@ class TestCommonYearsCovariance:
         rng = np.random.default_rng(45)
         v = _half_degree_group(rng, 1, 25)[0]
         group = _group([v, -v])
-        self._assert_fast_path_equals_oracle(group)
+        assert regional_mann_kendall(group) == _per_pair_oracle(group)
         assert any("floor" in f for f in regional_mann_kendall(group).flags)
 
     def test_station_results_come_with_the_group_result(self):
@@ -281,7 +278,7 @@ class TestCommonYearsCovariance:
         group = _group(_half_degree_group(rng, 5, 20))
         assert regional_mann_kendall(group).stations == tuple(mann_kendall(s) for s in group)
 
-    def test_ragged_and_disjoint_groups_keep_per_pair_path(self):
+    def test_ragged_and_disjoint_groups(self):
         rng = np.random.default_rng(47)
         x = _half_degree_group(rng, 4, 40)
         ragged = [
@@ -291,40 +288,43 @@ class TestCommonYearsCovariance:
         ]
         disjoint = ragged + [_annual(x[3][:8], 2010, key="D")]
         for group in (ragged, disjoint):
-            assert _common_years_numerators(group) is None
             assert regional_mann_kendall(group) == _per_pair_oracle(group)
         assert "A/D: no overlapping years; covariance skipped" in regional_mann_kendall(disjoint).flags
 
-    def test_ragged_group_builds_one_year_map_per_member(self, monkeypatch):
-        rng = np.random.default_rng(49)
-        x = _half_degree_group(rng, 6, 40)
-        group = [_annual(x[m][m:], 1960 + m, key=f"S{m}") for m in range(6)]
-        calls = []
-        as_dict = AnnualSeries.as_dict
-        monkeypatch.setattr(AnnualSeries, "as_dict", lambda s: calls.append(s.key) or as_dict(s))
-        result = regional_mann_kendall(group)
-        assert sorted(calls) == [s.key for s in group]
-        assert result == _per_pair_oracle(group)
-
-    def test_non_finite_values_keep_per_pair_path(self):
+    def test_non_finite_values_count_as_absent_years(self):
         rng = np.random.default_rng(48)
         x = _half_degree_group(rng, 3, 12)
-        x[1, 4] = np.nan
-        assert _common_years_numerators(_group(x)) is None
+        x[1, 4], x[2, 0], x[2, 7] = np.nan, np.inf, -np.inf
+        group = _group(x)
+        keep = np.isfinite(x)
+        cut = [AnnualSeries(s.key, s.metric, s.years[m], s.values[m]) for s, m in zip(group, keep)]
+        got = regional_mann_kendall(group)
+        assert got == regional_mann_kendall(cut) == _per_pair_oracle(cut)
+        assert got.stations == tuple(mann_kendall(s) for s in group) == tuple(mann_kendall(s) for s in cut)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 8).flatmap(
-            lambda k: st.integers(4, 30).flatmap(
-                lambda n: st.lists(
-                    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k
+            lambda k: st.integers(1, 30).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k),
+                    st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=k, max_size=k),
                 )
             )
         )
     )
-    def test_property_equals_per_pair_oracle(self, halves):
-        group = _group(np.array(halves, dtype=float) / 2.0)
-        assert regional_mann_kendall(group) == _per_pair_oracle(group)
+    def test_property_equals_per_pair_oracle(self, drawn):
+        """Ragged, tied and disjoint groups: each station keeps the years its
+        mask draws out of a shared span, ties come from half-degree values."""
+        halves, masks = drawn
+        years = np.arange(1960, 1960 + len(masks[0]))
+        group = [
+            AnnualSeries(f"S{m}", "cdd", years[np.array(mask)], np.array(v, dtype=float)[np.array(mask)] / 2.0)
+            for m, (v, mask) in enumerate(zip(halves, masks))
+        ]
+        result = regional_mann_kendall(group)
+        assert result == _per_pair_oracle(group)
+        assert all(_same(got, mann_kendall(s)) for got, s in zip(result.stations, group))
 
 
 class TestRanksAndTailsMatchScipy:
