@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .qc import STUDY_WINDOW
-from .series import DailySeries, MonthlySeries, ProvenanceMask, month_index
+from .series import DailySeries, MonthlySeries, ProvenanceMask, copy_onto, month_index
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -561,11 +561,7 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
         n_st = len(group)
         grid = np.full((n_st, n_steps + 1), np.nan)
         for row, s in enumerate(group):
-            s_t0 = month_index(s.first_year, s.first_month)
-            lo = max(s_t0, t0 - 1)
-            hi = min(s_t0 + s.values.size, t0 + n_steps)
-            if hi > lo:
-                grid[row, lo - (t0 - 1) : hi - (t0 - 1)] = s.values[lo - s_t0 : hi - s_t0]
+            copy_onto(grid[row], t0 - 1, s)
         codes = np.where(np.isfinite(grid), ProvenanceMask.OBSERVED, ProvenanceMask.UNIMPUTABLE)
 
         has_elev = np.isfinite(elev)

@@ -43,7 +43,19 @@ from .regions import (
     load_regions,
     pair_uc_nonuc,
 )
-from .series import AnnualSeries, DailySeries, MonthlySeries, load_annual, load_series, save_annual, save_series
+from .series import (
+    AnnualSeries,
+    DailySeries,
+    MonthlySeries,
+    ProvenanceMask,
+    load_annual,
+    load_fills,
+    load_series,
+    npz_stamp,
+    save_annual,
+    save_fills,
+    save_series,
+)
 from .synth import SynthParams, synth_generate, write_world
 
 
@@ -75,10 +87,8 @@ F_PARSED_MONTHLY = "parsed_monthly.npz"
 F_PARSED_DAILY = "parsed_daily.npz"
 F_QC_MONTHLY = "qc_monthly.csv"
 F_QC_DAILY = "qc_daily.csv"
-F_COMPLETED_MONTHLY = "completed_monthly.npz"
-F_MONTHLY_MASK = "monthly_mask.csv"
-F_FILLED_DAILY = "filled_daily.npz"
-F_DAILY_MASK = "daily_mask.csv"
+F_FILLS_MONTHLY = "fills_monthly.npz"
+F_FILLS_DAILY = "fills_daily.npz"
 F_IMPUTE_NOTES = "impute_notes.txt"
 F_ANNUAL_STATION = "annual_station.npz"
 F_ANNUAL_REGIONAL = "annual_regional.npz"
@@ -586,20 +596,30 @@ def _load_series(path: Path, kind, producer: str) -> list:
     return series
 
 
+def _record_precision(values: np.ndarray, monthly: bool) -> np.ndarray:
+    """values rounded to 0.01 C (monthly) or 0.1 C (daily); ``+ 0.0`` turns
+    the -0.0 of a small negative value into the 0.0 the text reads as."""
+    scale = 100.0 if monthly else 10.0
+    return np.rint(values * scale) / scale + 0.0
+
+
 def at_record_precision(series: list) -> list:
     """Copies of the series rounded to 0.1 C (daily) or 0.01 C (monthly).
 
     This is the precision of the fixed-width record files, and what impute
-    hands on: bit for bit what parsing those records back would return
-    (``+ 0.0`` turns the -0.0 of a small negative value into the 0.0 the
-    text reads as).  Observed values already sit on this grid, so only
-    imputed and filled slots move.
+    hands on: bit for bit what parsing those records back would return.
+    Observed values already sit on this grid, so only imputed and filled
+    slots move.
     """
-    out = []
-    for s in series:
-        scale = 100.0 if isinstance(s, MonthlySeries) else 10.0
-        out.append(dataclasses.replace(s, values=np.rint(s.values * scale) / scale + 0.0))
-    return out
+    return [
+        dataclasses.replace(s, values=_record_precision(s.values, isinstance(s, MonthlySeries))) for s in series
+    ]
+
+
+def _record_fills(series, mask: ProvenanceMask) -> tuple:
+    """(offsets, values at record precision) of the slots mask codes as imputed."""
+    offsets = np.flatnonzero(mask.codes == ProvenanceMask.IMPUTED)
+    return offsets, _record_precision(series.values[offsets], isinstance(series, MonthlySeries))
 
 
 def _csv_text(rows, quoting) -> str:
@@ -621,12 +641,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _g(value) -> str:
     return f"{float(value):.17g}"
-
-
-def _codes_text(codes: np.ndarray) -> str:
-    """A provenance code array as one string, without a per-slot join."""
-    codes = np.ascontiguousarray(codes, dtype="<U1")
-    return str(codes.view(f"<U{codes.size}")[0]) if codes.size else ""
 
 
 def _read_csv(path: Path) -> list[list[str]]:
@@ -816,33 +830,38 @@ def stage_impute(out_dir, cfg: RunConfig):
     stations, _ = parse_stations(stations_path.read_bytes())
 
     completed, masks, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
-    save_series(out / F_COMPLETED_MONTHLY, at_record_precision(completed))
-    _write_csv(
-        out / F_MONTHLY_MASK,
-        ("station", "element", "first_year", "first_month", "codes"),
-        [
-            (s.station_id, s.element, s.first_year, s.first_month, _codes_text(m.codes))
-            for s, m in zip(completed, masks)
-        ],
-    )
+    fills = [_record_fills(s, m) for s, m in zip(completed, masks)]
+    save_fills(out / F_FILLS_MONTHLY, completed, fills, npz_stamp(out / F_PARSED_MONTHLY))
     (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
 
-    filled_pairs = [lwma_fill(s) for s in kept_daily]
-    save_series(out / F_FILLED_DAILY, at_record_precision([s for s, _ in filled_pairs]))
-    _write_csv(
-        out / F_DAILY_MASK,
-        ("station", "element", "start", "codes"),
-        [
-            (s.station_id, s.element, s.start.isoformat(), _codes_text(m.codes))
-            for s, m in filled_pairs
-        ],
+    # one filled copy at a time: only its fills are kept
+    fills = [_record_fills(*lwma_fill(s)) for s in kept_daily]
+    save_fills(out / F_FILLS_DAILY, kept_daily, fills, npz_stamp(out / F_PARSED_DAILY))
+
+
+def _load_completed(out: Path, parsed_name: str, qc_name: str, fills_name: str, kind) -> list:
+    """The kept series of parsed_name (per qc_name) completed with the fills
+    impute saved in fills_name; DataError when those fills were saved from
+    another parsed file or other kept series, or do not fit them."""
+    fills = _load(out / fills_name, "impute", load_fills)
+    kept = _load_kept(out, parsed_name, qc_name, kind)
+    same_keys = sorted((s.station_id, s.element) for s in fills.frames) == sorted(
+        (s.station_id, s.element) for s in kept
     )
+    if not same_keys or fills.stamp != _load(out / parsed_name, "ingest", npz_stamp):
+        raise DataError(
+            f"{fills_name} was saved from another {parsed_name} or other {qc_name} verdicts; rerun the impute stage"
+        )
+    try:
+        return fills.complete(kept)
+    except ValueError as exc:
+        raise DataError(f"cannot use {fills_name}: {exc}; rerun the impute stage") from exc
 
 
 def stage_indices(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    completed = _load_series(out / F_COMPLETED_MONTHLY, MonthlySeries, "impute")
-    filled = _load_series(out / F_FILLED_DAILY, DailySeries, "impute")
+    completed = _load_completed(out, F_PARSED_MONTHLY, F_QC_MONTHLY, F_FILLS_MONTHLY, MonthlySeries)
+    filled = _load_completed(out, F_PARSED_DAILY, F_QC_DAILY, F_FILLS_DAILY, DailySeries)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     station_series: dict = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,31 +98,46 @@ class MonthlySeries:
         return float(self.values[i])
 
 
+def _frame_arrays(series: list) -> tuple:
+    """The station ids, elements and lengths of the series, and their starts
+    (a day serial for daily series; first year and first month for monthly
+    ones), as two dicts of arrays."""
+    ids = {
+        "station_id": np.array([s.station_id for s in series], dtype=str),
+        "element": np.array([s.element for s in series], dtype=str),
+        "length": np.array([len(s.values) for s in series], dtype=np.int64),
+    }
+    if all(isinstance(s, MonthlySeries) for s in series):
+        starts = {
+            "first_year": np.array([s.first_year for s in series], dtype=np.int64),
+            "first_month": np.array([s.first_month for s in series], dtype=np.int64),
+        }
+    elif all(isinstance(s, DailySeries) for s in series):
+        starts = {"start_day": np.array([date_to_serial(s.start) for s in series], dtype=np.int64)}
+    else:
+        raise TypeError("a series file takes only DailySeries or only MonthlySeries")
+    return ids, starts
+
+
+def _save_npz(path, arrays: dict) -> None:
+    """One uncompressed ``.npz``; np.savez stamps every entry with zipfile's
+    fixed 1980 date, so the same arrays always give the same bytes."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def save_series(path, series) -> None:
     """Write daily or monthly series (not both) to one uncompressed ``.npz``.
 
     The file holds the station ids, the elements, each series' start (a
     day serial for daily series; first year and first month for monthly
-    ones), the lengths, and all values as one float64 array.  np.savez
-    stamps every entry with zipfile's fixed 1980 date, so the same series
-    always give the same bytes.
+    ones), the lengths, and all values as one float64 array.  The same
+    series always give the same bytes.
     """
     series = list(series)
-    arrays = {
-        "station_id": np.array([s.station_id for s in series], dtype=str),
-        "element": np.array([s.element for s in series], dtype=str),
-        "length": np.array([len(s.values) for s in series], dtype=np.int64),
-        "values": np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series] + [np.empty(0)]),
-    }
-    if all(isinstance(s, MonthlySeries) for s in series):
-        arrays["first_year"] = np.array([s.first_year for s in series], dtype=np.int64)
-        arrays["first_month"] = np.array([s.first_month for s in series], dtype=np.int64)
-    elif all(isinstance(s, DailySeries) for s in series):
-        arrays["start_day"] = np.array([date_to_serial(s.start) for s in series], dtype=np.int64)
-    else:
-        raise TypeError("save_series takes only DailySeries or only MonthlySeries")
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    ids, starts = _frame_arrays(series)
+    values = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series] + [np.empty(0)])
+    _save_npz(path, {**ids, "values": values, **starts})
 
 
 def _read_npz(path) -> dict:
@@ -138,18 +153,19 @@ def _read_npz(path) -> dict:
         raise ValueError(f"not a readable .npz archive: {exc}") from exc
 
 
-def _series_slices(arrays: dict, per_series: dict, concatenated: dict) -> list:
+def _series_slices(arrays: dict, per_series: dict, concatenated: dict, count: str = "length") -> list:
     """Each series' slice of the ``concatenated`` arrays, after checking that all fit together.
 
     Both dicts map array names to a dtype kind ('U', 'i', or 'f' for
-    float64).  ``per_series`` arrays, ``length`` among them, hold one entry
-    per series; ``concatenated`` ones hold every series' entries in turn.
+    float64).  ``per_series`` arrays, ``count`` among them, hold one entry
+    per series; ``concatenated`` ones hold every series' ``count`` entries
+    in turn.
     """
     kinds = {**per_series, **concatenated}
     missing = sorted(kinds.keys() - arrays.keys())
     if missing:
         raise ValueError(f"series file lacks {', '.join(missing)}")
-    lengths = arrays["length"]
+    lengths = arrays[count]
     if (
         any(arrays[k].dtype != np.float64 if kind == "f" else arrays[k].dtype.kind != kind for k, kind in kinds.items())
         or lengths.ndim != 1
@@ -162,6 +178,33 @@ def _series_slices(arrays: dict, per_series: dict, concatenated: dict) -> list:
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
+def _frame_kinds(arrays: dict) -> dict:
+    """The dtype kinds of the per-series frame arrays _frame_arrays wrote."""
+    starts = ("first_year", "first_month") if "first_year" in arrays else ("start_day",)
+    return {"station_id": "U", "element": "U", "length": "i", **dict.fromkeys(starts, "i")}
+
+
+def _frame_series(arrays: dict, values: list) -> list:
+    """One series per frame of the arrays, the i-th holding values[i]."""
+    ids, elements = arrays["station_id"].tolist(), arrays["element"].tolist()
+    if "first_year" in arrays:
+        if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
+            raise ValueError("series file holds a month outside 1-12")
+        return [
+            MonthlySeries(sid, el, year, month, v)
+            for sid, el, year, month, v in zip(
+                ids, elements, arrays["first_year"].tolist(), arrays["first_month"].tolist(), values
+            )
+        ]
+    try:
+        return [
+            DailySeries(sid, el, serial_to_date(day), v)
+            for sid, el, day, v in zip(ids, elements, arrays["start_day"].tolist(), values)
+        ]
+    except OverflowError as exc:
+        raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
+
+
 def load_series(path) -> list:
     """The series save_series wrote to path, in the order it wrote them.
 
@@ -170,30 +213,123 @@ def load_series(path) -> list:
     arrays).  Each series' values are a view into one array.
     """
     arrays = _read_npz(path)
-    monthly = "first_year" in arrays
-    starts = ("first_year", "first_month") if monthly else ("start_day",)
-    slices = _series_slices(
-        arrays,
-        {"station_id": "U", "element": "U", "length": "i", **dict.fromkeys(starts, "i")},
-        {"values": "f"},
-    )
-    ids, elements, values = arrays["station_id"].tolist(), arrays["element"].tolist(), arrays["values"]
-    if monthly:
-        if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
-            raise ValueError("series file holds a month outside 1-12")
-        return [
-            MonthlySeries(sid, el, year, month, values[sl])
-            for sid, el, year, month, sl in zip(
-                ids, elements, arrays["first_year"].tolist(), arrays["first_month"].tolist(), slices
-            )
-        ]
+    slices = _series_slices(arrays, _frame_kinds(arrays), {"values": "f"})
+    return _frame_series(arrays, [arrays["values"][sl] for sl in slices])
+
+
+def first_slot(series) -> int:
+    """The slot of a series' first value on one linear axis: its first
+    month's month_index, or its first day's serial."""
+    if isinstance(series, MonthlySeries):
+        return month_index(series.first_year, series.first_month)
+    return date_to_serial(series.start)
+
+
+def copy_onto(dst: np.ndarray, first: int, series) -> None:
+    """Write series' values into dst, whose element 0 is slot ``first``,
+    where the two overlap."""
+    own = first_slot(series)
+    lo, hi = max(first, own), min(first + dst.size, own + series.values.size)
+    if hi > lo:
+        dst[lo - first : hi - first] = series.values[lo - own : hi - own]
+
+
+def npz_stamp(path) -> list:
+    """(entry name, CRC-32, size) of each entry of an ``.npz``, from its zip
+    directory alone; ValueError when it is not a zip archive."""
     try:
-        return [
-            DailySeries(sid, el, serial_to_date(day), values[sl])
-            for sid, el, day, sl in zip(ids, elements, arrays["start_day"].tolist(), slices)
-        ]
-    except OverflowError as exc:
-        raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
+        with zipfile.ZipFile(path) as archive:
+            return [(info.filename, info.CRC, info.file_size) for info in archive.infolist()]
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"not a readable .npz archive: {exc}") from exc
+
+
+def save_fills(path, frames, fills, stamp) -> None:
+    """Write what imputation adds to some series to one uncompressed ``.npz``.
+
+    ``frames`` are daily or monthly series (not both); only their station
+    ids, elements, starts and lengths are saved, as save_series saves them.
+    ``fills[i]`` is (offsets into frames[i], values) of its filled slots,
+    offsets increasing; the file holds the fill counts (``n_fills``) and
+    every series' ``offset`` (int64) and ``value`` (float64) in turn.
+    ``stamp`` is the npz_stamp of the file the series came from, saved as
+    ``parsed_entry``, ``parsed_crc`` and ``parsed_size``.  The same
+    arguments always give the same bytes.
+    """
+    ids, starts = _frame_arrays(list(frames))
+    arrays = {**ids, **starts}
+    arrays["n_fills"] = np.array([len(offsets) for offsets, _ in fills], dtype=np.int64)
+    arrays["offset"] = np.concatenate([np.asarray(o, dtype=np.int64) for o, _ in fills] + [np.empty(0, np.int64)])
+    arrays["value"] = np.concatenate([np.asarray(v, dtype=np.float64) for _, v in fills] + [np.empty(0)])
+    arrays["parsed_entry"] = np.array([name for name, _, _ in stamp], dtype=str)
+    arrays["parsed_crc"] = np.array([crc for _, crc, _ in stamp], dtype=np.int64)
+    arrays["parsed_size"] = np.array([size for _, _, size in stamp], dtype=np.int64)
+    _save_npz(path, arrays)
+
+
+@dataclass(frozen=True)
+class Fills:
+    """The filled slots save_fills wrote, per series.
+
+    ``frames`` are the series' frames: series whose values are a read-only
+    all-NaN view as long as the frame.  ``offsets[i]`` and ``values[i]``
+    are frame i's filled slots; ``stamp`` is the npz_stamp of the file the
+    series came from.
+    """
+
+    frames: list
+    offsets: list
+    values: list
+    stamp: list
+
+    def complete(self, series) -> list:
+        """Each frame completed from ``series`` and the fills, in the file's order.
+
+        A frame takes the values of the series with its station and element
+        (one must be in ``series``) where they overlap, and the fills.
+        Where a frame is that series' own, the fills go into the series'
+        values in place.  ValueError when a fill lands on an observed slot.
+        """
+        by_key = {(s.station_id, s.element): s for s in series}
+        out = []
+        for frame, offsets, fills in zip(self.frames, self.offsets, self.values):
+            source = by_key[(frame.station_id, frame.element)]
+            first = first_slot(frame)
+            if (first_slot(source), source.values.size) == (first, frame.values.size):
+                values = source.values
+            else:
+                values = np.full(frame.values.size, np.nan)
+                copy_onto(values, first, source)
+            if np.isfinite(values[offsets]).any():
+                raise ValueError(f"{frame.station_id} {frame.element}: a fill lands on an observed slot")
+            values[offsets] = fills
+            out.append(replace(frame, values=values))
+        return out
+
+
+def load_fills(path) -> Fills:
+    """The fills save_fills wrote to path; raises as load_series does, also
+    when a fill offset lies outside its frame or offsets do not increase."""
+    arrays = _read_npz(path)
+    slices = _series_slices(
+        arrays, {**_frame_kinds(arrays), "n_fills": "i"}, {"offset": "i", "value": "f"}, count="n_fills"
+    )
+    # the stamp arrays hold one entry per zip entry, checked as per-series arrays
+    _series_slices(arrays, {"parsed_entry": "U", "parsed_crc": "i", "parsed_size": "i"}, {}, count="parsed_size")
+    lengths, counts, offsets = arrays["length"], arrays["n_fills"], arrays["offset"]
+    # in range, offsets increase within a frame exactly when they increase
+    # across the frames laid end to end
+    laid = offsets + np.repeat(np.cumsum(lengths) - lengths, counts)
+    if np.any((offsets < 0) | (offsets >= np.repeat(lengths, counts))) or np.any(np.diff(laid) <= 0):
+        raise ValueError("fills file holds a fill offset outside its frame, or offsets that do not increase")
+    nan = np.full(int(lengths.max(initial=0)), np.nan)
+    nan.flags.writeable = False
+    return Fills(
+        frames=_frame_series(arrays, [nan[:n] for n in lengths.tolist()]),
+        offsets=[offsets[sl] for sl in slices],
+        values=[arrays["value"][sl] for sl in slices],
+        stamp=list(zip(*(arrays[name].tolist() for name in ("parsed_entry", "parsed_crc", "parsed_size")))),
+    )
 
 
 def save_annual(path, key_columns, series: dict) -> None:
@@ -210,8 +346,7 @@ def save_annual(path, key_columns, series: dict) -> None:
     arrays["length"] = np.array([len(series[key]) for key in keys], dtype=np.int64)
     arrays["year"] = np.concatenate([series[key].years for key in keys] + [np.empty(0, dtype=np.int64)])
     arrays["value"] = np.concatenate([series[key].values for key in keys] + [np.empty(0)])
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _save_npz(path, arrays)
 
 
 def load_annual(path, key_columns) -> dict:

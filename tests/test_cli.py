@@ -42,7 +42,7 @@ RUN_FILES = {
     # qc
     "qc_monthly.csv", "qc_daily.csv",
     # impute
-    "completed_monthly.npz", "monthly_mask.csv", "filled_daily.npz", "daily_mask.csv", "impute_notes.txt",
+    "fills_monthly.npz", "fills_daily.npz", "impute_notes.txt",
     # indices
     "annual_station.npz", "annual_regional.npz",
     # trends, compare, correlate
@@ -205,6 +205,32 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert f"{pipeline.F_QC_DAILY} does not match {pipeline.F_PARSED_DAILY}; rerun the qc stage" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rerun", ["ingest-on-edited-records", "qc-with-other-thresholds"])
+    def test_fills_left_stale_by_an_upstream_rerun_exit_2(self, tmp_path, capsys, rerun):
+        out = tmp_path / "run"
+        daily = {"synth": dict(CFG["synth"], daily=True, gap_rate=0.01), "qc": {"daily_min_span_months": 120}}
+        cfg = _cfg_file(tmp_path, daily)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        for stage in ("ingest", "qc", "impute"):
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 0
+        if rerun == "ingest-on-edited-records":
+            # the first value of the first monthly record now reads 12.34 C
+            path = out / "ghcnm.dat"
+            text = path.read_text()
+            path.write_text(text[:19] + " 1234" + text[24:])
+            assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 0
+            name = pipeline.F_FILLS_MONTHLY
+        else:
+            # the config file now drops every series with a missing summer day
+            cfg = _cfg_file(tmp_path, dict(daily, qc=dict(daily["qc"], daily_jja_max_missing_frac=0.0)))
+            assert cli.main(["qc", "--out", str(out), "--config", cfg]) == 0
+            name = pipeline.F_FILLS_DAILY
+        capsys.readouterr()
+        assert cli.main(["indices", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: {name} was saved from another") and err.count("\n") == 1
+        assert err.endswith("; rerun the impute stage\n") and "Traceback" not in err
 
     def test_station_id_ending_in_nul_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"

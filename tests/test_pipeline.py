@@ -20,7 +20,7 @@ from megaheat.pipeline import (
     trend_comparison_cell,
 )
 from megaheat.regions import ExplanatoryVars
-from megaheat.series import AnnualSeries, load_annual
+from megaheat.series import AnnualSeries, DailySeries, MonthlySeries, first_slot, load_annual, load_fills, load_series
 
 YEARS = np.arange(1956, 2016)
 
@@ -233,19 +233,6 @@ def _uniform_summaries(pair_ids, rng, metrics=("TAVG",), seasons=("JJA",)):
                     "diff_slope": float(rng.uniform(-0.05, 0.05)),
                 }
     return rows
-
-
-class TestCodesText:
-    def test_same_string_as_a_join(self):
-        codes = np.array(list("ooiuoi"), dtype="<U1")
-        assert pipeline._codes_text(codes) == "ooiuoi"
-        grid = np.array([list("oiu"), list("uuo")], dtype="<U1")
-        assert pipeline._codes_text(grid[1]) == "uuo"
-        assert pipeline._codes_text(grid[:, 0]) == "ou"
-        assert pipeline._codes_text(np.array([b"o", b"i"], dtype="S1")) == "oi"
-
-    def test_empty_mask(self):
-        assert pipeline._codes_text(np.array([], dtype="<U1")) == ""
 
 
 def _slot_bits(series):
@@ -463,6 +450,29 @@ def _read_csv_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+_FILES_OF = {
+    MonthlySeries: (pipeline.F_PARSED_MONTHLY, pipeline.F_QC_MONTHLY, pipeline.F_FILLS_MONTHLY),
+    DailySeries: (pipeline.F_PARSED_DAILY, pipeline.F_QC_DAILY, pipeline.F_FILLS_DAILY),
+}
+
+
+def _rebuilt(out, kind):
+    """The completed series indices rebuilds from parsed_*, qc_* and fills_*."""
+    return pipeline._load_completed(out, *_FILES_OF[kind], kind)
+
+
+def _derived_codes(parsed, frame, offsets):
+    """Provenance codes per frame slot: 'o' where the parsed series holds a
+    finite value, 'i' at a stored fill, 'u' elsewhere."""
+    slots = first_slot(frame) + np.arange(frame.values.size) - first_slot(parsed)
+    inside = (slots >= 0) & (slots < parsed.values.size)
+    observed = np.zeros(frame.values.size, dtype=bool)
+    observed[inside] = np.isfinite(parsed.values[slots[inside]])
+    codes = np.where(observed, "o", "u")
+    codes[offsets] = "i"
+    return codes
+
+
 class TestStages:
     def test_ingest_outputs(self, full_run):
         out, cfg, _ = full_run
@@ -502,9 +512,9 @@ class TestStages:
 
     def test_impute_fills_every_window_slot(self, full_run):
         out, cfg, _ = full_run
-        from megaheat.series import load_series, month_index
+        from megaheat.series import month_index
 
-        completed = load_series(out / pipeline.F_COMPLETED_MONTHLY)
+        completed = _rebuilt(out, MonthlySeries)
         assert completed
         w0 = month_index(cfg.window[0], 1)
         w1 = month_index(cfg.window[1], 12)
@@ -515,7 +525,7 @@ class TestStages:
 
     def test_impute_mask_marks_previous_gaps(self, full_run):
         out, cfg, _ = full_run
-        from megaheat.series import load_series, month_index
+        from megaheat.series import month_index
 
         verdicts = _read_csv_rows(out / pipeline.F_QC_MONTHLY)
         kept = {
@@ -525,11 +535,12 @@ class TestStages:
         }
         w0 = month_index(cfg.window[0], 1)
         n_imputed_marked = 0
-        for row in _read_csv_rows(out / pipeline.F_MONTHLY_MASK):
-            codes = row["codes"]
-            t0 = month_index(int(row["first_year"]), int(row["first_month"]))
-            n_imputed_marked += codes.count("i")
-            src = kept[(row["station"], row["element"])]
+        fills = load_fills(out / pipeline.F_FILLS_MONTHLY)
+        for frame, offsets in zip(fills.frames, fills.offsets):
+            src = kept[(frame.station_id, frame.element)]
+            codes = _derived_codes(src, frame, offsets)
+            t0 = month_index(frame.first_year, frame.first_month)
+            n_imputed_marked += int((codes == "i").sum())
             s0 = month_index(src.first_year, src.first_month)
             for t, code in enumerate(codes):
                 abs_t = t0 + t
@@ -622,6 +633,130 @@ class TestStages:
         assert all(t >= 0.0 for t in timings.values())
 
 
+# LIGHT_CFG with daily records that qc keeps, and gaps, so that both fills
+# files hold fills
+FILLS_CFG = dict(
+    LIGHT_CFG,
+    qc={"daily_min_span_months": 120},
+    synth=dict(LIGHT_CFG["synth"], daily=True, gap_rate=0.01, gap_mean_len_steps=1.0),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRebuiltSeries:
+    """indices rebuilds, from parsed_*.npz, the kept rows of qc_*.csv and
+    the fills, bit for bit what impute computed at record precision."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        import datetime as dt
+
+        from megaheat.synth import SynthParams, synth_generate, write_world
+
+        out = tmp_path_factory.mktemp("rebuilt")
+        cfg = load_config(
+            {
+                "window": [1956, 1966],
+                "qc": {
+                    "monthly_max_missing_frac": 1.0,
+                    "monthly_max_gap_months": 1000,
+                    "daily_min_span_months": 0,
+                    "daily_jja_max_missing_frac": 1.0,
+                    "daily_max_gap_days": 10000,
+                },
+            }
+        )
+        params = SynthParams(
+            n_pairs=2,
+            uc_stations=3,
+            nonuc_stations=3,
+            end_year=1966,
+            noise_sd_c=2.0,
+            gap_rate=0.02,
+            gap_mean_len_steps=2.0,
+        )
+        world = synth_generate(911, params)
+        # series that start or end inside the window, and a station without
+        # elevation, whose missing monthly slots stay unimputable
+        monthly, daily = list(world.monthly), list(world.daily)
+        monthly[0] = dataclasses.replace(monthly[0], first_year=1958, first_month=3, values=monthly[0].values[26:])
+        monthly[4] = dataclasses.replace(monthly[4], values=monthly[4].values[:-30])
+        late = daily[0].start + dt.timedelta(days=400)
+        daily[0] = dataclasses.replace(daily[0], start=late, values=daily[0].values[400:])
+        daily[3] = dataclasses.replace(daily[3], values=daily[3].values[:-500])
+        no_elev = world.stations[1].station_id
+        stations = [dataclasses.replace(st, elev=None) if st.station_id == no_elev else st for st in world.stations]
+        write_world(dataclasses.replace(world, monthly=monthly, daily=daily, stations=stations), out)
+        pipeline.run_stages(out, cfg, ["ingest", "qc", "impute"])
+        return out, cfg, no_elev
+
+    def test_monthly_equals_impute_monthly_at_record_precision(self, world):
+        from megaheat.ghcn import parse_stations
+        from megaheat.interpolate import impute_monthly
+
+        out, cfg, no_elev = world
+        kept = pipeline._load_kept(out, pipeline.F_PARSED_MONTHLY, pipeline.F_QC_MONTHLY, MonthlySeries)
+        stations, _ = parse_stations((out / "stations.txt").read_bytes())
+        completed, masks, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
+        expected = pipeline.at_record_precision(completed)
+        rebuilt = _rebuilt(out, MonthlySeries)
+        parsed = {(s.station_id, s.element): s for s in kept}
+        fills = load_fills(out / pipeline.F_FILLS_MONTHLY)
+        assert len(rebuilt) == len(expected) == len(fills.frames) == len(kept)
+        for got, want, mask, frame, offsets in zip(rebuilt, expected, masks, fills.frames, fills.offsets):
+            assert (got.station_id, got.element, got.first_year, got.first_month) == (
+                want.station_id,
+                want.element,
+                want.first_year,
+                want.first_month,
+            )
+            assert np.array_equal(_bits(got.values), _bits(want.values)), got.station_id
+            codes = _derived_codes(parsed[(frame.station_id, frame.element)], frame, offsets)
+            assert np.array_equal(codes, mask.codes), got.station_id
+        # the world holds what the oracle is about
+        all_codes = np.concatenate([m.codes for m in masks])
+        assert {"o", "i", "u"} <= set(all_codes.tolist())
+        assert any(m.codes[1:].tolist().count("u") for s, m in zip(completed, masks) if s.station_id == no_elev)
+        assert any(first_slot(s) > first_slot(c) for s, c in zip(kept, completed))
+        assert any(first_slot(s) + s.values.size < first_slot(c) + c.values.size for s, c in zip(kept, completed))
+
+    def test_daily_equals_lwma_fill_at_record_precision(self, world):
+        from megaheat.interpolate import lwma_fill
+
+        out, _, _ = world
+        kept = pipeline._load_kept(out, pipeline.F_PARSED_DAILY, pipeline.F_QC_DAILY, DailySeries)
+        rebuilt = _rebuilt(out, DailySeries)
+        fills = load_fills(out / pipeline.F_FILLS_DAILY)
+        assert len(rebuilt) == len(kept) == len(fills.frames)
+        seen = set()
+        for s, got, frame, offsets in zip(kept, rebuilt, fills.frames, fills.offsets):
+            filled, mask = lwma_fill(s)
+            (want,) = pipeline.at_record_precision([filled])
+            assert (got.station_id, got.element, got.start) == (want.station_id, want.element, want.start)
+            assert np.array_equal(_bits(got.values), _bits(want.values)), got.station_id
+            codes = _derived_codes(s, frame, offsets)
+            assert np.array_equal(codes, mask.codes), got.station_id
+            seen |= set(codes.tolist())
+        assert seen == {"o", "i", "u"}
+        # daily frames are the parsed series' own: filled in place, not copied
+        assert all(np.shares_memory(a.values, b.values) for a, b in zip(fills.complete(kept), kept))
+
+    def test_impute_files_grow_with_the_fills_not_the_network(self, tmp_path):
+        cfg = load_config(FILLS_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute"])
+        for name in (pipeline.F_FILLS_MONTHLY, pipeline.F_FILLS_DAILY):
+            assert sum(v.size for v in load_fills(tmp_path / name).values) > 0, name
+        impute_bytes = sum(
+            (tmp_path / name).stat().st_size
+            for name in (pipeline.F_FILLS_MONTHLY, pipeline.F_FILLS_DAILY, pipeline.F_IMPUTE_NOTES)
+        )
+        assert impute_bytes < 0.1 * (tmp_path / pipeline.F_PARSED_DAILY).stat().st_size
+
+
 def _tree_bytes(root, skip=()):
     out = {}
     for path in sorted(root.rglob("*")):
@@ -691,7 +826,8 @@ class TestStageErrors:
         [
             (pipeline.F_PARSED_MONTHLY, pipeline.stage_qc),
             (pipeline.F_PARSED_DAILY, pipeline.stage_impute),
-            (pipeline.F_FILLED_DAILY, pipeline.stage_indices),
+            (pipeline.F_FILLS_MONTHLY, pipeline.stage_indices),
+            (pipeline.F_FILLS_DAILY, pipeline.stage_indices),
             (pipeline.F_ANNUAL_STATION, pipeline.stage_trends),
             (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_compare),
             (pipeline.F_ANNUAL_REGIONAL, pipeline.stage_correlate),
@@ -709,6 +845,44 @@ class TestStageErrors:
         path.write_text("not a series file\n")
         with pytest.raises(DataError, match=name):
             stage(tmp_path, cfg)
+
+    @pytest.mark.parametrize("name", [pipeline.F_FILLS_MONTHLY, pipeline.F_FILLS_DAILY])
+    @pytest.mark.parametrize("case", ["before-frame", "past-frame", "repeated", "observed-slot"])
+    def test_fill_that_does_not_fit_its_frame(self, tmp_path, name, case):
+        cfg = load_config(FILLS_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute"])
+        path = tmp_path / name
+        arrays = dict(np.load(path))
+        # the first series with two fills whose first fill is not on its
+        # first slot: the slot before a gap's first fill is observed
+        ends = np.cumsum(arrays["n_fills"])
+        row = next(i for i, n in enumerate(arrays["n_fills"]) if n > 1 and arrays["offset"][ends[i] - n] > 0)
+        lo, hi = ends[row] - arrays["n_fills"][row], ends[row]
+        if case == "before-frame":
+            arrays["offset"][lo] = -1
+        elif case == "past-frame":
+            arrays["offset"][hi - 1] = arrays["length"][row]
+        elif case == "repeated":
+            arrays["offset"][lo + 1] = arrays["offset"][lo]
+        else:
+            arrays["offset"][lo] -= 1
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        message = {"repeated": "do not increase", "observed-slot": "lands on an observed slot"}.get(
+            case, "outside its frame"
+        )
+        with pytest.raises(DataError, match=f"{name}: .*{message}.*; rerun the impute stage"):
+            pipeline.stage_indices(tmp_path, cfg)
+
+    def test_fills_from_other_qc_verdicts(self, tmp_path):
+        cfg = load_config(FILLS_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.run_stages(tmp_path, cfg, ["ingest", "qc", "impute"])
+        strict = dataclasses.replace(cfg, qc=dataclasses.replace(cfg.qc, monthly_max_missing_frac=0.0))
+        pipeline.stage_qc(tmp_path, strict)
+        with pytest.raises(DataError, match=f"{pipeline.F_FILLS_MONTHLY} was saved from .*; rerun the impute stage"):
+            pipeline.stage_indices(tmp_path, strict)
 
     def test_missing_annual_file_names_the_stage(self, tmp_path):
         cfg = load_config(LIGHT_CFG)
