@@ -11,23 +11,28 @@ Three layouts are supported:
 * station inventory lines, 37 chars: id (1-11), lat (13-20), lon (22-30),
   elevation in meters (32-37, one decimal, -999.9 missing).
 
+The two value layouts differ only in the facts one _Layout record holds,
+and one reader and one writer serve both.  Each line covers a run of slots
+on one linear axis: a daily line the day serials of its month, a monthly
+line the month_index values of its year's 12 months.
+
 Lines are split and filtered over the whole file; integer fields are then
 parsed in blocks of a few thousand lines.  An integer field must match
-``" *-?[0-9]+"`` (year and month take no sign); inventory lat, lon and
+``" *-?[0-9]+"`` (year and month take no sign); year 0 has no calendar date
+and is rejected like a month outside 1-12; inventory lat, lon and
 elevation must be plain decimal text: spaces, an optional sign, digits
 with at most one decimal point, and nothing else.
 
-Per-record problems (bad length, non-numeric fields, impossible months)
-are reported as ParseIssue entries carrying 1-based line numbers while the
-remaining records still parse.  Quality flags are not retained.
+Per-record problems (bad length, non-numeric fields, impossible years or
+months) are reported as ParseIssue entries carrying 1-based line numbers
+while the remaining records still parse.  Quality flags are not retained.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +41,37 @@ from .series import (
     MonthlySeries,
     ParseIssue,
     StationMeta,
+    first_slot,
     serial_to_date,
 )
 
-DAILY_ELEMENTS = (b"TMAX", b"TMIN")
-MONTHLY_ELEMENTS = (b"TMIN", b"TAVG", b"TMAX")
 MISSING_INT = -9999
 MISSING_ELEV = -999.9
 
-_DAILY_LEN = 269
-_MONTHLY_LEN = 115
 _STATION_LEN = 37
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The facts of one value-record layout.
+
+    In 0-based, end-exclusive columns a line holds the station id (0-11),
+    the year (11-15), a month (15-17) when has_month, the element at
+    element_cols, then ``groups`` value groups of 8 chars from column
+    values_at: a 5-char integer in 1/scale degree C and 3 flag chars.
+    """
+
+    length: int
+    element_cols: tuple[int, int]
+    elements: tuple[bytes, ...]
+    has_month: bool
+    values_at: int
+    groups: int
+    scale: float
+
+
+_DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
+_MONTHLY = _Layout(115, (15, 19), (b"TMIN", b"TAVG", b"TMAX"), False, 19, 12, 100.0)
 
 # fields per _parse_int_fields block: a few thousand daily lines, whose byte
 # columns and int32 accumulator stay in a core's cache
@@ -57,15 +82,11 @@ _DECIMAL = re.compile(rb" *[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+) *")
 
 
 def _read_bytes(source) -> bytes:
+    """The records themselves, or the contents of the file at that path."""
     if isinstance(source, (bytes, bytearray, memoryview)):
         return bytes(source)
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return fh.read()
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.encode() if isinstance(data, str) else data
-    raise TypeError(f"cannot read records from {type(source)!r}")
+    with open(source, "rb") as fh:
+        return fh.read()
 
 
 def _split_lines(buf: bytes):
@@ -176,15 +197,6 @@ def _format_int_fields(values: np.ndarray, width: int) -> np.ndarray:
     return chars
 
 
-def _month_starts(month_idx: np.ndarray):
-    """Day serial of month start and month length for linear month indices
-    (year*12 + month-1)."""
-    m = np.asarray(month_idx, dtype=np.int64) - 1970 * 12
-    start = m.astype("M8[M]").astype("M8[D]").astype(np.int64)
-    nxt = (m + 1).astype("M8[M]").astype("M8[D]").astype(np.int64)
-    return start, nxt - start
-
-
 def _bytes_column(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     w = hi - lo
     return np.ascontiguousarray(matrix[:, lo:hi]).view(f"S{w}")[:, 0]
@@ -210,13 +222,14 @@ def _series_rows(ids: np.ndarray, element: np.ndarray, ok: np.ndarray) -> list[n
     return np.split(rows[order], np.flatnonzero(np.diff(keys[order])) + 1) if rows.size else []
 
 
-def _value_fields(matrix, rows, lo: int, n: int, scale: float):
-    """Degrees C (MISSING_INT as NaN) and ok mask of the n value groups of
-    8 chars that start at column lo, for the given rows of the line matrix."""
+def _value_fields(matrix, rows, layout: _Layout):
+    """Degrees C (MISSING_INT as NaN) and ok mask of the layout's value
+    groups, for the given rows of the line matrix."""
+    lo = layout.values_at
     # a view when every line is a wanted record, else one copy of those rows
     block = matrix[:, lo:] if rows.size == len(matrix) else matrix[rows, lo:]
-    ints, ok = _parse_int_fields(block.reshape(-1, n, 8)[:, :, :5])
-    values = ints / scale
+    ints, ok = _parse_int_fields(block.reshape(-1, layout.groups, 8)[:, :, :5])
+    values = ints / layout.scale
     values[ints == MISSING_INT] = np.nan
     return values, ok
 
@@ -227,109 +240,81 @@ def _dedup_last(keys: np.ndarray) -> np.ndarray:
     return keys.size - 1 - idx
 
 
-def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
-    """Parse daily fixed-width records into one series per (station, element).
+def _line_slots(layout: _Layout, months: np.ndarray):
+    """First slot and slot count of the lines that start in the given months
+    (month_index values): a daily line holds its month's days, slot = day
+    serial; a monthly line holds its year's 12 months, slot = month_index."""
+    if not layout.has_month:
+        return months, np.full(months.shape, layout.groups)
+    days = (months - 1970 * 12 + np.array([[0], [1]])).astype("M8[M]").astype("M8[D]").astype(np.int64)
+    return days[0], days[1] - days[0]
 
-    Elements other than TMAX/TMIN are skipped.  Day slots beyond the month's
-    length are ignored.  Output is sorted by station id then element; when a
-    (station, year, month) line repeats, the later line wins.
-    """
+
+def _series(layout: _Layout, station_id: str, element: str, first: int, values: np.ndarray):
+    """The series whose values start at slot ``first``; the inverse of first_slot."""
+    if layout.has_month:
+        return DailySeries(station_id, element, serial_to_date(first), values)
+    return MonthlySeries(station_id, element, first // 12, first % 12 + 1, values)
+
+
+def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
+    """One series per (station, element) of the layout's elements, sorted by
+    station id then element; when a line's (station, element, year[, month])
+    repeats, the later line wins."""
     buf = _read_bytes(source)
     if not buf:
         return [], []
     arr, starts, ends, numbers = _split_lines(buf)
-    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers, _DAILY_LEN)
+    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers, layout.length)
 
-    # row-filter narrow column slices rather than the 269-byte matrix;
+    # row-filter narrow column slices rather than the whole line matrix;
     # full-width fancy indexing would copy the whole file per filter pass
-    element = _bytes_column(matrix, 17, 21)
-    rows = np.flatnonzero(np.isin(element, DAILY_ELEMENTS))
+    element = _bytes_column(matrix, *layout.element_cols)
+    rows = np.flatnonzero(np.isin(element, layout.elements))
     numbers, element = numbers[rows], element[rows]
 
-    year, ok_y = _parse_int_fields(matrix[:, 11:15][rows], allow_sign=False)
-    month, ok_m = _parse_int_fields(matrix[:, 15:17][rows], allow_sign=False)
-    ok_head = ok_y & ok_m & (month >= 1) & (month <= 12)
+    # year 0 has no calendar date, so it is a damaged field like any other
+    year, ok_head = _parse_int_fields(matrix[:, 11:15][rows], allow_sign=False)
+    ok_head &= year > 0
+    month, message = np.ones_like(year), "bad year field"
+    if layout.has_month:
+        month, ok_m = _parse_int_fields(matrix[:, 15:17][rows], allow_sign=False)
+        ok_head &= ok_m & (month >= 1) & (month <= 12)
+        message = "bad year/month field"
     for n in numbers[~ok_head]:
-        issues.append(ParseIssue(line=int(n), message="bad year/month field"))
+        issues.append(ParseIssue(line=int(n), message=message))
     rows, numbers, element = rows[ok_head], numbers[ok_head], element[ok_head]
-    year, month = year[ok_head], month[ok_head]
 
     ids = matrix[:, 0:11][rows].view("S11")[:, 0]
-    values, ok_v = _value_fields(matrix, rows, 21, 31, 10.0)
-    matrix = arr = buf = source = None
-    mstart, dim = _month_starts(year * 12 + (month - 1))
-    in_month = np.arange(31)[None, :] < dim[:, None]
-    ok_line = (ok_v | ~in_month).all(axis=1)
+    values, ok_v = _value_fields(matrix, rows, layout)
+    matrix = arr = buf = None
+    first, count = _line_slots(layout, year[ok_head] * 12 + (month[ok_head] - 1))
+    col = np.arange(layout.groups)
+    in_line = col[None, :] < count[:, None]
+    ok_line = (ok_v | ~in_line).all(axis=1)
     for n in numbers[~ok_line]:
         issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
 
-    day_col = np.arange(31)
-    out: list[DailySeries] = []
+    out = []
     for rows in _series_rows(ids, element, ok_line):
-        rows = rows[_dedup_last(mstart[rows])]
-        ms, dm = mstart[rows], dim[rows]
-        s0 = int(ms.min())
-        s1 = int((ms + dm).max()) - 1
-        vals = np.full(s1 - s0 + 1, np.nan)
-        idx = (ms[:, None] - s0) + day_col[None, :]
-        mask = in_month[rows]
-        vals[idx[mask]] = values[rows][mask]
-        r0 = rows[0]
-        out.append(
-            DailySeries(
-                station_id=_station_id(ids[r0]),
-                element=element[r0].decode("ascii"),
-                start=serial_to_date(s0),
-                values=vals,
-            )
-        )
+        rows = rows[_dedup_last(first[rows])]
+        f, mask = first[rows], in_line[rows]
+        s0 = int(f.min())
+        vals = np.full(int((f + count[rows]).max()) - s0, np.nan)
+        vals[((f[:, None] - s0) + col[None, :])[mask]] = values[rows][mask]
+        out.append(_series(layout, _station_id(ids[rows[0]]), element[rows[0]].decode("ascii"), s0, vals))
     return out, issues
+
+
+def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
+    """Parse daily element-month lines into TMAX/TMIN series (see _parse);
+    day slots beyond the month's length are ignored."""
+    return _parse(_DAILY, source)
 
 
 def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
-    """Parse monthly year-per-line records into one series per
-    (station, element) for TMIN/TAVG/TMAX."""
-    buf = _read_bytes(source)
-    if not buf:
-        return [], []
-    arr, starts, ends, numbers = _split_lines(buf)
-    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers, _MONTHLY_LEN)
-
-    element = _bytes_column(matrix, 15, 19)
-    rows = np.flatnonzero(np.isin(element, MONTHLY_ELEMENTS))
-    numbers, element = numbers[rows], element[rows]
-
-    year, ok_y = _parse_int_fields(matrix[:, 11:15][rows], allow_sign=False)
-    for n in numbers[~ok_y]:
-        issues.append(ParseIssue(line=int(n), message="bad year field"))
-    rows, numbers, element, year = rows[ok_y], numbers[ok_y], element[ok_y], year[ok_y]
-
-    ids = matrix[:, 0:11][rows].view("S11")[:, 0]
-    values, ok_v = _value_fields(matrix, rows, 19, 12, 100.0)
-    matrix = arr = buf = source = None
-    ok_line = ok_v.all(axis=1)
-    for n in numbers[~ok_line]:
-        issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
-
-    out: list[MonthlySeries] = []
-    for rows in _series_rows(ids, element, ok_line):
-        rows = rows[_dedup_last(year[rows])]
-        ys = year[rows]
-        y0, y1 = int(ys.min()), int(ys.max())
-        vals = np.full((y1 - y0 + 1) * 12, np.nan)
-        idx = (ys[:, None] - y0) * 12 + np.arange(12)[None, :]
-        vals[idx.ravel()] = values[rows].ravel()
-        r0 = rows[0]
-        out.append(
-            MonthlySeries(
-                station_id=_station_id(ids[r0]),
-                element=element[r0].decode("ascii"),
-                first_year=y0,
-                first_month=1,
-                values=vals,
-            )
-        )
-    return out, issues
+    """Parse monthly year-per-line records into TMIN/TAVG/TMAX series (see _parse)."""
+    return _parse(_MONTHLY, source)
 
 
 def parse_stations(source) -> tuple[list[StationMeta], list[ParseIssue]]:
@@ -370,66 +355,50 @@ def parse_stations(source) -> tuple[list[StationMeta], list[ParseIssue]]:
     return stations, issues
 
 
-def _encode_prefixes(texts: Iterable[str], width: int) -> np.ndarray:
-    blob = "".join(texts).encode("ascii")
-    return np.frombuffer(blob, dtype=np.uint8).reshape(-1, width)
+def _zero_padded(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of non-negative integers, zero-padded to width chars."""
+    return (values[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + 0x30).astype(np.uint8)
+
+
+def _serialize(layout: _Layout, series) -> bytes:
+    """Lines for each series, sorted by station id then element, covering
+    its slots; slots outside the series carry MISSING_INT, flags are spaces."""
+    chunks: list[bytes] = []
+    for s in sorted(series, key=lambda s: (s.station_id, s.element)):
+        slots = first_slot(s) + np.arange(s.values.size)
+        if layout.has_month:
+            m0, m1 = slots[[0, -1]].astype("M8[D]").astype("M8[M]").astype(np.int64) + 1970 * 12
+            months = np.arange(m0, m1 + 1)
+        else:
+            months = np.arange(slots[0] - slots[0] % 12, slots[-1] + 1, 12)
+        line_first, _ = _line_slots(layout, months)
+        line = np.searchsorted(line_first, slots, side="right") - 1
+        grid = np.full((months.size, layout.groups), MISSING_INT, dtype=np.int64)
+        grid[line, slots - line_first[line]] = np.where(
+            np.isnan(s.values), MISSING_INT, np.rint(s.values * layout.scale)
+        ).astype(np.int64)
+
+        lines = np.full((months.size, layout.length + 1), 0x20, dtype=np.uint8)
+        lines[:, :11] = np.frombuffer(f"{s.station_id:<11s}".encode("ascii"), dtype=np.uint8)
+        lines[:, 11:15] = _zero_padded(months // 12, 4)
+        if layout.has_month:
+            lines[:, 15:17] = _zero_padded(months % 12 + 1, 2)
+        lines[:, slice(*layout.element_cols)] = np.frombuffer(f"{s.element:<4s}".encode("ascii"), dtype=np.uint8)
+        value_block = lines[:, layout.values_at : layout.length].reshape(months.size, layout.groups, 8)
+        value_block[:, :, :5] = _format_int_fields(grid, 5)
+        lines[:, layout.length] = 0x0A
+        chunks.append(lines.tobytes())
+    return b"".join(chunks)
 
 
 def serialize_ghcnd(series: list[DailySeries]) -> bytes:
-    """Render daily series back to the fixed-width layout (flags as spaces).
-
-    Coverage is padded to whole months; padded slots carry -9999.
-    """
-    chunks: list[bytes] = []
-    for s in sorted(series, key=lambda s: (s.station_id, s.element)):
-        first_mi = s.start.year * 12 + (s.start.month - 1)
-        last = s.end
-        last_mi = last.year * 12 + (last.month - 1)
-        mi = np.arange(first_mi, last_mi + 1)
-        mstart, dim = _month_starts(mi)
-        grid = np.full((mi.size, 31), MISSING_INT, dtype=np.int64)
-        serials = s.day_serials()
-        month_row = np.searchsorted(mstart, serials, side="right") - 1
-        day_in_month = serials - mstart[month_row]
-        ints = np.where(np.isnan(s.values), MISSING_INT, np.rint(s.values * 10)).astype(np.int64)
-        grid[month_row, day_in_month] = ints
-        grid[np.arange(31)[None, :] >= dim[:, None]] = MISSING_INT
-
-        lines = np.full((mi.size, _DAILY_LEN + 1), 0x20, dtype=np.uint8)
-        prefixes = [
-            f"{s.station_id:<11s}{y:04d}{m:02d}{s.element:<4s}"
-            for y, m in zip(mi // 12, mi % 12 + 1)
-        ]
-        lines[:, :21] = _encode_prefixes(prefixes, 21)
-        value_block = lines[:, 21:_DAILY_LEN].reshape(mi.size, 31, 8)
-        value_block[:, :, :5] = _format_int_fields(grid, 5)
-        lines[:, _DAILY_LEN] = 0x0A
-        chunks.append(lines.tobytes())
-    return b"".join(chunks)
+    """Render daily series as whole-month lines (see _serialize)."""
+    return _serialize(_DAILY, series)
 
 
 def serialize_ghcnm(series: list[MonthlySeries]) -> bytes:
-    """Render monthly series back to the year-per-line layout."""
-    chunks: list[bytes] = []
-    for s in sorted(series, key=lambda s: (s.station_id, s.element)):
-        first_mi = s.first_year * 12 + (s.first_month - 1)
-        last_mi = first_mi + s.values.size - 1
-        y0, y1 = first_mi // 12, last_mi // 12
-        grid = np.full(((y1 - y0 + 1), 12), MISSING_INT, dtype=np.int64)
-        pos = np.arange(first_mi, first_mi + s.values.size) - y0 * 12
-        grid.ravel()[pos] = np.where(
-            np.isnan(s.values), MISSING_INT, np.rint(s.values * 100)
-        ).astype(np.int64)
-
-        years = np.arange(y0, y1 + 1)
-        lines = np.full((years.size, _MONTHLY_LEN + 1), 0x20, dtype=np.uint8)
-        prefixes = [f"{s.station_id:<11s}{y:04d}{s.element:<4s}" for y in years]
-        lines[:, :19] = _encode_prefixes(prefixes, 19)
-        value_block = lines[:, 19:_MONTHLY_LEN].reshape(years.size, 12, 8)
-        value_block[:, :, :5] = _format_int_fields(grid, 5)
-        lines[:, _MONTHLY_LEN] = 0x0A
-        chunks.append(lines.tobytes())
-    return b"".join(chunks)
+    """Render monthly series as whole-year lines (see _serialize)."""
+    return _serialize(_MONTHLY, series)
 
 
 def serialize_stations(stations: list[StationMeta]) -> bytes:

@@ -828,6 +828,10 @@ def stage_impute(out_dir, cfg: RunConfig):
     if not stations_path.exists():
         raise DataError(f"missing input file {stations_path}")
     stations, _ = parse_stations(stations_path.read_bytes())
+    unlisted = sorted({s.station_id for s in kept_monthly} - {st.station_id for st in stations})
+    if unlisted:
+        listed = ", ".join(repr(sid) for sid in unlisted)
+        raise DataError(f"{stations_path.name} no longer lists kept stations {listed}; rerun the ingest stage")
 
     completed, masks, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
     fills = [_record_fills(s, m) for s, m in zip(completed, masks)]

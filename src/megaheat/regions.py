@@ -136,8 +136,8 @@ def load_regions(doc) -> RegionSet:
         props = _json_object(_json_object(feat, where).get("properties", {}), f"{where} properties")
         name = props.get("name")
         kind = props.get("kind")
-        if not name:
-            raise ValueError("feature without a name")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"{where}: name must be a non-empty string, not {name!r}")
         geom = _json_object(feat.get("geometry", {}), f"{where} geometry")
         gtype = geom.get("type")
         coords = geom.get("coordinates", [])
@@ -258,7 +258,8 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
 
 
 def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
-    """Read the covariate table and return one ExplanatoryVars per corridor.
+    """Read the covariate table (CSV bytes, CSV text or a path to a CSV
+    file) and return one ExplanatoryVars per corridor.
 
     A row belongs to the corridor whose name equals its uc_id field
     exactly, whitespace included.  Raises on a missing corridor row or a
@@ -266,16 +267,12 @@ def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
     """
     if isinstance(source, (bytes, bytearray)):
         text = source.decode("utf-8")
-    elif isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
+    elif isinstance(source, str) and not os.path.exists(source):
+        text = source
+    else:
         # newline="" leaves line breaks inside quoted fields to the csv module
         with open(source, newline="") as fh:
             text = fh.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -65,10 +65,6 @@ class DailySeries:
     def index_of(self, d: dt.date) -> int:
         return (d - self.start).days
 
-    def day_serials(self) -> np.ndarray:
-        s0 = date_to_serial(self.start)
-        return np.arange(s0, s0 + len(self.values), dtype=np.int64)
-
 
 @dataclass
 class MonthlySeries:

@@ -206,6 +206,21 @@ class TestDataErrors:
         assert f"{pipeline.F_QC_DAILY} does not match {pipeline.F_PARSED_DAILY}; rerun the qc stage" in err
         assert "Traceback" not in err
 
+    def test_inventory_that_lost_a_kept_station_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        for stage in ("ingest", "qc"):
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 0
+        inventory = out / "stations.txt"
+        first, *rest = inventory.read_text().splitlines(keepends=True)
+        inventory.write_text("".join(rest))
+        capsys.readouterr()
+        assert cli.main(["impute", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: stations.txt no longer lists kept stations {first[:11].strip()!r}")
+        assert err.endswith("; rerun the ingest stage\n") and "Traceback" not in err
+
     @pytest.mark.parametrize("rerun", ["ingest-on-edited-records", "qc-with-other-thresholds"])
     def test_fills_left_stale_by_an_upstream_rerun_exit_2(self, tmp_path, capsys, rerun):
         out = tmp_path / "run"
@@ -269,6 +284,21 @@ class TestDataErrors:
         assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "megaheat: error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [["UC00"], 7])
+    def test_region_name_that_is_not_a_string_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        path = out / "regions.json"
+        doc = json.loads(path.read_text())
+        doc["features"][-1]["properties"]["name"] = name
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "megaheat: error: regions document: feature" in err and "name must be a non-empty string" in err
+        assert "Traceback" not in err
 
     def test_window_without_observations_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -132,6 +132,14 @@ class TestParseGhcnd:
         assert series == []
         assert len(issues) == 1
 
+    def test_year_zero_reported(self):
+        # year 0 has no calendar date; the line is a header issue, and the
+        # station's other lines still parse
+        lines = [dly_line("USW00000001", 0, 7, "TMAX", [100]), dly_line("USW00000001", 1956, 7, "TMAX", [200])]
+        series, issues = parse_ghcnd("\n".join(lines).encode())
+        assert issues == [ParseIssue(line=1, message="bad year/month field")]
+        assert [(s.start, s.values[0]) for s in series] == [(dt.date(1956, 7, 1), 20.0)]
+
     def test_output_sorted_by_station_then_element(self):
         lines = "\n".join(
             [
@@ -257,6 +265,13 @@ class TestParseGhcnm:
         assert len(s.values) == 36
         assert np.all(np.isnan(s.values[12:24]))
         assert s.value_in(1962, 1) == pytest.approx(2.0)
+
+    def test_year_zero_reported(self):
+        # a year-0 line would otherwise stretch the series over 1,960 years
+        lines = [ghcnm_line("USW00000001", 0, "TAVG", [100] * 12), ghcnm_line("USW00000001", 1960, "TAVG", [200] * 12)]
+        series, issues = parse_ghcnm("\n".join(lines).encode())
+        assert issues == [ParseIssue(line=1, message="bad year field")]
+        assert [(s.first_year, s.values.size) for s in series] == [(1960, 12)]
 
 
 class TestPaddedIds:
@@ -586,6 +601,20 @@ def _damage(blob, edits):
     return lines
 
 
+# a year and a month field overwritten with digits and spaces; the byte
+# edits above almost never spell year 0000
+_DIGITS = " 0123456789"
+_HEADER_EDITS = st.tuples(
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from([b"0000", b"9999"]), st.text(_DIGITS, min_size=4, max_size=4).map(str.encode)),
+    st.one_of(st.sampled_from([b"00", b"13"]), st.text(_DIGITS, min_size=2, max_size=2).map(str.encode)),
+)
+
+
+def _field_in(field, lo, hi):
+    return re.fullmatch(rb" *[0-9]+", field) is not None and lo <= int(field) <= hi
+
+
 class TestDamagedLines:
     @pytest.mark.parametrize("layout", sorted(_SAMPLES))
     @settings(max_examples=150, deadline=None)
@@ -609,3 +638,22 @@ class TestDamagedLines:
             if wrong:
                 assert number in flagged, (number, line)
         assert isinstance(records, list)
+
+    @pytest.mark.parametrize("layout", ["daily", "monthly"])
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(_HEADER_EDITS, min_size=1, max_size=4))
+    def test_header_damage_becomes_issues_never_exceptions(self, layout, edits):
+        parse, good = _SAMPLES[layout]
+        lines = good.split(b"\n")[:-1]
+        for line_pick, year, month in edits:
+            k = line_pick % len(lines)
+            head = year + month if layout == "daily" else year
+            lines[k] = lines[k][:11] + head + lines[k][11 + len(head) :]
+        _, issues = parse(b"\n".join(lines) + b"\n")
+        message = "bad year/month field" if layout == "daily" else "bad year field"
+        bad = [
+            n
+            for n, line in enumerate(lines, 1)
+            if not (_field_in(line[11:15], 1, 9999) and (layout == "monthly" or _field_in(line[15:17], 1, 12)))
+        ]
+        assert [(i.line, i.message) for i in issues] == [(n, message) for n in bad]

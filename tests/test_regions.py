@@ -56,6 +56,11 @@ class TestLoadRegions:
         with pytest.raises(ValueError, match="closed"):
             load_regions(collection(feature("East", "climate_region", [ring])))
 
+    @pytest.mark.parametrize("name", [["Metro"], 7, "", None])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="name must be a non-empty string"):
+            load_regions(collection(feature(name, "uc", [square(0, 0, 1, 1)])))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             load_regions(collection(feature("East", "sea_region", [square(0, 0, 1, 1)])))
