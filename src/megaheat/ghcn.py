@@ -16,8 +16,11 @@ and one reader and one writer serve both.  Each line covers a run of slots
 on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
-Lines are split and filtered over the whole file; integer fields are then
-parsed in blocks of a few thousand lines.  An integer field must match
+Lines are split, and their headers (id, year, month, element) parsed and
+filtered, over the whole file; regular lines stay a view of the input.
+Value fields are then parsed per batch of whole series, about
+_BLOCK_FIELDS fields each, straight into each series' own array, so no
+array spans the file's value fields.  An integer field must match
 ``" *-?[0-9]+"`` (year and month take no sign); year 0 has no calendar date
 and is rejected like a month outside 1-12; inventory lat, lon and
 elevation must be plain decimal text: spaces, an optional sign, digits
@@ -73,8 +76,9 @@ class _Layout:
 _DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
 _MONTHLY = _Layout(115, (15, 19), (b"TMIN", b"TAVG", b"TMAX"), False, 19, 12, 100.0)
 
-# fields per _parse_int_fields block: a few thousand daily lines, whose byte
-# columns and int32 accumulator stay in a core's cache
+# fields per _parse_int_fields block and per batch of series: a few
+# thousand daily lines, whose byte columns and int32 accumulator stay in a
+# core's cache
 _BLOCK_FIELDS = 1 << 16
 
 # plain decimal text; float() alone would also take "nan", "inf", "1e3", "1_0"
@@ -108,7 +112,9 @@ def _split_lines(buf: bytes):
 
 def _gather_lines(arr, starts, ends, numbers, expected_len):
     """Return (matrix, line_numbers, issues) where matrix rows are exactly
-    expected_len bytes."""
+    expected_len bytes: a view of arr when the lines start at one fixed
+    step (LF or CRLF ends, with or without a final line break), else one
+    copy of those lines."""
     lengths = ends - starts
     good = lengths == expected_len
     issues = [
@@ -118,21 +124,11 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     starts, numbers = starts[good], numbers[good]
     if starts.size == 0:
         return np.empty((0, expected_len), dtype=np.uint8), numbers, issues
-    stride = expected_len + 1
-    if (
-        starts.size > 1
-        and starts[0] == 0
-        and np.all(np.diff(starts) == stride)
-        and arr.size >= starts[-1] + expected_len
-    ):
-        n = starts.size
-        mat = arr[: (n - 1) * stride + expected_len]
-        if mat.size == n * stride - 1:
-            mat = np.concatenate((mat, np.zeros(1, dtype=np.uint8)))
-        matrix = mat.reshape(n, stride)[:, :expected_len]
-    else:
-        matrix = arr[starts[:, None] + np.arange(expected_len)]
-    return matrix, numbers, issues
+    windows = np.lib.stride_tricks.sliding_window_view(arr, expected_len)
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    if np.all(np.diff(starts) == step):
+        return windows[starts[0] :: step][: starts.size], numbers, issues
+    return windows[starts], numbers, issues
 
 
 def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
@@ -207,31 +203,33 @@ def _station_id(raw: bytes) -> str:
     return raw.decode("ascii", "replace").strip()
 
 
-def _series_rows(ids: np.ndarray, element: np.ndarray, ok: np.ndarray) -> list[np.ndarray]:
-    """The ok rows of each (reported id, element) series, in file order; series sorted by that pair.
+def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
+    """The rows of each (reported id, element) series, in file order; series sorted by that pair.
 
     Grouping by the reported id, not the raw field, makes lines under
     ``PAD1       `` and `` PAD1      `` one series.
     """
+    if ids.size == 0:
+        return []
     raw, raw_of_row = np.unique(ids, return_inverse=True)
     _, sid_of_raw = np.unique(np.array([_station_id(r) for r in raw.tolist()], dtype=object), return_inverse=True)
     elements, element_of_row = np.unique(element, return_inverse=True)
-    rows = np.flatnonzero(ok)
-    keys = (sid_of_raw[raw_of_row] * elements.size + element_of_row)[rows]
+    keys = sid_of_raw[raw_of_row] * elements.size + element_of_row
     order = np.argsort(keys, kind="stable")
-    return np.split(rows[order], np.flatnonzero(np.diff(keys[order])) + 1) if rows.size else []
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
-def _value_fields(matrix, rows, layout: _Layout):
-    """Degrees C (MISSING_INT as NaN) and ok mask of the layout's value
-    groups, for the given rows of the line matrix."""
-    lo = layout.values_at
-    # a view when every line is a wanted record, else one copy of those rows
-    block = matrix[:, lo:] if rows.size == len(matrix) else matrix[rows, lo:]
-    ints, ok = _parse_int_fields(block.reshape(-1, layout.groups, 8)[:, :, :5])
-    values = ints / layout.scale
-    values[ints == MISSING_INT] = np.nan
-    return values, ok
+def _batches(series_rows: list[np.ndarray], fields_per_row: int):
+    """Runs of whole series, each closed once it holds _BLOCK_FIELDS value fields or more."""
+    batch, fields = [], 0
+    for rows in series_rows:
+        batch.append(rows)
+        fields += rows.size * fields_per_row
+        if fields >= _BLOCK_FIELDS:
+            yield batch
+            batch, fields = [], 0
+    if batch:
+        yield batch
 
 
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
@@ -250,6 +248,28 @@ def _line_slots(layout: _Layout, months: np.ndarray):
     return days[0], days[1] - days[0]
 
 
+def _series_values(layout: _Layout, first, count, ints, ok):
+    """(bad, first slot, values in degrees C with MISSING_INT as NaN) of
+    one series from its lines' first slots, slot counts and parsed value
+    fields, in file order.  bad marks the lines with a non-numeric field
+    among their slots; of the others, a repeated first slot keeps the later
+    line.  First slot and values are None when no line is left."""
+    col = np.arange(layout.groups)
+    in_line = col < count[:, None]
+    bad = (in_line & ~ok).any(axis=1)
+    keep = np.flatnonzero(~bad)
+    if keep.size == 0:
+        return bad, None, None
+    keep = keep[_dedup_last(first[keep])]
+    f, mask, ints = first[keep], in_line[keep], ints[keep]
+    s0 = int(f.min())
+    values = np.full(int((f + count[keep]).max()) - s0, np.nan)
+    degrees = ints / layout.scale
+    degrees[ints == MISSING_INT] = np.nan
+    values[((f[:, None] - s0) + col)[mask]] = degrees[mask]
+    return bad, s0, values
+
+
 def _series(layout: _Layout, station_id: str, element: str, first: int, values: np.ndarray):
     """The series whose values start at slot ``first``; the inverse of first_slot."""
     if layout.has_month:
@@ -260,7 +280,11 @@ def _series(layout: _Layout, station_id: str, element: str, first: int, values: 
 def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
     """One series per (station, element) of the layout's elements, sorted by
     station id then element; when a line's (station, element, year[, month])
-    repeats, the later line wins."""
+    repeats, the later line whose value fields parse wins.
+
+    Issues list bad line lengths, then bad headers, then non-numeric value
+    fields, each in line order.
+    """
     buf = _read_bytes(source)
     if not buf:
         return [], []
@@ -284,25 +308,23 @@ def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
     for n in numbers[~ok_head]:
         issues.append(ParseIssue(line=int(n), message=message))
     rows, numbers, element = rows[ok_head], numbers[ok_head], element[ok_head]
-
     ids = matrix[:, 0:11][rows].view("S11")[:, 0]
-    values, ok_v = _value_fields(matrix, rows, layout)
-    matrix = arr = buf = None
     first, count = _line_slots(layout, year[ok_head] * 12 + (month[ok_head] - 1))
-    col = np.arange(layout.groups)
-    in_line = col[None, :] < count[:, None]
-    ok_line = (ok_v | ~in_line).all(axis=1)
-    for n in numbers[~ok_line]:
-        issues.append(ParseIssue(line=int(n), message="non-numeric value field"))
 
-    out = []
-    for rows in _series_rows(ids, element, ok_line):
-        rows = rows[_dedup_last(first[rows])]
-        f, mask = first[rows], in_line[rows]
-        s0 = int(f.min())
-        vals = np.full(int((f + count[rows]).max()) - s0, np.nan)
-        vals[((f[:, None] - s0) + col[None, :])[mask]] = values[rows][mask]
-        out.append(_series(layout, _station_id(ids[rows[0]]), element[rows[0]].decode("ascii"), s0, vals))
+    # value fields are parsed one batch of whole series at a time, straight
+    # into each series' own array: no array spans the file's value fields
+    out, bad_lines = [], []
+    for batch in _batches(_series_rows(ids, element), layout.groups):
+        fields = matrix[rows[np.concatenate(batch)], layout.values_at :]
+        ints, ok = _parse_int_fields(fields.reshape(-1, layout.groups, 8)[:, :, :5])
+        cuts = np.cumsum([k.size for k in batch])[:-1]
+        for k, ints_k, ok_k in zip(batch, np.split(ints, cuts), np.split(ok, cuts)):
+            bad, s0, values = _series_values(layout, first[k], count[k], ints_k, ok_k)
+            bad_lines.append(numbers[k[bad]])
+            if values is not None:
+                out.append(_series(layout, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), s0, values))
+    bad_lines = np.sort(np.concatenate(bad_lines)) if bad_lines else []
+    issues += [ParseIssue(line=int(n), message="non-numeric value field") for n in bad_lines]
     return out, issues
 
 

@@ -628,6 +628,15 @@ def _csv_text(rows, quoting) -> str:
     return buf.getvalue()
 
 
+def _file_sha256(path: Path) -> str:
+    """SHA-256 of a file, read in 1 MiB chunks rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_csv(path: Path, header, rows) -> None:
     rows = [header, *rows]
     text = _csv_text(rows, csv.QUOTE_MINIMAL)
@@ -1097,7 +1106,7 @@ def stage_report(out_dir, cfg: RunConfig):
     inputs = {}
     for name in sorted(DEFAULT_PATHS):
         path = _input_path(out, cfg, name)
-        inputs[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        inputs[name] = _file_sha256(path) if path.exists() else None
 
     manifest = {
         "bundle": bundle,

@@ -116,10 +116,24 @@ def _frame_arrays(series: list) -> tuple:
 
 
 def _save_npz(path, arrays: dict) -> None:
-    """One uncompressed ``.npz``; np.savez stamps every entry with zipfile's
-    fixed 1980 date, so the same arrays always give the same bytes."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    """One uncompressed ``.npz`` of 1-D arrays, byte for byte what np.savez
+    writes; np.savez stamps every entry with zipfile's fixed 1980 date, so
+    the same arrays always give the same bytes.
+
+    An entry is an array, or a (dtype, pieces) pair: 1-D arrays written one
+    after another as the one array of that dtype np.concatenate would give,
+    without joining them in memory.
+    """
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, entry in arrays.items():
+            dtype, pieces = entry if isinstance(entry, tuple) else (entry.dtype, [entry])
+            pieces = [np.ascontiguousarray(p, dtype=dtype).reshape(-1) for p in pieces]
+            shape = (sum(p.size for p in pieces),)
+            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)), "fortran_order": False, "shape": shape}
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for piece in pieces:
+                    member.write(piece.view(np.uint8))
 
 
 def save_series(path, series) -> None:
@@ -132,8 +146,7 @@ def save_series(path, series) -> None:
     """
     series = list(series)
     ids, starts = _frame_arrays(series)
-    values = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in series] + [np.empty(0)])
-    _save_npz(path, {**ids, "values": values, **starts})
+    _save_npz(path, {**ids, "values": (np.float64, [s.values for s in series]), **starts})
 
 
 def _read_npz(path) -> dict:
@@ -255,8 +268,8 @@ def save_fills(path, frames, fills, stamp) -> None:
     ids, starts = _frame_arrays(list(frames))
     arrays = {**ids, **starts}
     arrays["n_fills"] = np.array([len(offsets) for offsets, _ in fills], dtype=np.int64)
-    arrays["offset"] = np.concatenate([np.asarray(o, dtype=np.int64) for o, _ in fills] + [np.empty(0, np.int64)])
-    arrays["value"] = np.concatenate([np.asarray(v, dtype=np.float64) for _, v in fills] + [np.empty(0)])
+    arrays["offset"] = (np.int64, [offsets for offsets, _ in fills])
+    arrays["value"] = (np.float64, [values for _, values in fills])
     arrays["parsed_entry"] = np.array([name for name, _, _ in stamp], dtype=str)
     arrays["parsed_crc"] = np.array([crc for _, crc, _ in stamp], dtype=np.int64)
     arrays["parsed_size"] = np.array([size for _, _, size in stamp], dtype=np.int64)
@@ -340,8 +353,8 @@ def save_annual(path, key_columns, series: dict) -> None:
     keys = sorted(series)
     arrays = {name: np.array([key[i] for key in keys], dtype=str) for i, name in enumerate(key_columns)}
     arrays["length"] = np.array([len(series[key]) for key in keys], dtype=np.int64)
-    arrays["year"] = np.concatenate([series[key].years for key in keys] + [np.empty(0, dtype=np.int64)])
-    arrays["value"] = np.concatenate([series[key].values for key in keys] + [np.empty(0)])
+    arrays["year"] = (np.int64, [series[key].years for key in keys])
+    arrays["value"] = (np.float64, [series[key].values for key in keys])
     _save_npz(path, arrays)
 
 

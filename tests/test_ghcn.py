@@ -1,5 +1,6 @@
 import datetime as dt
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from megaheat.ghcn import (
     serialize_ghcnm,
     serialize_stations,
 )
-from megaheat.series import DailySeries, MonthlySeries, ParseIssue, StationMeta
+from megaheat.series import DailySeries, MonthlySeries, ParseIssue, StationMeta, first_slot, save_series
 
 # Fixture lines are assembled by hand here so the parser and the package's
 # own serializer are checked against an independent construction.
@@ -162,6 +163,28 @@ class TestParseGhcnd:
         series, _ = parse_ghcnd(lines.encode())
         assert series[0].values[0] == pytest.approx(20.0)
 
+    def test_later_duplicate_with_a_non_numeric_field_keeps_the_earlier_line(self):
+        bad = dly_line("USW00000001", 1956, 7, "TMAX", [200, 300])
+        lines = [dly_line("USW00000001", 1956, 7, "TMAX", [100, 150]), bad[:29] + "  1x3" + bad[34:]]
+        series, issues = parse_ghcnd("\n".join(lines).encode())
+        assert issues == [ParseIssue(line=2, message="non-numeric value field")]
+        (s,) = series
+        assert s.start == dt.date(1956, 7, 1) and s.values.size == 31
+        assert (s.values[0], s.values[1]) == (10.0, 15.0)
+
+    def test_value_issues_in_line_order_across_series(self):
+        # series are parsed in station order, issues still come in line order
+        lines = [dly_line(sid, 1956, 7, "TMAX", [100]) for sid in ("USW00000002", "USW00000001", "USW00000002")]
+        lines = [line[:21] + "  1x3" + line[26:] for line in lines[:2]] + lines[2:]
+        lines.insert(1, "too short")
+        series, issues = parse_ghcnd("\n".join(lines).encode())
+        assert issues == [
+            ParseIssue(line=2, message="expected 269-char line, got 9"),
+            ParseIssue(line=1, message="non-numeric value field"),
+            ParseIssue(line=3, message="non-numeric value field"),
+        ]
+        assert [s.station_id for s in series] == ["USW00000002"]
+
 
 _FIELD_BYTES = st.one_of(st.sampled_from(b" -0123456789"), st.integers(0, 255))
 
@@ -229,6 +252,112 @@ class TestParseIntFields:
         assert np.isnan(s.values).sum() == sum(
             (dt.date(y + m // 12, m % 12 + 1, 1) - dt.date(y, m, 1)).days for y, m in months[step - 1 : step + 1]
         )
+
+
+class TestGatherLines:
+    """Lines of the record width that start at one fixed step are a view of
+    the input; other lines are gathered into one copy."""
+
+    LINES = [dly_line("USW00000001", 1956, m, "TMAX", [m]).encode() for m in (1, 2, 3)]
+
+    def _gather(self, blob):
+        arr, starts, ends, numbers = ghcn._split_lines(blob)
+        matrix, numbers, issues = ghcn._gather_lines(arr, starts, ends, numbers, 269)
+        return arr, matrix, numbers.tolist(), issues
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("final_break", [True, False])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_regular_lines_are_a_view(self, end, final_break, count):
+        blob = end.join(self.LINES[:count]) + (end if final_break else b"")
+        arr, matrix, numbers, issues = self._gather(blob)
+        assert np.shares_memory(matrix, arr)
+        assert [row.tobytes() for row in matrix] == self.LINES[:count]
+        assert numbers == list(range(1, count + 1)) and issues == []
+
+    def test_irregular_lines_are_a_copy(self):
+        blob = b"\n".join([self.LINES[0], b"short", self.LINES[1], b"", self.LINES[2]]) + b"\n"
+        arr, matrix, numbers, issues = self._gather(blob)
+        assert not np.shares_memory(matrix, arr)
+        assert [row.tobytes() for row in matrix] == self.LINES
+        assert numbers == [1, 3, 5]
+        assert issues == [ParseIssue(line=2, message="expected 269-char line, got 5")]
+
+
+def _daily_world(stations, years):
+    """Daily TMAX and TMIN series of whole years from 1961, in tenths of a degree, some days missing."""
+    rng = np.random.default_rng(5)
+    days = (dt.date(1961 + years, 1, 1) - dt.date(1961, 1, 1)).days
+    out = []
+    for k in range(stations):
+        for element in ("TMAX", "TMIN"):
+            values = np.round(rng.normal(15.0, 8.0, days) * 10.0) / 10.0
+            values[rng.integers(0, days, days // 97)] = np.nan
+            out.append(DailySeries(f"USW{k:08d}", element, dt.date(1961, 1, 1), values))
+    return out
+
+
+class TestMemory:
+    """parse_ghcnd and save_series never hold a copy of the file's value fields.
+
+    The budget follows the design, whatever the world's size:
+    - while lines are split, a one-byte newline mask over the input; after
+      that, the parsed values, 8 bytes per slot.  The larger of the two
+      counts once;
+    - per line, at most 16 index values of 8 bytes: line offsets and
+      numbers, the header fields, the slots and the series grouping;
+    - one batch of whole series in flight: under 24 bytes per field (line
+      bytes, byte columns, int32 values, masks) over at most _BLOCK_FIELDS
+      plus one series' fields, and one series' scatter, under 48 bytes per
+      field (float64 degrees, int64 slot index, masks);
+    - 1 MiB for Python objects: the series, issues and lists;
+    - lines that do not start at one fixed step (a damaged line) add one
+      gathered copy of the good lines.
+    save_series writes the values where they lie: above the series it is
+    given it holds only frame arrays and zip buffers, under 1 MiB.  A
+    design that holds line-wide value arrays needs at least twice the
+    parsed values; one that joins or copies the values to write them needs
+    them once more.
+    """
+
+    STATIONS, YEARS = 24, 40
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return serialize_ghcnd(_daily_world(self.STATIONS, self.YEARS))
+
+    @staticmethod
+    def _budget(blob, series, gathered_lines):
+        n_lines = blob.count(b"\n")
+        output = sum(s.values.nbytes for s in series)
+        # a daily line holds at least 28 slots
+        series_fields = (max(s.values.size for s in series) // 28 + 1) * 31
+        batch = 24 * (ghcn._BLOCK_FIELDS + series_fields) + 48 * series_fields
+        return max(len(blob), output) + 128 * n_lines + batch + 2**20 + 269 * gathered_lines
+
+    @pytest.mark.parametrize("damage", ["clean", "crlf", "short line"])
+    def test_parse_and_save_peak(self, blob, damage, tmp_path):
+        gathered = 0
+        if damage == "crlf":
+            blob = blob.replace(b"\n", b"\r\n")
+        elif damage == "short line":
+            lines = blob.split(b"\n")
+            lines[len(lines) // 2] = lines[len(lines) // 2][:-1]
+            blob = b"\n".join(lines)
+            gathered = len(lines) - 2
+        tracemalloc.start()
+        try:
+            series, issues = parse_ghcnd(blob)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            save_series(tmp_path / "parsed.npz", series)
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 2 * self.STATIONS and len(issues) == (damage == "short line")
+        assert parse_peak < self._budget(blob, series, gathered), parse_peak
+        assert save_peak < 2**20, save_peak
 
 
 class TestParseGhcnm:
@@ -573,6 +702,31 @@ _SAMPLES = {
     ),
 }
 
+# three stations with two or three elements each, so that batches of whole
+# series can split the file in several ways
+_MANY_SERIES = {
+    "daily": (
+        parse_ghcnd,
+        serialize_ghcnd(
+            [
+                DailySeries(f"USW0000000{k}", element, dt.date(1999, 11, 20 + k), np.arange(70.0 + 9 * k) / 10.0)
+                for k in range(3)
+                for element in ("TMAX", "TMIN")
+            ]
+        ),
+    ),
+    "monthly": (
+        parse_ghcnm,
+        serialize_ghcnm(
+            [
+                MonthlySeries(f"USW0000000{k}", element, 1999, 3 + k, np.arange(30.0 + k) / 100.0)
+                for k in range(3)
+                for element in ("TMIN", "TAVG", "TMAX")
+            ]
+        ),
+    ),
+}
+
 # one damage to one line: overwrite, insert or delete a byte, or cut the
 # line; any byte but the line breaks, so line numbers stay put
 _EDITS = st.tuples(
@@ -657,3 +811,19 @@ class TestDamagedLines:
             if not (_field_in(line[11:15], 1, 9999) and (layout == "monthly" or _field_in(line[15:17], 1, 12)))
         ]
         assert [(i.line, i.message) for i in issues] == [(n, message) for n in bad]
+
+    @pytest.mark.parametrize("layout", ["daily", "monthly"])
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(_EDITS, max_size=4), repeats=st.lists(st.integers(0, 10**6), max_size=3))
+    def test_batch_size_changes_nothing(self, layout, edits, repeats):
+        # one series per batch, the default, and one batch for the file
+        parse, good = _MANY_SERIES[layout]
+        lines = _damage(good, edits)
+        lines += [lines[k % len(lines)] for k in repeats]
+        blob = b"\n".join(lines) + b"\n"
+        results = []
+        for fields in (1, ghcn._BLOCK_FIELDS, 10**9):
+            with mock.patch.object(ghcn, "_BLOCK_FIELDS", fields):
+                records, issues = parse(blob)
+            results.append(([(s.station_id, s.element, first_slot(s), s.values.tobytes()) for s in records], issues))
+        assert results[0] == results[1] == results[2]

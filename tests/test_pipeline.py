@@ -3,6 +3,7 @@ matrices, and the file-to-file stages."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -622,6 +623,8 @@ class TestStages:
         manifest = json.loads((report / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg)
         assert set(manifest["inputs"]) == {"daily", "monthly", "stations", "regions", "covariates"}
+        for name, digest in manifest["inputs"].items():
+            assert digest == hashlib.sha256(pipeline._input_path(out, cfg, name).read_bytes()).hexdigest()
         assert "numpy" in manifest["versions"]
         fig2a = _read_csv_rows(report / "fig2a.csv")
         assert len(fig2a) == 2 * 6
@@ -631,6 +634,13 @@ class TestStages:
         _, _, timings = full_run
         assert list(timings) == list(pipeline.STAGE_ORDER)
         assert all(t >= 0.0 for t in timings.values())
+
+
+def test_input_checksum_reads_files_in_chunks(tmp_path):
+    # two and a half 1 MiB chunks
+    data = np.random.default_rng(3).bytes(5 * 2**19 + 7)
+    (tmp_path / "blob").write_bytes(data)
+    assert pipeline._file_sha256(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
 
 
 # LIGHT_CFG with daily records that qc keeps, and gaps, so that both fills

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from megaheat import series as series_module
 from megaheat.series import (
     AnnualSeries,
     DailySeries,
@@ -33,6 +34,8 @@ _VALUES = st.lists(
 _ALL_NAN = st.integers(1, 40).map(lambda n: np.full(n, np.nan))
 _ONE_SLOT = st.floats(allow_nan=True, width=64).map(lambda v: np.array([v]))
 _ARRAYS = st.one_of(_VALUES, _ALL_NAN, _ONE_SLOT)
+# numpy string arrays drop trailing NULs, so keys never end in one
+_KEY = st.text(max_size=8).filter(lambda t: not t.endswith("\x00"))
 
 _DAILY = st.builds(
     DailySeries,
@@ -108,6 +111,54 @@ class TestRoundTrip:
             save_series(tmp_path / "x.npz", series)
 
 
+# _save_npz entries: whole string, int64 and float64 arrays, and (dtype,
+# pieces) pairs whose pieces may be empty
+_FLOAT_ARRAYS = st.lists(st.one_of(st.floats(width=64), st.just(float("nan")), st.just(-0.0)), max_size=6).map(
+    lambda v: np.array(v, dtype=np.float64)
+)
+_INT_ARRAYS = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(lambda v: np.array(v, dtype=np.int64))
+_STR_ARRAYS = st.lists(_KEY, max_size=6).map(lambda v: np.array(v, dtype=str))
+_ENTRIES = st.one_of(
+    _FLOAT_ARRAYS,
+    _INT_ARRAYS,
+    _STR_ARRAYS,
+    st.lists(_FLOAT_ARRAYS, max_size=4).map(lambda pieces: (np.float64, pieces)),
+    st.lists(_INT_ARRAYS, max_size=4).map(lambda pieces: (np.int64, pieces)),
+)
+_NPZ_TABLES = st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), _ENTRIES, max_size=5)
+
+
+def _savez_bytes(path, arrays):
+    """What np.savez writes for the arrays, pieces joined first."""
+    joined = {
+        name: np.concatenate(entry[1] + [np.empty(0, entry[0])]) if isinstance(entry, tuple) else entry
+        for name, entry in arrays.items()
+    }
+    with open(path, "wb") as fh:
+        np.savez(fh, **joined)
+    return path.read_bytes()
+
+
+class TestNpzWriter:
+    """_save_npz writes byte for byte what np.savez writes, without joining pieces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=_NPZ_TABLES)
+    def test_same_bytes_as_savez(self, tmp_path_factory, arrays):
+        tmp = tmp_path_factory.mktemp("npz")
+        series_module._save_npz(tmp / "ours.npz", arrays)
+        assert (tmp / "ours.npz").read_bytes() == _savez_bytes(tmp / "savez.npz", arrays)
+
+    @settings(max_examples=40, deadline=None)
+    @given(series=st.lists(_DAILY, max_size=6))
+    def test_save_series_writes_what_savez_wrote(self, tmp_path_factory, series):
+        tmp = tmp_path_factory.mktemp("series")
+        save_series(tmp / "ours.npz", series)
+        ids, starts = series_module._frame_arrays(series)
+        arrays = {**ids, "values": (np.float64, [s.values for s in series]), **starts}
+        assert (tmp / "ours.npz").read_bytes() == _savez_bytes(tmp / "savez.npz", arrays)
+
+
 class TestBadFiles:
     @pytest.fixture
     def good(self, tmp_path):
@@ -169,8 +220,6 @@ class TestBadFiles:
             load_series(bad)
 
 
-# numpy string arrays drop trailing NULs, so keys never end in one
-_KEY = st.text(max_size=8).filter(lambda t: not t.endswith("\x00"))
 _KEY_COLUMNS = ("station", "metric", "season")
 _ANNUAL = st.lists(st.integers(1, 9999), unique=True, max_size=12).flatmap(
     lambda years: st.lists(
