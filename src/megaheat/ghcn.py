@@ -45,7 +45,7 @@ from .series import (
     ParseIssue,
     StationMeta,
     first_slot,
-    serial_to_date,
+    series_at,
 )
 
 MISSING_INT = -9999
@@ -270,13 +270,6 @@ def _series_values(layout: _Layout, first, count, ints, ok):
     return bad, s0, values
 
 
-def _series(layout: _Layout, station_id: str, element: str, first: int, values: np.ndarray):
-    """The series whose values start at slot ``first``; the inverse of first_slot."""
-    if layout.has_month:
-        return DailySeries(station_id, element, serial_to_date(first), values)
-    return MonthlySeries(station_id, element, first // 12, first % 12 + 1, values)
-
-
 def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
     """One series per (station, element) of the layout's elements, sorted by
     station id then element; when a line's (station, element, year[, month])
@@ -313,6 +306,7 @@ def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
 
     # value fields are parsed one batch of whole series at a time, straight
     # into each series' own array: no array spans the file's value fields
+    kind = DailySeries if layout.has_month else MonthlySeries
     out, bad_lines = [], []
     for batch in _batches(_series_rows(ids, element), layout.groups):
         fields = matrix[rows[np.concatenate(batch)], layout.values_at :]
@@ -322,7 +316,7 @@ def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
             bad, s0, values = _series_values(layout, first[k], count[k], ints_k, ok_k)
             bad_lines.append(numbers[k[bad]])
             if values is not None:
-                out.append(_series(layout, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), s0, values))
+                out.append(series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), s0, values))
     bad_lines = np.sort(np.concatenate(bad_lines)) if bad_lines else []
     issues += [ParseIssue(line=int(n), message="non-numeric value field") for n in bad_lines]
     return out, issues

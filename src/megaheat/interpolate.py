@@ -511,7 +511,8 @@ def _idw_squared(d_ts, residuals):
 
 
 def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
-    """Fill missing monthly slots across a station network.
+    """Fill missing monthly slots across a station network; ``stations``
+    is a sequence of StationMeta that covers every series' station.
 
     Every timestep of the window is treated independently: stations
     observed at that timestep (with a known elevation) train the
@@ -531,7 +532,7 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     distances are held at a time.
     """
     cfg = cfg or GwrConfig()
-    meta = stations if isinstance(stations, dict) else {st.station_id: st for st in stations}
+    meta = {st.station_id: st for st in stations}
     year0, year1 = window
     t0 = month_index(year0, 1)
     n_steps = (year1 - year0 + 1) * 12

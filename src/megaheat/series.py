@@ -195,20 +195,17 @@ def _frame_kinds(arrays: dict) -> dict:
 
 def _frame_series(arrays: dict, values: list) -> list:
     """One series per frame of the arrays, the i-th holding values[i]."""
-    ids, elements = arrays["station_id"].tolist(), arrays["element"].tolist()
     if "first_year" in arrays:
         if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
             raise ValueError("series file holds a month outside 1-12")
-        return [
-            MonthlySeries(sid, el, year, month, v)
-            for sid, el, year, month, v in zip(
-                ids, elements, arrays["first_year"].tolist(), arrays["first_month"].tolist(), values
-            )
-        ]
+        kind = MonthlySeries
+        firsts = map(month_index, arrays["first_year"].tolist(), arrays["first_month"].tolist())
+    else:
+        kind, firsts = DailySeries, arrays["start_day"].tolist()
     try:
         return [
-            DailySeries(sid, el, serial_to_date(day), v)
-            for sid, el, day, v in zip(ids, elements, arrays["start_day"].tolist(), values)
+            series_at(kind, sid, el, first, v)
+            for sid, el, first, v in zip(arrays["station_id"].tolist(), arrays["element"].tolist(), firsts, values)
         ]
     except OverflowError as exc:
         raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
@@ -232,6 +229,14 @@ def first_slot(series) -> int:
     if isinstance(series, MonthlySeries):
         return month_index(series.first_year, series.first_month)
     return date_to_serial(series.start)
+
+
+def series_at(kind, station_id: str, element: str, first: int, values: np.ndarray):
+    """The ``kind`` series (DailySeries or MonthlySeries) whose values start
+    at slot ``first``; the inverse of first_slot."""
+    if kind is MonthlySeries:
+        return MonthlySeries(station_id, element, first // 12, first % 12 + 1, values)
+    return DailySeries(station_id, element, serial_to_date(first), values)
 
 
 def copy_onto(dst: np.ndarray, first: int, series) -> None:
@@ -406,12 +411,6 @@ class ParseIssue:
     line: int
     message: str
     station_id: str = ""
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        prefix = f"line {self.line}"
-        if self.station_id:
-            prefix += f" [{self.station_id}]"
-        return f"{prefix}: {self.message}"
 
 
 @dataclass

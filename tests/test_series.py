@@ -1,6 +1,7 @@
 """The binary series files: save_series / load_series and save_annual /
 load_annual round trips, and rejection of files that are not series files."""
 
+import dataclasses
 import datetime as dt
 import zipfile
 
@@ -14,10 +15,12 @@ from megaheat.series import (
     AnnualSeries,
     DailySeries,
     MonthlySeries,
+    first_slot,
     load_annual,
     load_series,
     save_annual,
     save_series,
+    series_at,
 )
 
 # short, padded-looking and full-width ids; the fixed-width field holds 11
@@ -109,6 +112,30 @@ class TestRoundTrip:
         ]
         with pytest.raises(TypeError):
             save_series(tmp_path / "x.npz", series)
+
+
+class TestSeriesAt:
+    """series_at is the inverse of first_slot, for either kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.one_of(
+            st.builds(DailySeries, station_id=_IDS, element=st.just("TMAX"), start=st.dates(), values=_ARRAYS),
+            st.builds(
+                MonthlySeries,
+                station_id=_IDS,
+                element=st.just("TAVG"),
+                first_year=st.integers(-5000, 5000),
+                first_month=st.integers(1, 12),
+                values=_ARRAYS,
+            ),
+        )
+    )
+    def test_inverse_of_first_slot(self, s):
+        got = series_at(type(s), s.station_id, s.element, first_slot(s), s.values)
+        assert type(got) is type(s)
+        assert got.values is s.values
+        assert dataclasses.replace(got, values=None) == dataclasses.replace(s, values=None)
 
 
 # _save_npz entries: whole string, int64 and float64 arrays, and (dtype,
@@ -203,6 +230,24 @@ class TestBadFiles:
         with open(bad, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="start_day"):
+            load_series(bad)
+
+    @pytest.mark.parametrize(
+        "series, key, shift, match",
+        [
+            (MonthlySeries("A", "TAVG", 1956, 12, np.zeros(3)), "first_month", 1, "1-12"),
+            (DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.zeros(3)), "start_day", 10**7, "calendar"),
+        ],
+    )
+    def test_start_outside_the_calendar(self, tmp_path, series, key, shift, match):
+        save_series(tmp_path / "good.npz", [series])
+        with np.load(tmp_path / "good.npz") as npz:
+            arrays = dict(npz)
+        arrays[key] = arrays[key] + shift
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=match):
             load_series(bad)
 
     def test_pickled_arrays_are_refused(self, tmp_path):
