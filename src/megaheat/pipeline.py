@@ -596,30 +596,10 @@ def _load_series(path: Path, kind, producer: str) -> list:
     return series
 
 
-def _record_precision(values: np.ndarray, monthly: bool) -> np.ndarray:
-    """values rounded to 0.01 C (monthly) or 0.1 C (daily); ``+ 0.0`` turns
-    the -0.0 of a small negative value into the 0.0 the text reads as."""
-    scale = 100.0 if monthly else 10.0
-    return np.rint(values * scale) / scale + 0.0
-
-
-def at_record_precision(series: list) -> list:
-    """Copies of the series rounded to 0.1 C (daily) or 0.01 C (monthly).
-
-    This is the precision of the fixed-width record files, and what impute
-    hands on: bit for bit what parsing those records back would return.
-    Observed values already sit on this grid, so only imputed and filled
-    slots move.
-    """
-    return [
-        dataclasses.replace(s, values=_record_precision(s.values, isinstance(s, MonthlySeries))) for s in series
-    ]
-
-
 def _record_fills(series, mask: ProvenanceMask) -> tuple:
-    """(offsets, values at record precision) of the slots mask codes as imputed."""
+    """(offsets, values) of the slots mask codes as imputed."""
     offsets = np.flatnonzero(mask.codes == ProvenanceMask.IMPUTED)
-    return offsets, _record_precision(series.values[offsets], isinstance(series, MonthlySeries))
+    return offsets, series.values[offsets]
 
 
 def _csv_text(rows, quoting) -> str:

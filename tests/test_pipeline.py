@@ -236,87 +236,6 @@ def _uniform_summaries(pair_ids, rng, metrics=("TAVG",), seasons=("JJA",)):
     return rows
 
 
-def _slot_bits(series):
-    """{absolute slot: value bits} per (station, element): day serials for
-    daily series, linear month indices for monthly ones."""
-    from megaheat.series import DailySeries, date_to_serial, month_index
-
-    out = {}
-    for s in series:
-        if isinstance(s, DailySeries):
-            first = date_to_serial(s.start)
-        else:
-            first = month_index(s.first_year, s.first_month)
-        bits = np.asarray(s.values, dtype=np.float64).view(np.uint64)
-        out[(s.station_id, s.element)] = dict(zip(range(first, first + bits.size), bits.tolist()))
-    return out
-
-
-class TestRecordPrecisionHop:
-    """What impute hands on equals what the fixed-width text hop returned."""
-
-    @pytest.fixture(scope="class")
-    def outputs(self):
-        import datetime as dt
-
-        from megaheat.interpolate import impute_monthly, lwma_fill
-        from megaheat.synth import SynthParams, synth_generate
-
-        params = SynthParams(
-            n_pairs=2,
-            uc_stations=3,
-            nonuc_stations=3,
-            end_year=1965,
-            noise_sd_c=2.0,
-            gap_rate=0.02,
-            gap_mean_len_steps=2.0,
-        )
-        world = synth_generate(911, params)
-        completed, _, _ = impute_monthly(world.monthly, world.stations, window=(1956, 1965))
-        # series that start and end mid-month, so the text form pads them
-        cut = [
-            dataclasses.replace(s, start=s.start + dt.timedelta(days=17), values=s.values[17:-9])
-            for s in world.daily
-        ]
-        filled = [lwma_fill(s)[0] for s in world.daily + cut]
-        return completed, filled
-
-    def _check(self, tmp_path, series, serialize, parse):
-        from megaheat.series import load_series, save_series
-
-        rounded = pipeline.at_record_precision(series)
-        assert any(
-            not np.array_equal(a.values, b.values, equal_nan=True) for a, b in zip(series, rounded)
-        ), "nothing to round: the oracle would not test the rounding"
-        save_series(tmp_path / "hop.npz", rounded)
-        binary = _slot_bits(load_series(tmp_path / "hop.npz"))
-        text = _slot_bits(parse(serialize(series))[0])
-        assert binary.keys() == text.keys()
-        nan_bits = np.array(np.nan).view(np.uint64)
-        for key, text_slots in text.items():
-            got = binary[key]
-            assert got.keys() <= text_slots.keys(), key
-            for slot, bits in text_slots.items():
-                if slot in got:
-                    assert got[slot] == bits, (key, slot)
-                else:
-                    assert np.isnan(np.uint64(bits).view(np.float64)), (key, slot)
-                    assert bits == nan_bits
-
-    def test_monthly_equals_the_text_hop(self, outputs, tmp_path):
-        from megaheat.ghcn import parse_ghcnm, serialize_ghcnm
-
-        self._check(tmp_path, outputs[0], serialize_ghcnm, parse_ghcnm)
-
-    def test_daily_equals_the_text_hop(self, outputs, tmp_path):
-        from megaheat.ghcn import parse_ghcnd, serialize_ghcnd
-
-        # the cut copies share their ids; check them apart from the originals
-        half = len(outputs[1]) // 2
-        self._check(tmp_path, outputs[1][:half], serialize_ghcnd, parse_ghcnd)
-        self._check(tmp_path, outputs[1][half:], serialize_ghcnd, parse_ghcnd)
-
-
 class TestRankCorrelation:
     def test_self_covariate_gives_rho_one(self):
         rng = np.random.default_rng(5)
@@ -658,7 +577,7 @@ def _bits(values):
 
 class TestRebuiltSeries:
     """indices rebuilds, from parsed_*.npz, the kept rows of qc_*.csv and
-    the fills, bit for bit what impute computed at record precision."""
+    the fills, bit for bit what impute computed."""
 
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
@@ -703,15 +622,14 @@ class TestRebuiltSeries:
         pipeline.run_stages(out, cfg, ["ingest", "qc", "impute"])
         return out, cfg, no_elev
 
-    def test_monthly_equals_impute_monthly_at_record_precision(self, world):
+    def test_monthly_equals_impute_monthly(self, world):
         from megaheat.ghcn import parse_stations
         from megaheat.interpolate import impute_monthly
 
         out, cfg, no_elev = world
         kept = pipeline._load_kept(out, pipeline.F_PARSED_MONTHLY, pipeline.F_QC_MONTHLY, MonthlySeries)
         stations, _ = parse_stations((out / "stations.txt").read_bytes())
-        completed, masks, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
-        expected = pipeline.at_record_precision(completed)
+        expected, masks, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
         rebuilt = _rebuilt(out, MonthlySeries)
         parsed = {(s.station_id, s.element): s for s in kept}
         fills = load_fills(out / pipeline.F_FILLS_MONTHLY)
@@ -729,11 +647,11 @@ class TestRebuiltSeries:
         # the world holds what the oracle is about
         all_codes = np.concatenate([m.codes for m in masks])
         assert {"o", "i", "u"} <= set(all_codes.tolist())
-        assert any(m.codes[1:].tolist().count("u") for s, m in zip(completed, masks) if s.station_id == no_elev)
-        assert any(first_slot(s) > first_slot(c) for s, c in zip(kept, completed))
-        assert any(first_slot(s) + s.values.size < first_slot(c) + c.values.size for s, c in zip(kept, completed))
+        assert any(m.codes[1:].tolist().count("u") for s, m in zip(expected, masks) if s.station_id == no_elev)
+        assert any(first_slot(s) > first_slot(c) for s, c in zip(kept, expected))
+        assert any(first_slot(s) + s.values.size < first_slot(c) + c.values.size for s, c in zip(kept, expected))
 
-    def test_daily_equals_lwma_fill_at_record_precision(self, world):
+    def test_daily_equals_lwma_fill(self, world):
         from megaheat.interpolate import lwma_fill
 
         out, _, _ = world
@@ -743,8 +661,7 @@ class TestRebuiltSeries:
         assert len(rebuilt) == len(kept) == len(fills.frames)
         seen = set()
         for s, got, frame, offsets in zip(kept, rebuilt, fills.frames, fills.offsets):
-            filled, mask = lwma_fill(s)
-            (want,) = pipeline.at_record_precision([filled])
+            want, mask = lwma_fill(s)
             assert (got.station_id, got.element, got.start) == (want.station_id, want.element, want.start)
             assert np.array_equal(_bits(got.values), _bits(want.values)), got.station_id
             codes = _derived_codes(s, frame, offsets)
@@ -753,6 +670,15 @@ class TestRebuiltSeries:
         assert seen == {"o", "i", "u"}
         # daily frames are the parsed series' own: filled in place, not copied
         assert all(np.shares_memory(a.values, b.values) for a, b in zip(fills.complete(kept), kept))
+
+    def test_fills_leave_impute_unrounded(self, world):
+        # fills on the 0.01 C (monthly) or 0.1 C (daily) grid of the
+        # fixed-width records would mean impute rounded what it computed
+        out, _, _ = world
+        for name, scale in ((pipeline.F_FILLS_MONTHLY, 100.0), (pipeline.F_FILLS_DAILY, 10.0)):
+            v = np.concatenate(load_fills(out / name).values)
+            assert v.size > 0, name
+            assert np.any(v != np.rint(v * scale) / scale), name
 
     def test_impute_files_grow_with_the_fills_not_the_network(self, tmp_path):
         cfg = load_config(FILLS_CFG)
