@@ -141,9 +141,22 @@ def _pair_diffs(x):
 
 def _sen_rows(times, diffs):
     """Theil-Sen slope of each row given its _pair_diffs over the shared
-    times: the median of the pairwise slopes."""
+    times: the median of the pairwise slopes, bit for bit as np.median.
+
+    np.median takes the mean of the middle one or two values, a sum that
+    starts from +0.0: so a zero median is +0.0 whichever signed zeros meet
+    in the middle, and (-0.0 + -tiny) / 2 stays -0.0.  A row holding NaN
+    has the median NaN, which sorts last.
+    """
     i, j = _pairs(times.size)
-    return np.median(diffs / (times[j] - times[i]), axis=1, overwrite_input=True)
+    ratios = np.sort(diffs / (times[j] - times[i]), axis=1)
+    n = ratios.shape[1]
+    if not n:
+        return np.full(ratios.shape[0], np.nan)
+    h = n // 2
+    mid = ratios[:, h] + 0.0 if n % 2 else (ratios[:, h - 1] + ratios[:, h] + 0.0) / 2.0
+    last = ratios[:, -1]
+    return np.where(np.isnan(last), last, mid)
 
 
 def theil_sen(times, values):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from megaheat import pipeline
+from megaheat import pipeline, stats
 from megaheat.regions import ExplanatoryVars
 from megaheat.series import AnnualSeries
 from megaheat.stats import (
@@ -697,6 +697,54 @@ class TestBlocksMatchPerSeriesCode:
             assert repr(slope) == repr(ref)
             if s.years.size >= 2:
                 assert repr(theil_sen(s.years, s.values)) == repr(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.sampled_from([-0.0, 0.0, -5e-324, 5e-324, -1.5, 3.0, math.nan, math.inf, -math.inf]),
+                    min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_sen_rows_equal_np_median_signed_zeros_included(self, rows):
+        """Signed zeros and subnormals straddling the middle: the sorted-block
+        median equals np.median bit for bit, the sign of a zero included."""
+        diffs = np.array(rows)
+        n = int(round((1 + math.sqrt(1 + 8 * diffs.shape[1])) / 2))
+        times = np.arange(n, dtype=float)
+        i, j = np.triu_indices(n, k=1)
+        with np.errstate(invalid="ignore"):
+            ratios = diffs / (times[j] - times[i])
+            got = stats._sen_rows(times, diffs.copy())
+            want = np.median(ratios, axis=1)
+            lone = np.array([np.median(row) for row in ratios])
+        for ref in (want, lone):
+            assert np.array_equal(got, ref, equal_nan=True)
+            finite = ~np.isnan(ref)
+            assert np.array_equal(np.signbit(got[finite]), np.signbit(ref[finite]))
+
+    @pytest.mark.parametrize(
+        "diffs, want",
+        [
+            # a middle -0.0 alone, or a pair of them, gives +0.0
+            ([-0.0, 0.0, -0.0], "0.0"),
+            ([-0.0, 4.0, 6.0, -0.0, -0.0, -5.0], "0.0"),
+            # the smallest negative subnormal and a zero halve to -0.0
+            ([-5e-324, 4.0, 6.0, -5e-324, 0.0, -5e-324], "-0.0"),
+        ],
+    )
+    def test_sen_rows_sign_of_a_zero_median(self, diffs, want):
+        n = 3 if len(diffs) == 3 else 4
+        times = np.arange(float(n))
+        i, j = np.triu_indices(n, k=1)
+        assert repr(float(stats._sen_rows(times, np.array([diffs]))[0])) == want
+        assert repr(float(np.median(np.array(diffs) / (times[j] - times[i])))) == want
 
     def test_spearman_columns(self):
         rng = np.random.default_rng(63)
