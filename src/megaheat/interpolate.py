@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .qc import STUDY_WINDOW
 from .series import DailySeries, MonthlySeries, ProvenanceMask, copy_onto, month_index
@@ -432,7 +431,7 @@ def fit_variogram(lat, lon, residuals):
 
 def _solve_or_none(a, b):
     try:
-        return scipy.linalg.solve(a, b)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
 
@@ -462,7 +461,7 @@ def _krige(d_ss, d_ts, residuals, variograms):
         b = np.ones((len(chunk), n + 1, d_ts.shape[0]))
         b[:, :n, :] = _gamma(neg3_ts, nugget, sill, range_km).transpose(0, 2, 1)
         try:
-            weights = scipy.linalg.solve(a, b)
+            weights = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             weights = [_solve_or_none(a_s, b_s) for a_s, b_s in zip(a, b)]
         for s, w in zip(chunk, weights):

@@ -2,7 +2,6 @@ import datetime as dt
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 
@@ -449,7 +448,7 @@ def _krige_reference(d_ss, d_ts, residuals, vg):
     a[n, n] = 0.0
     b = np.ones((n + 1, d_ts.shape[0]))
     b[:n, :] = gamma(d_ts).T
-    return residuals @ scipy.linalg.solve(a, b)[:n, :]
+    return residuals @ np.linalg.solve(a, b)[:n, :]
 
 
 class TestStackedKrigingSolve:
@@ -465,7 +464,7 @@ class TestStackedKrigingSolve:
         d_ts = great_circle_km(tlat[:, None], tlon[:, None], lat[None, :], lon[None, :])
 
         calls = []
-        solve = interpolate.scipy.linalg.solve
+        solve = interpolate.np.linalg.solve
 
         def recording(a, b):
             try:
@@ -478,7 +477,7 @@ class TestStackedKrigingSolve:
 
         # chunks of 4, 4 and 2 systems
         monkeypatch.setattr(interpolate, "_SOLVE_ENTRIES", 4 * 8 * 8)
-        monkeypatch.setattr(interpolate.scipy.linalg, "solve", recording)
+        monkeypatch.setattr(interpolate.np.linalg, "solve", recording)
         estimates, fallback = interpolate._krige(d_ss, d_ts, residuals, variograms)
         monkeypatch.undo()
         # the failed chunk is solved again one system at a time
