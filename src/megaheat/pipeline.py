@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, indices, stats
 from .ghcn import parse_ghcnd, parse_ghcnm, parse_stations
@@ -418,7 +417,8 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
     Returns (uc-absolute matrix, uc-minus-nonuc matrix).  Cells use the
     pairs where both sides are finite; under 8 pairs the cell is flagged
     and under 3 it is left empty.  The covariates of a row that share one
-    finite mask with it are ranked against it in one block.
+    finite mask with it are ranked against it in one block, and the t tail
+    runs once over every defined cell of both matrices.
     """
     rows = _matrix_rows(metrics, seasons)
     y = np.array(
@@ -429,7 +429,10 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
         dtype=float,
     ).reshape(len(pair_ids), len(COVARIATE_NAMES))
     y_finite = np.isfinite(y)
-    matrices = []
+    tables = []
+    # every defined cell of both flavours: where its p goes, its degrees of
+    # freedom and t, so that the t tail runs once over all of them
+    cells, dfs, ts = [], [], []
     for flavor in ("uc", "diff"):
         rho = np.full((len(rows), len(COVARIATE_NAMES)), np.nan)
         pval = np.full_like(rho, np.nan)
@@ -454,27 +457,25 @@ def rank_correlation_matrices(pair_ids, summaries, covariates, metrics, seasons)
                 n = int(mask.sum())
                 if n < 3:
                     continue
-                r, p, undefined = stats.spearman_columns(x[mask], y[np.ix_(mask, cols)])
-                for col, r_, p_, undef in zip(cols, r.tolist(), p.tolist(), undefined.tolist()):
+                r, t, undefined = stats.spearman_t(x[mask], y[np.ix_(mask, cols)])
+                for col, r_, t_, undef in zip(cols, r.tolist(), t.tolist(), undefined.tolist()):
                     if undef:
                         row_flags[col] = "undefined"
                         continue
                     rho[i, col] = r_
-                    pval[i, col] = p_
+                    cells.append((pval, i, col))
+                    dfs.append(n - 2)
+                    ts.append(t_)
                     row_flags[col] = "n<8" if n < 8 else ""
             flags.append(tuple(row_flags))
-        matrices.append(
-            CorrelationMatrix(
-                flavor=flavor,
-                rows=rows,
-                columns=tuple(COVARIATE_NAMES),
-                rho=rho,
-                p=pval,
-                n=n_used,
-                flags=tuple(flags),
-            )
-        )
-    return matrices[0], matrices[1]
+        tables.append((flavor, rho, pval, n_used, tuple(flags)))
+    for (pval, i, col), p in zip(cells, stats.spearman_p(np.array(dfs, dtype=float), np.array(ts)).tolist()):
+        pval[i, col] = p
+    uc, diff = (
+        CorrelationMatrix(flavor=flavor, rows=rows, columns=tuple(COVARIATE_NAMES), rho=rho, p=pval, n=n, flags=flags)
+        for flavor, rho, pval, n, flags in tables
+    )
+    return uc, diff
 
 
 CORRELATION_HEADER = ("metric", "season", "stat", "covariate", "rho", "p", "n", "flag")
@@ -1097,7 +1098,6 @@ def stage_report(out_dir, cfg: RunConfig):
             "megaheat": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
         },
     }
     (report / F_MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

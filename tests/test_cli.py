@@ -488,12 +488,31 @@ class TestRuns:
         assert len(fig2a) == 1 + 2 and all(row[0] == "UC,00" for row in fig2a[1:])
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_no_scipy_module_is_loaded_by_import_or_a_full_run(tmp_path):
+    """The stage processes run on numpy alone: importing the CLI loads no
+    scipy module, and neither does a whole run, lazy imports included."""
     src = str(Path(megaheat.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, megaheat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    code = f"import sys, megaheat.cli; print({loaded})"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+    # three pairs give defined correlation cells; gaps reach the kriging
+    cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], n_pairs=3, gap_rate=0.02, gap_mean_len_steps=1.0)})
+    out = str(tmp_path / "run")
+    code = (
+        "import sys; from megaheat import cli\n"
+        f"assert cli.main(['synth', '--out', {out!r}, '--config', {cfg!r}]) == 0\n"
+        f"assert cli.main(['all', '--out', {out!r}, '--config', {cfg!r}]) == 0\n"
+        f"print({loaded})"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    with open(Path(out) / "correlation_uc.csv", newline="") as fh:
+        assert any(row[5] not in ("", "nan") for row in list(csv.reader(fh))[1:])
+    with np.load(Path(out) / "fills_monthly.npz") as fills:
+        assert fills["value"].size
 
 
 def _rows(path):

@@ -370,6 +370,58 @@ class TestRanksAndTailsMatchScipy:
         assert np.array_equal(scipy.special.stdtr(df, -np.abs(t)), scipy.stats.t.sf(np.abs(t), df))
 
 
+class TestStudentTTail:
+    """stats._t_tail, the two-sided Student-t tail I_x(df/2, 1/2)."""
+
+    T = np.concatenate([-np.logspace(-8, 3, 45), np.logspace(-8, 3, 45)])
+
+    def test_one_degree_of_freedom_is_the_cauchy_tail(self):
+        got = stats._t_tail(np.ones(self.T.size), self.T)
+        assert_allclose(got, 2.0 / np.pi * np.arctan(1.0 / np.abs(self.T)), rtol=1e-12, atol=0.0)
+
+    def test_two_degrees_of_freedom_closed_form(self):
+        # 1 - |t| / sqrt(2 + t^2) = 2 / (s (s + |t|)) with s = sqrt(2 + t^2)
+        s = np.sqrt(2.0 + self.T**2)
+        got = stats._t_tail(np.full(self.T.size, 2.0), self.T)
+        assert_allclose(got, 2.0 / (s * (s + np.abs(self.T))), rtol=1e-12, atol=0.0)
+
+    def test_matches_scipy_stdtr(self):
+        df, t = np.meshgrid(np.arange(1.0, 80.0), np.logspace(-3, 2, 60))
+        want = 2.0 * scipy.special.stdtr(df, -t)
+        assert_allclose(stats._t_tail(df.ravel(), t.ravel()), want.ravel(), rtol=1e-8, atol=0.0)
+        assert_allclose(stats._t_tail(df.ravel(), -t.ravel()), want.ravel(), rtol=1e-8, atol=0.0)
+
+    def test_matches_arbitrary_precision_incomplete_beta(self):
+        mpmath = pytest.importorskip("mpmath")
+        df = np.array([1, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 50, 64, 79], dtype=float)
+        t = np.concatenate([[1e-8, 1e-5, 1e-3], np.logspace(-2, np.log10(300.0), 30)])
+        got = stats._t_tail(*np.meshgrid(df, t))
+        with mpmath.workdps(50):
+            for (k, v), value in np.ndenumerate(got):
+                nu, t2 = mpmath.mpf(df[v]), mpmath.mpf(t[k]) ** 2
+                want = mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t2), regularized=True)
+                assert abs(value - want) <= 1e-12 * want, (df[v], t[k])
+
+    def test_an_entry_is_the_same_in_any_batch(self):
+        rng = np.random.default_rng(65)
+        df = rng.integers(1, 80, 400).astype(float)
+        t = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-8, 2.5, 400)
+        whole = stats._t_tail(df, t)
+        lone = [float(stats._t_tail(df[k], t[k])) for k in range(df.size)]
+        assert whole.tolist() == lone
+        order = rng.permutation(df.size)
+        assert stats._t_tail(df[order], t[order]).tolist() == whole[order].tolist()
+        assert stats._t_tail(df[::7], t[::7]).tolist() == whole[::7].tolist()
+        # and through the Spearman p, whose undefined and |rho| = 1 entries
+        # sit in the same batch
+        both = np.concatenate([t, [np.nan, np.inf, -np.inf]])
+        p = stats.spearman_p(np.concatenate([df, [1.0, 1.0, 1.0]]), both)
+        assert p[:-3].tolist() == lone and np.isnan(p[-3]) and p[-2:].tolist() == [0.0, 0.0]
+
+    def test_zero_t_has_p_one(self):
+        assert stats._t_tail(np.array([1.0, 5.0, 60.0]), np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+
 class TestByFdr:
     def test_worked_example(self):
         got = by_fdr_adjust([0.01, 0.02, 0.04, 0.2])
@@ -644,7 +696,7 @@ def _spearman_per_cell(x, y):
     if abs(rho) == 1.0:
         return SpearmanResult(rho=rho, p=0.0, undefined=False)
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return SpearmanResult(rho=rho, p=min(1.0, 2.0 * float(scipy.special.stdtr(n - 2, -abs(t)))), undefined=False)
+    return SpearmanResult(rho=rho, p=float(stats._t_tail(n - 2, t)), undefined=False)
 
 
 def _same(a, b):
