@@ -79,6 +79,7 @@ def _two_sided_p(z):
 # incomplete beta to about 1e-13, relative.
 _T_TAIL_STEPS = 30
 _TINY = 1e-300
+_LGAMMA_HALF = math.lgamma(0.5)
 
 
 def _t_tail(df, t):
@@ -126,9 +127,6 @@ def _t_tail(df, t):
             h = h * (d * c)
     part = front * h / p
     return np.where(flip, 1.0 - part, part)
-
-
-_LGAMMA_HALF = math.lgamma(0.5)
 
 
 def _off_zero(v):
