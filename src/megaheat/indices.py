@@ -84,10 +84,10 @@ def _annual(series, metric, years, values):
     )
 
 
-def annual_cdd(tmax, tmin, base=CDD_BASE_C):
+def annual_cdd(tmax, tmin):
     """Cooling degree days per complete calendar year.
 
-    Daily contribution is max(0, (tmax + tmin)/2 - base); a year missing
+    Daily contribution is max(0, (tmax + tmin)/2 - CDD_BASE_C); a year missing
     any day in either element is omitted.
     """
     if tmax.station_id != tmin.station_id:
@@ -99,7 +99,7 @@ def annual_cdd(tmax, tmin, base=CDD_BASE_C):
     n_days = max((last - first).days + 1, 0)
     vx = tmax.values[(first - tmax.start).days :][:n_days]
     vn = tmin.values[(first - tmin.start).days :][:n_days]
-    excess = (vx + vn) / 2.0 - base
+    excess = (vx + vn) / 2.0 - CDD_BASE_C
     years, lo, hi = _finite_years(excess, first, last)
     # summing only the positive excesses keeps the total identical for
     # identical weather whether or not the year has a Feb 29; one pairwise
@@ -111,21 +111,18 @@ def annual_cdd(tmax, tmin, base=CDD_BASE_C):
     return _annual(tmax, "cdd", years, totals)
 
 
-def _window_means(values, width):
-    """Means of every run of `width` consecutive values, summed in order."""
-    n = values.size - width + 1
-    total = values[:n]
-    for k in range(1, width):
-        total = total + values[k : k + n]
-    return total / width
+def _window_means(values):
+    """Means of every run of three consecutive values, summed in order."""
+    n = values.size - 2
+    return (values[:n] + values[1 : n + 1] + values[2:]) / 3
 
 
-def max_consecutive_mean(values, width=3):
-    """Largest mean over any run of `width` consecutive values."""
+def max_consecutive_mean(values):
+    """Largest mean over any run of three consecutive values."""
     v = np.asarray(values, dtype=float)
-    if v.size < width:
-        raise ValueError(f"need at least {width} values, got {v.size}")
-    return float(_window_means(v, width).max())
+    if v.size < 3:
+        raise ValueError(f"need at least 3 values, got {v.size}")
+    return float(_window_means(v).max())
 
 
 def annual_cnm(tmin):
@@ -139,7 +136,7 @@ def annual_cnm(tmin):
     # window k covers days k..k+2; a year's windows start on lo..hi-3, and
     # the segments between years are reduced too and dropped.  The trailing
     # NaN keeps the last segment start inside the array.
-    means = np.append(_window_means(tmin.values, 3), np.nan)
+    means = np.append(_window_means(tmin.values), np.nan)
     maxima = np.maximum.reduceat(means, np.column_stack([lo, hi - 2]).ravel())[::2]
     return _annual(tmin, "cnm", years, maxima)
 

@@ -163,21 +163,15 @@ def _string_choices(raw, allowed, what: str) -> tuple:
 
 
 def load_config(source) -> RunConfig:
-    """Build a RunConfig from a dict, JSON text, or a JSON file path.
+    """Build a RunConfig from a dict, or a path to a JSON file holding one.
 
     Every field has a default; unknown keys anywhere are rejected.
     """
-    if isinstance(source, (str, Path)) and not (
-        isinstance(source, str) and source.lstrip().startswith("{")
-    ):
+    if isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
+            source = json.loads(Path(source).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        source = text
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
@@ -343,7 +337,7 @@ def _group_trend(group_id, series_list, alpha):
     adjusted = stats.by_fdr_adjust([r.p for r in testable])
     for r, p_adj in zip(testable, adjusted):
         r.p_adj = float(p_adj)
-    return stats.field_significance(group_id, testable, alpha), rows, regional
+    return stats.field_significance(group_id, adjusted, alpha), rows, regional
 
 
 def trend_comparison_cell(pair, metric, season, uc_list, nonuc_list, alpha=stats.ALPHA) -> TrendCell:

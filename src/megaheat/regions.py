@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,11 +121,9 @@ def _coerce_rings(name: str, rings) -> list[np.ndarray]:
 
 
 def load_regions(doc) -> RegionSet:
-    """Build a RegionSet from a feature collection (dict, JSON bytes/str, or
-    a path to a JSON file)."""
-    if isinstance(doc, (bytes, str)) and not (isinstance(doc, str) and os.path.exists(doc)):
-        doc = json.loads(doc)
-    elif isinstance(doc, (str, os.PathLike)):
+    """Build a RegionSet from a feature collection: a dict, or a path to a
+    JSON file holding one."""
+    if not isinstance(doc, dict):
         with open(doc) as fh:
             doc = json.load(fh)
     features = _json_object(doc, "regions document").get("features", [])
@@ -189,10 +186,6 @@ def point_in_rings(lon: float, lat: float, rings) -> bool:
     return crossings % 2 == 1
 
 
-def point_in_region(lon: float, lat: float, region: Region) -> bool:
-    return point_in_rings(lon, lat, region.rings())
-
-
 def assign_station_region(station: StationMeta, regions: RegionSet):
     """(climate-region name or None, corridor name or None) for a station.
 
@@ -200,11 +193,11 @@ def assign_station_region(station: StationMeta, regions: RegionSet):
     declaration order.
     """
     cr_id = next(
-        (r.name for r in regions.climate_regions if point_in_region(station.lon, station.lat, r)),
+        (r.name for r in regions.climate_regions if point_in_rings(station.lon, station.lat, r.rings())),
         None,
     )
     uc_id = next(
-        (r.name for r in regions.ucs if point_in_region(station.lon, station.lat, r)),
+        (r.name for r in regions.ucs if point_in_rings(station.lon, station.lat, r.rings())),
         None,
     )
     return cr_id, uc_id
@@ -235,7 +228,7 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
         else:
             lon, lat = uc.representative_point()
             host = next(
-                (r.name for r in regions.climate_regions if point_in_region(lon, lat, r)),
+                (r.name for r in regions.climate_regions if point_in_rings(lon, lat, r.rings())),
                 cr_order[0] if cr_order else "",
             )
             warning = f"corridor {uc.name!r} contains no stations"
@@ -257,23 +250,17 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
     return pairs
 
 
-def load_explanatory_vars(source, uc_ids) -> dict[str, ExplanatoryVars]:
-    """Read the covariate table (CSV bytes, CSV text or a path to a CSV
-    file) and return one ExplanatoryVars per corridor.
+def load_explanatory_vars(path, uc_ids) -> dict[str, ExplanatoryVars]:
+    """Read the covariate table from the CSV file at `path` and return one
+    ExplanatoryVars per corridor.
 
     A row belongs to the corridor whose name equals its uc_id field
     exactly, whitespace included.  Raises on a missing corridor row or a
     land-share percentage outside [0, 100].
     """
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and not os.path.exists(source):
-        text = source
-    else:
-        # newline="" leaves line breaks inside quoted fields to the csv module
-        with open(source, newline="") as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text))
+    # newline="" leaves line breaks inside quoted fields to the csv module
+    with open(path, newline="") as fh:
+        reader = csv.reader(io.StringIO(fh.read()))
     try:
         header = next(reader)
     except StopIteration:

@@ -264,7 +264,7 @@ def _untestable(slope):
 
 
 def mann_kendall(series):
-    """Mann-Kendall trend test on an annual series, over its finite values.
+    """Mann-Kendall trend test on an AnnualSeries, over its finite values.
 
     Fewer than 4 values, or all values equal, yields an untestable result
     with s=0 and p=1. The slope denominator uses actual year spacing, so
@@ -272,12 +272,8 @@ def mann_kendall(series):
     tie correction counts runs of equal values; both are integers, exact
     in float64.
     """
-    if isinstance(series, AnnualSeries):
-        years = series.years.astype(float)
-        values = np.asarray(series.values, dtype=float)
-    else:
-        values = np.asarray(series, dtype=float)
-        years = np.arange(values.size, dtype=float)
+    years = series.years.astype(float)
+    values = np.asarray(series.values, dtype=float)
     keep = np.isfinite(values)
     x = values[keep][None, :]
     n = x.shape[1]
@@ -421,13 +417,12 @@ def by_fdr_adjust(pvalues):
     return out
 
 
-def field_significance(group_id, results, alpha=ALPHA):
-    """Count stations significant after adjustment; the group is field
-    significant whenever at least one station is."""
-    p_adjusted = [r.p_adj if isinstance(r, TrendResult) else float(r) for r in results]
-    if not p_adjusted:
-        raise ValueError("empty group")
+def field_significance(group_id, p_adjusted, alpha=ALPHA):
+    """Count stations whose adjusted p-value is below alpha; the group is
+    field significant whenever at least one station is."""
     n = len(p_adjusted)
+    if not n:
+        raise ValueError("empty group")
     n_sig = sum(1 for p in p_adjusted if p < alpha)
     return GroupTrendSummary(
         group_id=group_id,
@@ -567,18 +562,6 @@ def spearman_p(df, t):
     return p
 
 
-def spearman_columns(x, ys):
-    """Spearman rank correlation of x with every column of ys, n rows each.
-
-    Returns (rho, p, undefined) arrays with one entry per column; a
-    column, or x, holding a single distinct value is undefined, with rho
-    and p NaN.  Each column's rho and t-based two-sided p equal those of a
-    lone call.
-    """
-    rho, t, undefined = spearman_t(x, ys)
-    return rho, spearman_p(np.shape(ys)[0] - 2, t), undefined
-
-
 def spearman(x, y):
     """Spearman rank correlation with the t-based two-sided p-value."""
     x = np.asarray(x, dtype=float)
@@ -587,7 +570,8 @@ def spearman(x, y):
         raise ValueError("inputs must have equal length")
     if x.size < 3:
         raise ValueError("need at least 3 observations")
-    rho, p, undefined = spearman_columns(x, y[:, None])
+    rho, t, undefined = spearman_t(x, y[:, None])
+    p = spearman_p(x.size - 2, t)
     return SpearmanResult(rho=float(rho[0]), p=float(p[0]), undefined=bool(undefined[0]))
 
 

@@ -96,6 +96,11 @@ class TestConfig:
         assert cfg.alpha == 0.01
         assert cfg.window == (1960, 2000)
 
+    def test_file_name_starting_with_a_brace_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{x}.json").write_text(json.dumps({"alpha": 0.01}))
+        assert load_config("{x}.json").alpha == 0.01
+
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

@@ -37,8 +37,10 @@ BASIC = collection(
 
 
 class TestLoadRegions:
-    def test_nested_squares(self):
-        rs = load_regions(json.dumps(BASIC).encode())
+    def test_nested_squares(self, tmp_path):
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(BASIC))
+        rs = load_regions(path)
         assert len(rs.climate_regions) == 1
         assert len(rs.ucs) == 1
         assert rs.ucs[0].name == "Metro"
@@ -64,6 +66,10 @@ class TestLoadRegions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             load_regions(collection(feature("East", "sea_region", [square(0, 0, 1, 1)])))
+
+    def test_missing_file_named_by_a_string(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_regions(str(tmp_path / "regions.json"))
 
 
 class TestPointInRings:
@@ -219,19 +225,22 @@ COV_HEADER = (
 )
 
 
-def cov_csv(rows):
-    return (COV_HEADER + "\n" + "\n".join(rows) + "\n").encode()
+def cov_csv(tmp_path, rows, header=COV_HEADER):
+    path = tmp_path / "covariates.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return path
 
 
 class TestExplanatoryVars:
-    def test_reference_rows(self):
-        data = cov_csv(
+    def test_reference_rows(self, tmp_path):
+        path = cov_csv(
+            tmp_path,
             [
                 "AR,South,5889740,501093,2.85,1.38,5.30,19.10,150.0,420.0",
                 "NYC,Northeast,19000000,12000000,0.40,0.20,12.00,11.00,80.0,300.0",
             ]
         )
-        vars_by_uc = load_explanatory_vars(data, ["AR", "NYC"])
+        vars_by_uc = load_explanatory_vars(path, ["AR", "NYC"])
         ar = vars_by_uc["AR"]
         assert ar.pop_uc == pytest.approx(5_889_740)
         assert ar.pop_diff == pytest.approx(501_093)
@@ -241,17 +250,21 @@ class TestExplanatoryVars:
         assert ne.pct_urban == pytest.approx(12.00)
         assert ne.pct_cropland == pytest.approx(11.00)
 
-    def test_percentage_bounds(self):
-        data = cov_csv(["AR,South,1,1,0.1,0.1,105,5,10,10"])
+    def test_percentage_bounds(self, tmp_path):
+        path = cov_csv(tmp_path, ["AR,South,1,1,0.1,0.1,105,5,10,10"])
         with pytest.raises(ValueError, match="pct_urban"):
-            load_explanatory_vars(data, ["AR"])
+            load_explanatory_vars(path, ["AR"])
 
-    def test_missing_uc_row(self):
-        data = cov_csv(["AR,South,1,1,0.1,0.1,5,5,10,10"])
+    def test_missing_uc_row(self, tmp_path):
+        path = cov_csv(tmp_path, ["AR,South,1,1,0.1,0.1,5,5,10,10"])
         with pytest.raises(ValueError, match="NYC"):
-            load_explanatory_vars(data, ["AR", "NYC"])
+            load_explanatory_vars(path, ["AR", "NYC"])
 
-    def test_bad_header(self):
-        data = b"uc,cr\nAR,South\n"
+    def test_bad_header(self, tmp_path):
+        path = cov_csv(tmp_path, ["AR,South"], header="uc,cr")
         with pytest.raises(ValueError, match="header"):
-            load_explanatory_vars(data, ["AR"])
+            load_explanatory_vars(path, ["AR"])
+
+    def test_missing_file_named_by_a_string(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_explanatory_vars(str(tmp_path / "covariates.csv"), ["AR"])

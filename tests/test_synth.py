@@ -60,11 +60,13 @@ class TestWorldShape:
             assert len(pair.nonuc_stations) == params.nonuc_stations
             assert pair.warning is None
 
-    def test_covariates_load_and_track_elevation(self):
+    def test_covariates_load_and_track_elevation(self, tmp_path):
         world = synth_generate(11, SMALL_MONTHLY)
         rs = regions.load_regions(world.regions_doc)
         uc_ids = [r.name for r in rs.ucs]
-        cov = regions.load_explanatory_vars(world.covariates_csv, uc_ids)
+        path = tmp_path / "covariates.csv"
+        path.write_text(world.covariates_csv)
+        cov = regions.load_explanatory_vars(path, uc_ids)
         assert set(cov) == set(uc_ids)
 
         pairs = regions.pair_uc_nonuc(rs, world.stations)
