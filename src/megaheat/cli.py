@@ -61,8 +61,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise pipeline.ConfigError(f"--threads must be >= 1, got {args.threads}")
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise pipeline.ConfigError(f"--seed must fit in an unsigned 64-bit int, got {args.seed}")
         cfg = pipeline.load_config(args.config if args.config is not None else {})
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -111,20 +111,6 @@ def annual_cdd(tmax, tmin):
     return _annual(tmax, "cdd", years, totals)
 
 
-def _window_means(values):
-    """Means of every run of three consecutive values, summed in order."""
-    n = values.size - 2
-    return (values[:n] + values[1 : n + 1] + values[2:]) / 3
-
-
-def max_consecutive_mean(values):
-    """Largest mean over any run of three consecutive values."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        raise ValueError(f"need at least 3 values, got {v.size}")
-    return float(_window_means(v).max())
-
-
 def annual_cnm(tmin):
     """Warmest three-consecutive-night mean of daily minima, per complete
     calendar year; windows never span a year boundary."""
@@ -133,39 +119,23 @@ def annual_cnm(tmin):
     years, lo, hi = _finite_years(tmin.values, tmin.start, tmin.end)
     if not years.size:
         return _annual(tmin, "cnm", years, [])
-    # window k covers days k..k+2; a year's windows start on lo..hi-3, and
-    # the segments between years are reduced too and dropped.  The trailing
-    # NaN keeps the last segment start inside the array.
-    means = np.append(_window_means(tmin.values), np.nan)
+    # window k covers days k..k+2, its mean summed in day order; a year's
+    # windows start on lo..hi-3, and the segments between years are reduced
+    # too and dropped.  The trailing NaN keeps the last segment start inside
+    # the array.
+    v = tmin.values
+    means = np.append((v[:-2] + v[1:-1] + v[2:]) / 3, np.nan)
     maxima = np.maximum.reduceat(means, np.column_stack([lo, hi - 2]).ravel())[::2]
     return _annual(tmin, "cnm", years, maxima)
 
 
 def _percentile_95_sorted(rows):
-    """percentile_95 of each row of an ascending-sorted 2-D block."""
-    n = rows.shape[1]
-    if n == 1:
-        return rows[:, 0]
-    rank = 0.95 * (n - 1) + 1.0
+    """95th percentile of each row of an ascending-sorted 2-D block of 365
+    or 366 columns, interpolating linearly between the order statistics
+    that bracket the 1-based rank r = 0.95*(n-1) + 1, which is never whole."""
+    rank = 0.95 * (rows.shape[1] - 1) + 1.0
     whole = int(rank)
-    frac = rank - whole
-    if whole >= n:
-        return rows[:, -1]
-    if frac == 0.0:
-        return rows[:, whole - 1]
-    return rows[:, whole - 1] + frac * (rows[:, whole] - rows[:, whole - 1])
-
-
-def percentile_95(values):
-    """95th percentile with linear interpolation between order statistics.
-
-    The rank is r = 0.95*(n-1) + 1 over the sorted values (1-based); the
-    result interpolates between the two bracketing order statistics.
-    """
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise ValueError("percentile of an empty set")
-    return float(_percentile_95_sorted(v[None, :])[0])
+    return rows[:, whole - 1] + (rank - whole) * (rows[:, whole] - rows[:, whole - 1])
 
 
 def annual_p95(tmax):

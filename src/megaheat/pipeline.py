@@ -23,18 +23,7 @@ import numpy as np
 from . import __version__, indices, stats
 from .ghcn import parse_ghcnd, parse_ghcnm, parse_stations
 from .interpolate import GwrConfig, impute_monthly, lwma_fill
-from .qc import (
-    DAILY_END_CUTOFF,
-    DAILY_JJA_MAX_MISSING_FRAC,
-    DAILY_MAX_GAP_DAYS,
-    DAILY_MIN_SPAN_MONTHS,
-    MONTHLY_MAX_GAP_MONTHS,
-    MONTHLY_MAX_MISSING_FRAC,
-    STUDY_WINDOW,
-    filter_daily_stations,
-    filter_monthly_stations,
-    observed_in_window,
-)
+from .qc import STUDY_WINDOW, QcParams, filter_daily_stations, filter_monthly_stations, observed_in_window
 from .regions import (
     COVARIATE_COLUMNS,
     RegionPair,
@@ -55,7 +44,7 @@ from .series import (
     save_fills,
     save_series,
 )
-from .synth import SynthParams, synth_generate, write_world
+from .synth import INPUT_FILES, SynthParams, synth_generate, write_world
 
 
 class ConfigError(Exception):
@@ -69,14 +58,6 @@ class DataError(Exception):
 SEASONAL_METRICS = ("TMIN", "TAVG", "TMAX")
 ALL_METRICS = ("TMIN", "TAVG", "TMAX", "CDD", "CNM", "P95")
 ALL_SEASONS = ("DJF", "JJA")
-
-DEFAULT_PATHS = {
-    "daily": "ghcnd.dly",
-    "monthly": "ghcnm.dat",
-    "stations": "stations.txt",
-    "regions": "regions.json",
-    "covariates": "covariates.csv",
-}
 
 # stage outputs, all relative to the run directory
 F_PARSE_ISSUES = "parse_issues.csv"
@@ -109,26 +90,6 @@ MIN_ANNUAL_VALUES = 5
 
 
 @dataclasses.dataclass(frozen=True)
-class QcParams:
-    monthly_max_missing_frac: float = MONTHLY_MAX_MISSING_FRAC
-    monthly_max_gap_months: int = MONTHLY_MAX_GAP_MONTHS
-    daily_min_span_months: int = DAILY_MIN_SPAN_MONTHS
-    daily_end_cutoff: dt.date = DAILY_END_CUTOFF
-    daily_jja_max_missing_frac: float = DAILY_JJA_MAX_MISSING_FRAC
-    daily_max_gap_days: int = DAILY_MAX_GAP_DAYS
-
-    def __post_init__(self):
-        for name in ("monthly_max_missing_frac", "daily_jja_max_missing_frac"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-        for name in ("monthly_max_gap_months", "daily_min_span_months", "daily_max_gap_days"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
     paths: dict
     window: tuple
@@ -139,6 +100,12 @@ class RunConfig:
     gwr: GwrConfig
     seed: int
     synth: SynthParams
+
+    def __post_init__(self):
+        # checked here so that a seed from the config and one that replaces
+        # it (the CLI's --seed) meet the same rule
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be a non-negative integer below 2**64, got {self.seed!r}")
 
 
 def _check_keys(block: dict, allowed, where: str) -> None:
@@ -183,9 +150,9 @@ def load_config(source) -> RunConfig:
         "config",
     )
 
-    paths = dict(DEFAULT_PATHS)
+    paths = dict(INPUT_FILES)
     raw_paths = source.get("paths", {})
-    _check_keys(raw_paths, DEFAULT_PATHS, "paths")
+    _check_keys(raw_paths, INPUT_FILES, "paths")
     for key, value in raw_paths.items():
         if not isinstance(value, str) or not value:
             raise ConfigError(f"paths.{key} must be a non-empty string")
@@ -195,7 +162,7 @@ def load_config(source) -> RunConfig:
     if (
         not isinstance(window, (list, tuple))
         or len(window) != 2
-        or not all(isinstance(y, int) for y in window)
+        or not all(isinstance(y, int) and not isinstance(y, bool) for y in window)
         or not dt.MINYEAR <= window[0] < window[1] <= dt.MAXYEAR
     ):
         raise ConfigError(
@@ -229,10 +196,6 @@ def load_config(source) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"gwr: {exc}") from exc
 
-    seed = source.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
     synth_block = source.get("synth", {})
     _check_keys(synth_block, [f.name for f in dataclasses.fields(SynthParams)], "synth")
     try:
@@ -248,7 +211,7 @@ def load_config(source) -> RunConfig:
         alpha=float(alpha),
         qc=qc_params,
         gwr=gwr,
-        seed=seed,
+        seed=source.get("seed", 0),
         synth=synth,
     )
 
@@ -719,7 +682,7 @@ def stage_synth(out_dir, cfg: RunConfig):
 def stage_ingest(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {name: _input_path(out, cfg, name) for name in DEFAULT_PATHS}
+    paths = {name: _input_path(out, cfg, name) for name in INPUT_FILES}
     for path in paths.values():
         if not path.exists():
             raise DataError(f"missing input file {path}")
@@ -779,20 +742,8 @@ def stage_qc(out_dir, cfg: RunConfig):
     daily = _load_series(out / F_PARSED_DAILY, DailySeries, "ingest")
     if not observed_in_window(monthly + daily, cfg.window):
         raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
-    _, monthly_reports = filter_monthly_stations(
-        monthly,
-        window=cfg.window,
-        max_missing_frac=cfg.qc.monthly_max_missing_frac,
-        max_gap_months=cfg.qc.monthly_max_gap_months,
-    )
-    _, daily_reports = filter_daily_stations(
-        daily,
-        window=cfg.window,
-        min_span_months=cfg.qc.daily_min_span_months,
-        end_cutoff=cfg.qc.daily_end_cutoff,
-        jja_max_missing_frac=cfg.qc.daily_jja_max_missing_frac,
-        max_gap_days=cfg.qc.daily_max_gap_days,
-    )
+    _, monthly_reports = filter_monthly_stations(monthly, cfg.window, cfg.qc)
+    _, daily_reports = filter_daily_stations(daily, cfg.window, cfg.qc)
     for name, reports in ((F_QC_MONTHLY, monthly_reports), (F_QC_DAILY, daily_reports)):
         _write_csv(
             out / name,
@@ -1079,7 +1030,7 @@ def stage_report(out_dir, cfg: RunConfig):
         bundle.append(fig_name)
 
     inputs = {}
-    for name in sorted(DEFAULT_PATHS):
+    for name in sorted(INPUT_FILES):
         path = _input_path(out, cfg, name)
         inputs[name] = _file_sha256(path) if path.exists() else None
 

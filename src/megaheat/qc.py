@@ -32,6 +32,28 @@ DAILY_MAX_GAP_DAYS = 30
 JJA_MONTHS = (6, 7, 8)
 
 
+@dataclass(frozen=True)
+class QcParams:
+    """The retention thresholds of both filters; the defaults are the study's."""
+
+    monthly_max_missing_frac: float = MONTHLY_MAX_MISSING_FRAC
+    monthly_max_gap_months: int = MONTHLY_MAX_GAP_MONTHS
+    daily_min_span_months: int = DAILY_MIN_SPAN_MONTHS
+    daily_end_cutoff: dt.date = DAILY_END_CUTOFF
+    daily_jja_max_missing_frac: float = DAILY_JJA_MAX_MISSING_FRAC
+    daily_max_gap_days: int = DAILY_MAX_GAP_DAYS
+
+    def __post_init__(self):
+        for name in ("monthly_max_missing_frac", "daily_jja_max_missing_frac"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in ("monthly_max_gap_months", "daily_min_span_months", "daily_max_gap_days"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass
 class QcReport:
     station_id: str
@@ -62,16 +84,13 @@ def _longest_run(mask: np.ndarray) -> int:
 
 
 def filter_monthly_stations(
-    series: list[MonthlySeries],
-    window: tuple[int, int] = STUDY_WINDOW,
-    max_missing_frac: float = MONTHLY_MAX_MISSING_FRAC,
-    max_gap_months: int = MONTHLY_MAX_GAP_MONTHS,
+    series: list[MonthlySeries], window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
 ):
     """Drop monthly series with too much missing data inside the window.
 
-    Rules, in precedence order: missing fraction > max_missing_frac, then
-    any run of more than max_gap_months consecutive missing months.
-    Returns (kept series, one QcReport per input series).
+    Rules, in precedence order: missing fraction > params.monthly_max_missing_frac,
+    then any run of more than params.monthly_max_gap_months consecutive
+    missing months.  Returns (kept series, one QcReport per input series).
     """
     w0 = month_index(window[0], 1)
     w1 = month_index(window[1], 12)
@@ -91,9 +110,9 @@ def filter_monthly_stations(
         missing = ~observed
         frac = float(missing.mean())
         gap = _longest_run(missing)
-        if frac > max_missing_frac:
+        if frac > params.monthly_max_missing_frac:
             verdict, reason = "dropped", "missing_frac"
-        elif gap > max_gap_months:
+        elif gap > params.monthly_max_gap_months:
             verdict, reason = "dropped", "gap_months"
         else:
             verdict, reason = "kept", ""
@@ -103,20 +122,15 @@ def filter_monthly_stations(
 
 
 def filter_daily_stations(
-    series: list[DailySeries],
-    window: tuple[int, int] = STUDY_WINDOW,
-    min_span_months: int = DAILY_MIN_SPAN_MONTHS,
-    end_cutoff: dt.date = DAILY_END_CUTOFF,
-    jja_max_missing_frac: float = DAILY_JJA_MAX_MISSING_FRAC,
-    max_gap_days: int = DAILY_MAX_GAP_DAYS,
+    series: list[DailySeries], window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
 ):
     """Drop daily series per the record-length, summer-missing, and
-    consecutive-gap rules.
+    consecutive-gap rules, in that precedence, with the thresholds of params.
 
     The length rule is a conjunction: a series drops when its span is under
-    min_span_months AND it ends before end_cutoff.  The summer and gap rules
-    look at the observed extent intersected with the window; the reported
-    missing_frac is the summer missing fraction.
+    daily_min_span_months AND it ends before daily_end_cutoff.  The summer
+    and gap rules look at the observed extent intersected with the window;
+    the reported missing_frac is the summer missing fraction.
     """
     win_lo = date_to_serial(dt.date(window[0], 1, 1))
     win_hi = date_to_serial(dt.date(window[1], 12, 31))
@@ -141,7 +155,7 @@ def filter_daily_stations(
         last_day = s.start + dt.timedelta(days=last_i)
 
         span_months = (last_day.year - first_day.year) * 12 + last_day.month - first_day.month + 1
-        length_drop = span_months < min_span_months and last_day < end_cutoff
+        length_drop = span_months < params.daily_min_span_months and last_day < params.daily_end_cutoff
 
         lo = max(serial0 + first_i, win_lo)
         hi = min(serial0 + last_i, win_hi)
@@ -157,9 +171,9 @@ def filter_daily_stations(
 
         if length_drop:
             verdict, reason = "dropped", "short_record"
-        elif jja_frac > jja_max_missing_frac:
+        elif jja_frac > params.daily_jja_max_missing_frac:
             verdict, reason = "dropped", "jja_missing"
-        elif gap > max_gap_days:
+        elif gap > params.daily_max_gap_days:
             verdict, reason = "dropped", "gap_days"
         else:
             verdict, reason = "kept", ""

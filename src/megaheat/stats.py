@@ -154,24 +154,6 @@ def _pairs(n):
     return i, j
 
 
-def _runs(rows):
-    """Runs of equal values in each row of a 2-D block with n > 0 columns,
-    each row sorted ascending.
-
-    Returns the flat indices into rows that sort each row, and the flat
-    start and the length of every run in that sorted order; each row
-    starts a run of its own.
-    """
-    k, n = rows.shape
-    flat = (np.argsort(rows, axis=1, kind="stable") + np.arange(0, k * n, n)[:, None]).ravel()
-    s = rows.ravel()[flat]
-    starts = np.ones(k * n, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=starts[1:])
-    starts[::n] = True
-    begin = np.flatnonzero(starts)
-    return flat, begin, np.diff(begin, append=k * n)
-
-
 def _midranks(x):
     """Ranks along the last axis, tied values sharing the mean of their
     1-based positions; a row holding NaN ranks as all NaN.
@@ -185,10 +167,19 @@ def _midranks(x):
     ranks = np.full(rows.shape, np.nan)
     n = rows.shape[1]
     if n and finite.any():
-        flat, begin, length = _runs(rows[finite])
+        block = rows[finite]
+        size = block.size
+        flat = (np.argsort(block, axis=1, kind="stable") + np.arange(0, size, n)[:, None]).ravel()
+        # the runs of equal values in each sorted row; each row starts a run
+        s = block.ravel()[flat]
+        starts = np.ones(size, dtype=bool)
+        np.not_equal(s[1:], s[:-1], out=starts[1:])
+        starts[::n] = True
+        begin = np.flatnonzero(starts)
+        length = np.diff(begin, append=size)
         # a run of length c starting at 0-based position b holds the ranks
         # b+1 .. b+c, whose mean is b + (c+1)/2
-        ranked = np.empty(flat.size)
+        ranked = np.empty(size)
         ranked[flat] = np.repeat(begin % n + (length + 1) / 2.0, length)
         ranks[finite] = ranked.reshape(-1, n)
     return ranks.reshape(x.shape)
@@ -264,27 +255,14 @@ def _untestable(slope):
 
 
 def mann_kendall(series):
-    """Mann-Kendall trend test on an AnnualSeries, over its finite values.
+    """Mann-Kendall trend test on an AnnualSeries, over its finite values:
+    the station result of regional_mann_kendall on the lone series.
 
     Fewer than 4 values, or all values equal, yields an untestable result
     with s=0 and p=1. The slope denominator uses actual year spacing, so
-    omitted years widen the gap.  S sums the signs over year pairs and the
-    tie correction counts runs of equal values; both are integers, exact
-    in float64.
+    omitted years widen the gap.
     """
-    years = series.years.astype(float)
-    values = np.asarray(series.values, dtype=float)
-    keep = np.isfinite(values)
-    x = values[keep][None, :]
-    n = x.shape[1]
-    diffs = _pair_diffs(x)
-    slope = float(_sen_rows(years[keep], diffs)[0]) if n >= 2 else math.nan
-    if n < 4:
-        return _untestable(slope)
-    _, _, length = _runs(x)
-    var_s = (n * (n - 1) * (2 * n + 5) - np.sum(length * (length - 1) * (2 * length + 5))) / 18.0
-    s = np.sign(diffs).sum(axis=1).astype(np.int64)
-    return _trend_results(s, np.array([var_s]), [slope], np.array([length.size > 1]))[0]
+    return regional_mann_kendall([series]).stations[0]
 
 
 def rank_covariance(x, y):
@@ -314,8 +292,8 @@ def regional_mann_kendall(series_list):
     Pairs without overlap skip the covariance term; a raw variance below
     1% of the summed station variances is floored there. Both events are
     flagged. Stations individually untestable are excluded and flagged.
-    A non-finite value counts as an absent year, as in mann_kendall, and
-    the result's ``stations`` holds each series' mann_kendall result.
+    A non-finite value counts as an absent year, and the result's
+    ``stations`` holds each series' own Mann-Kendall result.
 
     Every group is one k x N block over the union of its years, with a
     0/1 year mask M.  Station a's sign matrix A_a[t, u] = sign(x_a(t) -
@@ -472,13 +450,13 @@ def equal_proportions_test(k1, n1, k2, n2, alpha=ALPHA):
     return PropTestResult(diff=diff, p=p, ci_low=ci_low, ci_high=ci_high)
 
 
-def wilcoxon_ranksum(a, b, method="auto"):
+def wilcoxon_ranksum(a, b):
     """Rank-sum test for a location difference between two samples.
 
-    Returns (W, p) with W the midrank sum of the first sample. "auto"
-    enumerates exactly when the pooled size is at most 12 with no ties,
-    otherwise uses the tie-corrected normal approximation with continuity
-    correction. Exact mode enumerates midrank sums, so it tolerates ties.
+    Returns (W, p) with W the midrank sum of the first sample.  The p-value
+    enumerates every split of the ranks exactly when the pooled size is at
+    most 12 with no ties; otherwise it is the tie-corrected normal
+    approximation with continuity correction.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -491,11 +469,8 @@ def wilcoxon_ranksum(a, b, method="auto"):
     w = float(ranks[:n1].sum())
     mu = n1 * (n + 1) / 2.0
 
-    if method == "auto":
-        tie_free = np.unique(pooled).size == n
-        method = "exact" if (n <= 12 and tie_free) else "normal"
-
-    if method == "exact":
+    values, counts = np.unique(pooled, return_counts=True)
+    if n <= 12 and values.size == n:
         deviation = abs(w - mu)
         hits = 0
         total = 0
@@ -504,10 +479,7 @@ def wilcoxon_ranksum(a, b, method="auto"):
             if abs(ranks[list(combo)].sum() - mu) >= deviation - 1e-9:
                 hits += 1
         return w, hits / total
-    if method != "normal":
-        raise ValueError(f"unknown method {method!r}")
 
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts**3 - counts)) / (n * (n - 1))
     var_w = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var_w <= 0.0:

@@ -24,6 +24,15 @@ from .regions import COVARIATE_COLUMNS, assign_station_region, load_regions
 from .series import DailySeries, MonthlySeries, StationMeta
 
 # annual cycles: value = base + amp * cos(2*pi*(t - peak)/period)
+# the five input files of a run, by name; ingest reads what write_world writes
+INPUT_FILES = {
+    "daily": "ghcnd.dly",
+    "monthly": "ghcnm.dat",
+    "stations": "stations.txt",
+    "regions": "regions.json",
+    "covariates": "covariates.csv",
+}
+
 _MONTHLY_BASE = {"TMIN": 10.0, "TAVG": 15.0, "TMAX": 20.0}
 _MONTHLY_AMP = 10.0
 _MONTHLY_PEAK = 7  # July
@@ -307,13 +316,7 @@ def write_world(world: SynthWorld, out_dir) -> dict[str, Path]:
     """Serialize a world into its five input files; returns name -> path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "daily": out / "ghcnd.dly",
-        "monthly": out / "ghcnm.dat",
-        "stations": out / "stations.txt",
-        "regions": out / "regions.json",
-        "covariates": out / "covariates.csv",
-    }
+    paths = {name: out / file for name, file in INPUT_FILES.items()}
     paths["daily"].write_bytes(serialize_ghcnd(world.daily))
     paths["monthly"].write_bytes(serialize_ghcnm(world.monthly))
     paths["stations"].write_bytes(serialize_stations(world.stations))

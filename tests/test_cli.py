@@ -125,6 +125,8 @@ class TestUsageErrors:
             ({"gwr": 5}, "gwr must be a JSON object"),
             ({"qc": "x"}, "qc must be a JSON object"),
             ({"synth": []}, "synth must be a JSON object"),
+            ({"seed": 2**64}, "seed"),
+            ({"window": [True, 1970]}, "window"),
         ],
     )
     def test_config_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, doc, where):
@@ -384,6 +386,60 @@ class TestDataErrors:
     def test_qc_before_ingest(self, tmp_path, capsys):
         assert cli.main(["qc", "--out", str(tmp_path)]) == 2
         assert "run the ingest stage first" in capsys.readouterr().err
+
+
+# a world with gaps, whose every station passes QC_BASE
+QC_WORLD = {"synth": dict(CFG["synth"], daily=True, gap_rate=0.01)}
+QC_BASE = {"daily_min_span_months": 120}
+
+
+@pytest.fixture(scope="module")
+def qc_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("qc_world")
+    out = root / "run"
+    cfg = _cfg_file(root, dict(QC_WORLD, qc=QC_BASE))
+    assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+    assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 0
+    return out
+
+
+def _qc_verdicts(out, qc, tmp_path):
+    cfg = _cfg_file(tmp_path, dict(QC_WORLD, qc=qc))
+    assert cli.main(["qc", "--out", str(out), "--config", cfg]) == 0
+    # (verdict, reason) of each series, per file
+    files = (pipeline.F_QC_MONTHLY, pipeline.F_QC_DAILY)
+    return {name: [tuple(row[2:4]) for row in _rows(out / name)[1:]] for name in files}
+
+
+# per config field: the base settings it is read against, a value past the
+# world's, and the file and rule whose verdicts that value flips; the length
+# rule is a conjunction, so its cutoff moves only under a long minimum span
+QC_CASES = {
+    "monthly_max_missing_frac": ({}, 0.0, pipeline.F_QC_MONTHLY, "missing_frac"),
+    "monthly_max_gap_months": ({}, 0, pipeline.F_QC_MONTHLY, "gap_months"),
+    "daily_min_span_months": ({}, 10_000, pipeline.F_QC_DAILY, "short_record"),
+    "daily_end_cutoff": (
+        {"daily_min_span_months": 10_000, "daily_end_cutoff": "1900-01-01"},
+        "2014-01-01",
+        pipeline.F_QC_DAILY,
+        "short_record",
+    ),
+    "daily_jja_max_missing_frac": ({}, 0.0, pipeline.F_QC_DAILY, "jja_missing"),
+    "daily_max_gap_days": ({}, 0, pipeline.F_QC_DAILY, "gap_days"),
+}
+
+
+class TestQcThresholds:
+    @pytest.mark.parametrize("field", QC_CASES)
+    def test_config_field_flips_its_rule(self, qc_world, tmp_path, field):
+        base, value, name, reason = QC_CASES[field]
+        before = _qc_verdicts(qc_world, {**QC_BASE, **base}, tmp_path)
+        after = _qc_verdicts(qc_world, {**QC_BASE, **base, field: value}, tmp_path)
+        assert set(before[name]) == {("kept", "")}
+        assert ("dropped", reason) in after[name]
+        assert set(after[name]) <= {("kept", ""), ("dropped", reason)}
+        other = next(n for n in before if n != name)
+        assert after[other] == before[other]
 
 
 class TestRuns:

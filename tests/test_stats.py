@@ -195,7 +195,7 @@ def _per_pair_oracle(series_list):
     on the pair's common years, one pair at a time."""
     members, flags = [], []
     for s in series_list:
-        r = mann_kendall(s)
+        r = _mann_kendall_per_series(s.years, s.values)
         if r.untestable:
             flags.append(f"{s.key}: untestable station excluded")
         else:
@@ -531,7 +531,8 @@ class TestWilcoxon:
         assert p == pytest.approx(1.0)
 
     def test_equal_multisets(self):
-        _, p = wilcoxon_ranksum([1, 2, 3], [3, 1, 2], method="exact")
+        # tie-free, so the exact regime; W equals its mean 18
+        _, p = wilcoxon_ranksum([1, 4, 5, 8], [2, 3, 6, 7])
         assert p == pytest.approx(1.0)
         _, p = wilcoxon_ranksum([1, 2, 3], [3, 1, 2])
         assert p == pytest.approx(1.0)
@@ -547,7 +548,7 @@ class TestWilcoxon:
             b = rng.integers(0, 6, 17).astype(float)
             if np.unique(np.concatenate([a, b])).size < 2:
                 continue
-            _, p = wilcoxon_ranksum(a, b, method="normal")
+            _, p = wilcoxon_ranksum(a, b)
             ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
             assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
@@ -559,8 +560,8 @@ class TestWilcoxon:
             if np.unique(pooled).size < 16:
                 continue
             a, b = pooled[:8], pooled[8:]
-            _, p_exact = wilcoxon_ranksum(a, b, method="exact")
-            _, p_norm = wilcoxon_ranksum(a, b, method="normal")
+            p_exact = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="exact").pvalue
+            _, p_norm = wilcoxon_ranksum(a, b)
             assert abs(p_exact - p_norm) <= 0.02
             checked += 1
 
