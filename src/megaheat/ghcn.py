@@ -16,11 +16,11 @@ and one reader and one writer serve both.  Each line covers a run of slots
 on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
-Lines are split, and their headers (id, year, month, element) parsed and
-filtered, over the whole file; regular lines stay a view of the input.
-Value fields are then parsed per batch of whole series, about
-_BLOCK_FIELDS fields each, straight into each series' own array, so no
-array spans the file's value fields.  An integer field must match
+A record file is read in blocks of whole lines, about _BLOCK_BYTES each,
+and never held whole.  Each line kept reduces to a row of a per-line table
+(station id, element, first slot, slot count, int32 value fields); each
+series' frame, and then one series at a time its float64 values, are
+built from that table.  An integer field must match
 ``" *-?[0-9]+"`` (year and month take no sign); year 0 has no calendar date
 and is rejected like a month outside 1-12; inventory lat, lon and
 elevation must be plain decimal text: spaces, an optional sign, digits
@@ -33,9 +33,11 @@ while the remaining records still parse.  Quality flags are not retained.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,21 +78,15 @@ class _Layout:
 _DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
 _MONTHLY = _Layout(115, (15, 19), (b"TMIN", b"TAVG", b"TMAX"), False, 19, 12, 100.0)
 
-# fields per _parse_int_fields block and per batch of series: a few
-# thousand daily lines, whose byte columns and int32 accumulator stay in a
-# core's cache
+# fields per _parse_int_fields block: a couple of thousand daily lines,
+# whose byte columns and int32 accumulator stay in a core's cache
 _BLOCK_FIELDS = 1 << 16
+
+# bytes per read of a record file; each block is cut after its last line break
+_BLOCK_BYTES = 1 << 20
 
 # plain decimal text; float() alone would also take "nan", "inf", "1e3", "1_0"
 _DECIMAL = re.compile(rb" *[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+) *")
-
-
-def _read_bytes(source) -> bytes:
-    """The records themselves, or the contents of the file at that path."""
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(source)
-    with open(source, "rb") as fh:
-        return fh.read()
 
 
 def _split_lines(buf: bytes):
@@ -219,19 +215,6 @@ def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
-def _batches(series_rows: list[np.ndarray], fields_per_row: int):
-    """Runs of whole series, each closed once it holds _BLOCK_FIELDS value fields or more."""
-    batch, fields = [], 0
-    for rows in series_rows:
-        batch.append(rows)
-        fields += rows.size * fields_per_row
-        if fields >= _BLOCK_FIELDS:
-            yield batch
-            batch, fields = [], 0
-    if batch:
-        yield batch
-
-
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
     """Indices keeping the last occurrence of each key, in key order."""
     _, idx = np.unique(keys[::-1], return_index=True)
@@ -248,44 +231,31 @@ def _line_slots(layout: _Layout, months: np.ndarray):
     return days[0], days[1] - days[0]
 
 
-def _series_values(layout: _Layout, first, count, ints, ok):
-    """(bad, first slot, values in degrees C with MISSING_INT as NaN) of
-    one series from its lines' first slots, slot counts and parsed value
-    fields, in file order.  bad marks the lines with a non-numeric field
-    among their slots; of the others, a repeated first slot keeps the later
-    line.  First slot and values are None when no line is left."""
-    col = np.arange(layout.groups)
-    in_line = col < count[:, None]
-    bad = (in_line & ~ok).any(axis=1)
-    keep = np.flatnonzero(~bad)
-    if keep.size == 0:
-        return bad, None, None
-    keep = keep[_dedup_last(first[keep])]
-    f, mask, ints = first[keep], in_line[keep], ints[keep]
-    s0 = int(f.min())
-    values = np.full(int((f + count[keep]).max()) - s0, np.nan)
-    degrees = ints / layout.scale
-    degrees[ints == MISSING_INT] = np.nan
-    values[((f[:, None] - s0) + col)[mask]] = degrees[mask]
-    return bad, s0, values
+def _line_blocks(fh):
+    """The bytes of a binary file in blocks of whole lines, read about
+    _BLOCK_BYTES at a time; every block but the last ends in a line break."""
+    rest = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join(rest + [chunk[:cut]])
+            rest = []
+        if cut < len(chunk):
+            rest.append(chunk[cut:])
+    if rest:
+        yield b"".join(rest)
 
 
-def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
-    """One series per (station, element) of the layout's elements, sorted by
-    station id then element; when a line's (station, element, year[, month])
-    repeats, the later line whose value fields parse wins.
-
-    Issues list bad line lengths, then bad headers, then non-numeric value
-    fields, each in line order.
-    """
-    buf = _read_bytes(source)
-    if not buf:
-        return [], []
-    arr, starts, ends, numbers = _split_lines(buf)
-    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers, layout.length)
+def _block_rows(layout: _Layout, block: bytes, number: int):
+    """The table rows (id, element, first slot, slot count, int32 value
+    fields) of the lines of a block, the first being line ``number``, whose
+    element is wanted and whose fields parse; its bad-length issues; and
+    the numbers of its lines with a bad header or a non-numeric field."""
+    arr, starts, ends, numbers = _split_lines(block)
+    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
 
     # row-filter narrow column slices rather than the whole line matrix;
-    # full-width fancy indexing would copy the whole file per filter pass
+    # full-width fancy indexing would copy every line per filter pass
     element = _bytes_column(matrix, *layout.element_cols)
     rows = np.flatnonzero(np.isin(element, layout.elements))
     numbers, element = numbers[rows], element[rows]
@@ -293,50 +263,105 @@ def _parse(layout: _Layout, source) -> tuple[list, list[ParseIssue]]:
     # year 0 has no calendar date, so it is a damaged field like any other
     year, ok_head = _parse_int_fields(matrix[:, 11:15][rows], allow_sign=False)
     ok_head &= year > 0
-    month, message = np.ones_like(year), "bad year field"
+    month = np.ones_like(year)
     if layout.has_month:
         month, ok_m = _parse_int_fields(matrix[:, 15:17][rows], allow_sign=False)
         ok_head &= ok_m & (month >= 1) & (month <= 12)
-        message = "bad year/month field"
-    for n in numbers[~ok_head]:
-        issues.append(ParseIssue(line=int(n), message=message))
+    bad_head = numbers[~ok_head]
     rows, numbers, element = rows[ok_head], numbers[ok_head], element[ok_head]
-    ids = matrix[:, 0:11][rows].view("S11")[:, 0]
     first, count = _line_slots(layout, year[ok_head] * 12 + (month[ok_head] - 1))
+    ints, ok = _parse_int_fields(matrix[rows, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
+    good = (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
+    ids = matrix[:, 0:11][rows[good]].view("S11")[:, 0]
+    return (ids, element[good], first[good], count[good], ints[good]), issues, bad_head, numbers[~good]
 
-    # value fields are parsed one batch of whole series at a time, straight
-    # into each series' own array: no array spans the file's value fields
+
+def _read(layout: _Layout, source):
+    """(frames, values, issues) of a record file, its bytes or a path,
+    read in blocks of whole lines into a per-line table.
+
+    frames holds one series per (station, element) of the layout's
+    elements, sorted by station id then element, each with a read-only
+    all-NaN view as long as its values; values yields their values in
+    turn, one series at a time.  When a line's (station, element, year[,
+    month]) repeats, the later line whose value fields parse wins.  Issues
+    list bad line lengths, then bad headers, then non-numeric value
+    fields, each in line order.
+    """
+    in_memory = isinstance(source, bytes)
+    n, number, issues, bad_lines = 0, 1, [], []
+    with io.BytesIO(source) if in_memory else open(source, "rb") as fh:
+        # preallocated to the most whole lines the size allows, as columns
+        # gathered per block and joined at the end leave the heap
+        # fragmented; a pipe reports size 0, and the table then grows
+        cap = ((len(source) if in_memory else os.fstat(fh.fileno()).st_size) + 1) // (layout.length + 1) + 1
+        table = [np.empty(cap, "S11"), np.empty(cap, "S4"), np.empty(cap, np.int64), np.empty(cap, np.int64)]
+        table.append(np.empty((cap, layout.groups), np.int32))
+        for block in _line_blocks(fh):
+            rows, block_issues, *bad = _block_rows(layout, block, number)
+            number += block.count(b"\n")
+            issues += block_issues
+            bad_lines.append(bad)
+            k = rows[0].size
+            if n + k > table[0].size:
+                table = [np.concatenate((c[:n], np.empty((max(k, n),) + c.shape[1:], c.dtype))) for c in table]
+            for column, part in zip(table, rows):
+                column[n : n + k] = part
+            n += k
+    head = "bad year/month field" if layout.has_month else "bad year field"
+    for message, lines in zip((head, "non-numeric value field"), zip(*bad_lines)):
+        issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(lines)]
+
+    ids, element, first, count, ints = (column[:n] for column in table)
+    keeps = [rows[_dedup_last(first[rows])] for rows in _series_rows(ids, element)]
+    spans = [(int(first[k[0]]), int((first[k] + count[k]).max())) for k in keeps]
+    nan = np.full(max((hi - lo for lo, hi in spans), default=0), np.nan)
+    nan.flags.writeable = False
     kind = DailySeries if layout.has_month else MonthlySeries
-    out, bad_lines = [], []
-    for batch in _batches(_series_rows(ids, element), layout.groups):
-        fields = matrix[rows[np.concatenate(batch)], layout.values_at :]
-        ints, ok = _parse_int_fields(fields.reshape(-1, layout.groups, 8)[:, :, :5])
-        cuts = np.cumsum([k.size for k in batch])[:-1]
-        for k, ints_k, ok_k in zip(batch, np.split(ints, cuts), np.split(ok, cuts)):
-            bad, s0, values = _series_values(layout, first[k], count[k], ints_k, ok_k)
-            bad_lines.append(numbers[k[bad]])
-            if values is not None:
-                out.append(series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), s0, values))
-    bad_lines = np.sort(np.concatenate(bad_lines)) if bad_lines else []
-    issues += [ParseIssue(line=int(n), message="non-numeric value field") for n in bad_lines]
-    return out, issues
+    frames = [
+        series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), lo, nan[: hi - lo])
+        for k, (lo, hi) in zip(keeps, spans)
+    ]
+
+    def values():
+        col = np.arange(layout.groups)
+        for k, (lo, hi) in zip(keeps, spans):
+            f, v = first[k], ints[k]
+            mask = col < count[k][:, None]
+            degrees = v / layout.scale
+            degrees[v == MISSING_INT] = np.nan
+            out = np.full(hi - lo, np.nan)
+            out[((f[:, None] - lo) + col)[mask]] = degrees[mask]
+            yield out
+
+    return frames, values(), issues
+
+
+def read_ghcnd(source):
+    """(frames, values, issues) of TMAX and TMIN daily lines (see _read); day slots past a month's end are ignored."""
+    return _read(_DAILY, source)
+
+
+def read_ghcnm(source):
+    """(frames, values, issues) of TMIN, TAVG and TMAX monthly lines (see _read)."""
+    return _read(_MONTHLY, source)
 
 
 def parse_ghcnd(source) -> tuple[list[DailySeries], list[ParseIssue]]:
-    """Parse daily element-month lines into TMAX/TMIN series (see _parse);
-    day slots beyond the month's length are ignored."""
-    return _parse(_DAILY, source)
+    """The series and issues read_ghcnd gives, each series holding its values."""
+    frames, values, issues = read_ghcnd(source)
+    return [replace(frame, values=v) for frame, v in zip(frames, values)], issues
 
 
 def parse_ghcnm(source) -> tuple[list[MonthlySeries], list[ParseIssue]]:
-    """Parse monthly year-per-line records into TMIN/TAVG/TMAX series (see _parse)."""
-    return _parse(_MONTHLY, source)
+    """The series and issues read_ghcnm gives, each series holding its values."""
+    frames, values, issues = read_ghcnm(source)
+    return [replace(frame, values=v) for frame, v in zip(frames, values)], issues
 
 
-def parse_stations(source) -> tuple[list[StationMeta], list[ParseIssue]]:
+def parse_stations(buf: bytes) -> tuple[list[StationMeta], list[ParseIssue]]:
     """Parse inventory lines; out-of-range coordinates and duplicate ids are
     rejected with diagnostics."""
-    buf = _read_bytes(source)
     stations: list[StationMeta] = []
     issues: list[ParseIssue] = []
     seen: set[str] = set()

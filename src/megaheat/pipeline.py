@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, indices, stats
-from .ghcn import parse_ghcnd, parse_ghcnm, parse_stations
+from .ghcn import parse_stations, read_ghcnd, read_ghcnm
 from .interpolate import GwrConfig, impute_monthly, lwma_fill
 from .qc import STUDY_WINDOW, QcParams, filter_daily_stations, filter_monthly_stations, observed_in_window
 from .regions import (
@@ -532,6 +532,16 @@ def _input_path(out_dir, cfg, name) -> Path:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
+def _read_input(path: Path, read, *args):
+    """read(path, *args), for an input file; DataError when it is missing or cannot be read."""
+    if not path.exists():
+        raise DataError(f"missing input file {path}")
+    try:
+        return read(path, *args)
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path}: {exc}") from exc
+
+
 def _require(path: Path, producer: str) -> None:
     if not path.exists():
         raise DataError(f"missing {path.name}; run the {producer} stage first")
@@ -683,13 +693,10 @@ def stage_ingest(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: _input_path(out, cfg, name) for name in INPUT_FILES}
-    for path in paths.values():
-        if not path.exists():
-            raise DataError(f"missing input file {path}")
-
-    daily, daily_issues = parse_ghcnd(paths["daily"].read_bytes())
-    monthly, monthly_issues = parse_ghcnm(paths["monthly"].read_bytes())
-    stations, station_issues = parse_stations(paths["stations"].read_bytes())
+    # the series are framed here and their values made only as they are saved
+    daily, daily_values, daily_issues = _read_input(paths["daily"], read_ghcnd)
+    monthly, monthly_values, monthly_issues = _read_input(paths["monthly"], read_ghcnm)
+    stations, station_issues = parse_stations(_read_input(paths["stations"], Path.read_bytes))
     if not stations:
         raise DataError("no stations parsed from the inventory")
     if not daily and not monthly:
@@ -700,9 +707,9 @@ def stage_ingest(out_dir, cfg: RunConfig):
         raise DataError(f"records for stations missing from the inventory: {listed}")
 
     try:
-        region_set = load_regions(paths["regions"])
+        region_set = _read_input(paths["regions"], load_regions)
         pairs = pair_uc_nonuc(region_set, stations)
-        load_explanatory_vars(paths["covariates"], [p.uc_id for p in pairs])
+        _read_input(paths["covariates"], load_explanatory_vars, [p.uc_id for p in pairs])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     # the .npz files key series by station and corridor id in numpy string
@@ -723,8 +730,8 @@ def stage_ingest(out_dir, cfg: RunConfig):
     )
     pairs_doc = {"pairs": [dataclasses.asdict(p) for p in sorted(pairs, key=lambda p: p.uc_id)]}
     (out / F_PAIRS).write_text(json.dumps(pairs_doc, indent=2, sort_keys=True) + "\n")
-    save_series(out / F_PARSED_MONTHLY, monthly)
-    save_series(out / F_PARSED_DAILY, daily)
+    save_series(out / F_PARSED_MONTHLY, monthly, monthly_values)
+    save_series(out / F_PARSED_DAILY, daily, daily_values)
     summary = {
         "n_daily_series": len(daily),
         "n_monthly_series": len(monthly),
@@ -760,9 +767,7 @@ def stage_impute(out_dir, cfg: RunConfig):
     kept_monthly = _load_kept(out, F_PARSED_MONTHLY, F_QC_MONTHLY, MonthlySeries)
     kept_daily = _load_kept(out, F_PARSED_DAILY, F_QC_DAILY, DailySeries)
     stations_path = _input_path(out, cfg, "stations")
-    if not stations_path.exists():
-        raise DataError(f"missing input file {stations_path}")
-    stations, _ = parse_stations(stations_path.read_bytes())
+    stations, _ = parse_stations(_read_input(stations_path, Path.read_bytes))
     unlisted = sorted({s.station_id for s in kept_monthly} - {st.station_id for st in stations})
     if unlisted:
         listed = ", ".join(repr(sid) for sid in unlisted)
@@ -961,13 +966,9 @@ def stage_correlate(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     regional = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
-    cov_path = _input_path(out, cfg, "covariates")
-    if not cov_path.exists():
-        raise DataError(f"missing input file {cov_path}")
-
     pair_ids = tuple(p.uc_id for p in pairs)
     try:
-        covariates = load_explanatory_vars(cov_path, pair_ids)
+        covariates = _read_input(_input_path(out, cfg, "covariates"), load_explanatory_vars, pair_ids)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -1032,7 +1033,7 @@ def stage_report(out_dir, cfg: RunConfig):
     inputs = {}
     for name in sorted(INPUT_FILES):
         path = _input_path(out, cfg, name)
-        inputs[name] = _file_sha256(path) if path.exists() else None
+        inputs[name] = _read_input(path, _file_sha256) if path.exists() else None
 
     manifest = {
         "bundle": bundle,

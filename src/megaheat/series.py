@@ -8,6 +8,7 @@ carry NaN as an explicit marker; sentinel temperatures from source files
 from __future__ import annotations
 
 import datetime as dt
+import os
 import zipfile
 from dataclasses import dataclass, field, replace
 
@@ -120,33 +121,46 @@ def _save_npz(path, arrays: dict) -> None:
     writes; np.savez stamps every entry with zipfile's fixed 1980 date, so
     the same arrays always give the same bytes.
 
-    An entry is an array, or a (dtype, pieces) pair: 1-D arrays written one
-    after another as the one array of that dtype np.concatenate would give,
-    without joining them in memory.
+    An entry is an array, or a (dtype, pieces, size) triple: 1-D arrays,
+    ``size`` values in all, written one after another as the one array of
+    that dtype np.concatenate would give.  They are never joined in memory,
+    and pieces may be an iterator that makes each one only as it is written;
+    if making them fails, or they do not add up to ``size``, the file is
+    removed, so no partial file is left behind.
     """
-    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, entry in arrays.items():
-            dtype, pieces = entry if isinstance(entry, tuple) else (entry.dtype, [entry])
-            pieces = [np.ascontiguousarray(p, dtype=dtype).reshape(-1) for p in pieces]
-            shape = (sum(p.size for p in pieces),)
-            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)), "fortran_order": False, "shape": shape}
-            with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                for piece in pieces:
-                    member.write(piece.view(np.uint8))
+    fh = open(path, "wb")
+    try:
+        with fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for name, entry in arrays.items():
+                dtype, pieces, size = entry if isinstance(entry, tuple) else (entry.dtype, [entry], entry.size)
+                descr = np.lib.format.dtype_to_descr(np.dtype(dtype))
+                header = {"descr": descr, "fortran_order": False, "shape": (size,)}
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(member, header)
+                    for piece in pieces:
+                        piece = np.ascontiguousarray(piece, dtype=dtype).reshape(-1)
+                        member.write(piece.view(np.uint8))
+                        size -= piece.size
+                if size:
+                    raise ValueError(f"{name}: pieces do not add up to the size in its header")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-def save_series(path, series) -> None:
+def save_series(path, frames, values) -> None:
     """Write daily or monthly series (not both) to one uncompressed ``.npz``.
 
-    The file holds the station ids, the elements, each series' start (a
-    day serial for daily series; first year and first month for monthly
-    ones), the lengths, and all values as one float64 array.  The same
-    series always give the same bytes.
+    ``frames`` give each series' station, element, start and length (the
+    length of its values); ``values`` yields each series' values in turn,
+    so the values need not all be held at once.  The file holds the
+    station ids, the elements, each series' start (a day serial for daily
+    series; first year and first month for monthly ones), the lengths, and
+    all values as one float64 array.  The same series always give the
+    same bytes.
     """
-    series = list(series)
-    ids, starts = _frame_arrays(series)
-    _save_npz(path, {**ids, "values": (np.float64, [s.values for s in series]), **starts})
+    ids, starts = _frame_arrays(list(frames))
+    _save_npz(path, {**ids, "values": (np.float64, values, int(ids["length"].sum())), **starts})
 
 
 def _read_npz(path) -> dict:
@@ -273,8 +287,8 @@ def save_fills(path, frames, fills, stamp) -> None:
     ids, starts = _frame_arrays(list(frames))
     arrays = {**ids, **starts}
     arrays["n_fills"] = np.array([len(offsets) for offsets, _ in fills], dtype=np.int64)
-    arrays["offset"] = (np.int64, [offsets for offsets, _ in fills])
-    arrays["value"] = (np.float64, [values for _, values in fills])
+    arrays["offset"] = (np.int64, [offsets for offsets, _ in fills], int(arrays["n_fills"].sum()))
+    arrays["value"] = (np.float64, [values for _, values in fills], int(arrays["n_fills"].sum()))
     arrays["parsed_entry"] = np.array([name for name, _, _ in stamp], dtype=str)
     arrays["parsed_crc"] = np.array([crc for _, crc, _ in stamp], dtype=np.int64)
     arrays["parsed_size"] = np.array([size for _, _, size in stamp], dtype=np.int64)
@@ -358,8 +372,8 @@ def save_annual(path, key_columns, series: dict) -> None:
     keys = sorted(series)
     arrays = {name: np.array([key[i] for key in keys], dtype=str) for i, name in enumerate(key_columns)}
     arrays["length"] = np.array([len(series[key]) for key in keys], dtype=np.int64)
-    arrays["year"] = (np.int64, [series[key].years for key in keys])
-    arrays["value"] = (np.float64, [series[key].values for key in keys])
+    arrays["year"] = (np.int64, [series[key].years for key in keys], int(arrays["length"].sum()))
+    arrays["value"] = (np.float64, [series[key].values for key in keys], int(arrays["length"].sum()))
     _save_npz(path, arrays)
 
 

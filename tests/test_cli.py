@@ -387,6 +387,38 @@ class TestDataErrors:
         assert cli.main(["qc", "--out", str(tmp_path)]) == 2
         assert "run the ingest stage first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            *((name, "ingest") for name in ("ghcnd.dly", "ghcnm.dat", "stations.txt", "regions.json", "covariates.csv")),
+            ("stations.txt", "impute"),
+            ("covariates.csv", "correlate"),
+            ("regions.json", "report"),
+        ],
+    )
+    def test_unreadable_input_exits_2(self, finished_run, tmp_path, capsys, name, stage):
+        # a directory where the stage reads an input file
+        done, cfg = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(done, out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: cannot read input file {out / name}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A run directory after `megaheat all`, and its config file."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = _cfg_file(root)
+    assert cli.main(["synth", "--out", str(root / "run"), "--config", cfg]) == 0
+    assert cli.main(["all", "--out", str(root / "run"), "--config", cfg]) == 0
+    return root / "run", cfg
+
 
 # a world with gaps, whose every station passes QC_BASE
 QC_WORLD = {"synth": dict(CFG["synth"], daily=True, gap_rate=0.01)}

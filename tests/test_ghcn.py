@@ -1,5 +1,7 @@
 import datetime as dt
+import os
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -351,13 +353,118 @@ class TestMemory:
             parse_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            save_series(tmp_path / "parsed.npz", series)
+            save_series(tmp_path / "parsed.npz", series, [s.values for s in series])
             save_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert len(series) == 2 * self.STATIONS and len(issues) == (damage == "short line")
         assert parse_peak < self._budget(blob, series, gathered), parse_peak
         assert save_peak < 2**20, save_peak
+
+
+def _with_field(line, k, field):
+    """line with its k-th value field (5 chars, from column 21 or 19) replaced."""
+    at = (21 if len(line) == 269 else 19) + 8 * k
+    return line[:at] + field + line[at + 5 :]
+
+
+def _edge_lines(layout):
+    """Record lines that put the reader's cases next to block cuts:
+    interleaved stations, a blank, a short and a long line, a repeated
+    record whose later good line wins and a later repeat with a
+    non-numeric field that loses, bad headers, and non-numeric fields on
+    neighbouring lines."""
+    if layout == "daily":
+        e1, e2 = "TMAX", "TMIN"
+
+        def rec(sid, k, element, base):
+            return dly_line(sid, 1960 + k // 12, k % 12 + 1, element, [base + d for d in range(31)])
+
+        def bad_head(line):
+            return line[:15] + "13" + line[17:]
+    else:
+        e1, e2 = "TAVG", "TMIN"
+
+        def rec(sid, k, element, base):
+            return ghcnm_line(sid, 1960 + k, element, [base + m for m in range(12)])
+
+        def bad_head(line):
+            return line[:11] + "0000" + line[15:]
+
+    a, b = "USW00000001", "USC00000002"
+    return (e1, e2), [
+        rec(a, 0, e1, 10),
+        rec(b, 0, e1, 20),
+        "",
+        rec(a, 1, e1, 30),
+        rec(a, 2, e1, 40)[:100],
+        rec(b, 1, e1, 50) + "  ",
+        rec(a, 0, e1, 60),
+        _with_field(rec(a, 0, e1, 70), 3, " 1x3 "),
+        rec(a, 3, e2, 80),
+        _with_field(rec(b, 2, e2, 90), 0, "  -  "),
+        _with_field(rec(a, 4, e2, 100), 1, "   x1"),
+        rec(a, 5, e2, 110)[:11] + "19x0" + rec(a, 5, e2, 110)[15:],
+        bad_head(rec(b, 3, e2, 120)),
+        rec(b, 3, e2, 130),
+    ]
+
+
+class TestBlockEdges:
+    """Reading in blocks of whole lines gives what one block over the whole
+    input gives, wherever the block edges fall: inside a line, between its
+    \\r and \\n, or exactly between lines."""
+
+    @staticmethod
+    def _parsed(parse, source, block):
+        with mock.patch.object(ghcn, "_BLOCK_BYTES", block):
+            series, issues = parse(source)
+        return [(s.station_id, s.element, first_slot(s), s.values.tobytes()) for s in series], issues
+
+    @pytest.mark.parametrize("layout", ["daily", "monthly"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_break", [True, False])
+    def test_block_size_changes_nothing(self, layout, end, final_break):
+        parse = parse_ghcnd if layout == "daily" else parse_ghcnm
+        (e1, e2), lines = _edge_lines(layout)
+        blob = (end.join(lines) + (end if final_break else "")).encode()
+        whole = self._parsed(parse, blob, 10**7)
+
+        series, issues = whole
+        assert issues == [
+            ParseIssue(5, f"expected {len(lines[0])}-char line, got 100"),
+            ParseIssue(6, f"expected {len(lines[0])}-char line, got {len(lines[0]) + 2}"),
+            *(ParseIssue(n, "bad year/month field" if layout == "daily" else "bad year field") for n in (12, 13)),
+            *(ParseIssue(n, "non-numeric value field") for n in (8, 10, 11)),
+        ]
+        assert [(sid, element) for sid, element, _, _ in series] == [
+            ("USC00000002", e1),
+            ("USC00000002", e2),
+            ("USW00000001", e1),
+            ("USW00000001", e2),
+        ]
+        # the repeated first record keeps its second copy, the last good one
+        first_values = np.frombuffer(series[2][3], dtype=np.float64)[:3]
+        assert_array_equal(first_values * (10 if layout == "daily" else 100), [60, 61, 62])
+
+        length = len(lines[0]) + len(end)
+        for block in (1, 2, 3, 50, length - 2, length - 1, length, length + 1, 2 * length + 3, 3 * length - 1):
+            assert self._parsed(parse, blob, block) == whole, block
+
+    @pytest.mark.parametrize("layout", ["daily", "monthly"])
+    def test_a_pipe_parses_like_a_file(self, layout, tmp_path):
+        # a pipe reports no size, so the per-line table grows as it fills
+        parse = parse_ghcnd if layout == "daily" else parse_ghcnm
+        _, lines = _edge_lines(layout)
+        blob = ("\n".join(lines * 20) + "\n").encode()
+        fifo = tmp_path / "records"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        piped = self._parsed(parse, fifo, 300)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert piped == self._parsed(parse, blob, 10**7)
 
 
 class TestParseGhcnm:
@@ -816,7 +923,7 @@ class TestDamagedLines:
     @settings(max_examples=100, deadline=None)
     @given(edits=st.lists(_EDITS, max_size=4), repeats=st.lists(st.integers(0, 10**6), max_size=3))
     def test_batch_size_changes_nothing(self, layout, edits, repeats):
-        # one series per batch, the default, and one batch for the file
+        # one line per _parse_int_fields block, the default, and one block for the file
         parse, good = _MANY_SERIES[layout]
         lines = _damage(good, edits)
         lines += [lines[k % len(lines)] for k in repeats]

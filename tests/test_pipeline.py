@@ -6,11 +6,12 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from megaheat import pipeline, stats
+from megaheat import ghcn, pipeline, stats
 from megaheat.pipeline import (
     ConfigError,
     DataError,
@@ -22,6 +23,7 @@ from megaheat.pipeline import (
 )
 from megaheat.regions import ExplanatoryVars
 from megaheat.series import AnnualSeries, DailySeries, MonthlySeries, first_slot, load_annual, load_fills, load_series
+from megaheat.synth import SynthParams, synth_generate, write_world
 
 YEARS = np.arange(1956, 2016)
 
@@ -921,3 +923,42 @@ class TestReportOnEmptyDir:
         first = (tmp_path / pipeline.REPORT_DIR / "manifest.json").read_bytes()
         pipeline.stage_report(tmp_path, cfg)
         assert (tmp_path / pipeline.REPORT_DIR / "manifest.json").read_bytes() == first
+
+
+class TestIngestMemory:
+    """stage_ingest holds a per-line table and one block's work, never a
+    record file's bytes or every series' values at once.
+
+    The budget follows the design, whatever the world's size:
+    - per record line, its table row: an 11-byte id, a 4-byte element, an
+      8-byte first slot and slot count each, and 4 bytes per value field;
+    - per record line, under 48 bytes of index arrays: the series grouping
+      and each series' kept lines;
+    - one block's work (its bytes, newline mask, gathered lines and parsed
+      fields) under 8 blocks of _BLOCK_BYTES;
+    - one series' values and their scatter, under 48 bytes per slot of the
+      longest series;
+    - 1 MiB for Python objects: the frames, issues, pairs and lists.
+    A reader that holds the daily file's bytes (270 per line) and every
+    parsed series (about 240 per line) needs more than that.
+    """
+
+    def test_peak(self, tmp_path):
+        # 57,600 daily lines: about 15 blocks
+        world = synth_generate(3, SynthParams(n_pairs=1, uc_stations=20, nonuc_stations=20))
+        longest = max(s.values.size for s in world.daily + world.monthly)
+        write_world(world, tmp_path)
+        del world
+        budget = 8 * ghcn._BLOCK_BYTES + 48 * longest + 2**20
+        for name, layout in (("ghcnd.dly", ghcn._DAILY), ("ghcnm.dat", ghcn._MONTHLY)):
+            lines = (tmp_path / name).read_bytes().count(b"\n")
+            budget += lines * (11 + 4 + 8 + 8 + 4 * layout.groups + 48)
+        assert (tmp_path / "ghcnd.dly").stat().st_size > 10 * ghcn._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            pipeline.stage_ingest(tmp_path, load_config({}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / pipeline.F_INGEST_SUMMARY).read_text())["n_daily_series"] == 80
+        assert peak < budget, (peak, budget)

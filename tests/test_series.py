@@ -63,7 +63,7 @@ def _bits(values):
 
 def _round_trip(tmp_path, series):
     path = tmp_path / "series.npz"
-    save_series(path, series)
+    save_series(path, series, [s.values for s in series])
     return load_series(path)
 
 
@@ -101,8 +101,8 @@ class TestRoundTrip:
 
     def test_same_series_give_same_bytes(self, tmp_path):
         series = [DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.arange(70.0) / 10.0)]
-        save_series(tmp_path / "a.npz", series)
-        save_series(tmp_path / "b.npz", series)
+        save_series(tmp_path / "a.npz", series, [s.values for s in series])
+        save_series(tmp_path / "b.npz", series, [s.values for s in series])
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_mixed_kinds_rejected(self, tmp_path):
@@ -111,7 +111,7 @@ class TestRoundTrip:
             MonthlySeries("A", "TAVG", 1956, 1, np.zeros(3)),
         ]
         with pytest.raises(TypeError):
-            save_series(tmp_path / "x.npz", series)
+            save_series(tmp_path / "x.npz", series, [s.values for s in series])
 
 
 class TestSeriesAt:
@@ -139,7 +139,7 @@ class TestSeriesAt:
 
 
 # _save_npz entries: whole string, int64 and float64 arrays, and (dtype,
-# pieces) pairs whose pieces may be empty
+# pieces, size) triples whose pieces may be empty
 _FLOAT_ARRAYS = st.lists(st.one_of(st.floats(width=64), st.just(float("nan")), st.just(-0.0)), max_size=6).map(
     lambda v: np.array(v, dtype=np.float64)
 )
@@ -149,8 +149,8 @@ _ENTRIES = st.one_of(
     _FLOAT_ARRAYS,
     _INT_ARRAYS,
     _STR_ARRAYS,
-    st.lists(_FLOAT_ARRAYS, max_size=4).map(lambda pieces: (np.float64, pieces)),
-    st.lists(_INT_ARRAYS, max_size=4).map(lambda pieces: (np.int64, pieces)),
+    st.lists(_FLOAT_ARRAYS, max_size=4).map(lambda pieces: (np.float64, pieces, sum(p.size for p in pieces))),
+    st.lists(_INT_ARRAYS, max_size=4).map(lambda pieces: (np.int64, pieces, sum(p.size for p in pieces))),
 )
 _NPZ_TABLES = st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), _ENTRIES, max_size=5)
 
@@ -173,14 +173,31 @@ class TestNpzWriter:
     @given(arrays=_NPZ_TABLES)
     def test_same_bytes_as_savez(self, tmp_path_factory, arrays):
         tmp = tmp_path_factory.mktemp("npz")
-        series_module._save_npz(tmp / "ours.npz", arrays)
+        # pieces handed over as iterators, made only as they are written
+        streamed = {name: (e[0], iter(e[1]), e[2]) if isinstance(e, tuple) else e for name, e in arrays.items()}
+        series_module._save_npz(tmp / "ours.npz", streamed)
         assert (tmp / "ours.npz").read_bytes() == _savez_bytes(tmp / "savez.npz", arrays)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_pieces_that_miss_their_size_raise(self, tmp_path, size):
+        with pytest.raises(ValueError, match="do not add up"):
+            series_module._save_npz(tmp_path / "ours.npz", {"v": (np.float64, [np.zeros(1), np.zeros(2)], size)})
+        assert not (tmp_path / "ours.npz").exists()
+
+    def test_pieces_that_fail_to_be_made_leave_no_file(self, tmp_path):
+        def pieces():
+            yield np.zeros(1)
+            raise RuntimeError("no second piece")
+
+        with pytest.raises(RuntimeError, match="no second piece"):
+            series_module._save_npz(tmp_path / "ours.npz", {"v": (np.float64, pieces(), 2)})
+        assert not (tmp_path / "ours.npz").exists()
 
     @settings(max_examples=40, deadline=None)
     @given(series=st.lists(_DAILY, max_size=6))
     def test_save_series_writes_what_savez_wrote(self, tmp_path_factory, series):
         tmp = tmp_path_factory.mktemp("series")
-        save_series(tmp / "ours.npz", series)
+        save_series(tmp / "ours.npz", series, [s.values for s in series])
         ids, starts = series_module._frame_arrays(series)
         arrays = {**ids, "values": (np.float64, [s.values for s in series]), **starts}
         assert (tmp / "ours.npz").read_bytes() == _savez_bytes(tmp / "savez.npz", arrays)
@@ -190,7 +207,8 @@ class TestBadFiles:
     @pytest.fixture
     def good(self, tmp_path):
         path = tmp_path / "good.npz"
-        save_series(path, [DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.arange(400.0))])
+        series = DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.arange(400.0))
+        save_series(path, [series], [series.values])
         return path
 
     def test_every_truncation_is_a_value_error(self, good, tmp_path):
@@ -240,7 +258,7 @@ class TestBadFiles:
         ],
     )
     def test_start_outside_the_calendar(self, tmp_path, series, key, shift, match):
-        save_series(tmp_path / "good.npz", [series])
+        save_series(tmp_path / "good.npz", [series], [series.values])
         with np.load(tmp_path / "good.npz") as npz:
             arrays = dict(npz)
         arrays[key] = arrays[key] + shift
