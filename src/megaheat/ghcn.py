@@ -29,10 +29,15 @@ with at most one decimal point, and nothing else.
 Per-record problems (bad length, non-numeric fields, impossible years or
 months) are reported as ParseIssue entries carrying 1-based line numbers
 while the remaining records still parse.  Quality flags are not retained.
+
+The writer checks that a series' values fit a 5-char field, then gathers
+each value group from one table of the 8-char groups of -9999 ... 99999,
+built on first use; write_records writes a file one series at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -77,6 +82,8 @@ class _Layout:
 
 _DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
 _MONTHLY = _Layout(115, (15, 19), (b"TMIN", b"TAVG", b"TMAX"), False, 19, 12, 100.0)
+
+_FIELD_MIN, _FIELD_MAX = -9999, 99999  # the values a 5-char field holds
 
 # fields per _parse_int_fields block: a couple of thousand daily lines,
 # whose byte columns and int32 accumulator stay in a core's cache
@@ -167,26 +174,11 @@ def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
     return values, ok
 
 
-def _format_int_fields(values: np.ndarray, width: int) -> np.ndarray:
-    """Right-justified fixed-width rendering; inverse of _parse_int_fields."""
-    v = np.asarray(values, dtype=np.int64)
-    lo, hi = -(10 ** (width - 1)) + 1, 10**width - 1
-    if v.size and (v.min() < lo or v.max() > hi):
-        raise ValueError(f"value out of range for {width}-char field")
-    a = np.abs(v)
-    digits = np.empty(v.shape + (width,), dtype=np.int64)
-    for p in range(width):
-        digits[..., width - 1 - p] = a // 10**p % 10
-    sig = np.maximum.accumulate(digits > 0, axis=-1)
-    sig[..., -1] = True
-    chars = np.where(sig, digits + 0x30, 0x20).astype(np.uint8)
-    neg = v < 0
-    if np.any(neg):
-        flat = chars.reshape(-1, width)
-        fs = np.argmax(sig, axis=-1).ravel()
-        rows = np.flatnonzero(neg.ravel())
-        flat[rows, fs[rows] - 1] = 0x2D
-    return chars
+@functools.cache
+def _group_table() -> np.ndarray:
+    """Entry i is the 8-char value group of _FIELD_MIN + i: the 5-char field as
+    b"%5d" renders it, then 3 blank flag chars; built on first use."""
+    return np.array([b"%5d   " % v for v in range(_FIELD_MIN, _FIELD_MAX + 1)], dtype="S8")
 
 
 def _bytes_column(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -396,50 +388,61 @@ def parse_stations(buf: bytes) -> tuple[list[StationMeta], list[ParseIssue]]:
     return stations, issues
 
 
-def _zero_padded(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of non-negative integers, zero-padded to width chars."""
-    return (values[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + 0x30).astype(np.uint8)
-
-
-def _serialize(layout: _Layout, series) -> bytes:
-    """Lines for each series, sorted by station id then element, covering
-    its slots; slots outside the series carry MISSING_INT, flags are spaces."""
-    chunks: list[bytes] = []
+def _serialize(layout: _Layout, series):
+    """Each series' lines, sorted by station id then element, as one uint8
+    block per series covering its slots; slots outside the series carry
+    MISSING_INT, flags are spaces.  Every value group is gathered from
+    _group_table, after a check that the values fit its fields."""
     for s in sorted(series, key=lambda s: (s.station_id, s.element)):
-        slots = first_slot(s) + np.arange(s.values.size)
+        scaled = np.rint(s.values * layout.scale)
+        scaled[np.isnan(scaled)] = MISSING_INT
+        if scaled.size and not (_FIELD_MIN <= scaled.min() and scaled.max() <= _FIELD_MAX):
+            raise ValueError(f"value out of range for 5-char field: {_FIELD_MIN}..{_FIELD_MAX} in 1/{layout.scale:g} degree C")
+        start, end = first_slot(s), first_slot(s) + s.values.size
         if layout.has_month:
-            m0, m1 = slots[[0, -1]].astype("M8[D]").astype("M8[M]").astype(np.int64) + 1970 * 12
+            m0, m1 = np.array([start, end - 1]).astype("M8[D]").astype("M8[M]").astype(np.int64) + 1970 * 12
             months = np.arange(m0, m1 + 1)
         else:
-            months = np.arange(slots[0] - slots[0] % 12, slots[-1] + 1, 12)
-        line_first, _ = _line_slots(layout, months)
-        line = np.searchsorted(line_first, slots, side="right") - 1
-        grid = np.full((months.size, layout.groups), MISSING_INT, dtype=np.int64)
-        grid[line, slots - line_first[line]] = np.where(
-            np.isnan(s.values), MISSING_INT, np.rint(s.values * layout.scale)
-        ).astype(np.int64)
+            months = np.arange(start - start % 12, end, 12)
+        line_first, count = _line_slots(layout, months)
+        # the table index of every value group; a line's slots are its first `count` groups
+        index = np.full((months.size, layout.groups), MISSING_INT - _FIELD_MIN, dtype=np.intp)
+        at = np.flatnonzero(np.arange(layout.groups) < count[:, None])[start - line_first[0] : end - line_first[0]]
+        index.reshape(-1)[at] = scaled - _FIELD_MIN
 
         lines = np.full((months.size, layout.length + 1), 0x20, dtype=np.uint8)
         lines[:, :11] = np.frombuffer(f"{s.station_id:<11s}".encode("ascii"), dtype=np.uint8)
-        lines[:, 11:15] = _zero_padded(months // 12, 4)
-        if layout.has_month:
-            lines[:, 15:17] = _zero_padded(months % 12 + 1, 2)
+        # the year and month fields as one zero-padded number, yyyymm (or yyyy)
+        head, width = (months // 12 * 100 + months % 12 + 1, 6) if layout.has_month else (months // 12, 4)
+        lines[:, 11 : 11 + width] = head[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + 0x30
         lines[:, slice(*layout.element_cols)] = np.frombuffer(f"{s.element:<4s}".encode("ascii"), dtype=np.uint8)
-        value_block = lines[:, layout.values_at : layout.length].reshape(months.size, layout.groups, 8)
-        value_block[:, :, :5] = _format_int_fields(grid, 5)
+        lines[:, layout.values_at : layout.length] = _group_table()[index].view(np.uint8).reshape(months.size, -1)
         lines[:, layout.length] = 0x0A
-        chunks.append(lines.tobytes())
-    return b"".join(chunks)
+        yield lines
 
 
 def serialize_ghcnd(series: list[DailySeries]) -> bytes:
     """Render daily series as whole-month lines (see _serialize)."""
-    return _serialize(_DAILY, series)
+    return b"".join(_serialize(_DAILY, series))
 
 
 def serialize_ghcnm(series: list[MonthlySeries]) -> bytes:
     """Render monthly series as whole-year lines (see _serialize)."""
-    return _serialize(_MONTHLY, series)
+    return b"".join(_serialize(_MONTHLY, series))
+
+
+def write_records(path, series) -> None:
+    """Write daily or monthly series (not both) to path as serialize_ghcnd or
+    serialize_ghcnm renders them, one series at a time; on failure the file is removed."""
+    layout = _MONTHLY if any(isinstance(s, MonthlySeries) for s in series) else _DAILY
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for block in _serialize(layout, series):
+                fh.write(block)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def serialize_stations(stations: list[StationMeta]) -> bytes:

@@ -683,10 +683,13 @@ def _load_kept(out: Path, parsed_name: str, qc_name: str, kind) -> list:
 
 
 def stage_synth(out_dir, cfg: RunConfig):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     world = synth_generate(cfg.seed, cfg.synth)
-    return write_world(world, out)
+    try:
+        return write_world(world, out_dir)
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}; lower noise_sd_c, uc_offset_c or the trends") from exc
+    except OSError as exc:
+        raise DataError(f"cannot write output file: {exc}") from exc
 
 
 def stage_ingest(out_dir, cfg: RunConfig):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ghcn import serialize_ghcnd, serialize_ghcnm, serialize_stations
+from .ghcn import serialize_stations, write_records
 from .regions import COVARIATE_COLUMNS, assign_station_region, load_regions
 from .series import DailySeries, MonthlySeries, StationMeta
 
@@ -317,8 +317,8 @@ def write_world(world: SynthWorld, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / file for name, file in INPUT_FILES.items()}
-    paths["daily"].write_bytes(serialize_ghcnd(world.daily))
-    paths["monthly"].write_bytes(serialize_ghcnm(world.monthly))
+    write_records(paths["daily"], world.daily)
+    write_records(paths["monthly"], world.monthly)
     paths["stations"].write_bytes(serialize_stations(world.stations))
     paths["regions"].write_text(json.dumps(world.regions_doc, indent=2, sort_keys=True) + "\n")
     paths["covariates"].write_text(world.covariates_csv)

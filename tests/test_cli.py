@@ -142,6 +142,22 @@ class TestUsageErrors:
         assert cli.main(["synth", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
         assert "window must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "synth, unit",
+        [({"noise_sd_c": 5000.0}, 100), ({"uc_offset_c": 1e9}, 100), ({"daily": True, "uc_offset_c": -2000.0}, 10)],
+    )
+    def test_world_past_the_record_fields_exits_1(self, tmp_path, capsys, synth, unit):
+        # no ghcnm.dat: it failed to render and was removed, or was never reached
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], **synth)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"megaheat: error: synth: value out of range for 5-char field: -9999..99999 in 1/{unit} degree C; "
+            "lower noise_sd_c, uc_offset_c or the trends\n"
+        )
+        assert not (out / "ghcnm.dat").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["--version"])
@@ -408,6 +424,16 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"megaheat: error: cannot read input file {out / name}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["ghcnd.dly", "ghcnm.dat", "stations.txt", "regions.json", "covariates.csv"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, name):
+        # a directory where synth writes a file
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        assert cli.main(["synth", "--out", str(out), "--config", _cfg_file(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: cannot write output file: ") and err.count("\n") == 1
+        assert str(out / name) in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

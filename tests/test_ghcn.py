@@ -1,3 +1,4 @@
+import calendar
 import datetime as dt
 import os
 import re
@@ -790,6 +791,87 @@ class TestRoundTripProperties:
         parsed, issues = parse_stations(serialize_stations(stations))
         assert issues == []
         assert parsed == stations
+
+
+def _reference_records(series):
+    """The record lines of daily or monthly series, built one line at a time
+    with %-formatting: an independent writer for serialize_ghcnd and
+    serialize_ghcnm to match byte for byte."""
+    out = []
+    for s in sorted(series, key=lambda s: (s.station_id, s.element)):
+        if isinstance(s, DailySeries):
+            units = {s.start + dt.timedelta(days=i): round(float(v) * 10) for i, v in enumerate(s.values) if v == v}
+            y, m = s.start.year, s.start.month
+            while (y, m) <= (s.end.year, s.end.month):
+                days = [dt.date(y, m, d) if d <= calendar.monthrange(y, m)[1] else None for d in range(1, 32)]
+                out.append("%-11s%04d%02d%-4s" % (s.station_id, y, m, s.element))
+                out.append("".join("%5d   " % units.get(day, MISSING) for day in days) + "\n")
+                y, m = (y + 1, 1) if m == 12 else (y, m + 1)
+        else:
+            units = {s.month_of(i): round(float(v) * 100) for i, v in enumerate(s.values) if v == v}
+            for y in range(s.first_year, s.month_of(len(s.values) - 1)[0] + 1):
+                out.append("%-11s%04d%-4s" % (s.station_id, y, s.element))
+                out.append("".join("%5d   " % units.get((y, m), MISSING) for m in range(1, 13)) + "\n")
+    return "".join(out).encode("ascii")
+
+
+# the widest values of a 5-char field, zero, negatives, -9999 (read back as
+# missing) and gaps, in series that start and end mid-month and mid-year,
+# under padded short ids; 2000 is a leap year and 1900 is not
+_EDGE_UNITS = [-9999, -9998, -1234, -1, 0, 1, 9999, 10000, 99999, None]
+_REFERENCE_CASES = {
+    "daily": (
+        serialize_ghcnd,
+        [
+            DailySeries("PAD1", "TMIN", dt.date(1999, 12, 17), _scaled(_EDGE_UNITS * 9, 10.0)),
+            DailySeries("PAD1", "TMAX", dt.date(2000, 2, 3), _scaled(_EDGE_UNITS[::-1] * 40, 10.0)),
+            DailySeries("X", "TMAX", dt.date(1900, 2, 1), _scaled(list(range(-40, 19)), 10.0)),
+            DailySeries("USW00000001", "TMIN", dt.date(1961, 1, 31), np.array([-0.04, 0.04, -0.05, 0.05, 0.15])),
+        ],
+    ),
+    "monthly": (
+        serialize_ghcnm,
+        [
+            MonthlySeries("PAD1", "TMIN", 1999, 7, _scaled(_EDGE_UNITS * 2, 100.0)),
+            MonthlySeries("PAD1", "TAVG", 2000, 12, _scaled(_EDGE_UNITS[::-1] * 3, 100.0)),
+            MonthlySeries("X", "TMAX", 1956, 1, _scaled(list(range(-12, 12)), 100.0)),
+            MonthlySeries("USW00000001", "TMAX", 1961, 5, np.array([-0.004, 0.004, -0.005, 0.005, 0.015])),
+        ],
+    ),
+}
+
+
+class TestReferenceWriter:
+    @pytest.mark.parametrize("layout", sorted(_REFERENCE_CASES))
+    def test_edge_cases(self, layout):
+        serialize, series = _REFERENCE_CASES[layout]
+        assert serialize(series) == _reference_records(series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=_DAILY_SERIES)
+    def test_daily(self, series):
+        assert serialize_ghcnd(series) == _reference_records(series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=_MONTHLY_SERIES)
+    def test_monthly(self, series):
+        assert serialize_ghcnm(series) == _reference_records(series)
+
+    def test_every_field_value_renders_as_percent_d_and_parses_back(self):
+        units = np.arange(-9999, 100000)
+        blob = serialize_ghcnm([MonthlySeries("X", "TAVG", 1, 1, units / 100.0)])
+        groups = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 116)[:, 19:115].reshape(-1, 8)[: units.size]
+        assert groups.tobytes() == b"".join(b"%5d   " % v for v in units.tolist())
+        values, ok = ghcn._parse_int_fields(groups[:, :5])
+        assert ok.all()
+        assert_array_equal(values, units)
+
+    @pytest.mark.parametrize("unit", [-10000, 100000, 1e300, np.inf, -np.inf])
+    def test_value_past_a_field_raises(self, unit):
+        with pytest.raises(ValueError, match="value out of range for 5-char field"):
+            serialize_ghcnd([DailySeries("X", "TMAX", dt.date(2000, 1, 1), np.array([1.0, unit / 10.0]))])
+        with pytest.raises(ValueError, match="value out of range for 5-char field"):
+            serialize_ghcnm([MonthlySeries("X", "TMAX", 2000, 1, np.array([1.0, unit / 100.0]))])
 
 
 _SAMPLES = {

@@ -1,6 +1,7 @@
 """Tests for the synthetic-world generator."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,49 @@ class TestPlantedSignals:
     def test_zero_gap_rate_means_complete(self):
         world = synth_generate(17, SMALL_MONTHLY)
         assert not any(np.isnan(s.values).any() for s in world.monthly)
+
+
+class TestWriteWorld:
+    @pytest.mark.parametrize("kind", ["daily", "monthly"])
+    def test_a_series_past_its_fields_leaves_no_partial_record_file(self, tmp_path, kind):
+        world = synth_generate(3, dataclasses.replace(SMALL_MONTHLY, daily=True, end_year=1958))
+        # the third series written, after two that fit
+        third = sorted(getattr(world, kind), key=lambda s: (s.station_id, s.element))[2]
+        third.values[5] = 1e5
+        with pytest.raises(ValueError, match="value out of range for 5-char field"):
+            write_world(world, tmp_path)
+        # the daily file is written first, whole
+        if kind == "daily":
+            assert sorted(p.name for p in tmp_path.iterdir()) == []
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ghcnd.dly"]
+            assert (tmp_path / "ghcnd.dly").read_bytes() == ghcn.serialize_ghcnd(world.daily)
+
+    def test_peak_memory_holds_one_series_not_the_file(self, tmp_path):
+        """Above the world it is given, write_world holds the value-group table
+        and one series in flight, never a record file's bytes.
+
+        Per series: its scaled values, a temporary and the NaN mask, under 32
+        bytes per slot; per field of its lines (31 per daily line), the index
+        grid, its mask, the flat positions and the gathered groups, under 32
+        bytes; its lines, 270 bytes each.  1 MiB covers Python objects and
+        the three small files.  The table is built on first use, once per process, from
+        110,000 Python bytes objects (about 6 MiB for a moment), so it is
+        built before tracing and counted at its size.  A writer that joins a
+        file's lines holds its bytes at least once, and one that also keeps
+        every series' lines holds them twice.
+        """
+        world = synth_generate(5, dataclasses.replace(SMALL_MONTHLY, n_pairs=3, daily=True, end_year=2005))
+        table = ghcn._group_table().nbytes
+        slots = max(s.values.size for s in world.daily)
+        lines = slots // 28 + 2
+        budget = table + 32 * slots + (32 * 31 + 270) * lines + 2**20
+        tracemalloc.start()
+        try:
+            paths = write_world(world, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        daily_bytes = paths["daily"].stat().st_size
+        assert daily_bytes > 2 * budget
+        assert peak < budget, (peak, budget)
