@@ -69,7 +69,6 @@ def main(argv=None) -> int:
         timings = pipeline.run_stages(out, cfg, names)
         # timing lives beside the report bundle, not inside it, so reruns
         # of the same config stay byte-identical under report/
-        out.mkdir(parents=True, exist_ok=True)
         (out / F_TIMINGS).write_text(json.dumps(timings, indent=2) + "\n")
         for name in names:
             print(f"{name}: {timings[name]:.3f}s")
@@ -79,6 +78,10 @@ def main(argv=None) -> int:
         return 1
     except pipeline.DataError as exc:
         print(f"megaheat: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the stages turn a failed read into a DataError, so this is a write
+        print(f"megaheat: error: cannot write output file: {exc}", file=sys.stderr)
         return 2
 
 

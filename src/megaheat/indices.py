@@ -18,14 +18,15 @@ SEASON_MONTHS = {"DJF": ((-1, 12), (0, 1), (0, 2)), "JJA": ((0, 6), (0, 7), (0, 
 
 
 def seasonal_annual_series(series):
-    """Three-month seasonal means as one AnnualSeries per (station, season,
-    element), metric named like "jja_tmax", sorted by those three.
+    """Three-month seasonal means as {(station, season, element):
+    AnnualSeries}, in key order; each series' metric is named like
+    "jja_tmax".
 
     Winter (DJF) of year Y spans December of Y-1 through February of Y.
     A season missing any of its three months is omitted, and a season
     complete in no year yields no series.
     """
-    keyed = []
+    keyed = {}
     for s in series:
         base = month_index(s.first_year, s.first_month)
         last_year = (base + s.values.size - 1) // 12
@@ -44,15 +45,13 @@ def seasonal_annual_series(series):
             m0, m1, m2 = (grid[1 + off : 1 + off + n_years, month - 1] for off, month in months)
             complete = np.isfinite(m0) & np.isfinite(m1) & np.isfinite(m2)
             if complete.any():
-                annual = AnnualSeries(
+                keyed[(s.station_id, season, s.element)] = AnnualSeries(
                     key=s.station_id,
                     metric=f"{season.lower()}_{s.element.lower()}",
                     years=np.flatnonzero(complete) + s.first_year,
                     values=(m0[complete] + m1[complete] + m2[complete]) / 3.0,
                 )
-                keyed.append(((s.station_id, season, s.element), annual))
-    keyed.sort(key=lambda item: item[0])
-    return [annual for _, annual in keyed]
+    return dict(sorted(keyed.items()))
 
 
 def _complete_years(first, last):
@@ -73,15 +72,6 @@ def _finite_years(values, first, last):
     missing = np.concatenate(([0], np.cumsum(~np.isfinite(values))))
     keep = missing[hi] == missing[lo]
     return years[keep], lo[keep], hi[keep]
-
-
-def _annual(series, metric, years, values):
-    return AnnualSeries(
-        key=series.station_id,
-        metric=metric,
-        years=years,
-        values=np.asarray(values, dtype=float),
-    )
 
 
 def annual_cdd(tmax, tmin):
@@ -108,7 +98,7 @@ def annual_cdd(tmax, tmin):
     for a, b in zip(lo.tolist(), hi.tolist()):
         year = excess[a:b]
         totals.append(float(year[year > 0.0].sum()))
-    return _annual(tmax, "cdd", years, totals)
+    return AnnualSeries(tmax.station_id, "cdd", years, totals)
 
 
 def annual_cnm(tmin):
@@ -118,7 +108,7 @@ def annual_cnm(tmin):
         raise ValueError("expected a TMIN series")
     years, lo, hi = _finite_years(tmin.values, tmin.start, tmin.end)
     if not years.size:
-        return _annual(tmin, "cnm", years, [])
+        return AnnualSeries(tmin.station_id, "cnm", years, [])
     # window k covers days k..k+2, its mean summed in day order; a year's
     # windows start on lo..hi-3, and the segments between years are reduced
     # too and dropped.  The trailing NaN keeps the last segment start inside
@@ -126,7 +116,7 @@ def annual_cnm(tmin):
     v = tmin.values
     means = np.append((v[:-2] + v[1:-1] + v[2:]) / 3, np.nan)
     maxima = np.maximum.reduceat(means, np.column_stack([lo, hi - 2]).ravel())[::2]
-    return _annual(tmin, "cnm", years, maxima)
+    return AnnualSeries(tmin.station_id, "cnm", years, maxima)
 
 
 def _percentile_95_sorted(rows):
@@ -149,7 +139,7 @@ def annual_p95(tmax):
         rows = np.flatnonzero(hi - lo == n_days)
         block = np.sort(tmax.values[lo[rows, None] + np.arange(n_days)], axis=1)
         out[rows] = _percentile_95_sorted(block)
-    return _annual(tmax, "p95", years, out)
+    return AnnualSeries(tmax.station_id, "p95", years, out)
 
 
 def regional_annual_series(station_series, key):

@@ -615,14 +615,6 @@ def _read_table(path: Path, producer: str, header) -> list[list[str]]:
     return rows
 
 
-def _metric_season(series_metric: str):
-    """Map an annual-series metric label to (config metric, season)."""
-    if "_" in series_metric:
-        season, element = series_metric.split("_", 1)
-        return element.upper(), season.upper()
-    return series_metric.upper(), "annual"
-
-
 def _clip_years(series: AnnualSeries, window) -> AnnualSeries | None:
     keep = (series.years >= window[0]) & (series.years <= window[1])
     if not keep.any():
@@ -688,8 +680,6 @@ def stage_synth(out_dir, cfg: RunConfig):
         return write_world(world, out_dir)
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}; lower noise_sd_c, uc_offset_c or the trends") from exc
-    except OSError as exc:
-        raise DataError(f"cannot write output file: {exc}") from exc
 
 
 def stage_ingest(out_dir, cfg: RunConfig):
@@ -812,12 +802,11 @@ def stage_indices(out_dir, cfg: RunConfig):
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     station_series: dict = {}
-    for series in indices.seasonal_annual_series(completed):
-        metric, season = _metric_season(series.metric)
+    for (station, season, metric), series in indices.seasonal_annual_series(completed).items():
         if metric in cfg.metrics and season in cfg.seasons:
             clipped = _clip_years(series, cfg.window)
             if clipped is not None:
-                station_series[(series.key, metric, season)] = clipped
+                station_series[(station, metric, season)] = clipped
 
     by_station: dict = {}
     for series in filled:
@@ -834,7 +823,7 @@ def stage_indices(out_dir, cfg: RunConfig):
             got.append(("P95", indices.annual_p95(tmax)))
         for metric, series in got:
             clipped = _clip_years(series, cfg.window)
-            if clipped is not None and clipped.years.size:
+            if clipped is not None:
                 station_series[(station, metric, "annual")] = clipped
 
     save_annual(out / F_ANNUAL_STATION, ANNUAL_STATION_KEYS, station_series)
@@ -926,11 +915,9 @@ def stage_trends(out_dir, cfg: RunConfig):
 
     keyed = [(cell, group, regional) for cell in cells for group, regional in cell.regional]
     reg_series = [regional_series.get((cell.pair, group, cell.metric, cell.season)) for cell, group, _ in keyed]
-    slopes = iter(stats.sen_slopes([s for s in reg_series if s is not None]))
     regional_rows = []
     notes = []
-    for (cell, group, regional), series in zip(keyed, reg_series):
-        slope = float("nan") if series is None else next(slopes)
+    for (cell, group, regional), slope in zip(keyed, stats.sen_slopes(reg_series)):
         regional_rows.append(trends_row(cell.pair, cell.metric, cell.season, group, regional, slope))
         for flag in regional.flags:
             notes.append(f"{cell.pair} {cell.metric} {cell.season} {group}: {flag}")
@@ -978,11 +965,10 @@ def stage_correlate(out_dir, cfg: RunConfig):
     cells = _cell_rows(cfg.metrics, cfg.seasons)
     keys = [(pid, group, metric, season) for pid in pair_ids for metric, season in cells for group in ("uc", "nonuc")]
     found = [s if s is not None and s.values.size else None for s in map(regional.get, keys)]
-    slopes = iter(stats.sen_slopes([series for series in found if series is not None]))
     # (median, Sen slope) per regional series, NaN for a missing one
     summary = {
-        key: (np.nan, np.nan) if series is None else (float(np.median(series.values)), next(slopes))
-        for key, series in zip(keys, found)
+        key: (np.nan if series is None else float(np.median(series.values)), slope)
+        for key, series, slope in zip(keys, found, stats.sen_slopes(found))
     }
 
     summaries = {}

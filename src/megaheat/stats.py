@@ -18,8 +18,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .series import AnnualSeries
-
 ALPHA = 0.05
 
 
@@ -212,27 +210,28 @@ def _sen_rows(times, diffs):
     return np.where(np.isnan(last), last, mid)
 
 
-def theil_sen(times, values):
-    """Median of pairwise slopes (values[j]-values[i])/(times[j]-times[i])."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return float(_sen_rows(times, _pair_diffs(values[None, :]))[0])
+def _stacked_sen(rows):
+    """Theil-Sen slope of each (int64 years, values) row, NaN under two
+    years; rows over equal years share one stacked median."""
+    slopes = np.full(len(rows), np.nan)
+    stacks: dict = {}
+    for k, (years, _) in enumerate(rows):
+        if years.size >= 2:
+            stacks.setdefault(years.tobytes(), []).append(k)
+    for ks in stacks.values():
+        times = rows[ks[0]][0].astype(float)
+        slopes[ks] = _sen_rows(times, _pair_diffs(np.array([rows[k][1] for k in ks])))
+    return slopes.tolist()
 
 
 def sen_slopes(series_list):
-    """Theil-Sen slope of each AnnualSeries, NaN under two years.
-
-    Series covering equal years share one stacked median.
+    """Theil-Sen slope of each AnnualSeries as a list of floats: the median
+    of its pairwise slopes over actual year gaps, NaN for a series under
+    two years or a None entry.  Series over equal years share one stacked
+    median, and each slope equals that of a lone call bit for bit.
     """
-    slopes = np.full(len(series_list), np.nan)
-    stacks: dict = {}
-    for k, series in enumerate(series_list):
-        if series.years.size >= 2:
-            stacks.setdefault(series.years.tobytes(), []).append(k)
-    for rows in stacks.values():
-        times = series_list[rows[0]].years.astype(float)
-        slopes[rows] = _sen_rows(times, _pair_diffs(np.array([series_list[k].values for k in rows])))
-    return slopes.tolist()
+    none = np.empty(0, dtype=np.int64)
+    return _stacked_sen([(none, none) if s is None else (s.years, s.values) for s in series_list])
 
 
 def _trend_results(s, var_s, slopes, testable):
@@ -321,11 +320,7 @@ def regional_mann_kendall(series_list):
     x[~present] = np.nan
     n = present.sum(axis=1)
     mask = present.astype(np.float32)
-    finite = [
-        s if count == s.years.size else AnnualSeries(s.key, s.metric, years[row], values[row])
-        for s, count, row, values in zip(series_list, n.tolist(), present, x)
-    ]
-    slopes = sen_slopes(finite)
+    slopes = _stacked_sen([(years[row], values[row]) for row, values in zip(present, x)])
 
     # comparisons with NaN are false, so an absent year's signs are 0
     signs = np.subtract(x[:, :, None] > x[:, None, :], x[:, :, None] < x[:, None, :], dtype=np.float32)

@@ -435,6 +435,34 @@ class TestDataErrors:
         assert err.startswith("megaheat: error: cannot write output file: ") and err.count("\n") == 1
         assert str(out / name) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["ingest", "all"])
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, stage):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert cli.main([stage, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: cannot write output file: ") and err.count("\n") == 1
+        assert str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, name", [("report", "report"), ("ingest", "pairs.json")])
+    def test_unwritable_stage_output_exits_2(self, finished_run, tmp_path, capsys, stage, name):
+        # a file where report makes its directory, a directory where ingest writes a file
+        done, cfg = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(done, out)
+        target = out / name
+        if name == "report":
+            shutil.rmtree(target)
+            target.write_text("")
+        else:
+            target.unlink()
+            target.mkdir()
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: cannot write output file: ") and err.count("\n") == 1
+        assert str(target) in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):

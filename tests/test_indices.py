@@ -39,25 +39,24 @@ def _full_year(year, rng=None, base=20.0):
     return base + rng.normal(0, 5, n)
 
 
-def _by_metric(out):
-    return {(a.key, a.metric): a for a in out}
-
-
 class TestSeasonalMeans:
     def test_jja_mean(self):
         v = np.full(12, np.nan)
         v[5], v[6], v[7] = 20.0, 30.0, 25.0
         out = seasonal_annual_series([_monthly(v, 1990)])
-        assert [(a.key, a.metric) for a in out] == [("S1", "jja_tavg")]
-        assert list(out[0].years) == [1990]
-        assert out[0].values[0] == pytest.approx(25.0)
+        assert list(out) == [("S1", "JJA", "TAVG")]
+        jja = out[("S1", "JJA", "TAVG")]
+        assert (jja.key, jja.metric) == ("S1", "jja_tavg")
+        assert list(jja.years) == [1990]
+        assert jja.values[0] == pytest.approx(25.0)
 
     def test_djf_uses_previous_december(self):
         # Dec 1959 = 0, Jan 1960 = -10, Feb 1960 = -5
         v = np.full(15, np.nan)  # Dec 1959 .. Feb 1961
         v[0], v[1], v[2] = 0.0, -10.0, -5.0
         out = seasonal_annual_series([_monthly(v, 1959, first_month=12)])
-        djf = _by_metric(out)[("S1", "djf_tavg")]
+        djf = out[("S1", "DJF", "TAVG")]
+        assert djf.metric == "djf_tavg"
         assert list(djf.years) == [1960]
         assert djf.values[0] == pytest.approx(-5.0)
 
@@ -65,12 +64,12 @@ class TestSeasonalMeans:
         v = np.full(12, 10.0)
         v[6] = np.nan  # July
         out = seasonal_annual_series([_monthly(v, 1990)])
-        assert not any(a.metric.startswith("jja") for a in out)
+        assert not any(a.metric.startswith("jja") for a in out.values())
 
     def test_season_outside_coverage_omitted(self):
         # series starts in January: no Dec(Y-1), so no DJF at all
         out = seasonal_annual_series([_monthly(np.full(12, 1.0), 2000)])
-        assert [a.metric for a in out] == ["jja_tavg"]
+        assert list(out) == [("S1", "JJA", "TAVG")]
 
     def test_shift_by_twelve_months_shifts_years(self):
         rng = np.random.default_rng(17)
@@ -78,8 +77,8 @@ class TestSeasonalMeans:
         v[rng.random(120) < 0.08] = np.nan
         a = seasonal_annual_series([_monthly(v, 1980)])
         b = seasonal_annual_series([_monthly(v, 1981)])
-        assert [s.metric for s in a] == [s.metric for s in b]
-        for sa, sb in zip(a, b):
+        assert list(a) == list(b)
+        for sa, sb in zip(a.values(), b.values()):
             assert list(sa.years + 1) == list(sb.years)
             assert list(sa.values) == list(sb.values)
 
@@ -94,10 +93,11 @@ class TestSeasonalMeans:
             [_monthly(b, 1990, station="B", element="TMAX"),
              _monthly(a, 1989, first_month=12, station="A", element="TMAX")]
         )
-        assert [(s.key, s.metric) for s in out] == [
+        assert list(out) == [("A", "DJF", "TMAX"), ("A", "JJA", "TMAX"), ("B", "JJA", "TMAX")]
+        assert [(s.key, s.metric) for s in out.values()] == [
             ("A", "djf_tmax"), ("A", "jja_tmax"), ("B", "jja_tmax")
         ]
-        a_jja = _by_metric(out)[("A", "jja_tmax")]
+        a_jja = out[("A", "JJA", "TMAX")]
         assert list(a_jja.years) == [1990, 1991]
         assert_allclose(a_jja.values, [30.0, 31.0])
 
@@ -118,27 +118,39 @@ def _seasonal_means_by_year(series):
     return [(sid, f"{season.lower()}_{element.lower()}", year, value) for sid, season, element, year, value in out]
 
 
+def _random_gappy_monthly(rng):
+    series = []
+    for i in range(30):
+        v = rng.normal(15.0, 8.0, int(rng.integers(1, 80)))
+        v[rng.random(v.size) < 0.1] = np.nan
+        series.append(
+            _monthly(v, int(rng.integers(1950, 1960)), int(rng.integers(1, 13)),
+                     station=f"S{i % 10}", element=("TMIN", "TAVG", "TMAX")[i // 10])
+        )
+    return series
+
+
 class TestSeasonalMeansMatchPerYearLoop:
     def test_random_gappy_series_bit_identical(self):
-        rng = np.random.default_rng(51)
-        series = []
-        for i in range(30):
-            v = rng.normal(15.0, 8.0, int(rng.integers(1, 80)))
-            v[rng.random(v.size) < 0.1] = np.nan
-            series.append(
-                _monthly(v, int(rng.integers(1950, 1960)), int(rng.integers(1, 13)),
-                         station=f"S{i % 10}", element=("TMIN", "TAVG", "TMAX")[i // 10])
-            )
+        series = _random_gappy_monthly(np.random.default_rng(51))
         got = [
             (a.key, a.metric, int(year), float(value))
-            for a in seasonal_annual_series(series)
+            for a in seasonal_annual_series(series).values()
             for year, value in zip(a.years, a.values)
         ]
         assert got == _seasonal_means_by_year(series)
         assert len(got) > 100
 
+    def test_key_matches_the_label(self):
+        # the key is what the series' key and metric label spell, in key order
+        out = seasonal_annual_series(_random_gappy_monthly(np.random.default_rng(52)))
+        assert len(out) > 20 and list(out) == sorted(out)
+        for key, a in out.items():
+            season, element = a.metric.split("_")
+            assert key == (a.key, season.upper(), element.upper())
+
     def test_empty_series_yields_nothing(self):
-        assert seasonal_annual_series([_monthly([], 1990)]) == []
+        assert seasonal_annual_series([_monthly([], 1990)]) == {}
 
 
 class TestAnnualCdd:

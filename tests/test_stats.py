@@ -32,7 +32,6 @@ from megaheat.stats import (
     spearman,
     spearman_p,
     spearman_t,
-    theil_sen,
     wilcoxon_ranksum,
 )
 
@@ -102,11 +101,9 @@ class TestMannKendall:
     def test_sen_slope_equivariance(self):
         rng = np.random.default_rng(24)
         v = rng.normal(10, 3, 25)
-        base = theil_sen(np.arange(25.0), v)
+        base = sen_slopes([_annual(v)])[0]
         for a in (2.5, -1.25):
-            assert theil_sen(np.arange(25.0), a * v + 7.0) == pytest.approx(
-                a * base, rel=1e-12
-            )
+            assert sen_slopes([_annual(a * v + 7.0)])[0] == pytest.approx(a * base, rel=1e-12)
 
     def test_slope_uses_year_gaps(self):
         # missing years must widen the denominator
@@ -302,6 +299,7 @@ class TestCommonYearsCovariance:
         got = regional_mann_kendall(group)
         assert got == regional_mann_kendall(cut) == _per_pair_oracle(cut)
         assert got.stations == tuple(mann_kendall(s) for s in group) == tuple(mann_kendall(s) for s in cut)
+        assert [repr(r.slope) for r in got.stations] == [repr(slope) for slope in sen_slopes(cut)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -628,7 +626,7 @@ class TestDirectionAndCsv:
     def test_trends_csv_shape(self, tmp_path):
         series = _annual([1, 2, 3, 4, 5])
         regional = regional_mann_kendall([series])
-        slope = theil_sen(series.years, series.values)
+        slope = sen_slopes([series])[0]
         row = pipeline.trends_row("NYC", "cdd", "annual", "uc", regional, slope)
         path = tmp_path / "trends.csv"
         pipeline._write_csv(path, pipeline.TRENDS_HEADER, [row])
@@ -742,9 +740,12 @@ class TestBlocksMatchPerSeriesCode:
         got = sen_slopes(series)
         for s, slope in zip(series, got):
             ref = _mann_kendall_per_series(s.years, s.values).slope
-            assert repr(slope) == repr(ref)
-            if s.years.size >= 2:
-                assert repr(theil_sen(s.years, s.values)) == repr(ref)
+            assert repr(slope) == repr(ref) == repr(sen_slopes([s])[0])
+        # a None entry gives NaN and leaves its neighbours' slopes unchanged
+        gapped = sen_slopes([None] + series[:20] + [None, None] + series[20:] + [None])
+        want = [math.nan, *got[:20], math.nan, math.nan, *got[20:], math.nan]
+        assert [repr(slope) for slope in gapped] == [repr(slope) for slope in want]
+        assert repr(sen_slopes([None])) == "[nan]" and sen_slopes([]) == []
 
     @settings(max_examples=300, deadline=None)
     @given(

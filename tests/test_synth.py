@@ -146,7 +146,7 @@ class TestZeroNoiseZeroTrend:
     def test_every_seasonal_trend_untestable(self):
         params = dataclasses.replace(SMALL_MONTHLY, noise_sd_c=0.0)
         world = synth_generate(4, params)
-        annual = indices.seasonal_annual_series(world.monthly)
+        annual = indices.seasonal_annual_series(world.monthly).values()
         assert len(annual) == len(world.stations) * 6
         for series in annual:
             res = stats.mann_kendall(series)
@@ -182,7 +182,7 @@ class TestPlantedSignals:
     def test_uc_offset_recovered_as_uc_higher(self):
         params = dataclasses.replace(SMALL_MONTHLY, end_year=2015, uc_offset_c=1.0)
         world = synth_generate(13, params)
-        annual = indices.seasonal_annual_series(world.monthly)
+        annual = indices.seasonal_annual_series(world.monthly).values()
         rs = regions.load_regions(world.regions_doc)
         pairs = regions.pair_uc_nonuc(rs, world.stations)
 
@@ -213,7 +213,7 @@ class TestPlantedSignals:
             )
             for sid in pair.uc_stations
         }
-        for series in indices.seasonal_annual_series(world.monthly):
+        for series in indices.seasonal_annual_series(world.monthly).values():
             res = stats.mann_kendall(series)
             if series.key in uc_ids:
                 assert res.p < 0.01
