@@ -13,6 +13,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import io
+import itertools
 import json
 import platform
 import time
@@ -38,8 +39,8 @@ from .series import (
     ProvenanceMask,
     load_annual,
     load_fills,
-    load_series,
     npz_stamp,
+    read_series,
     save_annual,
     save_fills,
     save_series,
@@ -547,21 +548,34 @@ def _require(path: Path, producer: str) -> None:
         raise DataError(f"missing {path.name}; run the {producer} stage first")
 
 
+def _unreadable(path: Path, producer: str, exc: Exception) -> DataError:
+    return DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage")
+
+
 def _load(path: Path, producer: str, load, *args):
     """load(path, *args), for a file a stage saved; DataError when missing or unreadable."""
     _require(path, producer)
     try:
         return load(path, *args)
     except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage") from exc
+        raise _unreadable(path, producer, exc) from exc
 
 
-def _load_series(path: Path, kind, producer: str) -> list:
-    """Series a stage saved with save_series; DataError when missing, unreadable or of another kind."""
-    series = _load(path, producer, load_series)
-    if not all(isinstance(s, kind) for s in series):
-        raise DataError(f"{path.name} does not hold {kind.__name__} records; rerun the {producer} stage")
-    return series
+def _read_series(path: Path, kind) -> tuple:
+    """read_series of a file ingest saved: (frames, values), the values read
+    one series at a time; DataError when the file is missing, unreadable or
+    of another kind, about the values as they are read."""
+    frames, values = _load(path, "ingest", read_series)
+    if not all(isinstance(s, kind) for s in frames):
+        raise DataError(f"{path.name} does not hold {kind.__name__} records; rerun the ingest stage")
+
+    def checked():
+        try:
+            yield from values
+        except (OSError, ValueError) as exc:
+            raise _unreadable(path, "ingest", exc) from exc
+
+    return frames, checked()
 
 
 def _record_fills(series, mask: ProvenanceMask) -> tuple:
@@ -651,23 +665,53 @@ def _present(station_series: dict, stations, metric: str, season: str) -> list:
     return [station_series[key] for key in ((sid, metric, season) for sid in stations) if key in station_series]
 
 
-def _load_kept(out: Path, parsed_name: str, qc_name: str, kind) -> list:
-    """The series in parsed_name whose row in qc_name reads kept.
+def _kept_series(out: Path, kind, fills_name: str | None = None):
+    """The series of the parsed file of ``kind`` whose qc row reads kept,
+    read one at a time in file order; with fills_name, each completed with
+    the fills impute saved there.
 
-    qc writes one verdict per parsed series, in order; DataError when the
-    two files no longer match, as after rerunning ingest alone.
+    qc writes one verdict per parsed series, in order.  DataError when the
+    two files no longer match (as after rerunning ingest alone), when the
+    fills were saved from another parsed file or other kept series, and as
+    the series are read, when one cannot be or a fill lands on an observed
+    slot.
     """
+    parsed_name, qc_name = (F_PARSED_MONTHLY, F_QC_MONTHLY) if kind is MonthlySeries else (F_PARSED_DAILY, F_QC_DAILY)
+    fills = None if fills_name is None else _load(out / fills_name, "impute", load_fills)
     header, *rows = _load(out / qc_name, "qc", _read_csv) or [[]]
-    series = _load_series(out / parsed_name, kind, "ingest")
+    frames, values = _read_series(out / parsed_name, kind)
     verdicts = [row[2] for row in rows if len(row) == len(QC_HEADER)]
     if (
         tuple(header) != QC_HEADER
-        or [tuple(row[:2]) for row in rows] != [(s.station_id, s.element) for s in series]
+        or [tuple(row[:2]) for row in rows] != [(s.station_id, s.element) for s in frames]
         or len(verdicts) != len(rows)
         or not set(verdicts) <= {"kept", "dropped"}
     ):
         raise DataError(f"{qc_name} does not match {parsed_name}; rerun the qc stage")
-    return [s for s, verdict in zip(series, verdicts) if verdict == "kept"]
+    keep = [verdict == "kept" for verdict in verdicts]
+    if fills is not None:
+        kept_keys = sorted((s.station_id, s.element) for s, k in zip(frames, keep) if k)
+        if sorted((s.station_id, s.element) for s in fills.frames) != kept_keys or fills.stamp != _load(
+            out / parsed_name, "ingest", npz_stamp
+        ):
+            raise DataError(
+                f"{fills_name} was saved from another {parsed_name} or other {qc_name} verdicts; rerun the impute stage"
+            )
+        fill_of = {(s.station_id, s.element): i for i, s in enumerate(fills.frames)}
+
+    def kept():
+        for frame, v, k in zip(frames, values, keep):
+            if not k:
+                continue
+            series = dataclasses.replace(frame, values=v)
+            if fills is not None:
+                try:
+                    series = fills.complete(fill_of[(frame.station_id, frame.element)], series)
+                except ValueError as exc:
+                    raise DataError(f"cannot use {fills_name}: {exc}; rerun the impute stage") from exc
+            yield series
+
+    return kept()
 
 
 # ---------------------------------------------------------------------------
@@ -738,12 +782,22 @@ def stage_ingest(out_dir, cfg: RunConfig):
 
 def stage_qc(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    monthly = _load_series(out / F_PARSED_MONTHLY, MonthlySeries, "ingest")
-    daily = _load_series(out / F_PARSED_DAILY, DailySeries, "ingest")
-    if not observed_in_window(monthly + daily, cfg.window):
-        raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
+    frames, values = _read_series(out / F_PARSED_MONTHLY, MonthlySeries)
+    monthly = [dataclasses.replace(frame, values=v) for frame, v in zip(frames, values)]
+    daily, daily_values = _read_series(out / F_PARSED_DAILY, DailySeries)
+    observed = observed_in_window(monthly, cfg.window)
+
+    def noting_observed(values):
+        # the window test reads each daily series as the filter does
+        nonlocal observed
+        for frame, v in zip(daily, values):
+            observed = observed or observed_in_window([dataclasses.replace(frame, values=v)], cfg.window)
+            yield v
+
     _, monthly_reports = filter_monthly_stations(monthly, cfg.window, cfg.qc)
-    _, daily_reports = filter_daily_stations(daily, cfg.window, cfg.qc)
+    _, daily_reports = filter_daily_stations(daily, noting_observed(daily_values), cfg.window, cfg.qc)
+    if not observed:
+        raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
     for name, reports in ((F_QC_MONTHLY, monthly_reports), (F_QC_DAILY, daily_reports)):
         _write_csv(
             out / name,
@@ -757,8 +811,8 @@ def stage_qc(out_dir, cfg: RunConfig):
 
 def stage_impute(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    kept_monthly = _load_kept(out, F_PARSED_MONTHLY, F_QC_MONTHLY, MonthlySeries)
-    kept_daily = _load_kept(out, F_PARSED_DAILY, F_QC_DAILY, DailySeries)
+    kept_monthly = list(_kept_series(out, MonthlySeries))
+    kept_daily = _kept_series(out, DailySeries)
     stations_path = _input_path(out, cfg, "stations")
     stations, _ = parse_stations(_read_input(stations_path, Path.read_bytes))
     unlisted = sorted({s.station_id for s in kept_monthly} - {st.station_id for st in stations})
@@ -767,38 +821,23 @@ def stage_impute(out_dir, cfg: RunConfig):
         raise DataError(f"{stations_path.name} no longer lists kept stations {listed}; rerun the ingest stage")
 
     completed, masks, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
-    fills = [_record_fills(s, m) for s, m in zip(completed, masks)]
-    save_fills(out / F_FILLS_MONTHLY, completed, fills, npz_stamp(out / F_PARSED_MONTHLY))
+    monthly_fills = [_record_fills(s, m) for s, m in zip(completed, masks)]
+    # one daily series at a time: only its frame and fills are kept, and
+    # every series is read (its file checked to the end) before any output
+    # is written
+    daily_frames, daily_fills = [], []
+    for s in kept_daily:
+        daily_fills.append(_record_fills(*lwma_fill(s)))
+        daily_frames.append(dataclasses.replace(s, values=np.broadcast_to(np.nan, s.values.shape)))
+    save_fills(out / F_FILLS_MONTHLY, completed, monthly_fills, npz_stamp(out / F_PARSED_MONTHLY))
     (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
-
-    # one filled copy at a time: only its fills are kept
-    fills = [_record_fills(*lwma_fill(s)) for s in kept_daily]
-    save_fills(out / F_FILLS_DAILY, kept_daily, fills, npz_stamp(out / F_PARSED_DAILY))
-
-
-def _load_completed(out: Path, parsed_name: str, qc_name: str, fills_name: str, kind) -> list:
-    """The kept series of parsed_name (per qc_name) completed with the fills
-    impute saved in fills_name; DataError when those fills were saved from
-    another parsed file or other kept series, or do not fit them."""
-    fills = _load(out / fills_name, "impute", load_fills)
-    kept = _load_kept(out, parsed_name, qc_name, kind)
-    same_keys = sorted((s.station_id, s.element) for s in fills.frames) == sorted(
-        (s.station_id, s.element) for s in kept
-    )
-    if not same_keys or fills.stamp != _load(out / parsed_name, "ingest", npz_stamp):
-        raise DataError(
-            f"{fills_name} was saved from another {parsed_name} or other {qc_name} verdicts; rerun the impute stage"
-        )
-    try:
-        return fills.complete(kept)
-    except ValueError as exc:
-        raise DataError(f"cannot use {fills_name}: {exc}; rerun the impute stage") from exc
+    save_fills(out / F_FILLS_DAILY, daily_frames, daily_fills, npz_stamp(out / F_PARSED_DAILY))
 
 
 def stage_indices(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    completed = _load_completed(out, F_PARSED_MONTHLY, F_QC_MONTHLY, F_FILLS_MONTHLY, MonthlySeries)
-    filled = _load_completed(out, F_PARSED_DAILY, F_QC_DAILY, F_FILLS_DAILY, DailySeries)
+    completed = list(_kept_series(out, MonthlySeries, F_FILLS_MONTHLY))
+    filled = _kept_series(out, DailySeries, F_FILLS_DAILY)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 
     station_series: dict = {}
@@ -808,11 +847,14 @@ def stage_indices(out_dir, cfg: RunConfig):
             if clipped is not None:
                 station_series[(station, metric, season)] = clipped
 
-    by_station: dict = {}
-    for series in filled:
-        by_station.setdefault(series.station_id, {})[series.element] = series
-
-    for station, elements in sorted(by_station.items()):
+    # ingest writes a station's series one after another, so one station's
+    # daily series are held at a time
+    done = set()
+    for station, run in itertools.groupby(filled, key=lambda s: s.station_id):
+        if station in done:
+            raise DataError(f"{F_PARSED_DAILY} holds the series of {station!r} apart; rerun the ingest stage")
+        done.add(station)
+        elements = {s.element: s for s in run}
         tmax, tmin = elements.get("TMAX"), elements.get("TMIN")
         got = []
         if "CDD" in cfg.metrics and tmax is not None and tmin is not None:

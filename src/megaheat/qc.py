@@ -122,10 +122,13 @@ def filter_monthly_stations(
 
 
 def filter_daily_stations(
-    series: list[DailySeries], window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
+    frames: list[DailySeries], values, window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
 ):
     """Drop daily series per the record-length, summer-missing, and
     consecutive-gap rules, in that precedence, with the thresholds of params.
+
+    ``values`` yields each frame's values in turn, so one series' values
+    are held at a time.  Returns (kept frames, one QcReport per frame).
 
     The length rule is a conjunction: a series drops when its span is under
     daily_min_span_months AND it ends before daily_end_cutoff.  The summer
@@ -136,8 +139,8 @@ def filter_daily_stations(
     win_hi = date_to_serial(dt.date(window[1], 12, 31))
     # one summer calendar over the window clipped to the records' extent;
     # each series reads its slice of it
-    serial0s = [date_to_serial(s.start) for s in series]
-    ends = [s0 + s.values.size - 1 for s0, s in zip(serial0s, series)]
+    serial0s = [date_to_serial(s.start) for s in frames]
+    ends = [s0 + s.values.size - 1 for s0, s in zip(serial0s, frames)]
     cal_lo = max(win_lo, min(serial0s, default=win_lo))
     cal_hi = min(win_hi, max(ends, default=win_lo))
     months = np.arange(cal_lo, cal_hi + 1).astype("M8[D]").astype("M8[M]").astype(np.int64) % 12 + 1
@@ -145,8 +148,8 @@ def filter_daily_stations(
 
     kept: list[DailySeries] = []
     reports: list[QcReport] = []
-    for serial0, s in zip(serial0s, series):
-        obs = ~np.isnan(s.values)
+    for serial0, s, v in zip(serial0s, frames, values):
+        obs = ~np.isnan(v)
         if not obs.any():
             reports.append(QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0))
             continue
@@ -162,7 +165,7 @@ def filter_daily_stations(
         jja_frac = 0.0
         gap = 0
         if hi >= lo:
-            vals = s.values[lo - serial0 : hi - serial0 + 1]
+            vals = v[lo - serial0 : hi - serial0 + 1]
             missing = np.isnan(vals)
             jja = jja_calendar[lo - cal_lo : hi - cal_lo + 1]
             if jja.any():

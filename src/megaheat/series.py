@@ -3,6 +3,10 @@
 Temperatures are stored as float64 degrees Celsius.  Missing observations
 carry NaN as an explicit marker; sentinel temperatures from source files
 (-9999 and friends) never survive parsing.
+
+Series pass between stages as ``.npz`` files, written piece by piece and
+read back one series at a time (read_series), so that no stage needs a
+whole file's values in memory at once.
 """
 
 from __future__ import annotations
@@ -163,15 +167,16 @@ def save_series(path, frames, values) -> None:
     _save_npz(path, {**ids, "values": (np.float64, values, int(ids["length"].sum())), **starts})
 
 
-def _read_npz(path) -> dict:
-    """Every array of an ``.npz``; never unpickles, so reading runs no code."""
+def _read_npz(path, skip=()) -> dict:
+    """Every array of an ``.npz`` but those named in skip; never unpickles,
+    so reading runs no code."""
     try:
         with open(path, "rb") as fh:
             npz = np.load(fh, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                return {name: npz[name] for name in npz.files}
+                return {name: npz[name] for name in npz.files if name not in skip}
     except (zipfile.BadZipFile, EOFError) as exc:
         raise ValueError(f"not a readable .npz archive: {exc}") from exc
 
@@ -225,16 +230,75 @@ def _frame_series(arrays: dict, values: list) -> list:
         raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
 
 
-def load_series(path) -> list:
-    """The series save_series wrote to path, in the order it wrote them.
+def _nan_frames(arrays: dict) -> list:
+    """One series per frame of the arrays, its values a read-only all-NaN
+    view as long as the frame."""
+    lengths = arrays["length"]
+    nan = np.full(int(lengths.max(initial=0)), np.nan)
+    nan.flags.writeable = False
+    return _frame_series(arrays, [nan[:n] for n in lengths.tolist()])
 
-    Raises OSError when the file cannot be read and ValueError when it is
-    not a series file (not an ``.npz``, truncated, or with inconsistent
-    arrays).  Each series' values are a view into one array.
+
+def _read_floats(entry, n: int) -> np.ndarray:
+    values = np.empty(n)
+    if entry.readinto(values.view(np.uint8)) != values.nbytes:
+        raise ValueError("series file values end before their lengths do")
+    return values
+
+
+def _stored_values(path, lengths: list):
+    """Each series' values in turn, read from the ``values.npy`` entry of
+    the series file at path, whose header must hold as many float64 values
+    as the lengths add up to.  The entry is read to its end, where zipfile
+    checks its CRC-32, before the last series is yielded, so a consumer
+    that stops at the last frame has had that check too."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            if "values.npy" not in archive.namelist():
+                raise ValueError("series file lacks values")
+            with archive.open("values.npy") as entry:
+                # save_series and np.savez write a 1-D array's header as version 1.0
+                version = np.lib.format.read_magic(entry)
+                if version != (1, 0):
+                    raise ValueError(f"values.npy has npy format version {version}, not (1, 0)")
+                shape, _, dtype = np.lib.format.read_array_header_1_0(entry)
+                if dtype != np.float64 or shape != (sum(lengths),):
+                    raise ValueError("series file arrays do not fit together")
+                for n in lengths[:-1]:
+                    yield _read_floats(entry, n)
+                last = [_read_floats(entry, n) for n in lengths[-1:]]
+                if entry.read(1):
+                    raise ValueError("series file values run past their lengths")
+                yield from last
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable .npz archive: {exc}") from exc
+
+
+def read_series(path) -> tuple:
+    """The series save_series wrote to path, as (frames, values).
+
+    ``frames`` are the series in the order they were written, each with a
+    read-only all-NaN view of its length for values; ``values`` yields each
+    one's values in turn, read into a fresh float64 array.  Raises OSError
+    when the file cannot be read and ValueError when it is not a series
+    file (not an ``.npz``, truncated, corrupt, or with inconsistent
+    arrays), about the values as they are read.
     """
-    arrays = _read_npz(path)
-    slices = _series_slices(arrays, _frame_kinds(arrays), {"values": "f"})
-    return _frame_series(arrays, [arrays["values"][sl] for sl in slices])
+    arrays = _read_npz(path, skip=("values",))
+    _series_slices(arrays, _frame_kinds(arrays), {})
+    frames = _nan_frames(arrays)
+    values = _stored_values(path, arrays["length"].tolist())
+    if not frames:
+        # no frame will ask for values, so the entry is checked now
+        list(values)
+    return frames, values
+
+
+def load_series(path) -> list:
+    """The series save_series wrote to path, in the order it wrote them:
+    read_series as a list, raising as it does."""
+    frames, values = read_series(path)
+    return [replace(frame, values=v) for frame, v in zip(frames, values)]
 
 
 def first_slot(series) -> int:
@@ -310,29 +374,22 @@ class Fills:
     values: list
     stamp: list
 
-    def complete(self, series) -> list:
-        """Each frame completed from ``series`` and the fills, in the file's order.
-
-        A frame takes the values of the series with its station and element
-        (one must be in ``series``) where they overlap, and the fills.
-        Where a frame is that series' own, the fills go into the series'
-        values in place.  ValueError when a fill lands on an observed slot.
-        """
-        by_key = {(s.station_id, s.element): s for s in series}
-        out = []
-        for frame, offsets, fills in zip(self.frames, self.offsets, self.values):
-            source = by_key[(frame.station_id, frame.element)]
-            first = first_slot(frame)
-            if (first_slot(source), source.values.size) == (first, frame.values.size):
-                values = source.values
-            else:
-                values = np.full(frame.values.size, np.nan)
-                copy_onto(values, first, source)
-            if np.isfinite(values[offsets]).any():
-                raise ValueError(f"{frame.station_id} {frame.element}: a fill lands on an observed slot")
-            values[offsets] = fills
-            out.append(replace(frame, values=values))
-        return out
+    def complete(self, i: int, source):
+        """Frame i with the values of ``source``, the series of its station
+        and element, where they overlap, and its fills.  Where the frame is
+        the source's own, the fills go into the source's values in place.
+        ValueError when a fill lands on an observed slot."""
+        frame, offsets = self.frames[i], self.offsets[i]
+        first = first_slot(frame)
+        if (first_slot(source), source.values.size) == (first, frame.values.size):
+            values = source.values
+        else:
+            values = np.full(frame.values.size, np.nan)
+            copy_onto(values, first, source)
+        if np.isfinite(values[offsets]).any():
+            raise ValueError(f"{frame.station_id} {frame.element}: a fill lands on an observed slot")
+        values[offsets] = self.values[i]
+        return replace(frame, values=values)
 
 
 def load_fills(path) -> Fills:
@@ -350,10 +407,8 @@ def load_fills(path) -> Fills:
     laid = offsets + np.repeat(np.cumsum(lengths) - lengths, counts)
     if np.any((offsets < 0) | (offsets >= np.repeat(lengths, counts))) or np.any(np.diff(laid) <= 0):
         raise ValueError("fills file holds a fill offset outside its frame, or offsets that do not increase")
-    nan = np.full(int(lengths.max(initial=0)), np.nan)
-    nan.flags.writeable = False
     return Fills(
-        frames=_frame_series(arrays, [nan[:n] for n in lengths.tolist()]),
+        frames=_nan_frames(arrays),
         offsets=[offsets[sl] for sl in slices],
         values=[arrays["value"][sl] for sl in slices],
         stamp=list(zip(*(arrays[name].tolist() for name in ("parsed_entry", "parsed_crc", "parsed_size")))),

@@ -13,8 +13,11 @@ import contextlib
 import datetime as dt
 import functools
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,9 +121,10 @@ def test_1_constants_and_qc_boundaries():
     kept, _ = qc.filter_monthly_stations([MonthlySeries("FRAC0000001", "TAVG", 1956, 1, frac_vals)])
     assert len(kept) == 1
 
-    kept, _ = qc.filter_daily_stations([_daily_with_gap(30)])
+    gap_30, gap_31 = _daily_with_gap(30), _daily_with_gap(31)
+    kept, _ = qc.filter_daily_stations([gap_30], [gap_30.values])
     assert len(kept) == 1, "30-day gap must survive the daily gap rule"
-    _, reports = qc.filter_daily_stations([_daily_with_gap(31)])
+    _, reports = qc.filter_daily_stations([gap_31], [gap_31.values])
     assert reports[0].verdict == "dropped" and reports[0].reason == "gap_days"
 
 
@@ -443,6 +447,34 @@ PERF_CFG = {
 }
 
 
+# at most this VmHWM for each stage after ingest on the PERF_CFG world,
+# which reads parsed_daily.npz (350 MB of values) one series at a time
+STAGE_PEAK_MIB = 150
+
+# one stage in a fresh process, which prints its own VmHWM in kB
+_STAGE_PEAK = """
+import json, sys
+from megaheat import pipeline
+pipeline.run_stages(sys.argv[1], pipeline.load_config(json.loads(sys.argv[2])), [sys.argv[3]])
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def _stage_peaks_mib(out, stages) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    peaks = {}
+    for stage in stages:
+        done = subprocess.run(
+            [sys.executable, "-c", _STAGE_PEAK, str(out), json.dumps(PERF_CFG), stage],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        peaks[stage] = int(done.stdout.split()[-1]) / 1024
+    return peaks
+
+
 @criterion(8, "ingest+qc+indices over 1000 stations x 60 daily years < 60s")
 def test_8_throughput(tmp_path):
     cfg = pipeline.load_config(PERF_CFG)
@@ -463,7 +495,12 @@ def test_8_throughput(tmp_path):
     daily_rows = (out / pipeline.F_QC_DAILY).read_text().splitlines()[1:]
     assert len(daily_rows) == 2000 and all(",kept," in r for r in daily_rows)
     assert timed < 60.0, f"{timed:.1f}s"
-    return f"{timed:.1f}s for {n_values / 1e6:.0f}M day-values"
+    summary = f"{timed:.1f}s for {n_values / 1e6:.0f}M day-values"
+    if not Path("/proc/self/status").exists():
+        return summary + "; no /proc, stage peaks not measured"
+    peaks = _stage_peaks_mib(out, ("qc", "impute", "indices"))
+    assert all(peak <= STAGE_PEAK_MIB for peak in peaks.values()), peaks
+    return summary + "; VmHWM " + ", ".join(f"{stage} {peak:.0f} MiB" for stage, peak in peaks.items())
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +474,73 @@ def finished_run(tmp_path_factory):
     assert cli.main(["synth", "--out", str(root / "run"), "--config", cfg]) == 0
     assert cli.main(["all", "--out", str(root / "run"), "--config", cfg]) == 0
     return root / "run", cfg
+
+
+@pytest.fixture(scope="module")
+def daily_run(tmp_path_factory):
+    """A run directory through indices whose daily series qc keeps, and its config file."""
+    root = tmp_path_factory.mktemp("daily")
+    cfg = _cfg_file(root, {"synth": dict(CFG["synth"], daily=True, gap_rate=0.01), "qc": {"daily_min_span_months": 120}})
+    assert cli.main(["synth", "--out", str(root / "run"), "--config", cfg]) == 0
+    for stage in ("ingest", "qc", "impute", "indices"):
+        assert cli.main([stage, "--out", str(root / "run"), "--config", cfg]) == 0
+    assert ",kept," in (root / "run" / pipeline.F_QC_DAILY).read_text()
+    return root / "run", cfg
+
+
+def _flip_a_value_byte(path):
+    """Flip the lowest byte of the middle value stored in values.npy, so only
+    the entry's CRC-32 tells."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("values.npy")
+    blob = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", blob[info.header_offset + 26 : info.header_offset + 30])
+    npy = info.header_offset + 30 + name_len + extra_len
+    # npy 1.0: magic, version, a 2-byte header length, the header, the values
+    first_value = npy + 10 + struct.unpack("<H", blob[npy + 8 : npy + 10])[0]
+    blob[first_value + 8 * ((info.file_size - (first_value - npy)) // 16)] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def _cut_to_two_thirds(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size * 2 // 3])
+
+
+def _one_value_short(path):
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["values"] = arrays["values"][:-1]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestBrokenDailyFile:
+    """qc, impute and indices read parsed_daily.npz one series at a time; a
+    file that turns out broken partway through still exits 2 before the
+    stage writes anything."""
+
+    OUTPUTS = {
+        "qc": (pipeline.F_QC_MONTHLY, pipeline.F_QC_DAILY),
+        "impute": (pipeline.F_FILLS_MONTHLY, pipeline.F_FILLS_DAILY, pipeline.F_IMPUTE_NOTES),
+        "indices": (pipeline.F_ANNUAL_STATION, pipeline.F_ANNUAL_REGIONAL),
+    }
+
+    @pytest.mark.parametrize("damage", [_flip_a_value_byte, _cut_to_two_thirds, _one_value_short])
+    @pytest.mark.parametrize("stage", ["qc", "impute", "indices"])
+    def test_exits_2_and_writes_nothing(self, daily_run, tmp_path, capsys, stage, damage):
+        run, cfg = daily_run
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        damage(out / pipeline.F_PARSED_DAILY)
+        for name in self.OUTPUTS[stage]:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: ") and pipeline.F_PARSED_DAILY in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert damage is not _flip_a_value_byte or "Bad CRC-32" in err
+        assert not [name for name in self.OUTPUTS[stage] if (out / name).exists()]
 
 
 # a world with gaps, whose every station passes QC_BASE

@@ -22,7 +22,16 @@ from megaheat.pipeline import (
     trend_comparison_cell,
 )
 from megaheat.regions import ExplanatoryVars
-from megaheat.series import AnnualSeries, DailySeries, MonthlySeries, first_slot, load_annual, load_fills, load_series
+from megaheat.series import (
+    AnnualSeries,
+    DailySeries,
+    MonthlySeries,
+    first_slot,
+    load_annual,
+    load_fills,
+    load_series,
+    save_series,
+)
 from megaheat.synth import SynthParams, synth_generate, write_world
 
 YEARS = np.arange(1956, 2016)
@@ -377,15 +386,12 @@ def _read_csv_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-_FILES_OF = {
-    MonthlySeries: (pipeline.F_PARSED_MONTHLY, pipeline.F_QC_MONTHLY, pipeline.F_FILLS_MONTHLY),
-    DailySeries: (pipeline.F_PARSED_DAILY, pipeline.F_QC_DAILY, pipeline.F_FILLS_DAILY),
-}
+_FILLS_OF = {MonthlySeries: pipeline.F_FILLS_MONTHLY, DailySeries: pipeline.F_FILLS_DAILY}
 
 
 def _rebuilt(out, kind):
-    """The completed series indices rebuilds from parsed_*, qc_* and fills_*."""
-    return pipeline._load_completed(out, *_FILES_OF[kind], kind)
+    """The completed series indices rebuilds from parsed_*, qc_* and fills_*, in file order."""
+    return list(pipeline._kept_series(out, kind, _FILLS_OF[kind]))
 
 
 def _derived_codes(parsed, frame, offsets):
@@ -634,14 +640,16 @@ class TestRebuiltSeries:
         from megaheat.interpolate import impute_monthly
 
         out, cfg, no_elev = world
-        kept = pipeline._load_kept(out, pipeline.F_PARSED_MONTHLY, pipeline.F_QC_MONTHLY, MonthlySeries)
+        kept = list(pipeline._kept_series(out, MonthlySeries))
         stations, _ = parse_stations((out / "stations.txt").read_bytes())
         expected, masks, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
-        rebuilt = _rebuilt(out, MonthlySeries)
+        # rebuilt in file order; impute_monthly and the fills go by element
+        rebuilt = {(s.station_id, s.element): s for s in _rebuilt(out, MonthlySeries)}
         parsed = {(s.station_id, s.element): s for s in kept}
         fills = load_fills(out / pipeline.F_FILLS_MONTHLY)
         assert len(rebuilt) == len(expected) == len(fills.frames) == len(kept)
-        for got, want, mask, frame, offsets in zip(rebuilt, expected, masks, fills.frames, fills.offsets):
+        for want, mask, frame, offsets in zip(expected, masks, fills.frames, fills.offsets):
+            got = rebuilt[(frame.station_id, frame.element)]
             assert (got.station_id, got.element, got.first_year, got.first_month) == (
                 want.station_id,
                 want.element,
@@ -662,7 +670,7 @@ class TestRebuiltSeries:
         from megaheat.interpolate import lwma_fill
 
         out, _, _ = world
-        kept = pipeline._load_kept(out, pipeline.F_PARSED_DAILY, pipeline.F_QC_DAILY, DailySeries)
+        kept = list(pipeline._kept_series(out, DailySeries))
         rebuilt = _rebuilt(out, DailySeries)
         fills = load_fills(out / pipeline.F_FILLS_DAILY)
         assert len(rebuilt) == len(kept) == len(fills.frames)
@@ -676,7 +684,7 @@ class TestRebuiltSeries:
             seen |= set(codes.tolist())
         assert seen == {"o", "i", "u"}
         # daily frames are the parsed series' own: filled in place, not copied
-        assert all(np.shares_memory(a.values, b.values) for a, b in zip(fills.complete(kept), kept))
+        assert all(np.shares_memory(fills.complete(i, s).values, s.values) for i, s in enumerate(kept))
 
     def test_fills_leave_impute_unrounded(self, world):
         # fills on the 0.01 C (monthly) or 0.1 C (daily) grid of the
@@ -827,6 +835,21 @@ class TestStageErrors:
         with pytest.raises(DataError, match=f"{pipeline.F_FILLS_MONTHLY} was saved from .*; rerun the impute stage"):
             pipeline.stage_indices(tmp_path, strict)
 
+    def test_station_series_apart_in_the_daily_file(self, tmp_path):
+        # ingest writes a station's series one after another, and indices
+        # holds one station at a time; a file that splits a station is refused
+        cfg = load_config(FILLS_CFG)
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.stage_ingest(tmp_path, cfg)
+        path = tmp_path / pipeline.F_PARSED_DAILY
+        daily = load_series(path)
+        assert [s.station_id for s in daily[:2]] == [daily[0].station_id] * 2
+        daily = daily[1:] + daily[:1]
+        save_series(path, daily, [s.values for s in daily])
+        pipeline.run_stages(tmp_path, cfg, ["qc", "impute"])
+        with pytest.raises(DataError, match=f"{pipeline.F_PARSED_DAILY} holds the series of .* apart"):
+            pipeline.stage_indices(tmp_path, cfg)
+
     def test_missing_annual_file_names_the_stage(self, tmp_path):
         cfg = load_config(LIGHT_CFG)
         pipeline.stage_synth(tmp_path, cfg)
@@ -961,4 +984,56 @@ class TestIngestMemory:
         finally:
             tracemalloc.stop()
         assert json.loads((tmp_path / pipeline.F_INGEST_SUMMARY).read_text())["n_daily_series"] == 80
+        assert peak < budget, (peak, budget)
+
+
+class TestDailyStageMemory:
+    """qc, impute and indices read parsed_daily.npz one series at a time and
+    never hold every daily value at once.
+
+    The budget follows the design, whatever the world's size:
+    - 8 copies of the longest daily series: the read buffer and its array,
+      the masks and work of one filter, fill or index pass, and a station's
+      two elements in indices;
+    - the monthly values, which every stage holds whole, and two grids more
+      of them in impute and indices (the completed series and imputation's
+      work);
+    - 4 KiB per series for Python objects: frames, qc rows and fills;
+    - 512 KiB for the rest.
+    A stage that holds the daily file's values (8 bytes per daily slot, 14
+    MB here) needs more than that.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("daily_memory")
+        world = synth_generate(3, SynthParams(n_pairs=1, uc_stations=20, nonuc_stations=20))
+        sizes = {
+            "longest_daily": max(s.values.size for s in world.daily),
+            "monthly": sum(s.values.size for s in world.monthly),
+            "daily": sum(s.values.size for s in world.daily),
+            "series": len(world.daily) + len(world.monthly),
+        }
+        write_world(world, out)
+        del world
+        cfg = load_config({})
+        pipeline.run_stages(out, cfg, ["ingest", "qc", "impute", "indices"])
+        # the world holds what the budget is about: every daily series kept
+        rows = _read_csv_rows(out / pipeline.F_QC_DAILY)
+        assert len(rows) == 80 and all(r["verdict"] == "kept" for r in rows)
+        return out, cfg, sizes
+
+    @pytest.mark.parametrize("stage, monthly_grids", [("qc", 1), ("impute", 3), ("indices", 3)])
+    def test_peak(self, world, stage, monthly_grids):
+        out, cfg, sizes = world
+        budget = 8 * 8 * sizes["longest_daily"] + monthly_grids * 8 * sizes["monthly"] + 4096 * sizes["series"] + 2**19
+        assert budget < 8 * sizes["daily"] / 2
+        before = _tree_bytes(out)
+        tracemalloc.start()
+        try:
+            getattr(pipeline, f"stage_{stage}")(out, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tree_bytes(out) == before
         assert peak < budget, (peak, budget)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -117,19 +118,19 @@ class TestDailyFilter:
 
     def test_short_record_ending_2010_dropped(self):
         s = complete_daily(dt.date(1977, 7, 1), dt.date(2010, 10, 31))  # 400 months
-        kept, reports = filter_daily_stations([s])
+        kept, reports = filter_daily_stations([s], [s.values])
         assert kept == []
         assert reports[0].reason == "short_record"
 
     def test_short_record_ending_2015_kept(self):
         s = complete_daily(dt.date(1982, 3, 1), dt.date(2015, 6, 30))  # 400 months
-        kept, _ = filter_daily_stations([s])
+        kept, _ = filter_daily_stations([s], [s.values])
         assert len(kept) == 1
 
     def test_thirty_one_day_gap_dropped(self):
         s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
         s.values[1000:1031] = np.nan
-        kept, reports = filter_daily_stations([s])
+        kept, reports = filter_daily_stations([s], [s.values])
         assert kept == []
         assert reports[0].reason == "gap_days"
         assert reports[0].longest_gap == 31
@@ -137,7 +138,7 @@ class TestDailyFilter:
     def test_thirty_day_gap_kept(self):
         s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
         s.values[1000:1030] = np.nan
-        kept, reports = filter_daily_stations([s])
+        kept, reports = filter_daily_stations([s], [s.values])
         assert len(kept) == 1
         assert reports[0].longest_gap == 30
 
@@ -154,27 +155,27 @@ class TestDailyFilter:
         s = complete_daily(start, end)
         for d in missing_days:
             s.values[s.index_of(d)] = np.nan
-        kept, reports = filter_daily_stations([s], window=(2000, 2004))
+        kept, reports = filter_daily_stations([s], [s.values], window=(2000, 2004))
         assert len(kept) == 1
         assert reports[0].missing_frac == pytest.approx(0.2)
 
         s = complete_daily(start, end)
         for d in missing_days + [dt.date(2004, 6, 17)]:
             s.values[s.index_of(d)] = np.nan
-        kept, reports = filter_daily_stations([s], window=(2000, 2004))
+        kept, reports = filter_daily_stations([s], [s.values], window=(2000, 2004))
         assert kept == []
         assert reports[0].reason == "jja_missing"
 
     def test_all_missing_dropped(self):
         s = daily(dt.date(2000, 1, 1), np.full(100, np.nan))
-        kept, reports = filter_daily_stations([s])
+        kept, reports = filter_daily_stations([s], [s.values])
         assert kept == []
         assert reports[0].reason == "no_data"
 
     def test_leading_nan_pad_not_a_gap(self):
         s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
         s.values[:90] = np.nan  # record effectively starts in April
-        kept, reports = filter_daily_stations([s])
+        kept, reports = filter_daily_stations([s], [s.values])
         assert len(kept) == 1
         assert reports[0].longest_gap == 0
 
@@ -229,7 +230,7 @@ class TestDailyRulesOracle:
     def test_reports_match_the_per_day_walk(self, data, around, years):
         window = (around, around + years)
         series = data.draw(st.lists(_gappy_daily(around), min_size=1, max_size=4))
-        _, reports = filter_daily_stations(series, window=window)
+        _, reports = filter_daily_stations(series, [s.values for s in series], window=window)
         for s, r in zip(series, reports, strict=True):
             assert (r.reason, r.missing_frac, r.longest_gap) == _daily_rules_oracle(s, window)
             assert r.verdict == ("kept" if r.reason == "" else "dropped")
@@ -239,11 +240,24 @@ class TestDailyRulesOracle:
         s.values[200:230] = np.nan
         s.values[-3000:-2940] = np.nan
         short = complete_daily(dt.date(1990, 3, 1), dt.date(2000, 2, 29), sid="S2")
-        _, study = filter_daily_stations([s, short], window=STUDY_WINDOW)
-        _, widest = filter_daily_stations([s, short], window=(1, 9999))
+        _, study = filter_daily_stations([s, short], [s.values, short.values], window=STUDY_WINDOW)
+        _, widest = filter_daily_stations([s, short], [s.values, short.values], window=(1, 9999))
         assert widest == study
         assert [r.reason for r in study] == ["gap_days", "short_record"]
         assert study[0].longest_gap == 60
+
+    def test_values_stream_past_all_nan_frames(self):
+        # as stage_qc calls it: frames whose values are an all-NaN view, and
+        # the values as a one-pass iterator; the kept entries are the frames
+        s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
+        gappy = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31), sid="S2")
+        gappy.values[500:540] = np.nan
+        series = [s, gappy]
+        frames = [dataclasses.replace(x, values=np.broadcast_to(np.nan, x.values.shape)) for x in series]
+        kept, reports = filter_daily_stations(frames, (x.values for x in series))
+        assert kept == [frames[0]] and kept[0] is frames[0]
+        assert reports == filter_daily_stations(series, [x.values for x in series])[1]
+        assert [r.reason for r in reports] == ["", "gap_days"]
 
 
 

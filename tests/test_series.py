@@ -3,6 +3,7 @@ load_annual round trips, and rejection of files that are not series files."""
 
 import dataclasses
 import datetime as dt
+import io
 import zipfile
 
 import numpy as np
@@ -18,6 +19,7 @@ from megaheat.series import (
     first_slot,
     load_annual,
     load_series,
+    read_series,
     save_annual,
     save_series,
     series_at,
@@ -201,6 +203,86 @@ class TestNpzWriter:
         ids, starts = series_module._frame_arrays(series)
         arrays = {**ids, "values": (np.float64, [s.values for s in series]), **starts}
         assert (tmp / "ours.npz").read_bytes() == _savez_bytes(tmp / "savez.npz", arrays)
+
+
+def _rewrite_values(src, dst, count, values):
+    """A copy of the series file src whose values.npy entry declares count
+    float64 values in its header and holds ``values``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (count,)})
+    with zipfile.ZipFile(src) as old, zipfile.ZipFile(dst, "w") as new:
+        for name in old.namelist():
+            if name != "values.npy":
+                new.writestr(name, old.read(name))
+        new.writestr("values.npy", header.getvalue() + np.asarray(values, dtype="<f8").tobytes())
+
+
+class TestReadSeries:
+    SERIES = [
+        DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.arange(5.0)),
+        DailySeries("A", "TMIN", dt.date(1956, 1, 3), np.arange(3.0) + 0.5),
+        DailySeries("B", "TMAX", dt.date(1957, 2, 1), -np.arange(4.0)),
+    ]
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.npz"
+        save_series(path, self.SERIES, [s.values for s in self.SERIES])
+        return path
+
+    def test_frames_then_fresh_values_in_turn(self, good):
+        frames, values = read_series(good)
+        for frame, want in zip(frames, self.SERIES, strict=True):
+            assert (frame.station_id, frame.element, frame.start) == (want.station_id, want.element, want.start)
+            assert frame.values.size == want.values.size and np.isnan(frame.values).all()
+            assert not frame.values.flags.writeable
+        got = list(values)
+        for v, want in zip(got, self.SERIES, strict=True):
+            assert v.dtype == np.float64 and v.flags.writeable and v.base is None
+            assert np.array_equal(_bits(v), _bits(want.values))
+
+    def test_a_flipped_value_byte_fails_its_crc_before_the_last_series(self, good, tmp_path):
+        blob = good.read_bytes()
+        at = blob.index(self.SERIES[1].values.tobytes())
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :])
+        frames, values = read_series(bad)
+        assert len(frames) == 3
+        # a consumer that stops at the last frame still gets the check
+        with pytest.raises(ValueError, match="CRC-32"):
+            list(zip(frames, values))
+
+    @pytest.mark.parametrize(
+        "count, stored, match",
+        [(12, 13, "run past their lengths"), (12, 11, "end before their lengths"), (13, 13, "fit together")],
+    )
+    def test_values_entry_that_misses_the_lengths(self, good, tmp_path, count, stored, match):
+        bad = tmp_path / "bad.npz"
+        _rewrite_values(good, bad, count, np.arange(float(stored)))
+        frames, values = read_series(bad)
+        with pytest.raises(ValueError, match=match):
+            list(zip(frames, values))
+        with pytest.raises(ValueError, match=match):
+            load_series(bad)
+
+    def test_file_without_values(self, good, tmp_path):
+        with np.load(good) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "values"}
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        frames, values = read_series(bad)
+        with pytest.raises(ValueError, match="lacks values"):
+            next(values)
+
+    def test_file_without_series_checks_its_values_at_once(self, tmp_path):
+        empty = tmp_path / "empty.npz"
+        save_series(empty, [], [])
+        assert read_series(empty)[0] == [] and load_series(empty) == []
+        bad = tmp_path / "bad.npz"
+        _rewrite_values(empty, bad, 1, [1.0])
+        with pytest.raises(ValueError, match="fit together"):
+            read_series(bad)
 
 
 class TestBadFiles:
