@@ -307,11 +307,9 @@ def _read(layout: _Layout, source):
     ids, element, first, count, ints = (column[:n] for column in table)
     keeps = [rows[_dedup_last(first[rows])] for rows in _series_rows(ids, element)]
     spans = [(int(first[k[0]]), int((first[k] + count[k]).max())) for k in keeps]
-    nan = np.full(max((hi - lo for lo, hi in spans), default=0), np.nan)
-    nan.flags.writeable = False
     kind = DailySeries if layout.has_month else MonthlySeries
     frames = [
-        series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), lo, nan[: hi - lo])
+        series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), lo, np.broadcast_to(np.nan, hi - lo))
         for k, (lo, hi) in zip(keeps, spans)
     ]
 

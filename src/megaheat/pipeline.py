@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, indices, stats
 from .ghcn import parse_stations, read_ghcnd, read_ghcnm
 from .interpolate import GwrConfig, impute_monthly, lwma_fill
-from .qc import STUDY_WINDOW, QcParams, filter_daily_stations, filter_monthly_stations, observed_in_window
+from .qc import STUDY_WINDOW, QcParams, filter_daily_stations, filter_monthly_stations
 from .regions import (
     COVARIATE_COLUMNS,
     RegionPair,
@@ -782,23 +782,17 @@ def stage_ingest(out_dir, cfg: RunConfig):
 
 def stage_qc(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    frames, values = _read_series(out / F_PARSED_MONTHLY, MonthlySeries)
-    monthly = [dataclasses.replace(frame, values=v) for frame, v in zip(frames, values)]
-    daily, daily_values = _read_series(out / F_PARSED_DAILY, DailySeries)
-    observed = observed_in_window(monthly, cfg.window)
-
-    def noting_observed(values):
-        # the window test reads each daily series as the filter does
-        nonlocal observed
-        for frame, v in zip(daily, values):
-            observed = observed or observed_in_window([dataclasses.replace(frame, values=v)], cfg.window)
-            yield v
-
-    _, monthly_reports = filter_monthly_stations(monthly, cfg.window, cfg.qc)
-    _, daily_reports = filter_daily_stations(daily, noting_observed(daily_values), cfg.window, cfg.qc)
-    if not observed:
+    reports_of = {}
+    # the filters are looked up at each call, so a tracer that wraps them sees the calls
+    for name, parsed, kind, qc_filter in (
+        (F_QC_MONTHLY, F_PARSED_MONTHLY, MonthlySeries, filter_monthly_stations),
+        (F_QC_DAILY, F_PARSED_DAILY, DailySeries, filter_daily_stations),
+    ):
+        frames, values = _read_series(out / parsed, kind)
+        _, reports_of[name] = qc_filter(frames, values, cfg.window, cfg.qc)
+    if not any(r.observed_in_window for reports in reports_of.values() for r in reports):
         raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
-    for name, reports in ((F_QC_MONTHLY, monthly_reports), (F_QC_DAILY, daily_reports)):
+    for name, reports in reports_of.items():
         _write_csv(
             out / name,
             QC_HEADER,
@@ -828,7 +822,7 @@ def stage_impute(out_dir, cfg: RunConfig):
     daily_frames, daily_fills = [], []
     for s in kept_daily:
         daily_fills.append(_record_fills(*lwma_fill(s)))
-        daily_frames.append(dataclasses.replace(s, values=np.broadcast_to(np.nan, s.values.shape)))
+        daily_frames.append(dataclasses.replace(s, values=np.broadcast_to(np.nan, s.values.size)))
     save_fills(out / F_FILLS_MONTHLY, completed, monthly_fills, npz_stamp(out / F_PARSED_MONTHLY))
     (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
     save_fills(out / F_FILLS_DAILY, daily_frames, daily_fills, npz_stamp(out / F_PARSED_DAILY))
@@ -836,7 +830,7 @@ def stage_impute(out_dir, cfg: RunConfig):
 
 def stage_indices(out_dir, cfg: RunConfig):
     out = Path(out_dir)
-    completed = list(_kept_series(out, MonthlySeries, F_FILLS_MONTHLY))
+    completed = _kept_series(out, MonthlySeries, F_FILLS_MONTHLY)
     filled = _kept_series(out, DailySeries, F_FILLS_DAILY)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
 

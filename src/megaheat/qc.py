@@ -5,6 +5,7 @@ series' coverage counts as missing, so the missing-fraction and
 consecutive-gap rules double as coverage requirements.  Daily records get
 an explicit length rule instead, so the summer-missing and consecutive-gap
 rules there look only at the observed extent intersected with the window.
+Each report also says whether its series observed a value in the window.
 
 All thresholds are strict ("more than"): an exactly-12-month hole or an
 exactly-30-day gap survives.
@@ -62,18 +63,7 @@ class QcReport:
     reason: str  # rule identifier, "" when kept
     missing_frac: float
     longest_gap: int  # months (monthly rules) or days (daily rules)
-
-
-def observed_in_window(series, window: tuple[int, int]) -> bool:
-    """Whether any monthly or daily series holds a value inside the window years."""
-    for s in series:
-        if isinstance(s, MonthlySeries):
-            lo, hi = s.index_of(window[0], 1), s.index_of(window[1], 12)
-        else:
-            lo, hi = s.index_of(dt.date(window[0], 1, 1)), s.index_of(dt.date(window[1], 12, 31))
-        if not np.isnan(s.values[max(lo, 0) : max(hi + 1, 0)]).all():
-            return True
-    return False
+    observed_in_window: bool
 
 
 def _longest_run(mask: np.ndarray) -> int:
@@ -84,13 +74,14 @@ def _longest_run(mask: np.ndarray) -> int:
 
 
 def filter_monthly_stations(
-    series: list[MonthlySeries], window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
+    frames: list[MonthlySeries], values, window: tuple[int, int] = STUDY_WINDOW, params: QcParams = QcParams()
 ):
-    """Drop monthly series with too much missing data inside the window.
+    """Drop monthly series with too much missing data inside the window;
+    ``values`` yields each frame's values in turn.
 
     Rules, in precedence order: missing fraction > params.monthly_max_missing_frac,
     then any run of more than params.monthly_max_gap_months consecutive
-    missing months.  Returns (kept series, one QcReport per input series).
+    missing months.  Returns (kept frames, one QcReport per frame).
     """
     w0 = month_index(window[0], 1)
     w1 = month_index(window[1], 12)
@@ -100,13 +91,13 @@ def filter_monthly_stations(
 
     kept: list[MonthlySeries] = []
     reports: list[QcReport] = []
-    for s in series:
+    for s, v in zip(frames, values):
         observed = np.zeros(n_window, dtype=bool)
         s0 = month_index(s.first_year, s.first_month)
         lo = max(w0, s0)
-        hi = min(w1, s0 + s.values.size - 1)
+        hi = min(w1, s0 + v.size - 1)
         if hi >= lo:
-            observed[lo - w0 : hi - w0 + 1] = ~np.isnan(s.values[lo - s0 : hi - s0 + 1])
+            observed[lo - w0 : hi - w0 + 1] = ~np.isnan(v[lo - s0 : hi - s0 + 1])
         missing = ~observed
         frac = float(missing.mean())
         gap = _longest_run(missing)
@@ -117,7 +108,7 @@ def filter_monthly_stations(
         else:
             verdict, reason = "kept", ""
             kept.append(s)
-        reports.append(QcReport(s.station_id, s.element, verdict, reason, frac, gap))
+        reports.append(QcReport(s.station_id, s.element, verdict, reason, frac, gap, bool(observed.any())))
     return kept, reports
 
 
@@ -151,7 +142,7 @@ def filter_daily_stations(
     for serial0, s, v in zip(serial0s, frames, values):
         obs = ~np.isnan(v)
         if not obs.any():
-            reports.append(QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0))
+            reports.append(QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0, False))
             continue
         first_i, last_i = int(np.argmax(obs)), int(obs.size - 1 - np.argmax(obs[::-1]))
         first_day = s.start + dt.timedelta(days=first_i)
@@ -164,6 +155,7 @@ def filter_daily_stations(
         hi = min(serial0 + last_i, win_hi)
         jja_frac = 0.0
         gap = 0
+        in_window = False
         if hi >= lo:
             vals = v[lo - serial0 : hi - serial0 + 1]
             missing = np.isnan(vals)
@@ -171,6 +163,7 @@ def filter_daily_stations(
             if jja.any():
                 jja_frac = float(missing[jja].mean())
             gap = _longest_run(missing)
+            in_window = not missing.all()
 
         if length_drop:
             verdict, reason = "dropped", "short_record"
@@ -181,5 +174,5 @@ def filter_daily_stations(
         else:
             verdict, reason = "kept", ""
             kept.append(s)
-        reports.append(QcReport(s.station_id, s.element, verdict, reason, jja_frac, gap))
+        reports.append(QcReport(s.station_id, s.element, verdict, reason, jja_frac, gap, in_window))
     return kept, reports

@@ -212,8 +212,9 @@ def _frame_kinds(arrays: dict) -> dict:
     return {"station_id": "U", "element": "U", "length": "i", **dict.fromkeys(starts, "i")}
 
 
-def _frame_series(arrays: dict, values: list) -> list:
-    """One series per frame of the arrays, the i-th holding values[i]."""
+def _nan_frames(arrays: dict) -> list:
+    """One series per frame of the arrays, its values a read-only all-NaN
+    view as long as the frame."""
     if "first_year" in arrays:
         if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
             raise ValueError("series file holds a month outside 1-12")
@@ -221,22 +222,14 @@ def _frame_series(arrays: dict, values: list) -> list:
         firsts = map(month_index, arrays["first_year"].tolist(), arrays["first_month"].tolist())
     else:
         kind, firsts = DailySeries, arrays["start_day"].tolist()
+    ids, elements, lengths = (arrays[name].tolist() for name in ("station_id", "element", "length"))
     try:
         return [
-            series_at(kind, sid, el, first, v)
-            for sid, el, first, v in zip(arrays["station_id"].tolist(), arrays["element"].tolist(), firsts, values)
+            series_at(kind, sid, el, first, np.broadcast_to(np.nan, n))
+            for sid, el, first, n in zip(ids, elements, firsts, lengths)
         ]
     except OverflowError as exc:
         raise ValueError(f"series file holds a start day outside the calendar: {exc}") from exc
-
-
-def _nan_frames(arrays: dict) -> list:
-    """One series per frame of the arrays, its values a read-only all-NaN
-    view as long as the frame."""
-    lengths = arrays["length"]
-    nan = np.full(int(lengths.max(initial=0)), np.nan)
-    nan.flags.writeable = False
-    return _frame_series(arrays, [nan[:n] for n in lengths.tolist()])
 
 
 def _read_floats(entry, n: int) -> np.ndarray:

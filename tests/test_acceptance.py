@@ -110,15 +110,16 @@ def test_1_constants_and_qc_boundaries():
     assert cfg.qc.daily_max_gap_days == 30
     assert cfg.qc.daily_min_span_months == 719
 
-    kept, _ = qc.filter_monthly_stations([_monthly_with_gap(12)])
+    gap_12, gap_13 = _monthly_with_gap(12), _monthly_with_gap(13)
+    kept, _ = qc.filter_monthly_stations([gap_12], [gap_12.values])
     assert len(kept) == 1, "12-month gap must survive the monthly gap rule"
-    _, reports = qc.filter_monthly_stations([_monthly_with_gap(13)])
+    _, reports = qc.filter_monthly_stations([gap_13], [gap_13.values])
     assert reports[0].verdict == "dropped" and reports[0].reason == "gap_months"
 
     # missing fraction sitting exactly on the 10% threshold stays in
     frac_vals = np.full(720, 20.0)
     frac_vals[np.arange(72) * 10] = np.nan
-    kept, _ = qc.filter_monthly_stations([MonthlySeries("FRAC0000001", "TAVG", 1956, 1, frac_vals)])
+    kept, _ = qc.filter_monthly_stations([MonthlySeries("FRAC0000001", "TAVG", 1956, 1, frac_vals)], [frac_vals])
     assert len(kept) == 1
 
     gap_30, gap_31 = _daily_with_gap(30), _daily_with_gap(31)

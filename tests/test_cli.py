@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -831,3 +832,115 @@ def test_any_station_id_survives_or_exits_2(world, tmp_path_factory, capsys, sta
     assert reported in {row[col] for row in got}
     restored = [row[:col] + [RENAMED_STATION.decode()] + row[col + 1 :] if row[col] == reported else row for row in got]
     assert sorted(restored) == sorted(reference)
+
+
+# the exit-code contract under damage: a small gappy world, each input and
+# each file a later stage reads damaged in turn, and every stage from the
+# file's first reader on run through the CLI
+MUTATION_CFG = {
+    "window": [1956, 1975],
+    "seed": 5,
+    "qc": {"daily_min_span_months": 120},
+    "synth": {"n_pairs": 2, "uc_stations": 3, "nonuc_stations": 3, "end_year": 1975, "daily": True, "gap_rate": 0.01},
+}
+
+# each damaged file and the first stage that reads it
+FIRST_READER = {
+    "ghcnd.dly": "ingest",
+    "ghcnm.dat": "ingest",
+    "stations.txt": "ingest",
+    "regions.json": "ingest",
+    "covariates.csv": "ingest",
+    pipeline.F_PAIRS: "indices",
+    pipeline.F_PARSED_MONTHLY: "qc",
+    pipeline.F_PARSED_DAILY: "qc",
+    pipeline.F_QC_MONTHLY: "impute",
+    pipeline.F_QC_DAILY: "impute",
+    pipeline.F_FILLS_MONTHLY: "indices",
+    pipeline.F_FILLS_DAILY: "indices",
+    pipeline.F_ANNUAL_STATION: "trends",
+    pipeline.F_ANNUAL_REGIONAL: "trends",
+    pipeline.F_TREND_CELLS: "compare",
+    pipeline.F_COMPARISON: "report",
+    pipeline.F_CORR_UC: "report",
+    pipeline.F_CORR_DIFF: "report",
+}
+
+_EDIT_BYTES = b"0 9-.,\"\n\r\x00\xff"
+
+
+def _edit_bytes(path, rng, n):
+    data = bytearray(path.read_bytes())
+    for at in rng.integers(0, len(data), size=n):
+        data[at] = _EDIT_BYTES[rng.integers(len(_EDIT_BYTES))]
+    path.write_bytes(bytes(data))
+
+
+def _truncate(path, rng):
+    data = path.read_bytes()
+    path.write_bytes(data[: rng.integers(0, len(data))])
+
+
+def _duplicate_a_line(path, rng):
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = rng.integers(len(lines))
+    path.write_bytes(b"".join(lines[: at + 1] + lines[at:]))
+
+
+def _empty(path, rng):
+    path.write_bytes(b"")
+
+
+def _directory(path, rng):
+    path.unlink()
+    path.mkdir()
+
+
+MUTATIONS = {
+    "one-byte": lambda path, rng: _edit_bytes(path, rng, 1),
+    "three-bytes": lambda path, rng: _edit_bytes(path, rng, 3),
+    "truncated": _truncate,
+    "duplicated-line": _duplicate_a_line,
+    "empty": _empty,
+    "directory": _directory,
+}
+
+
+def _csv_files(out):
+    return {path: path.read_bytes() for path in out.rglob("*.csv") if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def mutation_run(tmp_path_factory):
+    """A finished run directory of the MUTATION_CFG world, and its config file."""
+    root = tmp_path_factory.mktemp("mutation")
+    cfg = _cfg_file(root, MUTATION_CFG)
+    assert cli.main(["synth", "--out", str(root / "run"), "--config", cfg]) == 0
+    assert cli.main(["all", "--out", str(root / "run"), "--config", cfg]) == 0
+    assert ",kept," in (root / "run" / pipeline.F_QC_DAILY).read_text()
+    return root / "run", cfg
+
+
+@pytest.mark.parametrize("name", FIRST_READER)
+def test_damaged_file_exits_0_1_or_2_and_writes_valid_csv(mutation_run, tmp_path, capsys, name):
+    run, cfg = mutation_run
+    stages = pipeline.STAGE_ORDER[pipeline.STAGE_ORDER.index(FIRST_READER[name]) :]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for mutation, damage in MUTATIONS.items():
+        out = tmp_path / mutation
+        shutil.copytree(run, out)
+        damage(out / name, rng)
+        for stage in stages:
+            before = _csv_files(out)
+            capsys.readouterr()
+            code = cli.main([stage, "--out", str(out), "--config", cfg])
+            err = capsys.readouterr().err
+            case = f"{name} {mutation}, {stage}"
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in err, case
+            for path, text in _csv_files(out).items():
+                if before.get(path) != text:
+                    rows = _rows(path)
+                    assert len({len(row) for row in rows}) == 1, (case, path.name)
+            if code:
+                break

@@ -3,6 +3,7 @@ matrices, and the file-to-file stages."""
 
 import csv
 import dataclasses
+import datetime as dt
 import hashlib
 import json
 import shutil
@@ -930,6 +931,64 @@ class TestStageErrors:
             pipeline.stage_ingest(tmp_path, cfg)
 
 
+class TestQcStage:
+    """stage_qc runs each parsed file through its filter in one pass per
+    series and takes the window test from the filters' reports."""
+
+    def _parsed(self, out, monthly, daily):
+        save_series(out / pipeline.F_PARSED_MONTHLY, monthly, [s.values for s in monthly])
+        save_series(out / pipeline.F_PARSED_DAILY, daily, [s.values for s in daily])
+
+    def test_one_daily_series_in_the_window_is_enough(self, tmp_path):
+        cfg = load_config({"window": [1990, 1991]})
+        before = MonthlySeries("M1", "TAVG", 1980, 1, np.full(120, 10.0))
+        inside = DailySeries("D1", "TMAX", dt.date(1989, 12, 1), np.full(60, 20.0))
+        empty = DailySeries("D2", "TMAX", dt.date(1990, 1, 1), np.full(10, np.nan))
+        self._parsed(tmp_path, [before], [empty, inside])
+        pipeline.stage_qc(tmp_path, cfg)
+        assert [r["station"] for r in _read_csv_rows(tmp_path / pipeline.F_QC_MONTHLY)] == ["M1"]
+        assert [r["station"] for r in _read_csv_rows(tmp_path / pipeline.F_QC_DAILY)] == ["D2", "D1"]
+
+    def test_nothing_in_the_window_writes_neither_table(self, tmp_path):
+        cfg = load_config({"window": [1990, 1991]})
+        before = MonthlySeries("M1", "TAVG", 1980, 1, np.full(120, 10.0))
+        after = DailySeries("D1", "TMAX", dt.date(1992, 1, 1), np.full(60, 20.0))
+        self._parsed(tmp_path, [before], [after])
+        with pytest.raises(DataError, match="window 1990-1991 holds no observed value in any series"):
+            pipeline.stage_qc(tmp_path, cfg)
+        assert not (tmp_path / pipeline.F_QC_MONTHLY).exists()
+        assert not (tmp_path / pipeline.F_QC_DAILY).exists()
+
+    def test_filters_called_as_the_tracer_reads_them(self, tmp_path, monkeypatch):
+        # benchmarks/tracing.py wraps pipeline.filter_*_stations and counts
+        # len(args[0]) series in and len(result[0]) kept
+        synth = dict(LIGHT_CFG["synth"], daily=True)
+        cfg = load_config(dict(LIGHT_CFG, synth=synth, qc={"daily_min_span_months": 120}))
+        pipeline.stage_synth(tmp_path, cfg)
+        pipeline.stage_ingest(tmp_path, cfg)
+        calls = {}
+
+        def recording(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.setdefault(name, []).append((args, result))
+                return result
+
+            return wrapper
+
+        for name in ("filter_monthly_stations", "filter_daily_stations"):
+            monkeypatch.setattr(pipeline, name, recording(name))
+        pipeline.stage_qc(tmp_path, cfg)
+        assert sorted(calls) == ["filter_daily_stations", "filter_monthly_stations"]
+        for kind, name in ((MonthlySeries, "filter_monthly_stations"), (DailySeries, "filter_daily_stations")):
+            [(args, result)] = calls[name]
+            assert isinstance(args[0], list) and args[0] and all(isinstance(s, kind) for s in args[0])
+            assert isinstance(result, tuple) and len(result) == 2
+            assert 0 < len(result[0]) <= len(args[0]) == len(result[1])
+
+
 class TestReportOnEmptyDir:
     def test_manifest_only(self, tmp_path):
         cfg = load_config({})
@@ -1036,4 +1095,33 @@ class TestDailyStageMemory:
         finally:
             tracemalloc.stop()
         assert _tree_bytes(out) == before
+        assert peak < budget, (peak, budget)
+
+
+class TestMonthlyQcMemory:
+    """stage_qc reads parsed_monthly.npz one series at a time as well.
+
+    The budget follows the design, whatever the world's size: 8 copies of
+    the longest series (its read buffer, array and one filter pass's
+    masks), 4 KiB per series for Python objects (frames and qc rows), and
+    512 KiB for the rest.  A stage that holds every monthly value (8 bytes
+    per monthly slot, 3.5 MB here) needs more than that.
+    """
+
+    def test_peak(self, tmp_path):
+        world = synth_generate(3, SynthParams(n_pairs=1, uc_stations=100, nonuc_stations=100, daily=False))
+        longest = max(s.values.size for s in world.monthly)
+        budget = 8 * 8 * longest + 4096 * len(world.monthly) + 2**19
+        assert budget < 8 * sum(s.values.size for s in world.monthly)
+        write_world(world, tmp_path)
+        del world
+        cfg = load_config({})
+        pipeline.stage_ingest(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            pipeline.stage_qc(tmp_path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(_read_csv_rows(tmp_path / pipeline.F_QC_MONTHLY)) == 600
         assert peak < budget, (peak, budget)

@@ -17,7 +17,6 @@ from megaheat.qc import (
     STUDY_WINDOW,
     filter_daily_stations,
     filter_monthly_stations,
-    observed_in_window,
 )
 from megaheat.series import DailySeries, MonthlySeries
 
@@ -49,7 +48,8 @@ class TestMonthlyFilter:
         assert STUDY_WINDOW == (1956, 2015)
 
     def test_complete_series_kept(self):
-        kept, reports = filter_monthly_stations([full_window_monthly()])
+        s = full_window_monthly()
+        kept, reports = filter_monthly_stations([s], [s.values])
         assert len(kept) == 1
         assert reports[0].verdict == "kept"
 
@@ -57,7 +57,7 @@ class TestMonthlyFilter:
         s = full_window_monthly()
         # scattered: stride 9 never builds a long run
         s.values[np.arange(73) * 9] = np.nan
-        kept, reports = filter_monthly_stations([s])
+        kept, reports = filter_monthly_stations([s], [s.values])
         assert kept == []
         r = reports[0]
         assert r.verdict == "dropped"
@@ -67,20 +67,20 @@ class TestMonthlyFilter:
     def test_72_of_720_missing_kept(self):
         s = full_window_monthly()
         s.values[np.arange(72) * 9] = np.nan
-        kept, _ = filter_monthly_stations([s])
+        kept, _ = filter_monthly_stations([s], [s.values])
         assert len(kept) == 1
 
     def test_exactly_twelve_consecutive_kept(self):
         s = full_window_monthly()
         s.values[100:112] = np.nan
-        kept, reports = filter_monthly_stations([s])
+        kept, reports = filter_monthly_stations([s], [s.values])
         assert len(kept) == 1
         assert reports[0].longest_gap == 12
 
     def test_thirteen_consecutive_dropped(self):
         s = full_window_monthly()
         s.values[100:113] = np.nan
-        kept, reports = filter_monthly_stations([s])
+        kept, reports = filter_monthly_stations([s], [s.values])
         assert kept == []
         assert reports[0].reason == "gap_months"
         assert reports[0].longest_gap == 13
@@ -88,19 +88,20 @@ class TestMonthlyFilter:
     def test_coverage_hole_at_window_start_counts_as_gap(self):
         # complete 1960-2015 record: 48 window months never observed
         s = monthly(np.full(672, 15.0), first_year=1960)
-        kept, reports = filter_monthly_stations([s])
+        kept, reports = filter_monthly_stations([s], [s.values])
         assert kept == []
         assert reports[0].reason == "gap_months"
         assert reports[0].longest_gap == 48
 
     def test_empty_window_rejected(self):
+        s = full_window_monthly()
         with pytest.raises(ValueError):
-            filter_monthly_stations([full_window_monthly()], window=(2015, 1956))
+            filter_monthly_stations([s], [s.values], window=(2015, 1956))
 
     def test_dropped_station_carries_one_reason(self):
         s = full_window_monthly()
         s.values[:200] = np.nan  # violates both rules
-        _, reports = filter_monthly_stations([s])
+        _, reports = filter_monthly_stations([s], [s.values])
         assert reports[0].reason == "missing_frac"
 
 
@@ -234,6 +235,8 @@ class TestDailyRulesOracle:
         for s, r in zip(series, reports, strict=True):
             assert (r.reason, r.missing_frac, r.longest_gap) == _daily_rules_oracle(s, window)
             assert r.verdict == ("kept" if r.reason == "" else "dropped")
+            lo, hi = (dt.date(window[0], 1, 1) - s.start).days, (dt.date(window[1], 12, 31) - s.start).days
+            assert r.observed_in_window == (not np.isnan(s.values[max(lo, 0) : max(hi + 1, 0)]).all())
 
     def test_widest_window_equals_the_study_window(self):
         s = complete_daily(dt.date(1956, 1, 1), dt.date(2015, 12, 31))
@@ -261,18 +264,28 @@ class TestDailyRulesOracle:
 
 
 
+def _observed_in_window(series, window):
+    """Whether any of the series holds a value inside the window, from the
+    reports of the filter of each series' kind."""
+    reports = []
+    for kind, qc_filter in ((MonthlySeries, filter_monthly_stations), (DailySeries, filter_daily_stations)):
+        of_kind = [s for s in series if isinstance(s, kind)]
+        reports += qc_filter(of_kind, [s.values for s in of_kind], window=window)[1]
+    return any(r.observed_in_window for r in reports)
+
+
 class TestObservedInWindow:
     def test_monthly_values_only_before_the_window(self):
         s = monthly(np.full(24, 10.0), first_year=1990)
-        assert not observed_in_window([s], (1992, 1995))
-        assert observed_in_window([s], (1991, 1995))
+        assert not _observed_in_window([s], (1992, 1995))
+        assert _observed_in_window([s], (1991, 1995))
 
     def test_monthly_last_window_month_counts(self):
         v = np.full(36, np.nan)
         v[23] = 5.0  # December 1991
         s = monthly(v, first_year=1990)
-        assert observed_in_window([s], (1980, 1991))
-        assert not observed_in_window([s], (1992, 1999))
+        assert _observed_in_window([s], (1980, 1991))
+        assert not _observed_in_window([s], (1992, 1999))
 
     def test_daily_gap_covering_the_window(self):
         start = dt.date(1990, 1, 1)
@@ -280,13 +293,13 @@ class TestObservedInWindow:
         lo, hi = (dt.date(1992, 1, 1) - start).days, (dt.date(1993, 12, 31) - start).days
         v[lo : hi + 1] = np.nan
         s = daily(start, v)
-        assert not observed_in_window([s], (1992, 1993))
+        assert not _observed_in_window([s], (1992, 1993))
         v[hi] = 21.0
-        assert observed_in_window([s], (1992, 1993))
+        assert _observed_in_window([s], (1992, 1993))
 
     def test_any_series_is_enough(self):
         empty = daily(dt.date(2000, 1, 1), [np.nan, np.nan])
         after = monthly([1.0], first_year=2020)
-        assert not observed_in_window([empty, after], (2000, 2015))
-        assert observed_in_window([empty, after, monthly([1.0], first_year=2015)], (2000, 2015))
-        assert not observed_in_window([], (2000, 2015))
+        assert not _observed_in_window([empty, after], (2000, 2015))
+        assert _observed_in_window([empty, after, monthly([1.0], first_year=2015)], (2000, 2015))
+        assert not _observed_in_window([], (2000, 2015))
