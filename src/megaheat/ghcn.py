@@ -16,15 +16,22 @@ and one reader and one writer serve both.  Each line covers a run of slots
 on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
-A record file is read in blocks of whole lines, about _BLOCK_BYTES each,
-and never held whole.  Each line kept reduces to a row of a per-line table
-(station id, element, first slot, slot count, int32 value fields); each
-series' frame, and then one series at a time its float64 values, are
-built from that table.  An integer field must match
-``" *-?[0-9]+"`` (year and month take no sign); year 0 has no calendar date
-and is rejected like a month outside 1-12; inventory lat, lon and
-elevation must be plain decimal text: spaces, an optional sign, digits
-with at most one decimal point, and nothing else.
+A record file is read in two passes and never held whole.  The framing
+pass reads blocks of whole lines, about _BLOCK_BYTES each, into one reused
+buffer, parses every header and value field, and keeps per line kept only
+its first slot, slot count and byte offset (17 bytes); lines are grouped
+into series by their runs of one id and element, and each series' frame
+comes from its runs.  The values pass then reads each series' kept lines
+back from the same source by offset, parses their value fields again and
+builds the series' float64 values, one series at a time; a file that
+changed in between is an error, not other values.  A pipe is first copied
+to a temporary file, so that it can be read twice.
+
+An integer field must match ``" *-?[0-9]+"`` (year and month take no
+sign); year 0 has no calendar date and is rejected like a month outside
+1-12; inventory lat, lon and elevation must be plain decimal text:
+spaces, an optional sign, digits with at most one decimal point, and
+nothing else.
 
 Per-record problems (bad length, non-numeric fields, impossible years or
 months) are reported as ParseIssue entries carrying 1-based line numbers
@@ -42,6 +49,8 @@ import io
 import math
 import os
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,9 +105,10 @@ _BLOCK_BYTES = 1 << 20
 _DECIMAL = re.compile(rb" *[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+) *")
 
 
-def _split_lines(buf: bytes):
+def _split_lines(buf):
     """Offsets and lengths of physical lines, tolerating CRLF and a missing
-    final newline.  Empty lines are dropped (they carry no record)."""
+    final newline, and the count of physical lines.  Empty lines are
+    dropped (they carry no record)."""
     arr = np.frombuffer(buf, dtype=np.uint8)
     nl = np.flatnonzero(arr == 0x0A)
     starts = np.concatenate(([0], nl + 1))
@@ -110,14 +120,23 @@ def _split_lines(buf: bytes):
     ends = ends - cr.astype(np.int64)
     numbers = np.arange(1, starts.size + 1, dtype=np.int64)
     keep = ends > starts
-    return arr, starts[keep], ends[keep], numbers[keep]
+    return arr, starts[keep], ends[keep], numbers[keep], starts.size
+
+
+def _rows_at(arr, starts, length):
+    """The rows of arr of the given length at starts (at least one): a view
+    when they start at one fixed step, else one copy of them."""
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    if np.all(np.diff(starts) == step):
+        return np.ndarray((starts.size, length), np.uint8, arr, int(starts[0]), (step, 1))
+    return np.lib.stride_tricks.sliding_window_view(arr, length)[starts]
 
 
 def _gather_lines(arr, starts, ends, numbers, expected_len):
-    """Return (matrix, line_numbers, issues) where matrix rows are exactly
-    expected_len bytes: a view of arr when the lines start at one fixed
-    step (LF or CRLF ends, with or without a final line break), else one
-    copy of those lines."""
+    """Return (matrix, starts, line_numbers, issues) of the lines exactly
+    expected_len bytes long; matrix rows are a view of arr when the lines
+    start at one fixed step (LF or CRLF ends, with or without a final line
+    break), else one copy of those lines."""
     lengths = ends - starts
     good = lengths == expected_len
     issues = [
@@ -126,12 +145,8 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     ]
     starts, numbers = starts[good], numbers[good]
     if starts.size == 0:
-        return np.empty((0, expected_len), dtype=np.uint8), numbers, issues
-    windows = np.lib.stride_tricks.sliding_window_view(arr, expected_len)
-    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
-    if np.all(np.diff(starts) == step):
-        return windows[starts[0] :: step][: starts.size], numbers, issues
-    return windows[starts], numbers, issues
+        return np.empty((0, expected_len), dtype=np.uint8), starts, numbers, issues
+    return _rows_at(arr, starts, expected_len), starts, numbers, issues
 
 
 def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
@@ -208,9 +223,11 @@ def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
 
 
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
-    """Indices keeping the last occurrence of each key, in key order."""
+    """Indices keeping the last occurrence of each key, in ascending order."""
+    if np.all(keys[1:] > keys[:-1]):
+        return np.arange(keys.size)
     _, idx = np.unique(keys[::-1], return_index=True)
-    return keys.size - 1 - idx
+    return np.sort(keys.size - 1 - idx)
 
 
 def _line_slots(layout: _Layout, months: np.ndarray):
@@ -223,108 +240,229 @@ def _line_slots(layout: _Layout, months: np.ndarray):
     return days[0], days[1] - days[0]
 
 
+def _value_fields(layout: _Layout, matrix: np.ndarray, count: np.ndarray):
+    """The int32 value fields of record lines, and whether every field
+    within each line's slot count parses."""
+    ints, ok = _parse_int_fields(matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
+    if ok.all():  # the usual case, and one reduction over the whole block
+        return ints, np.ones(len(ok), dtype=bool)
+    return ints, (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
+
+
 def _line_blocks(fh):
-    """The bytes of a binary file in blocks of whole lines, read about
-    _BLOCK_BYTES at a time; every block but the last ends in a line break."""
-    rest = []
-    while chunk := fh.read(_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
+    """The bytes of a binary file in blocks of whole lines, read into one
+    reused buffer of about _BLOCK_BYTES; every block but the last ends in a
+    line break.  A block is a uint8 view of the buffer, valid until the
+    next block is asked for: the partial line after its last break then
+    moves to the buffer's front, and the next read fills the rest."""
+    buf, held = bytearray(_BLOCK_BYTES), 0
+    while True:
+        if held == len(buf):  # one line fills the buffer: a new, larger one
+            buf = buf + bytes(len(buf))
+        got = fh.readinto(memoryview(buf)[held:])
+        if not got:
+            break
+        cut = buf.rfind(b"\n", held, held + got) + 1
+        held += got
         if cut:
-            yield b"".join(rest + [chunk[:cut]])
-            rest = []
-        if cut < len(chunk):
-            rest.append(chunk[cut:])
-    if rest:
-        yield b"".join(rest)
+            yield np.frombuffer(buf, np.uint8, cut)
+            buf[: held - cut] = buf[cut:held]
+            held -= cut
+    if held:
+        yield np.frombuffer(buf, np.uint8, held)
 
 
-def _block_rows(layout: _Layout, block: bytes, number: int):
-    """The table rows (id, element, first slot, slot count, int32 value
-    fields) of the lines of a block, the first being line ``number``, whose
-    element is wanted and whose fields parse; its bad-length issues; and
-    the numbers of its lines with a bad header or a non-numeric field."""
-    arr, starts, ends, numbers = _split_lines(block)
-    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
+def _block_rows(layout: _Layout, block, number: int):
+    """The framing of a block's lines, the first being line ``number``.
 
-    # row-filter narrow column slices rather than the whole line matrix;
-    # full-width fancy indexing would copy every line per filter pass
+    Returns, for the lines whose element is wanted and whose fields parse,
+    their first slots, slot counts and byte offsets in the block, and their
+    runs of one raw id and element as (id, element, first line, lowest
+    slot, slot past the last); the block's count of lines and its
+    bad-length issues; and the numbers of its lines with a bad header, then
+    with a non-numeric value field.  No array returned is a view of the
+    block.
+    """
+    arr, starts, ends, numbers, lines = _split_lines(block)
+    matrix, starts, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
     element = _bytes_column(matrix, *layout.element_cols)
-    rows = np.flatnonzero(np.isin(element, layout.elements))
-    numbers, element = numbers[rows], element[rows]
-
+    wanted = np.isin(element, layout.elements)
+    if not wanted.all():
+        matrix, starts, numbers, element = matrix[wanted], starts[wanted], numbers[wanted], element[wanted]
     # year 0 has no calendar date, so it is a damaged field like any other
-    year, ok_head = _parse_int_fields(matrix[:, 11:15][rows], allow_sign=False)
+    year, ok_head = _parse_int_fields(matrix[:, 11:15], allow_sign=False)
     ok_head &= year > 0
     month = np.ones_like(year)
     if layout.has_month:
-        month, ok_m = _parse_int_fields(matrix[:, 15:17][rows], allow_sign=False)
+        month, ok_m = _parse_int_fields(matrix[:, 15:17], allow_sign=False)
         ok_head &= ok_m & (month >= 1) & (month <= 12)
-    bad_head = numbers[~ok_head]
-    rows, numbers, element = rows[ok_head], numbers[ok_head], element[ok_head]
-    first, count = _line_slots(layout, year[ok_head] * 12 + (month[ok_head] - 1))
-    ints, ok = _parse_int_fields(matrix[rows, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
-    good = (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
-    ids = matrix[:, 0:11][rows[good]].view("S11")[:, 0]
-    return (ids, element[good], first[good], count[good], ints[good]), issues, bad_head, numbers[~good]
+    first, count = _line_slots(layout, year * 12 + (month - 1))
+    _, ok_fields = _value_fields(layout, matrix, count)
+    good = ok_head & ok_fields
+    ids, element, first, count = _bytes_column(matrix, 0, 11)[good], element[good], first[good], count[good]
+    run = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]) | (element[1:] != element[:-1]))))[: ids.size]
+    runs = (ids[run], element[run], run, np.minimum.reduceat(first, run), np.maximum.reduceat(first + count, run))
+    return (first, count, starts[good]), runs, lines, issues, numbers[~ok_head], numbers[ok_head & ~ok_fields]
+
+
+def _stamp(fh):
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns
+
+
+def _open_records(source):
+    """A seekable binary handle on a record file's bytes or path and, for a
+    path, the size and mtime_ns it had when opened.  A file that cannot
+    seek (a pipe) is first copied block by block to an unnamed temporary
+    file, which is read in its place."""
+    if isinstance(source, bytes):
+        return io.BytesIO(source), None
+    fh = open(source, "rb")
+    if fh.seekable():
+        return fh, _stamp(fh)
+    with fh:
+        copy = tempfile.TemporaryFile()
+        try:
+            shutil.copyfileobj(fh, copy, _BLOCK_BYTES)
+            copy.seek(0)
+        except BaseException:
+            copy.close()
+            raise
+    return copy, None
+
+
+def _read_back(layout: _Layout, fh, buf: np.ndarray, offsets: np.ndarray):
+    """The lines at the given ascending byte offsets of fh, read again into
+    buf, each read over one contiguous range of at most _BLOCK_BYTES (or
+    one line); yields (slice of offsets, lines), the lines a view of buf.
+    ValueError when the file ends before a line does."""
+    # every line starting within one step of a read's first line ends within it
+    step = max(_BLOCK_BYTES - layout.length, 1)
+    bounds = [0, *(np.flatnonzero(np.diff((offsets - offsets[0]) // step)) + 1).tolist(), offsets.size]
+    for part in map(slice, bounds[:-1], bounds[1:]):
+        at = int(offsets[part.start])
+        size = int(offsets[part.stop - 1]) + layout.length - at
+        fh.seek(at)
+        if fh.readinto(buf[:size]) != size:
+            raise ValueError("the record file is shorter than when it was framed")
+        yield part, _rows_at(buf[:size], offsets[part] - at, layout.length)
+
+
+def _records(layout: _Layout, source):
+    """Frame a record file (bytes or a path), yield (frames, issues), then
+    each series' values in turn; see _read."""
+    fh, stamp = _open_records(source)
+    with fh:
+        # framing pass: per line kept, its first slot, slot count and byte
+        # offset, in columns sized to the most whole lines the file can hold
+        fh.seek(0, io.SEEK_END)
+        cap = (fh.tell() + 1) // (layout.length + 1) + 1
+        fh.seek(0)
+        first, count, offset = np.empty(cap, np.int64), np.empty(cap, np.uint8), np.empty(cap, np.int64)
+        # per block, its runs (id, element, first line, lowest slot, slot
+        # past the last); the empty first entry stands for a file of no lines
+        runs = [(np.empty(0, "S11"), np.empty(0, "S4"), *np.empty((3, 0), np.int64))]
+        n, at, number, issues, bad_lines = 0, 0, 1, [], []
+        for block in _line_blocks(fh):
+            line_columns, block_runs, block_lines, block_issues, *bad = _block_rows(layout, block, number)
+            k = line_columns[0].size
+            if n + k > cap:
+                raise ValueError("the record file grew while it was read")
+            for column, part in zip((first, count, offset), line_columns):
+                column[n : n + k] = part
+            offset[n : n + k] += at
+            ids, element, start, lo, hi = block_runs
+            runs.append((ids, element, start + n, lo, hi))
+            n, at, number = n + k, at + block.size, number + block_lines
+            issues += block_issues
+            bad_lines.append(bad)
+        head = "bad year/month field" if layout.has_month else "bad year field"
+        for message, numbers in zip((head, "non-numeric value field"), zip(*bad_lines)):
+            issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(numbers)]
+
+        # a series is the runs of its (reported id, element), in file order
+        ids, element, start, lo, hi = (np.concatenate(column) for column in zip(*runs))
+        stop = np.append(start[1:], n)
+        series = _series_rows(ids, element)
+        spans = [(int(lo[r].min()), int(hi[r].max())) for r in series]
+        kind = DailySeries if layout.has_month else MonthlySeries
+        yield [
+            series_at(kind, _station_id(ids[r[0]]), element[r[0]].decode("ascii"), a, np.broadcast_to(np.nan, b - a))
+            for r, (a, b) in zip(series, spans)
+        ], issues
+
+        # values pass: the kept lines of consecutive series, about a block's
+        # worth at a time, read back in file order, checked against their
+        # framing and parsed together; then each series' values in turn
+        buf = np.empty(max(_BLOCK_BYTES, layout.length), np.uint8)
+        col = np.arange(layout.groups)
+        # a batch closes where the running count of lines passes a multiple of a block's lines
+        ends = np.cumsum([int((stop[r] - start[r]).sum()) for r in series])
+        cuts = np.flatnonzero(np.diff(ends // (_BLOCK_BYTES // (layout.length + 1) + 1))) + 1
+        for batch in np.split(np.arange(len(series)), cuts) if series else []:
+            if stamp is not None and _stamp(fh) != stamp:
+                raise ValueError("the record file changed since it was framed")
+            kept = []
+            for k in batch:
+                rows = np.concatenate([np.arange(i, j) for i, j in zip(start[series[k]], stop[series[k]])])
+                kept.append(rows[_dedup_last(first[rows])])
+            batch_rows = np.concatenate(kept)
+            order = np.argsort(batch_rows)
+            ints = np.empty((batch_rows.size, layout.groups), np.int32)
+            for part, lines in _read_back(layout, fh, buf, offset[batch_rows[order]]):
+                pos = order[part]
+                rows = batch_rows[pos]
+                parsed, same = _value_fields(layout, lines, count[rows])
+                run = np.searchsorted(start, rows, side="right") - 1
+                same &= _bytes_column(lines, 0, 11) == ids[run]
+                same &= _bytes_column(lines, *layout.element_cols) == element[run]
+                if not same.all():
+                    line = int(offset[rows[~same][0]])
+                    raise ValueError(f"the line at byte {line} of the record file changed since it was framed")
+                ints[pos] = parsed
+            bounds = np.cumsum([0] + [len(rows) for rows in kept])
+            for k, rows, begin, end in zip(batch, kept, bounds[:-1], bounds[1:]):
+                a, b = spans[k]
+                f, c = first[rows], count[rows]
+                mask = col < c[:, None]
+                v = ints[begin:end][mask]
+                degrees = v / layout.scale
+                degrees[v == MISSING_INT] = np.nan
+                out = np.full(b - a, np.nan)
+                if np.array_equal(f[1:], f[:-1] + c[:-1]):  # the lines' slots follow on: one slice
+                    out[f[0] - a : f[0] - a + v.size] = degrees
+                else:
+                    out[((f[:, None] - a) + col)[mask]] = degrees
+                yield out
 
 
 def _read(layout: _Layout, source):
-    """(frames, values, issues) of a record file, its bytes or a path,
-    read in blocks of whole lines into a per-line table.
+    """(frames, values, issues) of a record file, its bytes or a path, read
+    in two passes over the source.
 
-    frames holds one series per (station, element) of the layout's
-    elements, sorted by station id then element, each with a read-only
-    all-NaN view as long as its values; values yields their values in
-    turn, one series at a time.  When a line's (station, element, year[,
-    month]) repeats, the later line whose value fields parse wins.  Issues
-    list bad line lengths, then bad headers, then non-numeric value
-    fields, each in line order.
+    The framing pass reads blocks of whole lines and keeps, per line whose
+    element is wanted and whose fields parse, only its first slot, slot
+    count and byte offset (17 bytes), and per run of lines with one raw id
+    and element that id, element and slot span.  frames holds one series
+    per (station, element) of the layout's elements, grouped from the runs
+    and sorted by station id then element, each with a read-only all-NaN
+    view as long as its values.  values is the values pass: it yields the
+    series' values in turn, one series at a time, each built from its kept
+    lines read back from the source by offset and parsed again, those of
+    consecutive series about a block's worth at a time.  When a line's
+    (station, element, year[, month]) repeats, the later line whose value
+    fields parse wins.  Issues list bad line lengths, then bad headers,
+    then non-numeric value fields, each in line order.
+
+    values raises ValueError when the file changed between the passes: its
+    size or mtime differs, it ends early, or a line read back no longer
+    parses or carries another id or element; framing raises it when the
+    file grows as it is read.  The source stays open until values is
+    exhausted, closed or dropped.
     """
-    in_memory = isinstance(source, bytes)
-    n, number, issues, bad_lines = 0, 1, [], []
-    with io.BytesIO(source) if in_memory else open(source, "rb") as fh:
-        # preallocated to the most whole lines the size allows, as columns
-        # gathered per block and joined at the end leave the heap
-        # fragmented; a pipe reports size 0, and the table then grows
-        cap = ((len(source) if in_memory else os.fstat(fh.fileno()).st_size) + 1) // (layout.length + 1) + 1
-        table = [np.empty(cap, "S11"), np.empty(cap, "S4"), np.empty(cap, np.int64), np.empty(cap, np.int64)]
-        table.append(np.empty((cap, layout.groups), np.int32))
-        for block in _line_blocks(fh):
-            rows, block_issues, *bad = _block_rows(layout, block, number)
-            number += block.count(b"\n")
-            issues += block_issues
-            bad_lines.append(bad)
-            k = rows[0].size
-            if n + k > table[0].size:
-                table = [np.concatenate((c[:n], np.empty((max(k, n),) + c.shape[1:], c.dtype))) for c in table]
-            for column, part in zip(table, rows):
-                column[n : n + k] = part
-            n += k
-    head = "bad year/month field" if layout.has_month else "bad year field"
-    for message, lines in zip((head, "non-numeric value field"), zip(*bad_lines)):
-        issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(lines)]
-
-    ids, element, first, count, ints = (column[:n] for column in table)
-    keeps = [rows[_dedup_last(first[rows])] for rows in _series_rows(ids, element)]
-    spans = [(int(first[k[0]]), int((first[k] + count[k]).max())) for k in keeps]
-    kind = DailySeries if layout.has_month else MonthlySeries
-    frames = [
-        series_at(kind, _station_id(ids[k[0]]), element[k[0]].decode("ascii"), lo, np.broadcast_to(np.nan, hi - lo))
-        for k, (lo, hi) in zip(keeps, spans)
-    ]
-
-    def values():
-        col = np.arange(layout.groups)
-        for k, (lo, hi) in zip(keeps, spans):
-            f, v = first[k], ints[k]
-            mask = col < count[k][:, None]
-            degrees = v / layout.scale
-            degrees[v == MISSING_INT] = np.nan
-            out = np.full(hi - lo, np.nan)
-            out[((f[:, None] - lo) + col)[mask]] = degrees[mask]
-            yield out
-
-    return frames, values(), issues
+    records = _records(layout, source)
+    frames, issues = next(records)
+    return frames, records, issues
 
 
 def read_ghcnd(source):

@@ -543,6 +543,24 @@ def _read_input(path: Path, read, *args):
         raise DataError(f"cannot read input file {path}: {exc}") from exc
 
 
+def _read_records(path: Path, read) -> tuple:
+    """read(path) of an input record file: (frames, values, issues), the
+    values read back one series at a time; DataError when the file is
+    missing, cannot be read, or changes between framing and reading back."""
+    try:
+        frames, values, issues = _read_input(path, read)
+    except ValueError as exc:
+        raise DataError(f"cannot read input file {path}: {exc}") from exc
+
+    def checked():
+        try:
+            yield from values
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot read input file {path}: {exc}") from exc
+
+    return frames, checked(), issues
+
+
 def _require(path: Path, producer: str) -> None:
     if not path.exists():
         raise DataError(f"missing {path.name}; run the {producer} stage first")
@@ -730,9 +748,9 @@ def stage_ingest(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: _input_path(out, cfg, name) for name in INPUT_FILES}
-    # the series are framed here and their values made only as they are saved
-    daily, daily_values, daily_issues = _read_input(paths["daily"], read_ghcnd)
-    monthly, monthly_values, monthly_issues = _read_input(paths["monthly"], read_ghcnm)
+    # the series are framed here and their values read back only as they are saved
+    daily, daily_values, daily_issues = _read_records(paths["daily"], read_ghcnd)
+    monthly, monthly_values, monthly_issues = _read_records(paths["monthly"], read_ghcnm)
     stations, station_issues = parse_stations(_read_input(paths["stations"], Path.read_bytes))
     if not stations:
         raise DataError("no stations parsed from the inventory")

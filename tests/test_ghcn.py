@@ -264,8 +264,8 @@ class TestGatherLines:
     LINES = [dly_line("USW00000001", 1956, m, "TMAX", [m]).encode() for m in (1, 2, 3)]
 
     def _gather(self, blob):
-        arr, starts, ends, numbers = ghcn._split_lines(blob)
-        matrix, numbers, issues = ghcn._gather_lines(arr, starts, ends, numbers, 269)
+        arr, starts, ends, numbers, _ = ghcn._split_lines(blob)
+        matrix, _, numbers, issues = ghcn._gather_lines(arr, starts, ends, numbers, 269)
         return arr, matrix, numbers.tolist(), issues
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
@@ -454,7 +454,7 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("layout", ["daily", "monthly"])
     def test_a_pipe_parses_like_a_file(self, layout, tmp_path):
-        # a pipe reports no size, so the per-line table grows as it fills
+        # a pipe cannot seek, so it is read back from a temporary copy
         parse = parse_ghcnd if layout == "daily" else parse_ghcnm
         _, lines = _edge_lines(layout)
         blob = ("\n".join(lines * 20) + "\n").encode()
@@ -466,6 +466,54 @@ class TestBlockEdges:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert piped == self._parsed(parse, blob, 10**7)
+
+
+class TestChangedBetweenPasses:
+    """read_ghcnd frames a file; values reads each series' lines back from
+    it.  A file rewritten in between raises ValueError rather than give
+    values the framing does not describe."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ghcnd.dly"
+        path.write_bytes(serialize_ghcnd(_daily_world(2, 2)))
+        return path
+
+    @pytest.mark.parametrize("change", ["non-numeric field", "truncated"])
+    @pytest.mark.parametrize("same_mtime", [False, True])
+    def test_rewritten_file_raises(self, path, change, same_mtime):
+        before = path.stat()
+        frames, values, _ = ghcn.read_ghcnd(path)
+        blob = path.read_bytes()
+        if change == "truncated":
+            blob = blob[: len(blob) // 2]
+        else:
+            lines = blob.decode().split("\n")
+            lines[len(lines) // 2] = _with_field(lines[len(lines) // 2], 3, " 1x3 ")
+            blob = "\n".join(lines).encode()
+        path.write_bytes(blob)
+        if same_mtime:
+            # a rewrite of the same length then shows only in the lines read back
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        with pytest.raises(ValueError, match="record file"):
+            list(values)
+        assert len(frames) == 4
+
+    def test_file_grown_while_framed_raises(self, path, monkeypatch):
+        blob = path.read_bytes()
+        blocks = ghcn._line_blocks
+
+        def appending(fh):
+            for k, block in enumerate(blocks(fh)):
+                yield block
+                if k == 0:
+                    with open(path, "ab") as extra:
+                        extra.write(blob)
+
+        monkeypatch.setattr(ghcn, "_line_blocks", appending)
+        monkeypatch.setattr(ghcn, "_BLOCK_BYTES", 4096)
+        with pytest.raises(ValueError, match="grew"):
+            ghcn.read_ghcnd(path)
 
 
 class TestParseGhcnm:

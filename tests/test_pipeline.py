@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from megaheat import ghcn, pipeline, stats
+from megaheat import cli, ghcn, pipeline, stats
 from megaheat.pipeline import (
     ConfigError,
     DataError,
@@ -918,6 +918,32 @@ class TestStageErrors:
         with pytest.raises(DataError, match=pipeline.F_PARSED_MONTHLY):
             pipeline.stage_qc(tmp_path, cfg)
 
+    @pytest.mark.parametrize("change", ["non-numeric field", "truncated"])
+    def test_daily_file_rewritten_after_framing(self, tmp_path, monkeypatch, capsys, change):
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+        read = pipeline.read_ghcnd
+
+        def read_then_rewrite(path):
+            framed = read(path)
+            blob = path.read_bytes()
+            if change == "truncated":
+                blob = blob[: len(blob) // 2]
+            else:
+                at = blob.index(b"\n", len(blob) // 2) + 1 + ghcn._DAILY.values_at
+                blob = blob[:at] + b" 1x3 " + blob[at + 5 :]
+            path.write_bytes(blob)
+            return framed
+
+        monkeypatch.setattr(pipeline, "read_ghcnd", read_then_rewrite)
+        with pytest.raises(DataError, match="ghcnd.dly"):
+            pipeline.stage_ingest(tmp_path, cfg)
+        assert not (tmp_path / pipeline.F_PARSED_DAILY).exists()
+        assert cli.main(["ingest", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ghcnd.dly" in err and "Traceback" not in err
+        assert not (tmp_path / pipeline.F_PARSED_DAILY).exists()
+
     def test_trends_requires_indices(self, tmp_path):
         cfg = load_config({})
         with pytest.raises(DataError, match="indices"):
@@ -1008,21 +1034,22 @@ class TestReportOnEmptyDir:
 
 
 class TestIngestMemory:
-    """stage_ingest holds a per-line table and one block's work, never a
-    record file's bytes or every series' values at once.
+    """stage_ingest holds a small per-line index and one block's work, never
+    a record file's bytes, its value fields or every series' values at once.
 
     The budget follows the design, whatever the world's size:
-    - per record line, its table row: an 11-byte id, a 4-byte element, an
-      8-byte first slot and slot count each, and 4 bytes per value field;
-    - per record line, under 48 bytes of index arrays: the series grouping
-      and each series' kept lines;
-    - one block's work (its bytes, newline mask, gathered lines and parsed
-      fields) under 8 blocks of _BLOCK_BYTES;
-    - one series' values and their scatter, under 48 bytes per slot of the
-      longest series;
-    - 1 MiB for Python objects: the frames, issues, pairs and lists.
-    A reader that holds the daily file's bytes (270 per line) and every
-    parsed series (about 240 per line) needs more than that.
+    - per record line, its index row: an 8-byte first slot, a 1-byte slot
+      count and an 8-byte byte offset; series are grouped from runs of
+      lines, so no per-line id, element or grouping array is held;
+    - one block's work (the read buffer, newline mask, gathered lines and
+      parsed fields), in the framing pass or in the read back of a batch
+      of series (a block's worth of lines and one series more), under 8
+      blocks of _BLOCK_BYTES;
+    - one series' values, the index arrays of its kept lines and their
+      scatter, under 48 bytes per slot of the longest series;
+    - 1 MiB for Python objects: the frames, runs, issues, pairs and lists.
+    A reader that keeps each line's int32 value fields (124 bytes per daily
+    line) until the series are saved needs more than that.
     """
 
     def test_peak(self, tmp_path):
@@ -1032,9 +1059,9 @@ class TestIngestMemory:
         write_world(world, tmp_path)
         del world
         budget = 8 * ghcn._BLOCK_BYTES + 48 * longest + 2**20
-        for name, layout in (("ghcnd.dly", ghcn._DAILY), ("ghcnm.dat", ghcn._MONTHLY)):
+        for name in ("ghcnd.dly", "ghcnm.dat"):
             lines = (tmp_path / name).read_bytes().count(b"\n")
-            budget += lines * (11 + 4 + 8 + 8 + 4 * layout.groups + 48)
+            budget += lines * (8 + 1 + 8)
         assert (tmp_path / "ghcnd.dly").stat().st_size > 10 * ghcn._BLOCK_BYTES
         tracemalloc.start()
         try:
