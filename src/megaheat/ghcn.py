@@ -18,14 +18,14 @@ line the month_index values of its year's 12 months.
 
 A record file is read in two passes and never held whole.  The framing
 pass reads blocks of whole lines, about _BLOCK_BYTES each, into one reused
-buffer, parses every header and value field, and keeps per line kept only
-its first slot, slot count and byte offset (17 bytes); lines are grouped
-into series by their runs of one id and element, and each series' frame
-comes from its runs.  The values pass then reads each series' kept lines
-back from the same source by offset, parses their value fields again and
-builds the series' float64 values, one series at a time; a file that
-changed in between is an error, not other values.  A pipe is first copied
-to a temporary file, so that it can be read twice.
+buffer, parses every header field, checks every value field, and keeps
+per line kept only its raw id, element, first slot, slot count and byte
+offset (32 bytes, in any order of lines); lines are grouped into series
+and each series' frame comes from its lines.  The values pass then reads
+each series' kept lines back from the same source by offset, parses
+their value fields and builds the series' float64 values, one series at
+a time; a file that changed in between is an error, not other values.  A
+pipe is first copied to a temporary file, so that it can be read twice.
 
 An integer field must match ``" *-?[0-9]+"`` (year and month take no
 sign); year 0 has no calendar date and is rejected like a month outside
@@ -149,24 +149,25 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     return _rows_at(arr, starts, expected_len), starts, numbers, issues
 
 
-def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
+def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True, parse: bool = True):
     """Parse right-justified integer byte fields of shape (lines, ..., width).
 
-    Returns int32 (values, ok).  A field is ok when it matches ``" *-?[0-9]+"``
-    (``" *[0-9]+"`` without allow_sign), checked as three rules: every byte
-    is a digit, a space or '-'; a space or '-' only ever follows a space;
-    the last byte is a digit.  Values of fields that are not ok are
-    unspecified.  Lines go through in blocks of about _BLOCK_FIELDS fields,
-    each copied once into one contiguous byte column per position; int32
-    holds any field of up to 9 chars.
+    Returns int32 (values, ok), values None unless parse.  A field is ok
+    when it matches ``" *-?[0-9]+"`` (``" *[0-9]+"`` without allow_sign),
+    checked as three rules: every byte is a digit, a space or '-'; a space
+    or '-' only ever follows a space; the last byte is a digit.  Values of
+    fields that are not ok are unspecified.  Lines go through in blocks of
+    about _BLOCK_FIELDS fields, each copied once into one contiguous byte
+    column per position; int32 holds any field of up to 9 chars.
     """
-    values = np.zeros(fields.shape[:-1], dtype=np.int32)
+    values = np.zeros(fields.shape[:-1], dtype=np.int32) if parse else None
     ok = np.empty(fields.shape[:-1], dtype=bool)
     step = max(1, _BLOCK_FIELDS // math.prod(fields.shape[1:-1]))
     for lo in range(0, len(fields), step):
         cols = np.moveaxis(fields[lo : lo + step], -1, 0).copy()
-        val, good = values[lo : lo + step], ok[lo : lo + step]
-        neg = np.zeros(good.shape, dtype=bool)
+        good = ok[lo : lo + step]
+        if parse:
+            val, neg = values[lo : lo + step], np.zeros(good.shape, dtype=bool)
         for p, c in enumerate(cols):
             digit = c - np.uint8(0x30)
             is_digit = digit < 10
@@ -175,17 +176,20 @@ def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
             if allow_sign:
                 minus = c == 0x2D
                 blank = space | minus
-                neg |= minus
             if p == 0:
                 np.logical_or(is_digit, blank, out=good)
             else:
                 good &= is_digit | (blank & after_space)
             after_space = space
-            digit *= is_digit
-            val *= 10
-            val += digit
+            if parse:
+                if allow_sign:
+                    neg |= minus
+                digit *= is_digit
+                val *= 10
+                val += digit
         good &= is_digit
-        np.negative(val, out=val, where=neg)
+        if parse:
+            np.negative(val, out=val, where=neg)
     return values, ok
 
 
@@ -210,22 +214,27 @@ def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
     """The rows of each (reported id, element) series, in file order; series sorted by that pair.
 
     Grouping by the reported id, not the raw field, makes lines under
-    ``PAD1       `` and `` PAD1      `` one series.
+    ``PAD1       `` and `` PAD1      `` one series.  Ids are sorted once
+    per run of rows with one raw id, so rows in any order group alike, and
+    a file that lists a station's lines together sorts one id per station.
+    The 4 element bytes, read as one big-endian integer, sort as the bytes do.
     """
     if ids.size == 0:
         return []
-    raw, raw_of_row = np.unique(ids, return_inverse=True)
+    run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    raw, raw_of_run = np.unique(ids[run], return_inverse=True)
     _, sid_of_raw = np.unique(np.array([_station_id(r) for r in raw.tolist()], dtype=object), return_inverse=True)
-    elements, element_of_row = np.unique(element, return_inverse=True)
-    keys = sid_of_raw[raw_of_row] * elements.size + element_of_row
+    codes = element.view(">u4")
+    elements = np.unique(codes)
+    keys = np.repeat(sid_of_raw[raw_of_run] * elements.size, np.diff(np.append(run, ids.size)))
+    keys += np.searchsorted(elements, codes)
     order = np.argsort(keys, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    sizes = np.bincount(keys)
+    return np.split(order, np.cumsum(sizes[sizes > 0])[:-1])
 
 
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
     """Indices keeping the last occurrence of each key, in ascending order."""
-    if np.all(keys[1:] > keys[:-1]):
-        return np.arange(keys.size)
     _, idx = np.unique(keys[::-1], return_index=True)
     return np.sort(keys.size - 1 - idx)
 
@@ -240,12 +249,11 @@ def _line_slots(layout: _Layout, months: np.ndarray):
     return days[0], days[1] - days[0]
 
 
-def _value_fields(layout: _Layout, matrix: np.ndarray, count: np.ndarray):
-    """The int32 value fields of record lines, and whether every field
-    within each line's slot count parses."""
-    ints, ok = _parse_int_fields(matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
-    if ok.all():  # the usual case, and one reduction over the whole block
-        return ints, np.ones(len(ok), dtype=bool)
+def _value_fields(layout: _Layout, matrix: np.ndarray, count: np.ndarray, parse: bool = True):
+    """The int32 value fields of record lines (None unless parse), and
+    whether every field within each line's slot count parses."""
+    fields = matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5]
+    ints, ok = _parse_int_fields(fields, parse=parse)
     return ints, (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
 
 
@@ -276,12 +284,11 @@ def _block_rows(layout: _Layout, block, number: int):
     """The framing of a block's lines, the first being line ``number``.
 
     Returns, for the lines whose element is wanted and whose fields parse,
-    their first slots, slot counts and byte offsets in the block, and their
-    runs of one raw id and element as (id, element, first line, lowest
-    slot, slot past the last); the block's count of lines and its
-    bad-length issues; and the numbers of its lines with a bad header, then
-    with a non-numeric value field.  No array returned is a view of the
-    block.
+    their raw ids, elements, first slots, slot counts and byte offsets in
+    the block; the block's count of lines and its bad-length issues; and
+    the numbers of its lines with a bad header, then with a non-numeric
+    value field.  Value fields are checked, not kept.  No array returned is
+    a view of the block.
     """
     arr, starts, ends, numbers, lines = _split_lines(block)
     matrix, starts, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
@@ -297,12 +304,10 @@ def _block_rows(layout: _Layout, block, number: int):
         month, ok_m = _parse_int_fields(matrix[:, 15:17], allow_sign=False)
         ok_head &= ok_m & (month >= 1) & (month <= 12)
     first, count = _line_slots(layout, year * 12 + (month - 1))
-    _, ok_fields = _value_fields(layout, matrix, count)
+    _, ok_fields = _value_fields(layout, matrix, count, parse=False)
     good = ok_head & ok_fields
-    ids, element, first, count = _bytes_column(matrix, 0, 11)[good], element[good], first[good], count[good]
-    run = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]) | (element[1:] != element[:-1]))))[: ids.size]
-    runs = (ids[run], element[run], run, np.minimum.reduceat(first, run), np.maximum.reduceat(first + count, run))
-    return (first, count, starts[good]), runs, lines, issues, numbers[~ok_head], numbers[ok_head & ~ok_fields]
+    line_columns = (_bytes_column(matrix, 0, 11)[good], element[good], first[good], count[good], starts[good])
+    return line_columns, lines, issues, numbers[~ok_head], numbers[ok_head & ~ok_fields]
 
 
 def _stamp(fh):
@@ -348,43 +353,41 @@ def _read_back(layout: _Layout, fh, buf: np.ndarray, offsets: np.ndarray):
         yield part, _rows_at(buf[:size], offsets[part] - at, layout.length)
 
 
+def _frame(layout: _Layout, fh):
+    """The framing pass over a seekable record file: the columns of its
+    kept lines (raw id, element, first slot, slot count and byte offset),
+    sized to the most whole lines the file can hold and cut to the lines
+    kept, and its issues; see _read."""
+    fh.seek(0, io.SEEK_END)
+    cap = (fh.tell() + 1) // (layout.length + 1) + 1
+    fh.seek(0)
+    columns = [np.empty(cap, dtype) for dtype in ("S11", "S4", np.int64, np.uint8, np.int64)]
+    n, at, number, issues, bad_lines = 0, 0, 1, [], []
+    for block in _line_blocks(fh):
+        line_columns, block_lines, block_issues, *bad = _block_rows(layout, block, number)
+        k = line_columns[0].size
+        if n + k > cap:
+            raise ValueError("the record file grew while it was read")
+        for column, part in zip(columns, line_columns):
+            column[n : n + k] = part
+        columns[-1][n : n + k] += at
+        n, at, number = n + k, at + block.size, number + block_lines
+        issues += block_issues
+        bad_lines.append(bad)
+    head = "bad year/month field" if layout.has_month else "bad year field"
+    for message, numbers in zip((head, "non-numeric value field"), zip(*bad_lines)):
+        issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(numbers)]
+    return [column[:n] for column in columns], issues
+
+
 def _records(layout: _Layout, source):
     """Frame a record file (bytes or a path), yield (frames, issues), then
     each series' values in turn; see _read."""
     fh, stamp = _open_records(source)
     with fh:
-        # framing pass: per line kept, its first slot, slot count and byte
-        # offset, in columns sized to the most whole lines the file can hold
-        fh.seek(0, io.SEEK_END)
-        cap = (fh.tell() + 1) // (layout.length + 1) + 1
-        fh.seek(0)
-        first, count, offset = np.empty(cap, np.int64), np.empty(cap, np.uint8), np.empty(cap, np.int64)
-        # per block, its runs (id, element, first line, lowest slot, slot
-        # past the last); the empty first entry stands for a file of no lines
-        runs = [(np.empty(0, "S11"), np.empty(0, "S4"), *np.empty((3, 0), np.int64))]
-        n, at, number, issues, bad_lines = 0, 0, 1, [], []
-        for block in _line_blocks(fh):
-            line_columns, block_runs, block_lines, block_issues, *bad = _block_rows(layout, block, number)
-            k = line_columns[0].size
-            if n + k > cap:
-                raise ValueError("the record file grew while it was read")
-            for column, part in zip((first, count, offset), line_columns):
-                column[n : n + k] = part
-            offset[n : n + k] += at
-            ids, element, start, lo, hi = block_runs
-            runs.append((ids, element, start + n, lo, hi))
-            n, at, number = n + k, at + block.size, number + block_lines
-            issues += block_issues
-            bad_lines.append(bad)
-        head = "bad year/month field" if layout.has_month else "bad year field"
-        for message, numbers in zip((head, "non-numeric value field"), zip(*bad_lines)):
-            issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(numbers)]
-
-        # a series is the runs of its (reported id, element), in file order
-        ids, element, start, lo, hi = (np.concatenate(column) for column in zip(*runs))
-        stop = np.append(start[1:], n)
+        (ids, element, first, count, offset), issues = _frame(layout, fh)
         series = _series_rows(ids, element)
-        spans = [(int(lo[r].min()), int(hi[r].max())) for r in series]
+        spans = [(int(first[r].min()), int((first[r] + count[r]).max())) for r in series]
         kind = DailySeries if layout.has_month else MonthlySeries
         yield [
             series_at(kind, _station_id(ids[r[0]]), element[r[0]].decode("ascii"), a, np.broadcast_to(np.nan, b - a))
@@ -397,15 +400,12 @@ def _records(layout: _Layout, source):
         buf = np.empty(max(_BLOCK_BYTES, layout.length), np.uint8)
         col = np.arange(layout.groups)
         # a batch closes where the running count of lines passes a multiple of a block's lines
-        ends = np.cumsum([int((stop[r] - start[r]).sum()) for r in series])
+        ends = np.cumsum([r.size for r in series])
         cuts = np.flatnonzero(np.diff(ends // (_BLOCK_BYTES // (layout.length + 1) + 1))) + 1
         for batch in np.split(np.arange(len(series)), cuts) if series else []:
             if stamp is not None and _stamp(fh) != stamp:
                 raise ValueError("the record file changed since it was framed")
-            kept = []
-            for k in batch:
-                rows = np.concatenate([np.arange(i, j) for i, j in zip(start[series[k]], stop[series[k]])])
-                kept.append(rows[_dedup_last(first[rows])])
+            kept = [series[k][_dedup_last(first[series[k]])] for k in batch]
             batch_rows = np.concatenate(kept)
             order = np.argsort(batch_rows)
             ints = np.empty((batch_rows.size, layout.groups), np.int32)
@@ -413,9 +413,8 @@ def _records(layout: _Layout, source):
                 pos = order[part]
                 rows = batch_rows[pos]
                 parsed, same = _value_fields(layout, lines, count[rows])
-                run = np.searchsorted(start, rows, side="right") - 1
-                same &= _bytes_column(lines, 0, 11) == ids[run]
-                same &= _bytes_column(lines, *layout.element_cols) == element[run]
+                same &= _bytes_column(lines, 0, 11) == ids[rows]
+                same &= _bytes_column(lines, *layout.element_cols) == element[rows]
                 if not same.all():
                     line = int(offset[rows[~same][0]])
                     raise ValueError(f"the line at byte {line} of the record file changed since it was framed")
@@ -441,15 +440,14 @@ def _read(layout: _Layout, source):
     in two passes over the source.
 
     The framing pass reads blocks of whole lines and keeps, per line whose
-    element is wanted and whose fields parse, only its first slot, slot
-    count and byte offset (17 bytes), and per run of lines with one raw id
-    and element that id, element and slot span.  frames holds one series
-    per (station, element) of the layout's elements, grouped from the runs
-    and sorted by station id then element, each with a read-only all-NaN
-    view as long as its values.  values is the values pass: it yields the
-    series' values in turn, one series at a time, each built from its kept
-    lines read back from the source by offset and parsed again, those of
-    consecutive series about a block's worth at a time.  When a line's
+    element is wanted and whose fields parse, only its raw id, element,
+    first slot, slot count and byte offset (32 bytes).  frames holds one
+    series per (station, element) of the layout's elements, grouped from
+    those lines and sorted by station id then element, each with a
+    read-only all-NaN view as long as its values.  values is the values
+    pass: it yields the series' values in turn, one series at a time, each
+    built from its kept lines read back from the source by offset and
+    parsed, those of consecutive series about a block's worth at a time.  When a line's
     (station, element, year[, month]) repeats, the later line whose value
     fields parse wins.  Issues list bad line lengths, then bad headers,
     then non-numeric value fields, each in line order.

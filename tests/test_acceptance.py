@@ -449,7 +449,7 @@ PERF_CFG = {
 
 
 # at most this VmHWM for ingest, which reads ghcnd.dly (390 MB) in blocks
-# and holds 17 bytes per line, and for each stage after it on the PERF_CFG
+# and holds 32 bytes per line, and for each stage after it on the PERF_CFG
 # world, which reads parsed_daily.npz (350 MB of values) one series at a time
 STAGE_PEAK_MIB = 150
 

@@ -452,6 +452,21 @@ class TestBlockEdges:
         for block in (1, 2, 3, 50, length - 2, length - 1, length, length + 1, 2 * length + 3, 3 * length - 1):
             assert self._parsed(parse, blob, block) == whole, block
 
+    @pytest.mark.parametrize("order", ["month by month", "shuffled"])
+    def test_line_order_changes_nothing(self, order):
+        # serialize_ghcnd writes series by series; a GHCN-Daily file lists a
+        # station's elements month by month, and any order groups alike
+        blob = serialize_ghcnd(_daily_world(3, 2))
+        lines = blob.splitlines(keepends=True)
+        if order == "month by month":
+            lines.sort(key=lambda line: (line[:11], line[11:17], line[17:21]))
+        else:
+            np.random.default_rng(2).shuffle(lines)
+        assert b"".join(lines) != blob
+        whole = self._parsed(parse_ghcnd, blob, 10**7)
+        for block in (300, 4096, 10**7):
+            assert self._parsed(parse_ghcnd, b"".join(lines), block) == whole, block
+
     @pytest.mark.parametrize("layout", ["daily", "monthly"])
     def test_a_pipe_parses_like_a_file(self, layout, tmp_path):
         # a pipe cannot seek, so it is read back from a temporary copy

@@ -1035,33 +1035,51 @@ class TestReportOnEmptyDir:
 
 class TestIngestMemory:
     """stage_ingest holds a small per-line index and one block's work, never
-    a record file's bytes, its value fields or every series' values at once.
+    a record file's bytes, its value fields or every series' values at once,
+    in whatever order the file lists its lines.
 
     The budget follows the design, whatever the world's size:
-    - per record line, its index row: an 8-byte first slot, a 1-byte slot
-      count and an 8-byte byte offset; series are grouped from runs of
-      lines, so no per-line id, element or grouping array is held;
+    - per record line, its index row: an 11-byte raw id, a 4-byte element,
+      an 8-byte first slot, a 1-byte slot count and an 8-byte byte offset;
+    - per record line, under 48 bytes of index arrays: the series grouping
+      and each series' kept lines;
     - one block's work (the read buffer, newline mask, gathered lines and
       parsed fields), in the framing pass or in the read back of a batch
       of series (a block's worth of lines and one series more), under 8
       blocks of _BLOCK_BYTES;
     - one series' values, the index arrays of its kept lines and their
       scatter, under 48 bytes per slot of the longest series;
-    - 1 MiB for Python objects: the frames, runs, issues, pairs and lists.
+    - 1 MiB for Python objects: the frames, issues, pairs and lists.
     A reader that keeps each line's int32 value fields (124 bytes per daily
     line) until the series are saved needs more than that.
     """
 
-    def test_peak(self, tmp_path):
-        # 57,600 daily lines: about 15 blocks
+    def test_peak(self, tmp_path, monkeypatch):
+        self._check_peak(tmp_path, monkeypatch, month_by_month=False)
+
+    def test_peak_month_by_month(self, tmp_path, monkeypatch):
+        # the GHCN-Daily order: a station's lines month by month, its elements interleaved
+        self._check_peak(tmp_path, monkeypatch, month_by_month=True)
+
+    @staticmethod
+    def _check_peak(tmp_path, monkeypatch, month_by_month):
+        # 57,600 daily lines; blocks of 256 KiB, about 60 of them, so the
+        # per-line terms outweigh the block term
+        monkeypatch.setattr(ghcn, "_BLOCK_BYTES", 1 << 18)
         world = synth_generate(3, SynthParams(n_pairs=1, uc_stations=20, nonuc_stations=20))
         longest = max(s.values.size for s in world.daily + world.monthly)
         write_world(world, tmp_path)
         del world
+        if month_by_month:
+            daily = tmp_path / "ghcnd.dly"
+            lines = daily.read_bytes().splitlines(keepends=True)
+            lines.sort(key=lambda line: (line[:11], line[11:17], line[17:21]))
+            daily.write_bytes(b"".join(lines))
+            del lines
         budget = 8 * ghcn._BLOCK_BYTES + 48 * longest + 2**20
         for name in ("ghcnd.dly", "ghcnm.dat"):
             lines = (tmp_path / name).read_bytes().count(b"\n")
-            budget += lines * (8 + 1 + 8)
+            budget += lines * (11 + 4 + 8 + 1 + 8 + 48)
         assert (tmp_path / "ghcnd.dly").stat().st_size > 10 * ghcn._BLOCK_BYTES
         tracemalloc.start()
         try:
