@@ -234,9 +234,9 @@ def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
 
 
 def _dedup_last(keys: np.ndarray) -> np.ndarray:
-    """Indices keeping the last occurrence of each key, in ascending order."""
+    """Indices keeping the last occurrence of each key, in key order."""
     _, idx = np.unique(keys[::-1], return_index=True)
-    return np.sort(keys.size - 1 - idx)
+    return keys.size - 1 - idx
 
 
 def _line_slots(layout: _Layout, months: np.ndarray):
@@ -294,8 +294,7 @@ def _block_rows(layout: _Layout, block, number: int):
     matrix, starts, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
     element = _bytes_column(matrix, *layout.element_cols)
     wanted = np.isin(element, layout.elements)
-    if not wanted.all():
-        matrix, starts, numbers, element = matrix[wanted], starts[wanted], numbers[wanted], element[wanted]
+    matrix, starts, numbers, element = matrix[wanted], starts[wanted], numbers[wanted], element[wanted]
     # year 0 has no calendar date, so it is a damaged field like any other
     year, ok_head = _parse_int_fields(matrix[:, 11:15], allow_sign=False)
     ok_head &= year > 0
@@ -447,10 +446,10 @@ def _read(layout: _Layout, source):
     read-only all-NaN view as long as its values.  values is the values
     pass: it yields the series' values in turn, one series at a time, each
     built from its kept lines read back from the source by offset and
-    parsed, those of consecutive series about a block's worth at a time.  When a line's
-    (station, element, year[, month]) repeats, the later line whose value
-    fields parse wins.  Issues list bad line lengths, then bad headers,
-    then non-numeric value fields, each in line order.
+    parsed, those of consecutive series about a block's worth at a time.
+    When a line's (station, element, year[, month]) repeats, the later line
+    whose value fields parse wins.  Issues list bad line lengths, then bad
+    headers, then non-numeric value fields, each in line order.
 
     values raises ValueError when the file changed between the passes: its
     size or mtime differs, it ends early, or a line read back no longer
