@@ -17,15 +17,18 @@ on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
 A record file is read in two passes and never held whole.  The framing
-pass reads blocks of whole lines, about _BLOCK_BYTES each, into one reused
-buffer, parses every header field, checks every value field, and keeps
-per line kept only its raw id, element, first slot, slot count and byte
-offset (32 bytes, in any order of lines); lines are grouped into series
-and each series' frame comes from its lines.  The values pass then reads
-each series' kept lines back from the same source by offset, parses
-their value fields and builds the series' float64 values, one series at
-a time; a file that changed in between is an error, not other values.  A
-pipe is first copied to a temporary file, so that it can be read twice.
+pass reads blocks of whole lines into one reused buffer of _BLOCK_BYTES,
+parses every header field, checks every value field, and keeps per line
+kept only its raw id, element, first slot, slot count and byte offset
+(32 bytes, in any order of lines); a line too long for the buffer (a
+whole file with CR-only line breaks, say) is read through to its line
+break in that buffer and reported by its length.  Lines are grouped into
+series and each series' frame comes from its lines.  The values pass
+then reads each series' kept lines back from the same source by offset,
+about _BLOCK_BYTES at a time, parses their value fields and builds the
+series' float64 values, one series at a time; a file that changed in
+between is an error, not other values.  A pipe is first copied to a
+temporary file, so that it can be read twice.
 
 An integer field must match ``" *-?[0-9]+"`` (year and month take no
 sign); year 0 has no calendar date and is rejected like a month outside
@@ -99,7 +102,7 @@ _FIELD_MIN, _FIELD_MAX = -9999, 99999  # the values a 5-char field holds
 _BLOCK_FIELDS = 1 << 16
 
 # bytes per read of a record file; each block is cut after its last line break
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 # plain decimal text; float() alone would also take "nan", "inf", "1e3", "1_0"
 _DECIMAL = re.compile(rb" *[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+) *")
@@ -132,6 +135,10 @@ def _rows_at(arr, starts, length):
     return np.lib.stride_tricks.sliding_window_view(arr, length)[starts]
 
 
+def _bad_length(line: int, expected_len: int, length: int) -> ParseIssue:
+    return ParseIssue(line=line, message=f"expected {expected_len}-char line, got {length}")
+
+
 def _gather_lines(arr, starts, ends, numbers, expected_len):
     """Return (matrix, starts, line_numbers, issues) of the lines exactly
     expected_len bytes long; matrix rows are a view of arr when the lines
@@ -139,10 +146,7 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     break), else one copy of those lines."""
     lengths = ends - starts
     good = lengths == expected_len
-    issues = [
-        ParseIssue(line=int(n), message=f"expected {expected_len}-char line, got {int(ln)}")
-        for n, ln in zip(numbers[~good], lengths[~good])
-    ]
+    issues = [_bad_length(int(n), expected_len, int(ln)) for n, ln in zip(numbers[~good], lengths[~good])]
     starts, numbers = starts[good], numbers[good]
     if starts.size == 0:
         return np.empty((0, expected_len), dtype=np.uint8), starts, numbers, issues
@@ -257,20 +261,26 @@ def _value_fields(layout: _Layout, matrix: np.ndarray, count: np.ndarray, parse:
     return ints, (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
 
 
-def _line_blocks(fh):
+def _line_blocks(fh, longest: int):
     """The bytes of a binary file in blocks of whole lines, read into one
-    reused buffer of about _BLOCK_BYTES; every block but the last ends in a
-    line break.  A block is a uint8 view of the buffer, valid until the
-    next block is asked for: the partial line after its last break then
-    moves to the buffer's front, and the next read fills the rest."""
-    buf, held = bytearray(_BLOCK_BYTES), 0
+    reused buffer of _BLOCK_BYTES (and room for a line of longest bytes
+    and a CR LF break at least); every block but the last ends in a line
+    break.  A block is a uint8 view of the buffer, valid until the next
+    block is asked for: the partial line after its last break then moves
+    to the buffer's front, and the next read fills the rest.  A line that
+    fills the buffer, longer than longest bytes whatever its break, is not
+    held: it is read through to its line break and comes as a pair (its
+    length, the bytes it spans with its break) in place of a block."""
+    buf, held = bytearray(max(_BLOCK_BYTES, longest + 2)), 0
     while True:
-        if held == len(buf):  # one line fills the buffer: a new, larger one
-            buf = buf + bytes(len(buf))
+        if held == len(buf):
+            length, size, held = _read_through(fh, buf)
+            yield length, size
         got = fh.readinto(memoryview(buf)[held:])
         if not got:
             break
-        cut = buf.rfind(b"\n", held, held + got) + 1
+        # after a line read through, the bytes held may hold line breaks too
+        cut = buf.rfind(b"\n", 0, held + got) + 1
         held += got
         if cut:
             yield np.frombuffer(buf, np.uint8, cut)
@@ -278,6 +288,24 @@ def _line_blocks(fh):
             held -= cut
     if held:
         yield np.frombuffer(buf, np.uint8, held)
+
+
+def _read_through(fh, buf: bytearray):
+    """Read on from a buffer that one line fills, through that line's break,
+    reusing the buffer.  Returns the line's length (without its break or a
+    final CR), the bytes it spans with its break, and the count of bytes
+    read after the break, moved to the buffer's front."""
+    spanned, last = len(buf), buf[-1]
+    while got := fh.readinto(buf):
+        brk = buf.find(b"\n", 0, got)
+        if brk < 0:
+            spanned, last = spanned + got, buf[got - 1]
+            continue
+        if brk:
+            last = buf[brk - 1]
+        buf[: got - brk - 1] = buf[brk + 1 : got]
+        return spanned + brk - (last == 0x0D), spanned + brk + 1, got - brk - 1
+    return spanned - (last == 0x0D), spanned, 0
 
 
 def _block_rows(layout: _Layout, block, number: int):
@@ -362,7 +390,12 @@ def _frame(layout: _Layout, fh):
     fh.seek(0)
     columns = [np.empty(cap, dtype) for dtype in ("S11", "S4", np.int64, np.uint8, np.int64)]
     n, at, number, issues, bad_lines = 0, 0, 1, [], []
-    for block in _line_blocks(fh):
+    for block in _line_blocks(fh, layout.length):
+        if isinstance(block, tuple):  # a line too long to hold, read through
+            length, size = block
+            issues.append(_bad_length(number, layout.length, length))
+            at, number = at + size, number + 1
+            continue
         line_columns, block_lines, block_issues, *bad = _block_rows(layout, block, number)
         k = line_columns[0].size
         if n + k > cap:

@@ -223,8 +223,8 @@ _RANGE_ZOOMS = 5
 _RANGE_BASINS = 3
 
 # Problems per stacked range search.  A zoom pass holds a few (basins zoomed,
-# grid, bins) arrays, up to 1 MB each at 64 problems of 10 bins.
-_FIT_CHUNK = 64
+# grid, bins) arrays, up to 250 KB each at 16 problems of 10 bins.
+_FIT_CHUNK = 16
 
 # Matrix entries per stacked kriging solve (8 MB of float64), so that a mask
 # group of many timesteps over hundreds of sites is solved in pieces.

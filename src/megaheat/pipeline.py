@@ -608,12 +608,19 @@ def _csv_text(rows, quoting) -> str:
     return buf.getvalue()
 
 
+# bytes per read of a file being hashed
+_HASH_BYTES = 1 << 16
+
+
 def _file_sha256(path: Path) -> str:
-    """SHA-256 of a file, read in 1 MiB chunks rather than whole."""
+    """SHA-256 of a file, read through one reused buffer of _HASH_BYTES
+    rather than whole or in fresh chunks."""
     digest = hashlib.sha256()
+    buf = bytearray(_HASH_BYTES)
+    view = memoryview(buf)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while got := fh.readinto(buf):
+            digest.update(view[:got])
     return digest.hexdigest()
 
 

@@ -210,9 +210,16 @@ def _sen_rows(times, diffs):
     return np.where(np.isnan(last), last, mid)
 
 
+# pairwise slopes per stacked median: a piece's diffs, slopes and their
+# sort stay within about 256 KiB of float64 each
+_SEN_ENTRIES = 1 << 15
+
+
 def _stacked_sen(rows):
     """Theil-Sen slope of each (int64 years, values) row, NaN under two
-    years; rows over equal years share one stacked median."""
+    years.  Rows over equal years share stacked medians, taken in pieces of
+    as many rows as hold at most _SEN_ENTRIES pairwise slopes (one row at
+    least); _sen_rows works row by row, so the pieces change no slope."""
     slopes = np.full(len(rows), np.nan)
     stacks: dict = {}
     for k, (years, _) in enumerate(rows):
@@ -220,7 +227,10 @@ def _stacked_sen(rows):
             stacks.setdefault(years.tobytes(), []).append(k)
     for ks in stacks.values():
         times = rows[ks[0]][0].astype(float)
-        slopes[ks] = _sen_rows(times, _pair_diffs(np.array([rows[k][1] for k in ks])))
+        step = max(1, _SEN_ENTRIES // (times.size * (times.size - 1) // 2))
+        for lo in range(0, len(ks), step):
+            piece = ks[lo : lo + step]
+            slopes[piece] = _sen_rows(times, _pair_diffs(np.array([rows[k][1] for k in piece])))
     return slopes.tolist()
 
 

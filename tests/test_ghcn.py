@@ -452,6 +452,30 @@ class TestBlockEdges:
         for block in (1, 2, 3, 50, length - 2, length - 1, length, length + 1, 2 * length + 3, 3 * length - 1):
             assert self._parsed(parse, blob, block) == whole, block
 
+    @pytest.mark.parametrize("layout", ["daily", "monthly"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("final_break", [True, False])
+    def test_lines_longer_than_the_buffer(self, layout, end, final_break):
+        # a line that fills the buffer is read through, not held, and
+        # reported as a buffer holding it reports it; the lines after it
+        # keep their numbers and offsets.  Lines ending in CR alone make the
+        # file one line.
+        parse = parse_ghcnd if layout == "daily" else parse_ghcnm
+        _, lines = _edge_lines(layout)
+        lines = lines[:3] + ["x" * 5000, "y" * 999 + "\r"] + lines[3:] + ["z" * 3000]
+        blob = (end.join(lines) + (end if final_break else "")).encode()
+        whole = self._parsed(parse, blob, 10**7)
+        expected = f"expected {len(lines[0])}-char line, got"
+        if end == "\r":
+            assert whole == ([], [ParseIssue(1, f"{expected} {len(blob) - final_break}")])
+        else:
+            # the CR before a line break is stripped, one CR only
+            cr_line = 999 + (end == "\r\n")
+            for issue in ((4, 5000), (5, cr_line), (len(lines), 3000)):
+                assert ParseIssue(issue[0], f"{expected} {issue[1]}") in whole[1]
+        for block in (300, 999, 1000, 1001, 1002, 1003, 2048, 4999, 5000, 5001, 5002, 6000):
+            assert self._parsed(parse, blob, block) == whole, block
+
     @pytest.mark.parametrize("order", ["month by month", "shuffled"])
     def test_line_order_changes_nothing(self, order):
         # serialize_ghcnd writes series by series; a GHCN-Daily file lists a
@@ -518,8 +542,8 @@ class TestChangedBetweenPasses:
         blob = path.read_bytes()
         blocks = ghcn._line_blocks
 
-        def appending(fh):
-            for k, block in enumerate(blocks(fh)):
+        def appending(fh, longest):
+            for k, block in enumerate(blocks(fh, longest)):
                 yield block
                 if k == 0:
                     with open(path, "ab") as extra:

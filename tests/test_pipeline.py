@@ -1,6 +1,7 @@
 """Tests for orchestration: config parsing, comparison cells, correlation
 matrices, and the file-to-file stages."""
 
+import collections
 import csv
 import dataclasses
 import datetime as dt
@@ -570,10 +571,12 @@ class TestStages:
 
 
 def test_input_checksum_reads_files_in_chunks(tmp_path):
-    # two and a half 1 MiB chunks
+    # empty, whole buffers, whole buffers and one byte, and an uneven size
     data = np.random.default_rng(3).bytes(5 * 2**19 + 7)
-    (tmp_path / "blob").write_bytes(data)
-    assert pipeline._file_sha256(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
+    whole = 3 * pipeline._HASH_BYTES
+    for size in (0, whole, whole + 1, len(data)):
+        (tmp_path / "blob").write_bytes(data[:size])
+        assert pipeline._file_sha256(tmp_path / "blob") == hashlib.sha256(data[:size]).hexdigest(), size
 
 
 # LIGHT_CFG with daily records that qc keeps, and gaps, so that both fills
@@ -1046,12 +1049,15 @@ class TestIngestMemory:
     - one block's work (the read buffer, newline mask, gathered lines and
       parsed fields), in the framing pass or in the read back of a batch
       of series (a block's worth of lines and one series more), under 8
-      blocks of _BLOCK_BYTES;
+      blocks of _BLOCK_BYTES; a line too long for the buffer is read
+      through in it, not held;
     - one series' values, the index arrays of its kept lines and their
       scatter, under 48 bytes per slot of the longest series;
     - 1 MiB for Python objects: the frames, issues, pairs and lists.
     A reader that keeps each line's int32 value fields (124 bytes per daily
-    line) until the series are saved needs more than that.
+    line) until the series are saved needs more than that, and so does one
+    that holds a line longer than the buffer: the budget does not grow with
+    such a line.
     """
 
     def test_peak(self, tmp_path, monkeypatch):
@@ -1061,8 +1067,45 @@ class TestIngestMemory:
         # the GHCN-Daily order: a station's lines month by month, its elements interleaved
         self._check_peak(tmp_path, monkeypatch, month_by_month=True)
 
-    @staticmethod
-    def _check_peak(tmp_path, monkeypatch, month_by_month):
+    @pytest.mark.parametrize("damage", ["CR line breaks", "one 3 MiB line"])
+    def test_overlong_line_is_read_through(self, tmp_path, monkeypatch, damage):
+        # a daily file whose lines all end in CR alone is one line as long
+        # as the file; either way ingest writes what a buffer holding the
+        # whole line gives: the same issues and parsed files.  Blocks of
+        # 256 KiB, as in _check_peak, whatever the default
+        monkeypatch.setattr(ghcn, "_BLOCK_BYTES", 1 << 18)
+        world = synth_generate(3, SynthParams(n_pairs=1, uc_stations=5, nonuc_stations=5))
+        longest = max(s.values.size for s in world.daily + world.monthly)
+        write_world(world, tmp_path)
+        del world
+        daily = tmp_path / "ghcnd.dly"
+        blob = daily.read_bytes()
+        if damage == "CR line breaks":
+            blob, line, length = blob.replace(b"\n", b"\r"), 1, len(blob) - 1
+        else:
+            at = blob.index(b"\n", len(blob) // 2) + 1
+            line, length = blob.count(b"\n", 0, at) + 1, 3 << 20
+            blob = blob[:at] + b"x" * length + b"\r\n" + blob[at:]
+        daily.write_bytes(blob)
+        del blob
+        assert daily.stat().st_size > 12 * ghcn._BLOCK_BYTES
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        for path in tmp_path.iterdir():
+            if path.is_file():
+                shutil.copy(path, whole)
+        with monkeypatch.context() as patch:
+            patch.setattr(ghcn, "_BLOCK_BYTES", 16 << 20)
+            pipeline.stage_ingest(whole, load_config({}))
+        peak, budget = self._peak(tmp_path, longest)
+        assert peak < budget, (peak, budget)
+        for name in (pipeline.F_PARSE_ISSUES, pipeline.F_PARSED_DAILY, pipeline.F_PARSED_MONTHLY):
+            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
+        issues = pipeline._read_csv(tmp_path / pipeline.F_PARSE_ISSUES)
+        assert issues[1] == ["daily", str(line), f"expected 269-char line, got {length}"]
+
+    @classmethod
+    def _check_peak(cls, tmp_path, monkeypatch, month_by_month):
         # 57,600 daily lines; blocks of 256 KiB, about 60 of them, so the
         # per-line terms outweigh the block term
         monkeypatch.setattr(ghcn, "_BLOCK_BYTES", 1 << 18)
@@ -1076,19 +1119,25 @@ class TestIngestMemory:
             lines.sort(key=lambda line: (line[:11], line[11:17], line[17:21]))
             daily.write_bytes(b"".join(lines))
             del lines
+        assert (tmp_path / "ghcnd.dly").stat().st_size > 10 * ghcn._BLOCK_BYTES
+        peak, budget = cls._peak(tmp_path, longest)
+        assert json.loads((tmp_path / pipeline.F_INGEST_SUMMARY).read_text())["n_daily_series"] == 80
+        assert peak < budget, (peak, budget)
+
+    @staticmethod
+    def _peak(out, longest):
+        """The tracemalloc peak of stage_ingest over out, and its budget."""
         budget = 8 * ghcn._BLOCK_BYTES + 48 * longest + 2**20
         for name in ("ghcnd.dly", "ghcnm.dat"):
-            lines = (tmp_path / name).read_bytes().count(b"\n")
+            lines = (out / name).read_bytes().count(b"\n")
             budget += lines * (11 + 4 + 8 + 1 + 8 + 48)
-        assert (tmp_path / "ghcnd.dly").stat().st_size > 10 * ghcn._BLOCK_BYTES
         tracemalloc.start()
         try:
-            pipeline.stage_ingest(tmp_path, load_config({}))
+            pipeline.stage_ingest(out, load_config({}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert json.loads((tmp_path / pipeline.F_INGEST_SUMMARY).read_text())["n_daily_series"] == 80
-        assert peak < budget, (peak, budget)
+        return peak, budget
 
 
 class TestDailyStageMemory:
@@ -1132,6 +1181,63 @@ class TestDailyStageMemory:
         out, cfg, sizes = world
         budget = 8 * 8 * sizes["longest_daily"] + monthly_grids * 8 * sizes["monthly"] + 4096 * sizes["series"] + 2**19
         assert budget < 8 * sizes["daily"] / 2
+        before = _tree_bytes(out)
+        tracemalloc.start()
+        try:
+            getattr(pipeline, f"stage_{stage}")(out, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tree_bytes(out) == before
+        assert peak < budget, (peak, budget)
+
+
+class TestAnalysisStageMemory:
+    """trends and correlate take the Sen slopes of equal-year series in
+    pieces of at most _SEN_ENTRIES pairwise slopes, and report hashes each
+    input through one buffer of _HASH_BYTES: no stage holds an array that
+    grows with the count of series or a chunk that grows with a file.
+
+    The budget follows the design, whatever the world's size:
+    - trends and correlate: one Sen piece, under 4 arrays of _SEN_ENTRIES
+      float64 (two column gathers and their differences, or the
+      differences, the slopes and their sort), and 4 KiB per annual series
+      they read for Python objects: the series, their results, summaries
+      and rows;
+    - report: the hash buffer, and 32 bytes per byte of the largest table
+      it reads (its rows as lists of str, and the text written back);
+    - 512 KiB for the rest.
+    A stage that takes the median of this world's 96 regional series over
+    equal years in one stack (1.4 MB per array), or that hashes in 1 MiB
+    chunks, needs more than that.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("analysis_memory")
+        params = SynthParams(n_pairs=6, uc_stations=2, nonuc_stations=2, gap_rate=0.012, gap_mean_len_steps=1.0)
+        write_world(synth_generate(3, params), out)
+        cfg = load_config({})
+        pipeline.run_stages(out, cfg, pipeline.STAGE_ORDER)
+        station = load_annual(out / pipeline.F_ANNUAL_STATION, pipeline.ANNUAL_STATION_KEYS)
+        regional = load_annual(out / pipeline.F_ANNUAL_REGIONAL, pipeline.ANNUAL_REGIONAL_KEYS)
+        # the world holds what the budget is about: more equal-year regional
+        # series than one Sen piece holds
+        stacks = collections.Counter(s.years.tobytes() for s in regional.values())
+        years, rows = stacks.most_common(1)[0]
+        n = len(years) // 8
+        assert len(regional) == 108 and rows > 4 * stats._SEN_ENTRIES // (n * (n - 1) // 2)
+        tables = max((out / name).stat().st_size for _, name, *_ in pipeline._FIGURES)
+        sizes = {"trends": len(station) + len(regional), "correlate": len(regional), "largest_table": tables}
+        return out, cfg, sizes
+
+    @pytest.mark.parametrize("stage", ["trends", "correlate", "report"])
+    def test_peak(self, world, stage):
+        out, cfg, sizes = world
+        if stage == "report":
+            budget = pipeline._HASH_BYTES + 32 * sizes["largest_table"] + 2**19
+        else:
+            budget = 4 * 8 * stats._SEN_ENTRIES + 4096 * sizes[stage] + 2**19
         before = _tree_bytes(out)
         tracemalloc.start()
         try:

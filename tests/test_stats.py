@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -746,6 +747,28 @@ class TestBlocksMatchPerSeriesCode:
         want = [math.nan, *got[:20], math.nan, math.nan, *got[20:], math.nan]
         assert [repr(slope) for slope in gapped] == [repr(slope) for slope in want]
         assert repr(sen_slopes([None])) == "[nan]" and sen_slopes([]) == []
+
+    def test_sen_slopes_of_more_equal_year_series_than_a_piece_holds(self):
+        # 300 series over 62 years: 1,891 pairwise slopes each, 17 series
+        # to a piece of _SEN_ENTRIES slopes
+        rng = np.random.default_rng(64)
+        years = np.arange(1956, 2018)
+        pairs = years.size * (years.size - 1) // 2
+        series = [AnnualSeries(f"S{m}", "cdd", years, _tied_block(rng, 1, years.size)[0]) for m in range(300)]
+        assert len(series) > 4 * (stats._SEN_ENTRIES // pairs)
+        tracemalloc.start()
+        try:
+            got = sen_slopes(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [repr(slope) for slope in got] == [repr(sen_slopes([s])[0]) for s in series]
+        # one piece's work (two column gathers and their differences, or the
+        # differences, the slopes and their sort), the pair indices and time
+        # gaps, 128 bytes per series of output and keys, and 64 KiB for the
+        # rest: the peak does not grow with the series' pairwise slopes
+        budget = 4 * 8 * stats._SEN_ENTRIES + 3 * 8 * pairs + 128 * len(series) + 2**16
+        assert peak < budget, (peak, budget)
 
     @settings(max_examples=300, deadline=None)
     @given(
