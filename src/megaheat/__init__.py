@@ -17,6 +17,32 @@ The most commonly used entry points are re-exported here.
 
 __version__ = "0.1.0"
 
+import ctypes  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy  # noqa: E402
+
+
+def _pin_blas():
+    """numpy's bundled OpenBLAS, set to run on one thread, or None where
+    numpy bundles no library with that entry (BLAS is then left as it is).
+
+    The kriging solve of a network of a few hundred stations gives other
+    last bits on other thread counts, so without the pin a bundle would
+    follow the host's core count.
+    """
+    for path in sorted((Path(numpy.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+        try:
+            blas = ctypes.CDLL(str(path))
+            blas.scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            continue
+        return blas
+    return None
+
+
+BLAS = _pin_blas()
+
 from .pipeline import (  # noqa: E402
     ConfigError,
     DataError,
