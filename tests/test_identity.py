@@ -4,20 +4,29 @@ The threaded world is the smallest tried whose kriging systems (200
 stations per element) are large enough for OpenBLAS to split across
 threads: unpinned, its ``megaheat all`` at ``OPENBLAS_NUM_THREADS`` 1 and 2
 differs in seven files, ``report/fig2a.csv`` among them.
+
+``run_digests.json`` holds the sha256 of every run file but timings.json
+of each world, and the environment they hold for.  A change that moves
+numbers on purpose rewrites it in its own commit:
+``PYTHONPATH=src python tests/test_identity.py``.
 """
 
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import megaheat
 
 SRC = Path(megaheat.__file__).resolve().parents[1]
+DIGESTS = Path(__file__).with_name("run_digests.json")
 
 # the benchmark's planted signal (benchmarks/run.py, _PLANTED)
 _PLANTED = {"noise_sd_c": 2.0, "uc_offset_c": 1.0, "uc_trend_c_per_yr": 0.02}
@@ -54,6 +63,21 @@ _SYNTH_AND_ALL = "import sys; from megaheat import cli; sys.exit(cli.main(['synt
 
 def _env(**extra) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **extra)
+
+
+def environment() -> dict:
+    """What the digests depend on besides the code: numpy, the Python
+    version the manifest records, and the BLAS build (its CPU kernel
+    family among them) and thread count in effect."""
+    blas = megaheat.BLAS
+    if blas is not None:
+        blas.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+    return {
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+        "blas": None if blas is None else blas.scipy_openblas_get_config64_().decode(),
+        "blas_threads": None if blas is None else blas.scipy_openblas_get_num_threads64_(),
+    }
 
 
 def tree_digests(run_dir: Path) -> dict:
@@ -96,3 +120,25 @@ def test_bundle_does_not_follow_the_blas_thread_count(runs):
     one, two = runs["threaded", "1"], runs["threaded", "2"]
     assert one.keys() == two.keys()
     assert sorted(name for name in one if one[name] != two[name]) == []
+
+
+def test_run_files_match_the_committed_digests(runs):
+    committed = json.loads(DIGESTS.read_text())
+    here = environment()
+    recorded = committed["environment"]
+    differ = [f"{key} {recorded[key]!r}, here {value!r}" for key, value in here.items() if value != recorded[key]]
+    if differ:
+        # another CPU kernel family or library may legitimately give other last bits
+        pytest.skip("the digests hold for another environment: " + "; ".join(differ))
+    got = {"dense": runs["dense", None], "gappy": runs["gappy", None], "threaded": runs["threaded", "2"]}
+    for world, digests in committed["worlds"].items():
+        assert got[world].keys() == digests.keys(), world
+        assert [name for name in digests if got[world][name] != digests[name]] == [], world
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        worlds = {world: _run_world(Path(tmp) / world, world, _env()) for world in WORLDS}
+    DIGESTS.write_text(json.dumps({"environment": environment(), "worlds": worlds}, indent=1, sort_keys=True) + "\n")
