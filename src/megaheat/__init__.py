@@ -24,20 +24,18 @@ import numpy  # noqa: E402
 
 
 def _pin_blas():
-    """numpy's bundled OpenBLAS, set to run on one thread, or None where
-    numpy bundles no library with that entry (BLAS is then left as it is).
-
-    The kriging solve of a network of a few hundred stations gives other
-    last bits on other thread counts, so without the pin a bundle would
-    follow the host's core count.
-    """
-    for path in sorted((Path(numpy.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
+    """numpy's bundled OpenBLAS, set to run on one thread so that no result
+    follows the host's core count (README, Command line); None, and BLAS
+    left as it is, where numpy bundles no library with that entry."""
+    for path in (Path(numpy.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
         try:
             blas = ctypes.CDLL(str(path))
+            blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            blas.scipy_openblas_set_num_threads64_.restype = None
             blas.scipy_openblas_set_num_threads64_(1)
+            return blas
         except (OSError, AttributeError):
-            continue
-        return blas
+            pass
     return None
 
 

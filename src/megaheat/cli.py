@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import __version__, pipeline
+from .series import json_text, write_text
 
 F_TIMINGS = "timings.json"
 
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         timings = pipeline.run_stages(out, cfg, names)
         # timing lives beside the report bundle, not inside it, so reruns
         # of the same config stay byte-identical under report/
-        (out / F_TIMINGS).write_text(json.dumps(timings, indent=2) + "\n")
+        write_text(out / F_TIMINGS, json_text(timings, sort_keys=False))
         for name in names:
             print(f"{name}: {timings[name]:.3f}s")
         return 0

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
-import io
 import itertools
 import json
 import platform
@@ -37,13 +36,18 @@ from .series import (
     DailySeries,
     MonthlySeries,
     ProvenanceMask,
+    json_text,
     load_annual,
     load_fills,
     npz_stamp,
+    read_csv,
     read_series,
+    read_text,
     save_annual,
     save_fills,
     save_series,
+    write_csv,
+    write_text,
 )
 from .synth import INPUT_FILES, SynthParams, synth_generate, write_world
 
@@ -137,10 +141,11 @@ def load_config(source) -> RunConfig:
     """
     if isinstance(source, (str, Path)):
         try:
-            source = json.loads(Path(source).read_text())
+            source = json.loads(read_text(source))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSON text is UTF-8, so an undecodable file is no JSON either
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise ConfigError("config must be a JSON object")
@@ -177,32 +182,19 @@ def load_config(source) -> RunConfig:
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    qc_block = source.get("qc", {})
-    _check_keys(qc_block, [f.name for f in dataclasses.fields(QcParams)], "qc")
-    qc_block = dict(qc_block)
-    if "daily_end_cutoff" in qc_block:
+    blocks = {}
+    for name, kind in (("qc", QcParams), ("gwr", GwrConfig), ("synth", SynthParams)):
+        block = source.get(name, {})
+        _check_keys(block, [f.name for f in dataclasses.fields(kind)], name)
+        if name == "qc" and "daily_end_cutoff" in block:
+            try:
+                block = {**block, "daily_end_cutoff": dt.date.fromisoformat(block["daily_end_cutoff"])}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"qc.daily_end_cutoff: {exc}") from exc
         try:
-            qc_block["daily_end_cutoff"] = dt.date.fromisoformat(qc_block["daily_end_cutoff"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"qc.daily_end_cutoff: {exc}") from exc
-    try:
-        qc_params = QcParams(**qc_block)
-    except ValueError as exc:
-        raise ConfigError(f"qc: {exc}") from exc
-
-    gwr_block = source.get("gwr", {})
-    _check_keys(gwr_block, ("neighbors", "min_train"), "gwr")
-    try:
-        gwr = GwrConfig(**gwr_block)
-    except ValueError as exc:
-        raise ConfigError(f"gwr: {exc}") from exc
-
-    synth_block = source.get("synth", {})
-    _check_keys(synth_block, [f.name for f in dataclasses.fields(SynthParams)], "synth")
-    try:
-        synth = SynthParams(**synth_block)
-    except ValueError as exc:
-        raise ConfigError(f"synth: {exc}") from exc
+            blocks[name] = kind(**block)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     return RunConfig(
         paths=paths,
@@ -210,27 +202,16 @@ def load_config(source) -> RunConfig:
         seasons=seasons,
         metrics=metrics,
         alpha=float(alpha),
-        qc=qc_params,
-        gwr=gwr,
         seed=source.get("seed", 0),
-        synth=synth,
+        **blocks,
     )
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    qc = dataclasses.asdict(cfg.qc)
-    qc["daily_end_cutoff"] = cfg.qc.daily_end_cutoff.isoformat()
-    return {
-        "paths": dict(cfg.paths),
-        "window": list(cfg.window),
-        "seasons": list(cfg.seasons),
-        "metrics": list(cfg.metrics),
-        "alpha": cfg.alpha,
-        "qc": qc,
-        "gwr": {"neighbors": cfg.gwr.neighbors, "min_train": cfg.gwr.min_train},
-        "seed": cfg.seed,
-        "synth": dataclasses.asdict(cfg.synth),
-    }
+    """cfg as the JSON object load_config reads back, tuples standing for arrays."""
+    doc = dataclasses.asdict(cfg)
+    doc["qc"]["daily_end_cutoff"] = cfg.qc.daily_end_cutoff.isoformat()
+    return doc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -533,79 +514,49 @@ def _input_path(out_dir, cfg, name) -> Path:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
-def _read_input(path: Path, read, *args):
-    """read(path, *args), for an input file; DataError when it is missing or cannot be read."""
-    if not path.exists():
-        raise DataError(f"missing input file {path}")
-    try:
-        return read(path, *args)
-    except OSError as exc:
-        raise DataError(f"cannot read input file {path}: {exc}") from exc
-
-
-def _read_records(path: Path, read) -> tuple:
-    """read(path) of an input record file: (frames, values, issues), the
-    values read back one series at a time; DataError when the file is
-    missing, cannot be read, or changes between framing and reading back."""
-    try:
-        frames, values, issues = _read_input(path, read)
-    except ValueError as exc:
-        raise DataError(f"cannot read input file {path}: {exc}") from exc
-
-    def checked():
-        try:
-            yield from values
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot read input file {path}: {exc}") from exc
-
-    return frames, checked(), issues
-
-
-def _require(path: Path, producer: str) -> None:
-    if not path.exists():
-        raise DataError(f"missing {path.name}; run the {producer} stage first")
-
-
-def _unreadable(path: Path, producer: str, exc: Exception) -> DataError:
+def _unreadable(path: Path, producer: str | None, exc: Exception) -> DataError:
+    if producer is None:
+        return DataError(f"cannot read input file {path}: {exc}")
     return DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage")
 
 
-def _load(path: Path, producer: str, load, *args):
-    """load(path, *args), for a file a stage saved; DataError when missing or unreadable."""
-    _require(path, producer)
+def _load(path: Path, producer: str | None, load, *args, named=(OSError, ValueError, csv.Error)):
+    """load(path, *args), for a file the producer stage saved or, with no
+    producer, a raw input; DataError when the file is missing or load
+    raises: naming the file for the errors in named, and in the error's own
+    words for any other ValueError or csv.Error."""
+    if not path.exists():
+        raise DataError(f"missing {path.name}; run the {producer} stage first" if producer else f"missing input file {path}")
     try:
         return load(path, *args)
-    except (OSError, ValueError, csv.Error) as exc:
+    except named as exc:
+        raise _unreadable(path, producer, exc) from exc
+    except (ValueError, csv.Error) as exc:
+        raise DataError(str(exc)) from exc
+
+
+def _checked(values, path: Path, producer: str | None):
+    """values, yielded in turn, for a stream read from path as _load reads
+    it; DataError as _load raises it when reading one fails."""
+    try:
+        yield from values
+    except (OSError, ValueError) as exc:
         raise _unreadable(path, producer, exc) from exc
 
 
-def _read_series(path: Path, kind) -> tuple:
-    """read_series of a file ingest saved: (frames, values), the values read
-    one series at a time; DataError when the file is missing, unreadable or
-    of another kind, about the values as they are read."""
+def _read_parsed(path: Path, kind) -> tuple:
+    """(frames, values) of a series file ingest saved, values read one
+    series at a time; DataError also when it holds series of another kind."""
     frames, values = _load(path, "ingest", read_series)
     if not all(isinstance(s, kind) for s in frames):
         raise DataError(f"{path.name} does not hold {kind.__name__} records; rerun the ingest stage")
-
-    def checked():
-        try:
-            yield from values
-        except (OSError, ValueError) as exc:
-            raise _unreadable(path, "ingest", exc) from exc
-
-    return frames, checked()
+    return frames, _checked(values, path, "ingest")
 
 
 def _record_fills(series, mask: ProvenanceMask) -> tuple:
     """(offsets, values) of the slots mask codes as imputed."""
     offsets = np.flatnonzero(mask.codes == ProvenanceMask.IMPUTED)
     return offsets, series.values[offsets]
-
-
-def _csv_text(rows, quoting) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
-    return buf.getvalue()
 
 
 # bytes per read of a file being hashed
@@ -624,31 +575,15 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    rows = [header, *rows]
-    text = _csv_text(rows, csv.QUOTE_MINIMAL)
-    if "\r" in text:
-        # the writer quotes a cell for the characters of its line terminator
-        # only, so a carriage return in a name would end the row for a
-        # reader: such a table quotes every cell
-        text = _csv_text(rows, csv.QUOTE_ALL)
-    path.write_text(text)
-
-
 def _g(value) -> str:
     return f"{float(value):.17g}"
-
-
-def _read_csv(path: Path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 def _read_table(path: Path, producer: str, header) -> list[list[str]]:
     """The rows of a table the producer stage wrote under header; DataError
     when it is missing or unreadable, under another header, or holds a row
     of another width."""
-    found, *rows = _load(path, producer, _read_csv) or [[]]
+    found, *rows = _load(path, producer, read_csv) or [[]]
     if tuple(found) != header or any(len(row) != len(header) for row in rows):
         raise DataError(f"{path.name} is not a {producer} table; rerun the {producer} stage")
     return rows
@@ -666,7 +601,7 @@ def _clip_years(series: AnnualSeries, window) -> AnnualSeries | None:
 def _read_pairs(path: Path) -> list[RegionPair]:
     """The pairs ingest wrote to pairs.json; ValueError when it is not such a file."""
     try:
-        pairs = [RegionPair(**p) for p in json.loads(path.read_text())["pairs"]]
+        pairs = [RegionPair(**p) for p in json.loads(read_text(path))["pairs"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a pairs file ({exc!r})") from exc
     for p in pairs:
@@ -703,8 +638,8 @@ def _kept_series(out: Path, kind, fills_name: str | None = None):
     """
     parsed_name, qc_name = (F_PARSED_MONTHLY, F_QC_MONTHLY) if kind is MonthlySeries else (F_PARSED_DAILY, F_QC_DAILY)
     fills = None if fills_name is None else _load(out / fills_name, "impute", load_fills)
-    header, *rows = _load(out / qc_name, "qc", _read_csv) or [[]]
-    frames, values = _read_series(out / parsed_name, kind)
+    header, *rows = _load(out / qc_name, "qc", read_csv) or [[]]
+    frames, values = _read_parsed(out / parsed_name, kind)
     verdicts = [row[2] for row in rows if len(row) == len(QC_HEADER)]
     if (
         tuple(header) != QC_HEADER
@@ -756,9 +691,9 @@ def stage_ingest(out_dir, cfg: RunConfig):
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: _input_path(out, cfg, name) for name in INPUT_FILES}
     # the series are framed here and their values read back only as they are saved
-    daily, daily_values, daily_issues = _read_records(paths["daily"], read_ghcnd)
-    monthly, monthly_values, monthly_issues = _read_records(paths["monthly"], read_ghcnm)
-    stations, station_issues = parse_stations(_read_input(paths["stations"], Path.read_bytes))
+    daily, daily_values, daily_issues = _load(paths["daily"], None, read_ghcnd)
+    monthly, monthly_values, monthly_issues = _load(paths["monthly"], None, read_ghcnm)
+    stations, station_issues = parse_stations(_load(paths["stations"], None, Path.read_bytes))
     if not stations:
         raise DataError("no stations parsed from the inventory")
     if not daily and not monthly:
@@ -768,12 +703,8 @@ def stage_ingest(out_dir, cfg: RunConfig):
         listed = ", ".join(repr(sid) for sid in unknown)
         raise DataError(f"records for stations missing from the inventory: {listed}")
 
-    try:
-        region_set = _read_input(paths["regions"], load_regions)
-        pairs = pair_uc_nonuc(region_set, stations)
-        _read_input(paths["covariates"], load_explanatory_vars, [p.uc_id for p in pairs])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    pairs = pair_uc_nonuc(_load(paths["regions"], None, load_regions, named=OSError), stations)
+    _load(paths["covariates"], None, load_explanatory_vars, [p.uc_id for p in pairs], named=OSError)
     # the .npz files key series by station and corridor id in numpy string
     # arrays, which drop trailing NULs; such an id would not come back
     cut = sorted(i for i in {s.station_id for s in daily + monthly} | {p.uc_id for p in pairs} if i.endswith("\x00"))
@@ -785,15 +716,15 @@ def stage_ingest(out_dir, cfg: RunConfig):
         + [("monthly", i) for i in monthly_issues]
         + [("stations", i) for i in station_issues]
     )
-    _write_csv(
+    write_csv(
         out / F_PARSE_ISSUES,
         ("file", "line", "message"),
         [(fname, issue.line, issue.message) for fname, issue in issues],
     )
     pairs_doc = {"pairs": [dataclasses.asdict(p) for p in sorted(pairs, key=lambda p: p.uc_id)]}
-    (out / F_PAIRS).write_text(json.dumps(pairs_doc, indent=2, sort_keys=True) + "\n")
-    save_series(out / F_PARSED_MONTHLY, monthly, monthly_values)
-    save_series(out / F_PARSED_DAILY, daily, daily_values)
+    write_text(out / F_PAIRS, json_text(pairs_doc))
+    save_series(out / F_PARSED_MONTHLY, monthly, _checked(monthly_values, paths["monthly"], None))
+    save_series(out / F_PARSED_DAILY, daily, _checked(daily_values, paths["daily"], None))
     summary = {
         "n_daily_series": len(daily),
         "n_monthly_series": len(monthly),
@@ -801,7 +732,7 @@ def stage_ingest(out_dir, cfg: RunConfig):
         "n_pairs": len(pairs),
         "n_parse_issues": len(issues),
     }
-    (out / F_INGEST_SUMMARY).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_text(out / F_INGEST_SUMMARY, json_text(summary))
     return summary
 
 
@@ -813,12 +744,12 @@ def stage_qc(out_dir, cfg: RunConfig):
         (F_QC_MONTHLY, F_PARSED_MONTHLY, MonthlySeries, filter_monthly_stations),
         (F_QC_DAILY, F_PARSED_DAILY, DailySeries, filter_daily_stations),
     ):
-        frames, values = _read_series(out / parsed, kind)
+        frames, values = _read_parsed(out / parsed, kind)
         _, reports_of[name] = qc_filter(frames, values, cfg.window, cfg.qc)
     if not any(r.observed_in_window for reports in reports_of.values() for r in reports):
         raise DataError(f"window {cfg.window[0]}-{cfg.window[1]} holds no observed value in any series")
     for name, reports in reports_of.items():
-        _write_csv(
+        write_csv(
             out / name,
             QC_HEADER,
             [
@@ -833,7 +764,7 @@ def stage_impute(out_dir, cfg: RunConfig):
     kept_monthly = list(_kept_series(out, MonthlySeries))
     kept_daily = _kept_series(out, DailySeries)
     stations_path = _input_path(out, cfg, "stations")
-    stations, _ = parse_stations(_read_input(stations_path, Path.read_bytes))
+    stations, _ = parse_stations(_load(stations_path, None, Path.read_bytes))
     unlisted = sorted({s.station_id for s in kept_monthly} - {st.station_id for st in stations})
     if unlisted:
         listed = ", ".join(repr(sid) for sid in unlisted)
@@ -849,7 +780,7 @@ def stage_impute(out_dir, cfg: RunConfig):
         daily_fills.append(_record_fills(*lwma_fill(s)))
         daily_frames.append(dataclasses.replace(s, values=np.broadcast_to(np.nan, s.values.size)))
     save_fills(out / F_FILLS_MONTHLY, completed, monthly_fills, npz_stamp(out / F_PARSED_MONTHLY))
-    (out / F_IMPUTE_NOTES).write_text("".join(line + "\n" for line in notes))
+    write_text(out / F_IMPUTE_NOTES, "".join(line + "\n" for line in notes))
     save_fills(out / F_FILLS_DAILY, daily_frames, daily_fills, npz_stamp(out / F_PARSED_DAILY))
 
 
@@ -939,7 +870,7 @@ def stage_trends(out_dir, cfg: RunConfig):
                     "yes" if r.untestable else "no",
                 )
             )
-    _write_csv(
+    write_csv(
         out / F_TREND_STATIONS,
         ("pair", "metric", "season", "group", "station", "S", "var", "z", "p", "p_adj", "slope", "untestable"),
         station_rows,
@@ -972,7 +903,7 @@ def stage_trends(out_dir, cfg: RunConfig):
                 cell.note,
             )
         )
-    _write_csv(out / F_TREND_CELLS, TREND_CELLS_HEADER, cell_rows)
+    write_csv(out / F_TREND_CELLS, TREND_CELLS_HEADER, cell_rows)
 
     keyed = [(cell, group, regional) for cell in cells for group, regional in cell.regional]
     reg_series = [regional_series.get((cell.pair, group, cell.metric, cell.season)) for cell, group, _ in keyed]
@@ -982,8 +913,8 @@ def stage_trends(out_dir, cfg: RunConfig):
         regional_rows.append(trends_row(cell.pair, cell.metric, cell.season, group, regional, slope))
         for flag in regional.flags:
             notes.append(f"{cell.pair} {cell.metric} {cell.season} {group}: {flag}")
-    _write_csv(out / F_TRENDS, TRENDS_HEADER, regional_rows)
-    (out / F_TREND_NOTES).write_text("".join(line + "\n" for line in notes))
+    write_csv(out / F_TRENDS, TRENDS_HEADER, regional_rows)
+    write_text(out / F_TREND_NOTES, "".join(line + "\n" for line in notes))
 
 
 def stage_compare(out_dir, cfg: RunConfig):
@@ -1010,7 +941,7 @@ def stage_compare(out_dir, cfg: RunConfig):
                 cfg.alpha,
             )
             rows.append(comparison_row(cell, prop_by_cell.get((pair.uc_id, metric, season), {})))
-    _write_csv(out / F_COMPARISON, COMPARISON_HEADER, rows)
+    write_csv(out / F_COMPARISON, COMPARISON_HEADER, rows)
 
 
 def stage_correlate(out_dir, cfg: RunConfig):
@@ -1018,10 +949,7 @@ def stage_correlate(out_dir, cfg: RunConfig):
     regional = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
     pair_ids = tuple(p.uc_id for p in pairs)
-    try:
-        covariates = _read_input(_input_path(out, cfg, "covariates"), load_explanatory_vars, pair_ids)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    covariates = _load(_input_path(out, cfg, "covariates"), None, load_explanatory_vars, pair_ids, named=OSError)
 
     cells = _cell_rows(cfg.metrics, cfg.seasons)
     keys = [(pid, group, metric, season) for pid in pair_ids for metric, season in cells for group in ("uc", "nonuc")]
@@ -1047,8 +975,8 @@ def stage_correlate(out_dir, cfg: RunConfig):
     m_uc, m_diff = rank_correlation_matrices(
         pair_ids, summaries, covariates, cfg.metrics, cfg.seasons
     )
-    _write_csv(out / F_CORR_UC, CORRELATION_HEADER, correlation_rows(m_uc))
-    _write_csv(out / F_CORR_DIFF, CORRELATION_HEADER, correlation_rows(m_diff))
+    write_csv(out / F_CORR_UC, CORRELATION_HEADER, correlation_rows(m_uc))
+    write_csv(out / F_CORR_DIFF, CORRELATION_HEADER, correlation_rows(m_diff))
 
 
 # figure, source table, the stage that writes it and its header, season filter
@@ -1077,13 +1005,13 @@ def stage_report(out_dir, cfg: RunConfig):
             season_idx = header.index("season")
             annual = season_filter == "annual"
             rows = [row for row in rows if (row[season_idx] == "annual") == annual]
-        _write_csv(report / fig_name, header, rows)
+        write_csv(report / fig_name, header, rows)
         bundle.append(fig_name)
 
     inputs = {}
     for name in sorted(INPUT_FILES):
         path = _input_path(out, cfg, name)
-        inputs[name] = _read_input(path, _file_sha256) if path.exists() else None
+        inputs[name] = _load(path, None, _file_sha256) if path.exists() else None
 
     manifest = {
         "bundle": bundle,
@@ -1096,7 +1024,7 @@ def stage_report(out_dir, cfg: RunConfig):
             "python": platform.python_version(),
         },
     }
-    (report / F_MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(report / F_MANIFEST, json_text(manifest))
 
 
 STAGE_ORDER = ("ingest", "qc", "impute", "indices", "trends", "compare", "correlate", "report")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import StationMeta
+from .series import StationMeta, read_text
 
 KIND_CLIMATE_REGION = "climate_region"
 KIND_UC = "uc"
@@ -124,8 +124,7 @@ def load_regions(doc) -> RegionSet:
     """Build a RegionSet from a feature collection: a dict, or a path to a
     JSON file holding one."""
     if not isinstance(doc, dict):
-        with open(doc) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(doc))
     features = _json_object(doc, "regions document").get("features", [])
     rs = RegionSet()
     for k, feat in enumerate(_json_array(features, "regions document: features")):
@@ -259,8 +258,7 @@ def load_explanatory_vars(path, uc_ids) -> dict[str, ExplanatoryVars]:
     land-share percentage outside [0, 100].
     """
     # newline="" leaves line breaks inside quoted fields to the csv module
-    with open(path, newline="") as fh:
-        reader = csv.reader(io.StringIO(fh.read()))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -6,12 +6,17 @@ carry NaN as an explicit marker; sentinel temperatures from source files
 
 Series pass between stages as ``.npz`` files, written piece by piece and
 read back one series at a time (read_series), so that no stage needs a
-whole file's values in memory at once.
+whole file's values in memory at once.  Every text file, input or output,
+is read by read_text and written by write_text, as UTF-8 whatever the
+locale.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
+import json
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -487,3 +492,41 @@ class ProvenanceMask:
     OBSERVED = "o"
     IMPUTED = "i"
     UNIMPUTABLE = "u"
+
+
+def read_text(path) -> str:
+    """The text of the file at path, decoded as UTF-8 with its line ends
+    kept (newline=""), so that csv sees a quoted line break whole.
+    UnicodeDecodeError, a ValueError, when the file is not UTF-8."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def read_csv(path) -> list:
+    """The rows of the CSV file at path, as read_text decodes it."""
+    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, line ends as they are in text."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and rows to path as CSV, each line ended by "\\n".
+    The writer quotes a cell for the characters of its line terminator
+    only, so a carriage return in a name would end the row for a reader:
+    such a table quotes every cell."""
+    rows = [header, *rows]
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+        if "\r" not in buf.getvalue():
+            break
+    write_text(path, buf.getvalue())
+
+
+def json_text(doc, sort_keys: bool = True) -> str:
+    """doc as JSON, indented by two, keys sorted unless sort_keys is false, with a final line end."""
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"

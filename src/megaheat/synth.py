@@ -9,11 +9,8 @@ seed so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime as dt
-import io
-import json
 import math
 from pathlib import Path
 
@@ -21,7 +18,7 @@ import numpy as np
 
 from .ghcn import serialize_stations, write_records
 from .regions import COVARIATE_COLUMNS, assign_station_region, load_regions
-from .series import DailySeries, MonthlySeries, StationMeta
+from .series import DailySeries, MonthlySeries, StationMeta, json_text, write_csv, write_text
 
 # annual cycles: value = base + amp * cos(2*pi*(t - peak)/period)
 # the five input files of a run, by name; ingest reads what write_world writes
@@ -118,7 +115,7 @@ class SynthWorld:
     daily: list[DailySeries]
     monthly: list[MonthlySeries]
     regions_doc: dict
-    covariates_csv: str
+    covariates: list  # rows under regions.COVARIATE_COLUMNS
 
 
 def _station_id(pair: int, group: str, i: int) -> str:
@@ -227,10 +224,6 @@ def synth_generate(seed: int, params: SynthParams) -> SynthWorld:
                 elev_ranges[k],
             ]
         )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COVARIATE_COLUMNS)
-    writer.writerows(cov_rows)
 
     monthly: list[MonthlySeries] = []
     daily: list[DailySeries] = []
@@ -287,7 +280,7 @@ def synth_generate(seed: int, params: SynthParams) -> SynthWorld:
         daily=daily,
         monthly=monthly,
         regions_doc=_regions_doc(p.n_pairs),
-        covariates_csv=buf.getvalue(),
+        covariates=cov_rows,
     )
     validate_world(world)
     return world
@@ -320,6 +313,6 @@ def write_world(world: SynthWorld, out_dir) -> dict[str, Path]:
     write_records(paths["daily"], world.daily)
     write_records(paths["monthly"], world.monthly)
     paths["stations"].write_bytes(serialize_stations(world.stations))
-    paths["regions"].write_text(json.dumps(world.regions_doc, indent=2, sort_keys=True) + "\n")
-    paths["covariates"].write_text(world.covariates_csv)
+    write_text(paths["regions"], json_text(world.regions_doc))
+    write_csv(paths["covariates"], COVARIATE_COLUMNS, world.covariates)
     return paths

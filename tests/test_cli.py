@@ -89,6 +89,15 @@ class TestUsageErrors:
         assert rc == 1
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [b'{"seed": 1, "x": "\xff"}', '{"seed": 1}'.encode("utf-16")])
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert cli.main(["qc", "--out", str(tmp_path), "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: config is not valid JSON: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     def test_config_unknown_key(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"wndow": [1956, 2015]}')
@@ -427,6 +436,23 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"megaheat: error: cannot read input file {out / name}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["ingest", "correlate"])
+    def test_covariates_the_csv_module_refuses(self, finished_run, tmp_path, capsys, stage):
+        done, cfg = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(done, out)
+        table = out / "covariates.csv"
+        text = table.read_bytes()
+        # CR-only line ends are rows like any others
+        table.write_bytes(text.replace(b"\n", b"\r"))
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 0
+        # a field longer than the csv module's limit
+        table.write_bytes(text + b'"' + b"x" * 200_000 + b'"\n')
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("megaheat: error: field larger than field limit") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["ghcnd.dly", "ghcnm.dat", "stations.txt", "regions.json", "covariates.csv"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, name):

@@ -3,7 +3,9 @@
 The threaded world is the smallest tried whose kriging systems (200
 stations per element) are large enough for OpenBLAS to split across
 threads: unpinned, its ``megaheat all`` at ``OPENBLAS_NUM_THREADS`` 1 and 2
-differs in seven files, ``report/fig2a.csv`` among them.
+differs in seven files, ``report/fig2a.csv`` among them.  The locale
+test runs one world with a station id and a corridor name outside ASCII
+under an ASCII locale and under UTF-8 mode.
 
 ``run_digests.json`` holds the sha256 of every run file but timings.json
 of each world, and the environment they hold for.  A change that moves
@@ -16,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,7 @@ import numpy
 import pytest
 
 import megaheat
+from megaheat import pipeline
 
 SRC = Path(megaheat.__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("run_digests.json")
@@ -57,6 +61,9 @@ WORLDS = {
     },
 }
 
+# the C locale with neither coercion nor UTF-8 mode: Python's text codec is ASCII
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
 # synth, then every analysis stage, through the command line
 _SYNTH_AND_ALL = "import sys; from megaheat import cli; sys.exit(cli.main(['synth', *sys.argv[1:]]) or cli.main(['all', *sys.argv[1:]]))"
 
@@ -71,7 +78,9 @@ def environment() -> dict:
     family among them) and thread count in effect."""
     blas = megaheat.BLAS
     if blas is not None:
+        blas.scipy_openblas_get_config64_.argtypes = blas.scipy_openblas_get_num_threads64_.argtypes = []
         blas.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
     return {
         "numpy": numpy.__version__,
         "python": platform.python_version(),
@@ -134,6 +143,35 @@ def test_run_files_match_the_committed_digests(runs):
     for world, digests in committed["worlds"].items():
         assert got[world].keys() == digests.keys(), world
         assert [name for name in digests if got[world][name] != digests[name]] == [], world
+
+
+def test_run_files_do_not_follow_the_locale(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(WORLDS["gappy"]))
+    world = tmp_path / "world"
+    pipeline.stage_synth(world, pipeline.load_config(WORLDS["gappy"]))
+    # a station id byte and a corridor name outside ASCII
+    for name, old, new in (
+        *((name, b"SYN00U00000", b"SYN00U0000\xe9") for name in ("ghcnd.dly", "ghcnm.dat", "stations.txt")),
+        ("regions.json", b'"UC00"', '"UC00\u00e9"'.encode()),
+        ("covariates.csv", b"\nUC00,", "\nUC00\u00e9,".encode()),
+    ):
+        raw = (world / name).read_bytes()
+        assert old in raw, name
+        (world / name).write_bytes(raw.replace(old, new))
+    digests = []
+    for env in (_env(**_ASCII_LOCALE), _env(PYTHONUTF8="1")):
+        out = tmp_path / f"run{len(digests)}"
+        shutil.copytree(world, out)
+        done = subprocess.run(
+            [sys.executable, "-m", "megaheat.cli", "all", "--out", str(out), "--config", str(cfg)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(tree_digests(out))
+    assert digests[0] == digests[1]
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from megaheat.series import (
     load_annual,
     load_fills,
     load_series,
+    read_csv,
     save_series,
 )
 from megaheat.synth import SynthParams, synth_generate, write_world
@@ -1101,7 +1102,7 @@ class TestIngestMemory:
         assert peak < budget, (peak, budget)
         for name in (pipeline.F_PARSE_ISSUES, pipeline.F_PARSED_DAILY, pipeline.F_PARSED_MONTHLY):
             assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
-        issues = pipeline._read_csv(tmp_path / pipeline.F_PARSE_ISSUES)
+        issues = read_csv(tmp_path / pipeline.F_PARSE_ISSUES)
         assert issues[1] == ["daily", str(line), f"expected 269-char line, got {length}"]
 
     @classmethod

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from megaheat import pipeline, stats
 from megaheat.regions import ExplanatoryVars
-from megaheat.series import AnnualSeries
+from megaheat.series import AnnualSeries, write_csv
 from megaheat.stats import (
     RegionalTrendResult,
     SpearmanResult,
@@ -630,7 +630,7 @@ class TestDirectionAndCsv:
         slope = sen_slopes([series])[0]
         row = pipeline.trends_row("NYC", "cdd", "annual", "uc", regional, slope)
         path = tmp_path / "trends.csv"
-        pipeline._write_csv(path, pipeline.TRENDS_HEADER, [row])
+        write_csv(path, pipeline.TRENDS_HEADER, [row])
         with open(path, newline="") as fh:
             lines = list(csv.reader(fh))
         assert tuple(lines[0]) == pipeline.TRENDS_HEADER
@@ -653,7 +653,7 @@ class TestDirectionAndCsv:
         )
         trend_row = {"uc_prop": "0.5", "nonuc_prop": "0.25", "prop_p": "0.2"}
         path = tmp_path / "comparison.csv"
-        pipeline._write_csv(path, pipeline.COMPARISON_HEADER, [pipeline.comparison_row(cell, trend_row)])
+        write_csv(path, pipeline.COMPARISON_HEADER, [pipeline.comparison_row(cell, trend_row)])
         with open(path, newline="") as fh:
             lines = list(csv.reader(fh))
         assert tuple(lines[0]) == pipeline.COMPARISON_HEADER

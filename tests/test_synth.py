@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from megaheat import ghcn, indices, regions, stats
+from megaheat.regions import COVARIATE_COLUMNS
+from megaheat.series import write_csv
 from megaheat.synth import SynthParams, synth_generate, validate_world, write_world
 
 SMALL_MONTHLY = SynthParams(
@@ -66,7 +68,7 @@ class TestWorldShape:
         rs = regions.load_regions(world.regions_doc)
         uc_ids = [r.name for r in rs.ucs]
         path = tmp_path / "covariates.csv"
-        path.write_text(world.covariates_csv)
+        write_csv(path, COVARIATE_COLUMNS, world.covariates)
         cov = regions.load_explanatory_vars(path, uc_ids)
         assert set(cov) == set(uc_ids)
 
