@@ -540,7 +540,7 @@ def _checked(values, path: Path, producer: str | None):
     it; DataError as _load raises it when reading one fails."""
     try:
         yield from values
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise _unreadable(path, producer, exc) from exc
 
 
@@ -579,13 +579,13 @@ def _g(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _read_table(path: Path, producer: str, header) -> list[list[str]]:
+def _read_table(path: Path, producer: str, header, mismatch: str | None = None) -> list[list[str]]:
     """The rows of a table the producer stage wrote under header; DataError
-    when it is missing or unreadable, under another header, or holds a row
-    of another width."""
-    found, *rows = _load(path, producer, read_csv) or [[]]
+    when it is missing or unreadable, and DataError(mismatch) when it is
+    under another header or holds a row of another width."""
+    found, *rows = list(_checked(_load(path, producer, read_csv), path, producer)) or [[]]
     if tuple(found) != header or any(len(row) != len(header) for row in rows):
-        raise DataError(f"{path.name} is not a {producer} table; rerun the {producer} stage")
+        raise DataError(mismatch or f"{path.name} is not a {producer} table; rerun the {producer} stage")
     return rows
 
 
@@ -638,16 +638,13 @@ def _kept_series(out: Path, kind, fills_name: str | None = None):
     """
     parsed_name, qc_name = (F_PARSED_MONTHLY, F_QC_MONTHLY) if kind is MonthlySeries else (F_PARSED_DAILY, F_QC_DAILY)
     fills = None if fills_name is None else _load(out / fills_name, "impute", load_fills)
-    header, *rows = _load(out / qc_name, "qc", read_csv) or [[]]
+    mismatch = f"{qc_name} does not match {parsed_name}; rerun the qc stage"
+    rows = _read_table(out / qc_name, "qc", QC_HEADER, mismatch)
     frames, values = _read_parsed(out / parsed_name, kind)
-    verdicts = [row[2] for row in rows if len(row) == len(QC_HEADER)]
-    if (
-        tuple(header) != QC_HEADER
-        or [tuple(row[:2]) for row in rows] != [(s.station_id, s.element) for s in frames]
-        or len(verdicts) != len(rows)
-        or not set(verdicts) <= {"kept", "dropped"}
-    ):
-        raise DataError(f"{qc_name} does not match {parsed_name}; rerun the qc stage")
+    verdicts = [row[2] for row in rows]
+    same_series = [tuple(row[:2]) for row in rows] == [(s.station_id, s.element) for s in frames]
+    if not same_series or not set(verdicts) <= {"kept", "dropped"}:
+        raise DataError(mismatch)
     keep = [verdict == "kept" for verdict in verdicts]
     if fills is not None:
         kept_keys = sorted((s.station_id, s.element) for s, k in zip(frames, keep) if k)

@@ -9,14 +9,12 @@ count as inside, which keeps station assignment deterministic.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import StationMeta, read_text
+from .series import StationMeta, read_csv, read_text
 
 KIND_CLIMATE_REGION = "climate_region"
 KIND_UC = "uc"
@@ -257,8 +255,7 @@ def load_explanatory_vars(path, uc_ids) -> dict[str, ExplanatoryVars]:
     exactly, whitespace included.  Raises on a missing corridor row or a
     land-share percentage outside [0, 100].
     """
-    # newline="" leaves line breaks inside quoted fields to the csv module
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = read_csv(path)
     try:
         header = next(reader)
     except StopIteration:

@@ -502,9 +502,10 @@ def read_text(path) -> str:
         return fh.read()
 
 
-def read_csv(path) -> list:
-    """The rows of the CSV file at path, as read_text decodes it."""
-    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+def read_csv(path):
+    """A csv.reader over the text of the file at path, as read_text decodes
+    it; the text is read at once, and the rows parsed as they are taken."""
+    return csv.reader(io.StringIO(read_text(path), newline=""))
 
 
 def write_text(path, text: str) -> None:

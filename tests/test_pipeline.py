@@ -1102,7 +1102,7 @@ class TestIngestMemory:
         assert peak < budget, (peak, budget)
         for name in (pipeline.F_PARSE_ISSUES, pipeline.F_PARSED_DAILY, pipeline.F_PARSED_MONTHLY):
             assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
-        issues = read_csv(tmp_path / pipeline.F_PARSE_ISSUES)
+        issues = list(read_csv(tmp_path / pipeline.F_PARSE_ISSUES))
         assert issues[1] == ["daily", str(line), f"expected 269-char line, got {length}"]
 
     @classmethod
