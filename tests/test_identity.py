@@ -126,6 +126,8 @@ def runs(tmp_path_factory) -> dict:
 
 
 def test_bundle_does_not_follow_the_blas_thread_count(runs):
+    if megaheat.BLAS is None:
+        pytest.skip("numpy bundles no scipy-openblas library, so BLAS is left unpinned (README)")
     one, two = runs["threaded", "1"], runs["threaded", "2"]
     assert one.keys() == two.keys()
     assert sorted(name for name in one if one[name] != two[name]) == []
