@@ -16,19 +16,18 @@ and one reader and one writer serve both.  Each line covers a run of slots
 on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
-A record file is read in two passes and never held whole.  The framing
-pass reads blocks of whole lines into one reused buffer of _BLOCK_BYTES,
-parses every header field, checks every value field, and keeps per line
-kept only its raw id, element, first slot, slot count and byte offset
-(32 bytes, in any order of lines); a line too long for the buffer (a
-whole file with CR-only line breaks, say) is read through to its line
-break in that buffer and reported by its length.  Lines are grouped into
-series and each series' frame comes from its lines.  The values pass
-then reads each series' kept lines back from the same source by offset,
-about _BLOCK_BYTES at a time, parses their value fields and builds the
-series' float64 values, one series at a time; a file that changed in
-between is an error, not other values.  A pipe is first copied to a
-temporary file, so that it can be read twice.
+A record file is read once and never held whole.  The framing pass
+reads blocks of whole lines into one reused buffer of _BLOCK_BYTES,
+appends the parsed value fields of each line whose element is wanted to
+an unnamed temporary file, the spill, and keeps per line only its raw
+id, element, first slot and slot count (24 bytes, in any order of
+lines); a line too long for the buffer (a whole file with CR-only line
+breaks, say) is read through to its line break in that buffer and
+reported by its length.  Headers and ids are then checked once per file
+and the lines grouped into series.  The values pass reads the spilled
+rows of consecutive series back, about _BLOCK_BYTES at a time, and
+builds their values together.  A pipe is first copied to a temporary
+file, whose size bounds the framing.
 
 An integer field must match ``" *-?[0-9]+"`` (year and month take no
 sign); year 0 has no calendar date and is rejected like a month outside
@@ -36,9 +35,10 @@ sign); year 0 has no calendar date and is rejected like a month outside
 spaces, an optional sign, digits with at most one decimal point, and
 nothing else.
 
-Per-record problems (bad length, non-numeric fields, impossible years or
-months) are reported as ParseIssue entries carrying 1-based line numbers
-while the remaining records still parse.  Quality flags are not retained.
+Per-record problems (bad length, an id with a byte outside ASCII,
+non-numeric fields, impossible years or months) are reported as
+ParseIssue entries carrying 1-based line numbers while the remaining
+records still parse.  Quality flags are not retained.
 
 The writer checks that a series' values fit a 5-char field, then gathers
 each value group from one table of the 8-char groups of -9999 ... 99999,
@@ -126,15 +126,6 @@ def _split_lines(buf):
     return arr, starts[keep], ends[keep], numbers[keep], starts.size
 
 
-def _rows_at(arr, starts, length):
-    """The rows of arr of the given length at starts (at least one): a view
-    when they start at one fixed step, else one copy of them."""
-    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
-    if np.all(np.diff(starts) == step):
-        return np.ndarray((starts.size, length), np.uint8, arr, int(starts[0]), (step, 1))
-    return np.lib.stride_tricks.sliding_window_view(arr, length)[starts]
-
-
 def _bad_length(line: int, expected_len: int, length: int) -> ParseIssue:
     return ParseIssue(line=line, message=f"expected {expected_len}-char line, got {length}")
 
@@ -150,50 +141,49 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     starts, numbers = starts[good], numbers[good]
     if starts.size == 0:
         return np.empty((0, expected_len), dtype=np.uint8), starts, numbers, issues
-    return _rows_at(arr, starts, expected_len), starts, numbers, issues
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    if np.all(np.diff(starts) == step):
+        return np.ndarray((starts.size, expected_len), np.uint8, arr, int(starts[0]), (step, 1)), starts, numbers, issues
+    return np.lib.stride_tricks.sliding_window_view(arr, expected_len)[starts], starts, numbers, issues
 
 
-def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True, parse: bool = True):
+def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
     """Parse right-justified integer byte fields of shape (lines, ..., width).
 
-    Returns int32 (values, ok), values None unless parse.  A field is ok
-    when it matches ``" *-?[0-9]+"`` (``" *[0-9]+"`` without allow_sign),
-    checked as three rules: every byte is a digit, a space or '-'; a space
-    or '-' only ever follows a space; the last byte is a digit.  Values of
-    fields that are not ok are unspecified.  Lines go through in blocks of
-    about _BLOCK_FIELDS fields, each copied once into one contiguous byte
-    column per position; int32 holds any field of up to 9 chars.
+    Returns int32 (values, ok).  A field is ok when it matches
+    ``" *-?[0-9]+"`` (``" *[0-9]+"`` without allow_sign), checked as three
+    rules: every byte is a digit, a space or '-'; a space or '-' only ever
+    follows a space; the last byte is a digit.  Values of fields that are
+    not ok are unspecified.  Lines go through in blocks of about
+    _BLOCK_FIELDS fields, each byte position read where it lies, with no
+    copy of the fields; int32 holds any field of up to 9 chars.
     """
-    values = np.zeros(fields.shape[:-1], dtype=np.int32) if parse else None
+    values = np.zeros(fields.shape[:-1], dtype=np.int32)
     ok = np.empty(fields.shape[:-1], dtype=bool)
     step = max(1, _BLOCK_FIELDS // math.prod(fields.shape[1:-1]))
     for lo in range(0, len(fields), step):
-        cols = np.moveaxis(fields[lo : lo + step], -1, 0).copy()
-        good = ok[lo : lo + step]
-        if parse:
-            val, neg = values[lo : lo + step], np.zeros(good.shape, dtype=bool)
-        for p, c in enumerate(cols):
-            digit = c - np.uint8(0x30)
+        good, val = ok[lo : lo + step], values[lo : lo + step]
+        neg = np.zeros(good.shape, dtype=bool)
+        for p in range(fields.shape[-1]):
+            # the byte less '0': a digit's value, 0xF0 for a space, 0xFD for '-'
+            digit = fields[lo : lo + step, ..., p] - np.uint8(0x30)
             is_digit = digit < 10
-            space = c == 0x20
+            space = digit == 0xF0
             blank = space
             if allow_sign:
-                minus = c == 0x2D
+                minus = digit == 0xFD
                 blank = space | minus
+                neg |= minus
             if p == 0:
                 np.logical_or(is_digit, blank, out=good)
             else:
                 good &= is_digit | (blank & after_space)
             after_space = space
-            if parse:
-                if allow_sign:
-                    neg |= minus
-                digit *= is_digit
-                val *= 10
-                val += digit
+            digit *= is_digit
+            val *= 10
+            val += digit
         good &= is_digit
-        if parse:
-            np.negative(val, out=val, where=neg)
+        np.negative(val, out=val, where=neg)
     return values, ok
 
 
@@ -210,55 +200,58 @@ def _bytes_column(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _station_id(raw: bytes) -> str:
-    """The 11-char id field as every parser reports it: padding stripped."""
+    """The 11-char id field as every parser reports it: padding stripped.
+    Every parser drops a line whose id is not ASCII before it reports one."""
     return raw.decode("ascii", "replace").strip()
 
 
-def _series_rows(ids: np.ndarray, element: np.ndarray) -> list[np.ndarray]:
-    """The rows of each (reported id, element) series, in file order; series sorted by that pair.
+def _series_rows(ids, element, first, count):
+    """(rows, bounds): series k, of those sorted by (reported id, element),
+    keeps the lines rows[bounds[k] : bounds[k + 1]], in slot order.
 
-    Grouping by the reported id, not the raw field, makes lines under
-    ``PAD1       `` and `` PAD1      `` one series.  Ids are sorted once
-    per run of rows with one raw id, so rows in any order group alike, and
-    a file that lists a station's lines together sorts one id per station.
-    The 4 element bytes, read as one big-endian integer, sort as the bytes do.
+    Lines with a count of 0 are dropped; of a series' lines that start at
+    one slot, the last in the file is kept.  Grouping by the reported id
+    makes lines under ``PAD1       `` and `` PAD1      `` one series.  Ids
+    are sorted once per run of rows with one raw id, so rows in any order
+    group alike.  The 4 element bytes, read as one big-endian integer, sort
+    as the bytes do.
     """
     if ids.size == 0:
-        return []
+        return np.empty(0, np.intp), np.zeros(1, np.intp)
     run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     raw, raw_of_run = np.unique(ids[run], return_inverse=True)
     _, sid_of_raw = np.unique(np.array([_station_id(r) for r in raw.tolist()], dtype=object), return_inverse=True)
     codes = element.view(">u4")
     elements = np.unique(codes)
     keys = np.repeat(sid_of_raw[raw_of_run] * elements.size, np.diff(np.append(run, ids.size)))
-    keys += np.searchsorted(elements, codes)
-    order = np.argsort(keys, kind="stable")
-    sizes = np.bincount(keys)
-    return np.split(order, np.cumsum(sizes[sizes > 0])[:-1])
-
-
-def _dedup_last(keys: np.ndarray) -> np.ndarray:
-    """Indices keeping the last occurrence of each key, in key order."""
-    _, idx = np.unique(keys[::-1], return_index=True)
-    return keys.size - 1 - idx
+    for rank, code in enumerate(elements[1:], 1):
+        keys[codes == code] += rank
+    # one key per (series, first slot), worked out in place; dropped lines sort first
+    low, span = int(first.min()), int(first.max() - first.min()) + 1
+    keys *= span
+    keys += first
+    keys -= low
+    keys[count == 0] = -1
+    rows = np.argsort(keys, kind="stable")
+    keys.sort()
+    kept = np.append(keys[1:] != keys[:-1], True) & (keys >= 0)
+    if not kept.all():
+        rows, keys = rows[kept], keys[kept]
+    keys //= span
+    starts = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+    return rows, np.append(starts, keys.size)
 
 
 def _line_slots(layout: _Layout, months: np.ndarray):
     """First slot and slot count of the lines that start in the given months
     (month_index values): a daily line holds its month's days, slot = day
     serial; a monthly line holds its year's 12 months, slot = month_index."""
-    if not layout.has_month:
+    if not layout.has_month or months.size == 0:
         return months, np.full(months.shape, layout.groups)
-    days = (months - 1970 * 12 + np.array([[0], [1]])).astype("M8[M]").astype("M8[D]").astype(np.int64)
-    return days[0], days[1] - days[0]
-
-
-def _value_fields(layout: _Layout, matrix: np.ndarray, count: np.ndarray, parse: bool = True):
-    """The int32 value fields of record lines (None unless parse), and
-    whether every field within each line's slot count parses."""
-    fields = matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5]
-    ints, ok = _parse_int_fields(fields, parse=parse)
-    return ints, (ok | (np.arange(layout.groups) >= count[:, None])).all(axis=1)
+    # the first day of every month from the first month given to the one after the last
+    lo = int(months.min())
+    days = (np.arange(lo, int(months.max()) + 2) - 1970 * 12).astype("M8[M]").astype("M8[D]").astype(np.int64)
+    return days[months - lo], np.diff(days)[months - lo]
 
 
 def _line_blocks(fh, longest: int):
@@ -269,13 +262,13 @@ def _line_blocks(fh, longest: int):
     block is asked for: the partial line after its last break then moves
     to the buffer's front, and the next read fills the rest.  A line that
     fills the buffer, longer than longest bytes whatever its break, is not
-    held: it is read through to its line break and comes as a pair (its
-    length, the bytes it spans with its break) in place of a block."""
+    held: it is read through to its line break and its length comes in
+    place of a block."""
     buf, held = bytearray(max(_BLOCK_BYTES, longest + 2)), 0
     while True:
         if held == len(buf):
-            length, size, held = _read_through(fh, buf)
-            yield length, size
+            length, held = _read_through(fh, buf)
+            yield length
         got = fh.readinto(memoryview(buf)[held:])
         if not got:
             break
@@ -293,8 +286,8 @@ def _line_blocks(fh, longest: int):
 def _read_through(fh, buf: bytearray):
     """Read on from a buffer that one line fills, through that line's break,
     reusing the buffer.  Returns the line's length (without its break or a
-    final CR), the bytes it spans with its break, and the count of bytes
-    read after the break, moved to the buffer's front."""
+    final CR) and the count of bytes read after the break, moved to the
+    buffer's front."""
     spanned, last = len(buf), buf[-1]
     while got := fh.readinto(buf):
         brk = buf.find(b"\n", 0, got)
@@ -304,54 +297,53 @@ def _read_through(fh, buf: bytearray):
         if brk:
             last = buf[brk - 1]
         buf[: got - brk - 1] = buf[brk + 1 : got]
-        return spanned + brk - (last == 0x0D), spanned + brk + 1, got - brk - 1
-    return spanned - (last == 0x0D), spanned, 0
+        return spanned + brk - (last == 0x0D), got - brk - 1
+    return spanned - (last == 0x0D), 0
 
 
 def _block_rows(layout: _Layout, block, number: int):
     """The framing of a block's lines, the first being line ``number``.
 
-    Returns, for the lines whose element is wanted and whose fields parse,
-    their raw ids, elements, first slots, slot counts and byte offsets in
-    the block; the block's count of lines and its bad-length issues; and
-    the numbers of its lines with a bad header, then with a non-numeric
-    value field.  Value fields are checked, not kept.  No array returned is
-    a view of the block.
+    Returns, for the lines whose element is wanted: their raw ids,
+    elements, header bytes (year, and month when the layout has one), the
+    first value group that does not parse (groups when all do) and line
+    numbers; and their int32 value fields.  Then the block's count of lines
+    and its bad-length issues.  Header bytes may be a view of the block.
     """
-    arr, starts, ends, numbers, lines = _split_lines(block)
-    matrix, starts, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
+    size = layout.length + 1
+    if (
+        block.size % size == 0
+        and np.count_nonzero(block == 0x0A) == block.size // size
+        and (block[layout.length :: size] == 0x0A).all()
+        and (block[layout.length - 1 :: size] != 0x0D).all()
+    ):  # lines of the record width, each ended by a LF alone
+        lines, issues = block.size // size, []
+        matrix, numbers = block.reshape(lines, size)[:, : layout.length], np.arange(number, number + lines)
+    else:
+        arr, starts, ends, numbers, lines = _split_lines(block)
+        matrix, _, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
     element = _bytes_column(matrix, *layout.element_cols)
-    wanted = np.isin(element, layout.elements)
-    matrix, starts, numbers, element = matrix[wanted], starts[wanted], numbers[wanted], element[wanted]
-    # year 0 has no calendar date, so it is a damaged field like any other
-    year, ok_head = _parse_int_fields(matrix[:, 11:15], allow_sign=False)
-    ok_head &= year > 0
-    month = np.ones_like(year)
-    if layout.has_month:
-        month, ok_m = _parse_int_fields(matrix[:, 15:17], allow_sign=False)
-        ok_head &= ok_m & (month >= 1) & (month <= 12)
-    first, count = _line_slots(layout, year * 12 + (month - 1))
-    _, ok_fields = _value_fields(layout, matrix, count, parse=False)
-    good = ok_head & ok_fields
-    line_columns = (_bytes_column(matrix, 0, 11)[good], element[good], first[good], count[good], starts[good])
-    return line_columns, lines, issues, numbers[~ok_head], numbers[ok_head & ~ok_fields]
-
-
-def _stamp(fh):
-    st = os.fstat(fh.fileno())
-    return st.st_size, st.st_mtime_ns
+    code = element.view(">u4")
+    wanted = functools.reduce(np.logical_or, [code == want for want in np.frombuffer(b"".join(layout.elements), ">u4")])
+    if not wanted.all():
+        matrix, numbers, element = matrix[wanted], numbers[wanted], element[wanted]
+    ints, ok = _parse_int_fields(matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
+    first_bad = np.full(len(ok), layout.groups)
+    if not ok.all():
+        first_bad[:] = np.where(ok.all(axis=1), layout.groups, ok.argmin(axis=1))
+    head = matrix[:, 11 : layout.element_cols[0]]
+    return (_bytes_column(matrix, 0, 11), element, head, first_bad, numbers), ints, lines, issues
 
 
 def _open_records(source):
-    """A seekable binary handle on a record file's bytes or path and, for a
-    path, the size and mtime_ns it had when opened.  A file that cannot
-    seek (a pipe) is first copied block by block to an unnamed temporary
-    file, which is read in its place."""
+    """A seekable binary handle on a record file's bytes or path.  A file
+    that cannot seek (a pipe) is first copied block by block to an unnamed
+    temporary file, which is read in its place."""
     if isinstance(source, bytes):
-        return io.BytesIO(source), None
+        return io.BytesIO(source)
     fh = open(source, "rb")
     if fh.seekable():
-        return fh, _stamp(fh)
+        return fh
     with fh:
         copy = tempfile.TemporaryFile()
         try:
@@ -360,135 +352,140 @@ def _open_records(source):
         except BaseException:
             copy.close()
             raise
-    return copy, None
+    return copy
 
 
-def _read_back(layout: _Layout, fh, buf: np.ndarray, offsets: np.ndarray):
-    """The lines at the given ascending byte offsets of fh, read again into
-    buf, each read over one contiguous range of at most _BLOCK_BYTES (or
-    one line); yields (slice of offsets, lines), the lines a view of buf.
-    ValueError when the file ends before a line does."""
-    # every line starting within one step of a read's first line ends within it
-    step = max(_BLOCK_BYTES - layout.length, 1)
-    bounds = [0, *(np.flatnonzero(np.diff((offsets - offsets[0]) // step)) + 1).tolist(), offsets.size]
-    for part in map(slice, bounds[:-1], bounds[1:]):
-        at = int(offsets[part.start])
-        size = int(offsets[part.stop - 1]) + layout.length - at
-        fh.seek(at)
-        if fh.readinto(buf[:size]) != size:
-            raise ValueError("the record file is shorter than when it was framed")
-        yield part, _rows_at(buf[:size], offsets[part] - at, layout.length)
-
-
-def _frame(layout: _Layout, fh):
-    """The framing pass over a seekable record file: the columns of its
-    kept lines (raw id, element, first slot, slot count and byte offset),
-    sized to the most whole lines the file can hold and cut to the lines
-    kept, and its issues; see _read."""
+def _frame(layout: _Layout, fh, spill):
+    """The framing pass over a seekable record file, which appends each
+    framed line's int32 value fields to spill as one row: the index columns
+    of those lines (raw id, element, first slot and slot count, 0 for a
+    line dropped), sized to the most whole lines the file can hold and cut
+    to the lines framed, and the file's issues; see _read."""
     fh.seek(0, io.SEEK_END)
     cap = (fh.tell() + 1) // (layout.length + 1) + 1
     fh.seek(0)
-    columns = [np.empty(cap, dtype) for dtype in ("S11", "S4", np.int64, np.uint8, np.int64)]
-    n, at, number, issues, bad_lines = 0, 0, 1, [], []
+    head = layout.element_cols[0] - 11  # the header bytes: year, and month when the layout has one
+    columns = [np.empty(cap, "S11"), np.empty(cap, "S4"), np.empty((cap, head), np.uint8)]
+    columns += [np.empty(cap, np.uint8), np.empty(cap, np.int64)]
+    n, number, issues = 0, 1, []
     for block in _line_blocks(fh, layout.length):
-        if isinstance(block, tuple):  # a line too long to hold, read through
-            length, size = block
-            issues.append(_bad_length(number, layout.length, length))
-            at, number = at + size, number + 1
+        if isinstance(block, int):  # the length of a line too long to hold, read through
+            issues.append(_bad_length(number, layout.length, block))
+            number += 1
             continue
-        line_columns, block_lines, block_issues, *bad = _block_rows(layout, block, number)
-        k = line_columns[0].size
+        line_columns, ints, block_lines, block_issues = _block_rows(layout, block, number)
+        k = len(ints)
         if n + k > cap:
             raise ValueError("the record file grew while it was read")
         for column, part in zip(columns, line_columns):
             column[n : n + k] = part
-        columns[-1][n : n + k] += at
-        n, at, number = n + k, at + block.size, number + block_lines
+        spill.write(ints)
+        n, number = n + k, number + block_lines
         issues += block_issues
-        bad_lines.append(bad)
-    head = "bad year/month field" if layout.has_month else "bad year field"
-    for message, numbers in zip((head, "non-numeric value field"), zip(*bad_lines)):
-        issues += [ParseIssue(line=int(line), message=message) for line in np.concatenate(numbers)]
-    return [column[:n] for column in columns], issues
+    ids, element, head, first_bad, numbers = (column[:n] for column in columns)
+
+    # header fields, slots and ids once over the framed lines, 256 KiB of slots at a time
+    first, count = np.empty(n, np.int64), np.empty(n, np.uint8)
+    bad = ([], [], [])
+    step = max(_BLOCK_BYTES // 8, 1)
+    for part in map(slice, range(0, n, step), range(step, n + step, step)):
+        high = ids[part].view(np.uint8).reshape(-1, 11) >= 0x80
+        ascii = ~high.any(axis=1) if high.any() else np.ones(len(high), dtype=bool)
+        # year 0 has no calendar date, so it is a damaged field like any other
+        year, ok = _parse_int_fields(head[part, :4], allow_sign=False)
+        ok &= year > 0
+        month = 1
+        if layout.has_month:
+            month, ok_month = _parse_int_fields(head[part, 4:], allow_sign=False)
+            ok &= ok_month & (month >= 1) & (month <= 12)
+        first[part], slots = _line_slots(layout, year * 12 + (month - 1))
+        parsed = first_bad[part] >= slots
+        for lines, mask in zip(bad, (~ascii, ascii & ~ok, ascii & ok & ~parsed)):
+            lines += numbers[part][mask].tolist()
+        count[part] = slots * (ascii & ok & parsed)
+    head_message = "bad year/month field" if layout.has_month else "bad year field"
+    for message, lines in zip(("non-ASCII station id", head_message, "non-numeric value field"), bad):
+        issues += [ParseIssue(line=line, message=message) for line in lines]
+    return (ids, element, first, count), issues
+
+
+def _spilled(spill, rows: np.ndarray, groups: int, buf: bytearray) -> np.ndarray:
+    """The int32 rows of groups values at the given indices of spill, read
+    over ranges of rows of at most _BLOCK_BYTES (or one row) into buf."""
+    width = 4 * groups
+    at = np.argsort(rows, kind="stable")
+    ordered = rows[at]
+    step = max(_BLOCK_BYTES // width, 1)
+    bounds = [0, *(np.flatnonzero(np.diff((ordered - ordered[0]) // step)) + 1).tolist(), rows.size]
+    ints = np.empty((rows.size, groups), np.int32)
+    for part in map(slice, bounds[:-1], bounds[1:]):
+        lo, size = int(ordered[part.start]), (int(ordered[part.stop - 1]) + 1 - int(ordered[part.start])) * width
+        spill.seek(lo * width)
+        spill.readinto(memoryview(buf)[:size])
+        ints[at[part]] = np.frombuffer(buf, np.int32, size // 4).reshape(-1, groups)[ordered[part] - lo]
+    return ints
 
 
 def _records(layout: _Layout, source):
     """Frame a record file (bytes or a path), yield (frames, issues), then
     each series' values in turn; see _read."""
-    fh, stamp = _open_records(source)
-    with fh:
-        (ids, element, first, count, offset), issues = _frame(layout, fh)
-        series = _series_rows(ids, element)
-        spans = [(int(first[r].min()), int((first[r] + count[r]).max())) for r in series]
+    with tempfile.TemporaryFile() as spill:
+        with _open_records(source) as fh:
+            (ids, element, first, count), issues = _frame(layout, fh, spill)
+        rows, bounds = _series_rows(ids, element, first, count)
+        # a series' lines are in slot order: its first line starts it, its last ends it
+        heads, tails = rows[bounds[:-1]], rows[bounds[1:] - 1]
+        starts, ends = first[heads], first[tails] + count[tails]
         kind = DailySeries if layout.has_month else MonthlySeries
         yield [
-            series_at(kind, _station_id(ids[r[0]]), element[r[0]].decode("ascii"), a, np.broadcast_to(np.nan, b - a))
-            for r, (a, b) in zip(series, spans)
+            series_at(kind, _station_id(sid), e.decode("ascii"), a, np.broadcast_to(np.nan, b - a))
+            for sid, e, a, b in zip(ids[heads].tolist(), element[heads].tolist(), starts.tolist(), ends.tolist())
         ], issues
 
-        # values pass: the kept lines of consecutive series, about a block's
-        # worth at a time, read back in file order, checked against their
-        # framing and parsed together; then each series' values in turn
-        buf = np.empty(max(_BLOCK_BYTES, layout.length), np.uint8)
-        col = np.arange(layout.groups)
+        # values pass: the rows of consecutive series, about a block's worth,
+        # read back from the spill and built into one array of their values
+        buf = bytearray(max(_BLOCK_BYTES, 4 * layout.groups))
+        col = np.arange(layout.groups, dtype=np.uint8)
         # a batch closes where the running count of lines passes a multiple of a block's lines
-        ends = np.cumsum([r.size for r in series])
-        cuts = np.flatnonzero(np.diff(ends // (_BLOCK_BYTES // (layout.length + 1) + 1))) + 1
-        for batch in np.split(np.arange(len(series)), cuts) if series else []:
-            if stamp is not None and _stamp(fh) != stamp:
-                raise ValueError("the record file changed since it was framed")
-            kept = [series[k][_dedup_last(first[series[k]])] for k in batch]
-            batch_rows = np.concatenate(kept)
-            order = np.argsort(batch_rows)
-            ints = np.empty((batch_rows.size, layout.groups), np.int32)
-            for part, lines in _read_back(layout, fh, buf, offset[batch_rows[order]]):
-                pos = order[part]
-                rows = batch_rows[pos]
-                parsed, same = _value_fields(layout, lines, count[rows])
-                same &= _bytes_column(lines, 0, 11) == ids[rows]
-                same &= _bytes_column(lines, *layout.element_cols) == element[rows]
-                if not same.all():
-                    line = int(offset[rows[~same][0]])
-                    raise ValueError(f"the line at byte {line} of the record file changed since it was framed")
-                ints[pos] = parsed
-            bounds = np.cumsum([0] + [len(rows) for rows in kept])
-            for k, rows, begin, end in zip(batch, kept, bounds[:-1], bounds[1:]):
-                a, b = spans[k]
-                f, c = first[rows], count[rows]
-                mask = col < c[:, None]
-                v = ints[begin:end][mask]
-                degrees = v / layout.scale
-                degrees[v == MISSING_INT] = np.nan
-                out = np.full(b - a, np.nan)
-                if np.array_equal(f[1:], f[:-1] + c[:-1]):  # the lines' slots follow on: one slice
-                    out[f[0] - a : f[0] - a + v.size] = degrees
-                else:
-                    out[((f[:, None] - a) + col)[mask]] = degrees
-                yield out
+        cuts = np.flatnonzero(np.diff(bounds[1:] // (_BLOCK_BYTES // (layout.length + 1) + 1))) + 1
+        for batch in np.split(np.arange(heads.size), cuts) if heads.size else []:
+            lines = rows[bounds[batch[0]] : bounds[batch[-1] + 1]]
+            ints = _spilled(spill, lines, layout.groups, buf)
+            f, c = first[lines], count[lines]
+            # each series' values start at its offset in the batch's array
+            at = np.concatenate(([0], np.cumsum(ends[batch] - starts[batch])))
+            f += np.repeat(at[:-1] - starts[batch], np.diff(bounds[batch[0] : batch[-1] + 2]))
+            mask = col < c[:, None]
+            v = ints[mask]
+            out = v / layout.scale
+            np.putmask(out, v == MISSING_INT, np.nan)
+            if not np.array_equal(f[1:], f[:-1] + c[:-1]):  # the lines' slots do not follow on: scatter
+                out, degrees = np.full(at[-1], np.nan), out
+                out[(f[:, None] + col)[mask]] = degrees
+            for a, b in zip(at[:-1].tolist(), at[1:].tolist()):
+                yield out[a:b]
 
 
 def _read(layout: _Layout, source):
-    """(frames, values, issues) of a record file, its bytes or a path, read
-    in two passes over the source.
+    """(frames, values, issues) of a record file, its bytes or a path, read once.
 
-    The framing pass reads blocks of whole lines and keeps, per line whose
-    element is wanted and whose fields parse, only its raw id, element,
-    first slot, slot count and byte offset (32 bytes).  frames holds one
-    series per (station, element) of the layout's elements, grouped from
-    those lines and sorted by station id then element, each with a
-    read-only all-NaN view as long as its values.  values is the values
-    pass: it yields the series' values in turn, one series at a time, each
-    built from its kept lines read back from the source by offset and
-    parsed, those of consecutive series about a block's worth at a time.
-    When a line's (station, element, year[, month]) repeats, the later line
-    whose value fields parse wins.  Issues list bad line lengths, then bad
-    headers, then non-numeric value fields, each in line order.
+    The framing pass reads blocks of whole lines, appends the int32 value
+    fields of each line whose element is wanted to the spill, an unnamed
+    temporary file in the system's temporary directory (124 bytes a daily
+    line, 48 a monthly one), and keeps per line its raw id, element, first
+    slot and slot count (24 bytes).  frames holds one series per (station,
+    element) of the layout's elements, grouped from the lines whose id is
+    ASCII and whose fields parse and sorted by station id then element,
+    each with a read-only all-NaN view as long as its values.  values
+    yields the series' values in turn, read back from the spill about a
+    block's worth at a time.  When a line's (station, element, year[,
+    month]) repeats, the later line whose value fields parse wins.  Issues
+    list bad line lengths, then non-ASCII ids, then bad headers, then
+    non-numeric value fields, each in line order.
 
-    values raises ValueError when the file changed between the passes: its
-    size or mtime differs, it ends early, or a line read back no longer
-    parses or carries another id or element; framing raises it when the
-    file grows as it is read.  The source stays open until values is
-    exhausted, closed or dropped.
+    Framing raises ValueError when the file grows as it is read.  The
+    source is closed once framed, so a later change to it changes no
+    value; the spill is closed when values is exhausted, closed or dropped.
     """
     records = _records(layout, source)
     frames, issues = next(records)
@@ -528,6 +525,9 @@ def parse_stations(buf: bytes) -> tuple[list[StationMeta], list[ParseIssue]]:
             continue
         if len(raw) < _STATION_LEN:
             issues.append(ParseIssue(line=lineno, message="short inventory line"))
+            continue
+        if not raw[0:11].isascii():
+            issues.append(ParseIssue(line=lineno, message="non-ASCII station id"))
             continue
         sid = _station_id(raw[0:11])
         fields = (raw[12:20], raw[21:30], raw[31:37])

@@ -687,7 +687,7 @@ def stage_ingest(out_dir, cfg: RunConfig):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: _input_path(out, cfg, name) for name in INPUT_FILES}
-    # the series are framed here and their values read back only as they are saved
+    # the record files are read once here; their values wait in temporary spill files until they are saved
     daily, daily_values, daily_issues = _load(paths["daily"], None, read_ghcnd)
     monthly, monthly_values, monthly_issues = _load(paths["monthly"], None, read_ghcnm)
     stations, station_issues = parse_stations(_load(paths["stations"], None, Path.read_bytes))

@@ -157,30 +157,46 @@ def load_regions(doc) -> RegionSet:
     return rs
 
 
-def point_in_rings(lon: float, lat: float, rings) -> bool:
-    """Even-odd ray-casting membership; boundary points count as inside."""
-    crossings = 0
-    for ring in rings:
-        ring = np.asarray(ring, dtype=float)
-        x0, y0 = ring[:-1, 0], ring[:-1, 1]
-        x1, y1 = ring[1:, 0], ring[1:, 1]
-        cross = (x1 - x0) * (lat - y0) - (y1 - y0) * (lon - x0)
-        on_edge = (
-            (cross == 0.0)
-            & (np.minimum(x0, x1) <= lon)
-            & (lon <= np.maximum(x0, x1))
-            & (np.minimum(y0, y1) <= lat)
-            & (lat <= np.maximum(y0, y1))
-        )
-        if on_edge.any():
-            return True
-        straddles = (y0 > lat) != (y1 > lat)
-        if straddles.any():
-            xs = x0[straddles] + (lat - y0[straddles]) * (x1[straddles] - x0[straddles]) / (
-                y1[straddles] - y0[straddles]
-            )
-            crossings += int((lon < xs).sum())
-    return crossings % 2 == 1
+def point_in_rings(lon, lat, rings):
+    """Even-odd ray-casting membership of a point, or of each point of two
+    arrays of one shape; boundary points count as inside.  Points go
+    through in chunks of about 32,768 point-edge pairs, each point with
+    the same arithmetic whatever the chunk."""
+    lon, lat = np.asarray(lon, dtype=float), np.asarray(lat, dtype=float)
+    inside = np.empty(lon.shape, dtype=bool)
+    rings = [np.asarray(ring, dtype=float) for ring in rings]
+    step = max(1, 32768 // max(1, sum(len(ring) for ring in rings)))
+    for lo in range(0, lon.size, step):
+        px, py = lon.reshape(-1, 1)[lo : lo + step], lat.reshape(-1, 1)[lo : lo + step]
+        on_edge = np.zeros(px.shape[0], dtype=bool)
+        crossings = np.zeros(px.shape[0], dtype=np.int64)
+        for ring in rings:
+            x0, y0 = ring[:-1, 0], ring[:-1, 1]
+            x1, y1 = ring[1:, 0], ring[1:, 1]
+            cross = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
+            on_edge |= (
+                (cross == 0.0)
+                & (np.minimum(x0, x1) <= px)
+                & (px <= np.maximum(x0, x1))
+                & (np.minimum(y0, y1) <= py)
+                & (py <= np.maximum(y0, y1))
+            ).any(axis=1)
+            straddles = (y0 > py) != (y1 > py)
+            # an edge that does not straddle the ray may be level: its quotient is not used
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xs = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+            crossings += (straddles & (px < xs)).sum(axis=1)
+        inside.reshape(-1)[lo : lo + step] = on_edge | (crossings % 2 == 1)
+    return inside if inside.ndim else bool(inside)
+
+
+def _first_holding(regions: list[Region], lon, lat) -> list:
+    """Per point, the name of the first region in declaration order that
+    holds it, or None."""
+    names = np.full(len(lon), None, dtype=object)
+    for r in reversed(regions):
+        names[point_in_rings(lon, lat, r.rings())] = r.name
+    return names.tolist()
 
 
 def assign_station_region(station: StationMeta, regions: RegionSet):
@@ -189,14 +205,8 @@ def assign_station_region(station: StationMeta, regions: RegionSet):
     Overlapping regions of the same kind resolve to the first match in
     declaration order.
     """
-    cr_id = next(
-        (r.name for r in regions.climate_regions if point_in_rings(station.lon, station.lat, r.rings())),
-        None,
-    )
-    uc_id = next(
-        (r.name for r in regions.ucs if point_in_rings(station.lon, station.lat, r.rings())),
-        None,
-    )
+    (cr_id,) = _first_holding(regions.climate_regions, [station.lon], [station.lat])
+    (uc_id,) = _first_holding(regions.ucs, [station.lon], [station.lat])
     return cr_id, uc_id
 
 
@@ -209,7 +219,9 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
     pair is limited to stations inside the host; non-corridor stations are
     the host's stations that sit in no corridor at all.
     """
-    assigned = {s.station_id: assign_station_region(s, regions) for s in stations}
+    lons, lats = [s.lon for s in stations], [s.lat for s in stations]
+    held = zip(_first_holding(regions.climate_regions, lons, lats), _first_holding(regions.ucs, lons, lats))
+    assigned = {s.station_id: pair for s, pair in zip(stations, held)}
     cr_order = [r.name for r in regions.climate_regions]
     pairs: list[RegionPair] = []
     for uc in regions.ucs:
@@ -224,10 +236,9 @@ def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[Regio
             host = max(cr_order, key=lambda name: (counts.get(name, 0), -cr_order.index(name)))
         else:
             lon, lat = uc.representative_point()
-            host = next(
-                (r.name for r in regions.climate_regions if point_in_rings(lon, lat, r.rings())),
-                cr_order[0] if cr_order else "",
-            )
+            (host,) = _first_holding(regions.climate_regions, [lon], [lat])
+            if host is None:
+                host = cr_order[0] if cr_order else ""
             warning = f"corridor {uc.name!r} contains no stations"
         uc_ids = [s.station_id for s in members if assigned[s.station_id][0] == host]
         non_ids = [

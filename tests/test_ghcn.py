@@ -1,5 +1,6 @@
 import calendar
 import datetime as dt
+import gc
 import os
 import re
 import threading
@@ -119,6 +120,13 @@ class TestParseGhcnd:
         assert len(series[0].values) == 62
         assert len(issues) == 1
         assert issues[0].line == 2
+
+    def test_carriage_return_before_a_line_feed_is_no_record_byte(self):
+        # a 268-char line ending in CR LF spans as many bytes as a record line and its LF
+        good = dly_line("USW00000001", 1960, 1, "TMAX", [10] * 31)
+        series, issues = parse_ghcnd((good + "\n" + good[:-1] + "\r\n" + good + "\n").encode())
+        assert issues == [ParseIssue(2, "expected 269-char line, got 268")]
+        assert len(series) == 1
 
     def test_non_numeric_value_field_reported(self):
         good = dly_line("USW00000002", 1956, 7, "TMAX", [100])
@@ -493,7 +501,7 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("layout", ["daily", "monthly"])
     def test_a_pipe_parses_like_a_file(self, layout, tmp_path):
-        # a pipe cannot seek, so it is read back from a temporary copy
+        # a pipe cannot seek, so it is framed from a temporary copy
         parse = parse_ghcnd if layout == "daily" else parse_ghcnm
         _, lines = _edge_lines(layout)
         blob = ("\n".join(lines * 20) + "\n").encode()
@@ -508,9 +516,9 @@ class TestBlockEdges:
 
 
 class TestChangedBetweenPasses:
-    """read_ghcnd frames a file; values reads each series' lines back from
-    it.  A file rewritten in between raises ValueError rather than give
-    values the framing does not describe."""
+    """read_ghcnd frames a file and spills its parsed value fields; values
+    reads them back from the spill, never from the file.  A file rewritten
+    in between changes no value, and no descriptor outlives the values."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -520,23 +528,41 @@ class TestChangedBetweenPasses:
 
     @pytest.mark.parametrize("change", ["non-numeric field", "truncated"])
     @pytest.mark.parametrize("same_mtime", [False, True])
-    def test_rewritten_file_raises(self, path, change, same_mtime):
+    def test_rewritten_file_changes_no_value(self, path, change, same_mtime):
         before = path.stat()
-        frames, values, _ = ghcn.read_ghcnd(path)
         blob = path.read_bytes()
+        expected = [s.values.tobytes() for s in parse_ghcnd(blob)[0]]
+        frames, values, _ = ghcn.read_ghcnd(path)
         if change == "truncated":
-            blob = blob[: len(blob) // 2]
+            path.write_bytes(blob[: len(blob) // 2])
         else:
             lines = blob.decode().split("\n")
             lines[len(lines) // 2] = _with_field(lines[len(lines) // 2], 3, " 1x3 ")
-            blob = "\n".join(lines).encode()
-        path.write_bytes(blob)
+            path.write_bytes("\n".join(lines).encode())
         if same_mtime:
-            # a rewrite of the same length then shows only in the lines read back
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        with pytest.raises(ValueError, match="record file"):
-            list(values)
         assert len(frames) == 4
+        assert [v.tobytes() for v in values] == expected
+
+    @staticmethod
+    def _open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "dropped"])
+    def test_source_and_spill_are_closed(self, path, end):
+        before = self._open_fds()
+        frames, values, _ = ghcn.read_ghcnd(path)
+        # the source is closed once framed; the spill stays open for values
+        assert self._open_fds() == before + 1
+        next(values)
+        if end == "exhausted":
+            assert len(list(values)) == len(frames) - 1
+        elif end == "closed":
+            values.close()
+        else:
+            del values
+            gc.collect()
+        assert self._open_fds() == before
 
     def test_file_grown_while_framed_raises(self, path, monkeypatch):
         blob = path.read_bytes()

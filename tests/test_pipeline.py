@@ -5,8 +5,11 @@ import collections
 import csv
 import dataclasses
 import datetime as dt
+import errno
 import hashlib
+import io
 import json
+import os
 import shutil
 import tracemalloc
 
@@ -923,9 +926,13 @@ class TestStageErrors:
             pipeline.stage_qc(tmp_path, cfg)
 
     @pytest.mark.parametrize("change", ["non-numeric field", "truncated"])
-    def test_daily_file_rewritten_after_framing(self, tmp_path, monkeypatch, capsys, change):
+    def test_daily_file_rewritten_after_framing(self, tmp_path, monkeypatch, change):
+        # the values come from the spill framing wrote, not from a second read of the file
         cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
         pipeline.stage_synth(tmp_path, cfg)
+        undisturbed = tmp_path / "undisturbed"
+        shutil.copytree(tmp_path, undisturbed)
+        pipeline.stage_ingest(undisturbed, cfg)
         read = pipeline.read_ghcnd
 
         def read_then_rewrite(path):
@@ -940,13 +947,48 @@ class TestStageErrors:
             return framed
 
         monkeypatch.setattr(pipeline, "read_ghcnd", read_then_rewrite)
-        with pytest.raises(DataError, match="ghcnd.dly"):
-            pipeline.stage_ingest(tmp_path, cfg)
-        assert not (tmp_path / pipeline.F_PARSED_DAILY).exists()
+        pipeline.stage_ingest(tmp_path, cfg)
+        for name in (pipeline.F_PARSED_DAILY, pipeline.F_PARSE_ISSUES):
+            assert (tmp_path / name).read_bytes() == (undisturbed / name).read_bytes(), name
+
+    def test_spill_that_cannot_be_written_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(ghcn.tempfile, "TemporaryFile", FullDisk)
         assert cli.main(["ingest", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "ghcnd.dly" in err and "Traceback" not in err
-        assert not (tmp_path / pipeline.F_PARSED_DAILY).exists()
+        assert err.startswith("megaheat: error: ") and err.count("\n") == 1
+        assert "ghcnd.dly" in err and os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        assert not list(tmp_path.glob("parsed_*.npz"))
+
+    def test_ids_outside_ascii_are_reported_and_dropped(self, tmp_path):
+        # two ids that differ only in a byte outside ASCII are two stations
+        # to no parser: each line under them is reported and dropped
+        cfg = load_config(dict(LIGHT_CFG, synth=dict(LIGHT_CFG["synth"], daily=True)))
+        pipeline.stage_synth(tmp_path, cfg)
+        for name in ("ghcnd.dly", "ghcnm.dat", "stations.txt"):
+            raw = (tmp_path / name).read_bytes()
+            raw = raw.replace(b"SYN00N00000", b"SYN00N0000\xe9").replace(b"SYN00N00001", b"SYN00N0000\xe8")
+            (tmp_path / name).write_bytes(raw)
+        summary = pipeline.stage_ingest(tmp_path, cfg)
+        assert (summary["n_stations"], summary["n_daily_series"], summary["n_monthly_series"]) == (10, 20, 30)
+        expected = [
+            [kind, str(k), "non-ASCII station id"]
+            for kind, name in (("daily", "ghcnd.dly"), ("monthly", "ghcnm.dat"), ("stations", "stations.txt"))
+            for k, line in enumerate((tmp_path / name).read_bytes().split(b"\n"), 1)
+            if not line[:11].isascii()
+        ]
+        # each station has 264 daily lines, 36 monthly lines and one inventory line
+        assert len(expected) == 2 * (264 + 36 + 1)
+        assert list(read_csv(tmp_path / pipeline.F_PARSE_ISSUES))[1:] == expected
+        pairs = json.loads((tmp_path / pipeline.F_PAIRS).read_text())["pairs"]
+        held = {sid for p in pairs for sid in p["uc_stations"] + p["nonuc_stations"]}
+        assert len(held) == 10 and all(sid.isascii() for sid in held)
 
     def test_trends_requires_indices(self, tmp_path):
         cfg = load_config({})
@@ -1040,25 +1082,29 @@ class TestReportOnEmptyDir:
 class TestIngestMemory:
     """stage_ingest holds a small per-line index and one block's work, never
     a record file's bytes, its value fields or every series' values at once,
-    in whatever order the file lists its lines.
+    in whatever order the file lists its lines.  The value fields go to the
+    spill, a temporary file on disk, which tracemalloc does not see.
 
     The budget follows the design, whatever the world's size:
-    - per record line, its index row: an 11-byte raw id, a 4-byte element,
-      an 8-byte first slot, a 1-byte slot count and an 8-byte byte offset;
-    - per record line, under 48 bytes of index arrays: the series grouping
-      and each series' kept lines;
+    - per record line, 32 bytes: framing holds 30 a line (an 11-byte raw
+      id, a 4-byte element, 6 header bytes, the first value group that
+      does not parse and an 8-byte line number) until it has worked out
+      each line's 8-byte first slot and 1-byte slot count; then the
+      24-byte index row (id, element, first slot and count) stays;
+    - per record line, under 48 bytes of index arrays: the slots worked
+      out while framing, and the sort keys and kept rows of the series
+      grouping;
     - one block's work (the read buffer, newline mask, gathered lines and
-      parsed fields), in the framing pass or in the read back of a batch
-      of series (a block's worth of lines and one series more), under 8
-      blocks of _BLOCK_BYTES; a line too long for the buffer is read
-      through in it, not held;
-    - one series' values, the index arrays of its kept lines and their
-      scatter, under 48 bytes per slot of the longest series;
+      parsed fields) in the framing pass, or one batch's (a block's worth
+      of rows read back from the spill and one series more, their values,
+      slot index and masks) in the values pass, under 8 blocks of
+      _BLOCK_BYTES and 48 bytes per slot of the longest series; a line
+      too long for the buffer is read through in it, not held;
     - 1 MiB for Python objects: the frames, issues, pairs and lists.
     A reader that keeps each line's int32 value fields (124 bytes per daily
-    line) until the series are saved needs more than that, and so does one
-    that holds a line longer than the buffer: the budget does not grow with
-    such a line.
+    line) in memory until the series are saved needs more than that, and
+    so does one that holds a line longer than the buffer: the budget does
+    not grow with such a line.
     """
 
     def test_peak(self, tmp_path, monkeypatch):
