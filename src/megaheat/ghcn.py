@@ -19,9 +19,9 @@ line the month_index values of its year's 12 months.
 A record file is read once and never held whole.  The framing pass
 reads blocks of whole lines into one reused buffer of _BLOCK_BYTES,
 appends the parsed value fields of each line whose element is wanted to
-an unnamed temporary file, the spill, and keeps per line only its raw
-id, element, first slot and slot count (24 bytes, in any order of
-lines); a line too long for the buffer (a whole file with CR-only line
+an unnamed temporary file in TMPDIR, the spill, and keeps per line only
+its raw id, element, first slot and slot count (20 bytes, in any order
+of lines); a line too long for the buffer (a whole file with CR-only line
 breaks, say) is read through to its line break in that buffer and
 reported by its length.  Headers and ids are then checked once per file
 and the lines grouped into series.  The values pass reads the spilled
@@ -310,18 +310,8 @@ def _block_rows(layout: _Layout, block, number: int):
     numbers; and their int32 value fields.  Then the block's count of lines
     and its bad-length issues.  Header bytes may be a view of the block.
     """
-    size = layout.length + 1
-    if (
-        block.size % size == 0
-        and np.count_nonzero(block == 0x0A) == block.size // size
-        and (block[layout.length :: size] == 0x0A).all()
-        and (block[layout.length - 1 :: size] != 0x0D).all()
-    ):  # lines of the record width, each ended by a LF alone
-        lines, issues = block.size // size, []
-        matrix, numbers = block.reshape(lines, size)[:, : layout.length], np.arange(number, number + lines)
-    else:
-        arr, starts, ends, numbers, lines = _split_lines(block)
-        matrix, _, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
+    arr, starts, ends, numbers, lines = _split_lines(block)
+    matrix, _, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
     element = _bytes_column(matrix, *layout.element_cols)
     code = element.view(">u4")
     wanted = functools.reduce(np.logical_or, [code == want for want in np.frombuffer(b"".join(layout.elements), ">u4")])
@@ -361,12 +351,13 @@ def _frame(layout: _Layout, fh, spill):
     of those lines (raw id, element, first slot and slot count, 0 for a
     line dropped), sized to the most whole lines the file can hold and cut
     to the lines framed, and the file's issues; see _read."""
-    fh.seek(0, io.SEEK_END)
-    cap = (fh.tell() + 1) // (layout.length + 1) + 1
+    size = fh.seek(0, io.SEEK_END)
+    cap = (size + 1) // (layout.length + 1) + 1
     fh.seek(0)
     head = layout.element_cols[0] - 11  # the header bytes: year, and month when the layout has one
     columns = [np.empty(cap, "S11"), np.empty(cap, "S4"), np.empty((cap, head), np.uint8)]
-    columns += [np.empty(cap, np.uint8), np.empty(cap, np.int64)]
+    # line numbers in the narrowest type that holds a count of the file's lines
+    columns += [np.empty(cap, np.uint8), np.empty(cap, np.min_scalar_type(size + 1))]
     n, number, issues = 0, 1, []
     for block in _line_blocks(fh, layout.length):
         if isinstance(block, int):  # the length of a line too long to hold, read through
@@ -385,7 +376,7 @@ def _frame(layout: _Layout, fh, spill):
     ids, element, head, first_bad, numbers = (column[:n] for column in columns)
 
     # header fields, slots and ids once over the framed lines, 256 KiB of slots at a time
-    first, count = np.empty(n, np.int64), np.empty(n, np.uint8)
+    first, count = np.empty(n, np.int32), np.empty(n, np.uint8)
     bad = ([], [], [])
     step = max(_BLOCK_BYTES // 8, 1)
     for part in map(slice, range(0, n, step), range(step, n + step, step)):
@@ -471,9 +462,11 @@ def _read(layout: _Layout, source):
 
     The framing pass reads blocks of whole lines, appends the int32 value
     fields of each line whose element is wanted to the spill, an unnamed
-    temporary file in the system's temporary directory (124 bytes a daily
-    line, 48 a monthly one), and keeps per line its raw id, element, first
-    slot and slot count (24 bytes).  frames holds one series per (station,
+    temporary file in tempfile's directory (TMPDIR, else /tmp; 124 bytes a
+    daily line, 48 a monthly one), which is on disk only when that
+    directory is: on a tmpfs it is memory that the process's resident set
+    does not count.  It keeps per line its raw id, element, first slot and
+    slot count (20 bytes).  frames holds one series per (station,
     element) of the layout's elements, grouped from the lines whose id is
     ASCII and whose fields parse and sorted by station id then element,
     each with a read-only all-NaN view as long as its values.  values

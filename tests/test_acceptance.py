@@ -449,10 +449,10 @@ PERF_CFG = {
 
 
 # at most this VmHWM for ingest, which reads ghcnd.dly (390 MB) once in
-# blocks, spills its value fields to a temporary file on disk (124 bytes
-# per line, 179 MB) and holds a 24-byte index row per line, and for each
-# stage after it on the PERF_CFG world, which reads parsed_daily.npz (350
-# MB of values) one series at a time
+# blocks, spills its value fields to a temporary file in TMPDIR (124 bytes
+# per line, 179 MB; not counted in VmHWM) and holds a 20-byte index row
+# per line, and for each stage after it on the PERF_CFG world, which reads
+# parsed_daily.npz (350 MB of values) one series at a time
 STAGE_PEAK_MIB = 150
 
 # one stage in a fresh process, which prints its own VmHWM in kB

@@ -1083,14 +1083,15 @@ class TestIngestMemory:
     """stage_ingest holds a small per-line index and one block's work, never
     a record file's bytes, its value fields or every series' values at once,
     in whatever order the file lists its lines.  The value fields go to the
-    spill, a temporary file on disk, which tracemalloc does not see.
+    spill, a temporary file in TMPDIR, which tracemalloc does not see.
 
     The budget follows the design, whatever the world's size:
-    - per record line, 32 bytes: framing holds 30 a line (an 11-byte raw
+    - per record line, 32 bytes: framing holds 26 a line (an 11-byte raw
       id, a 4-byte element, 6 header bytes, the first value group that
-      does not parse and an 8-byte line number) until it has worked out
-      each line's 8-byte first slot and 1-byte slot count; then the
-      24-byte index row (id, element, first slot and count) stays;
+      does not parse and a line number, 4 bytes in a file under 4 GiB)
+      until it has worked out each line's 4-byte first slot and 1-byte
+      slot count, 31 bytes in all; then the 20-byte index row (id,
+      element, first slot and count) stays;
     - per record line, under 48 bytes of index arrays: the slots worked
       out while framing, and the sort keys and kept rows of the series
       grouping;
