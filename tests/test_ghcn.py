@@ -121,13 +121,6 @@ class TestParseGhcnd:
         assert len(issues) == 1
         assert issues[0].line == 2
 
-    def test_carriage_return_before_a_line_feed_is_no_record_byte(self):
-        # a 268-char line ending in CR LF spans as many bytes as a record line and its LF
-        good = dly_line("USW00000001", 1960, 1, "TMAX", [10] * 31)
-        series, issues = parse_ghcnd((good + "\n" + good[:-1] + "\r\n" + good + "\n").encode())
-        assert issues == [ParseIssue(2, "expected 269-char line, got 268")]
-        assert len(series) == 1
-
     def test_non_numeric_value_field_reported(self):
         good = dly_line("USW00000002", 1956, 7, "TMAX", [100])
         bad = dly_line("USW00000001", 1956, 7, "TMAX", [100])
