@@ -375,7 +375,7 @@ def _frame(layout: _Layout, fh, spill):
         issues += block_issues
     ids, element, head, first_bad, numbers = (column[:n] for column in columns)
 
-    # header fields, slots and ids once over the framed lines, 256 KiB of slots at a time
+    # header fields, slots and ids once over the framed lines, _BLOCK_BYTES of int64 slots at a time
     first, count = np.empty(n, np.int32), np.empty(n, np.uint8)
     bad = ([], [], [])
     step = max(_BLOCK_BYTES // 8, 1)
