@@ -16,18 +16,11 @@ and one reader and one writer serve both.  Each line covers a run of slots
 on one linear axis: a daily line the day serials of its month, a monthly
 line the month_index values of its year's 12 months.
 
-A record file is read once and never held whole.  The framing pass
-reads blocks of whole lines into one reused buffer of _BLOCK_BYTES,
-appends the parsed value fields of each line whose element is wanted to
-an unnamed temporary file in TMPDIR, the spill, and keeps per line only
-its raw id, element, first slot and slot count (20 bytes, in any order
-of lines); a line too long for the buffer (a whole file with CR-only line
-breaks, say) is read through to its line break in that buffer and
-reported by its length.  Headers and ids are then checked once per file
-and the lines grouped into series.  The values pass reads the spilled
-rows of consecutive series back, about _BLOCK_BYTES at a time, and
-builds their values together.  A pipe is first copied to a temporary
-file, whose size bounds the framing.
+A record file, or a pipe, is read once and never held whole: framing
+reads blocks of whole lines into one reused buffer (a line too long for
+it is read through and reported by its length), spills the parsed value
+fields of each wanted line and writes its index row to a second temporary
+file, read back once framed; the values pass reads the spilled rows back.
 
 An integer field must match ``" *-?[0-9]+"`` (year and month take no
 sign); year 0 has no calendar date and is rejected like a month outside
@@ -52,7 +45,6 @@ import io
 import math
 import os
 import re
-import shutil
 import tempfile
 from dataclasses import dataclass, replace
 
@@ -131,7 +123,7 @@ def _bad_length(line: int, expected_len: int, length: int) -> ParseIssue:
 
 
 def _gather_lines(arr, starts, ends, numbers, expected_len):
-    """Return (matrix, starts, line_numbers, issues) of the lines exactly
+    """Return (matrix, line_numbers, issues) of the lines exactly
     expected_len bytes long; matrix rows are a view of arr when the lines
     start at one fixed step (LF or CRLF ends, with or without a final line
     break), else one copy of those lines."""
@@ -140,11 +132,11 @@ def _gather_lines(arr, starts, ends, numbers, expected_len):
     issues = [_bad_length(int(n), expected_len, int(ln)) for n, ln in zip(numbers[~good], lengths[~good])]
     starts, numbers = starts[good], numbers[good]
     if starts.size == 0:
-        return np.empty((0, expected_len), dtype=np.uint8), starts, numbers, issues
+        return np.empty((0, expected_len), dtype=np.uint8), numbers, issues
     step = int(starts[1] - starts[0]) if starts.size > 1 else 1
     if np.all(np.diff(starts) == step):
-        return np.ndarray((starts.size, expected_len), np.uint8, arr, int(starts[0]), (step, 1)), starts, numbers, issues
-    return np.lib.stride_tricks.sliding_window_view(arr, expected_len)[starts], starts, numbers, issues
+        return np.ndarray((starts.size, expected_len), np.uint8, arr, int(starts[0]), (step, 1)), numbers, issues
+    return np.lib.stride_tricks.sliding_window_view(arr, expected_len)[starts], numbers, issues
 
 
 def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
@@ -308,96 +300,83 @@ def _block_rows(layout: _Layout, block, number: int):
     elements, header bytes (year, and month when the layout has one), the
     first value group that does not parse (groups when all do) and line
     numbers; and their int32 value fields.  Then the block's count of lines
-    and its bad-length issues.  Header bytes may be a view of the block.
+    and its bad-length issues.  Any column may be a view of the block.
     """
     arr, starts, ends, numbers, lines = _split_lines(block)
-    matrix, _, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
+    matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
     element = _bytes_column(matrix, *layout.element_cols)
     code = element.view(">u4")
     wanted = functools.reduce(np.logical_or, [code == want for want in np.frombuffer(b"".join(layout.elements), ">u4")])
     if not wanted.all():
         matrix, numbers, element = matrix[wanted], numbers[wanted], element[wanted]
     ints, ok = _parse_int_fields(matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
-    first_bad = np.full(len(ok), layout.groups)
+    first_bad = np.full(len(ok), layout.groups, np.uint8)
     if not ok.all():
         first_bad[:] = np.where(ok.all(axis=1), layout.groups, ok.argmin(axis=1))
     head = matrix[:, 11 : layout.element_cols[0]]
     return (_bytes_column(matrix, 0, 11), element, head, first_bad, numbers), ints, lines, issues
 
 
-def _open_records(source):
-    """A seekable binary handle on a record file's bytes or path.  A file
-    that cannot seek (a pipe) is first copied block by block to an unnamed
-    temporary file, which is read in its place."""
-    if isinstance(source, bytes):
-        return io.BytesIO(source)
-    fh = open(source, "rb")
-    if fh.seekable():
-        return fh
-    with fh:
-        copy = tempfile.TemporaryFile()
-        try:
-            shutil.copyfileobj(fh, copy, _BLOCK_BYTES)
-            copy.seek(0)
-        except BaseException:
-            copy.close()
-            raise
-    return copy
+_INDEX = np.dtype([("id", "S11"), ("element", "S4"), ("first", "<i4"), ("count", "u1")])
 
 
-def _frame(layout: _Layout, fh, spill):
-    """The framing pass over a seekable record file, which appends each
-    framed line's int32 value fields to spill as one row: the index columns
-    of those lines (raw id, element, first slot and slot count, 0 for a
-    line dropped), sized to the most whole lines the file can hold and cut
-    to the lines framed, and the file's issues; see _read."""
-    size = fh.seek(0, io.SEEK_END)
-    cap = (size + 1) // (layout.length + 1) + 1
-    fh.seek(0)
-    head = layout.element_cols[0] - 11  # the header bytes: year, and month when the layout has one
-    columns = [np.empty(cap, "S11"), np.empty(cap, "S4"), np.empty((cap, head), np.uint8)]
-    # line numbers in the narrowest type that holds a count of the file's lines
-    columns += [np.empty(cap, np.uint8), np.empty(cap, np.min_scalar_type(size + 1))]
-    n, number, issues = 0, 1, []
+def _index_rows(layout: _Layout, pending, bad) -> np.ndarray:
+    """The _INDEX rows of the framed lines whose _block_rows columns pending
+    holds.  A line with a non-ASCII id, a bad header or a bad value field
+    in its slots gets slot count 0, and its number goes to that list of bad."""
+    ids, element, head, first_bad, numbers = map(np.concatenate, pending)
+    ascii = ids.view(np.uint8).reshape(-1, 11).max(axis=1) < 0x80
+    # year 0 has no calendar date, so it is a damaged field like any other
+    year, ok = _parse_int_fields(head[:, :4], allow_sign=False)
+    ok &= year > 0
+    month = 1
+    if layout.has_month:
+        month, ok_month = _parse_int_fields(head[:, 4:], allow_sign=False)
+        ok &= ok_month & (month >= 1) & (month <= 12)
+    first, slots = _line_slots(layout, year * 12 + (month - 1))
+    parsed = first_bad >= slots
+    for lines, mask in zip(bad, (~ascii, ascii & ~ok, ascii & ok & ~parsed)):
+        lines += numbers[mask].tolist()
+    return np.rec.fromarrays((ids, element, first, slots * (ascii & ok & parsed)), dtype=_INDEX)
+
+
+def _frame(layout: _Layout, fh, spill, index):
+    """The framing pass, one read of a record file front to back: each framed
+    line's int32 value fields go to spill as one row, and its _INDEX row to
+    index.  Returns the index columns and the issues."""
+    pending, held, number, issues, bad = ([], [], [], [], []), 0, 1, [], ([], [], [])
+    step = max(_BLOCK_BYTES // 64, 1)
     for block in _line_blocks(fh, layout.length):
         if isinstance(block, int):  # the length of a line too long to hold, read through
             issues.append(_bad_length(number, layout.length, block))
             number += 1
             continue
         line_columns, ints, block_lines, block_issues = _block_rows(layout, block, number)
-        k = len(ints)
-        if n + k > cap:
-            raise ValueError("the record file grew while it was read")
-        for column, part in zip(columns, line_columns):
-            column[n : n + k] = part
+        # any column may be a view of the reused buffer: copy it out before the next read
+        for parts, column in zip(pending, line_columns):
+            parts.append(column.copy())
         spill.write(ints)
-        n, number = n + k, number + block_lines
+        held, number = held + len(ints), number + block_lines
         issues += block_issues
-    ids, element, head, first_bad, numbers = (column[:n] for column in columns)
-
-    # header fields, slots and ids once over the framed lines, _BLOCK_BYTES of int64 slots at a time
-    first, count = np.empty(n, np.int32), np.empty(n, np.uint8)
-    bad = ([], [], [])
-    step = max(_BLOCK_BYTES // 8, 1)
-    for part in map(slice, range(0, n, step), range(step, n + step, step)):
-        high = ids[part].view(np.uint8).reshape(-1, 11) >= 0x80
-        ascii = ~high.any(axis=1) if high.any() else np.ones(len(high), dtype=bool)
-        # year 0 has no calendar date, so it is a damaged field like any other
-        year, ok = _parse_int_fields(head[part, :4], allow_sign=False)
-        ok &= year > 0
-        month = 1
-        if layout.has_month:
-            month, ok_month = _parse_int_fields(head[part, 4:], allow_sign=False)
-            ok &= ok_month & (month >= 1) & (month <= 12)
-        first[part], slots = _line_slots(layout, year * 12 + (month - 1))
-        parsed = first_bad[part] >= slots
-        for lines, mask in zip(bad, (~ascii, ascii & ~ok, ascii & ok & ~parsed)):
-            lines += numbers[part][mask].tolist()
-        count[part] = slots * (ascii & ok & parsed)
+        # headers, slots and ids once per step framed lines, a few blocks' worth, not per block
+        if held >= step:
+            index.write(_index_rows(layout, pending, bad))
+            pending, held = ([], [], [], [], []), 0
+    if pending[0]:
+        index.write(_index_rows(layout, pending, bad))
     head_message = "bad year/month field" if layout.has_month else "bad year field"
     for message, lines in zip(("non-ASCII station id", head_message, "non-numeric value field"), bad):
         issues += [ParseIssue(line=line, message=message) for line in lines]
-    return (ids, element, first, count), issues
+    # a step of rows at a time into one array per column: freeing a block larger than
+    # the ids would raise glibc's mmap threshold, and so the heap, of every later stage
+    n = index.tell() // _INDEX.itemsize
+    columns = [np.empty(n, _INDEX[name]) for name in _INDEX.names]
+    index.seek(0)
+    for lo in range(0, n, step):
+        rows = np.fromfile(index, _INDEX, step)
+        for column, name in zip(columns, _INDEX.names):
+            column[lo : lo + step] = rows[name]
+    return columns, issues
 
 
 def _spilled(spill, rows: np.ndarray, groups: int, buf: bytearray) -> np.ndarray:
@@ -421,8 +400,8 @@ def _records(layout: _Layout, source):
     """Frame a record file (bytes or a path), yield (frames, issues), then
     each series' values in turn; see _read."""
     with tempfile.TemporaryFile() as spill:
-        with _open_records(source) as fh:
-            (ids, element, first, count), issues = _frame(layout, fh, spill)
+        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh, tempfile.TemporaryFile() as index:
+            (ids, element, first, count), issues = _frame(layout, fh, spill, index)
         rows, bounds = _series_rows(ids, element, first, count)
         # a series' lines are in slot order: its first line starts it, its last ends it
         heads, tails = rows[bounds[:-1]], rows[bounds[1:] - 1]
@@ -465,20 +444,21 @@ def _read(layout: _Layout, source):
     temporary file in tempfile's directory (TMPDIR, else /tmp; 124 bytes a
     daily line, 48 a monthly one), which is on disk only when that
     directory is: on a tmpfs it is memory that the process's resident set
-    does not count.  It keeps per line its raw id, element, first slot and
-    slot count (20 bytes).  frames holds one series per (station,
-    element) of the layout's elements, grouped from the lines whose id is
-    ASCII and whose fields parse and sorted by station id then element,
-    each with a read-only all-NaN view as long as its values.  values
+    does not count.  Each line's 20-byte index row (raw id, element, first
+    slot, slot count) goes to a second such file, read back into columns
+    once framed.  frames holds one series per (station, element) of the
+    layout's elements, grouped from the lines whose id is ASCII and whose
+    fields parse and sorted by station id then element, each with a
+    read-only all-NaN view as long as its values.  values
     yields the series' values in turn, read back from the spill about a
     block's worth at a time.  When a line's (station, element, year[,
     month]) repeats, the later line whose value fields parse wins.  Issues
     list bad line lengths, then non-ASCII ids, then bad headers, then
     non-numeric value fields, each in line order.
 
-    Framing raises ValueError when the file grows as it is read.  The
-    source is closed once framed, so a later change to it changes no
-    value; the spill is closed when values is exhausted, closed or dropped.
+    A file that grows while it is framed is read to its end as it stands;
+    it is closed once framed, so a later change to it changes no value.
+    The spill is closed when values is exhausted, closed or dropped.
     """
     records = _records(layout, source)
     frames, issues = next(records)

@@ -520,19 +520,16 @@ def _unreadable(path: Path, producer: str | None, exc: Exception) -> DataError:
     return DataError(f"cannot read {path.name}: {exc}; rerun the {producer} stage")
 
 
-def _load(path: Path, producer: str | None, load, *args, named=(OSError, ValueError, csv.Error)):
+def _load(path: Path, producer: str | None, load, *args):
     """load(path, *args), for a file the producer stage saved or, with no
-    producer, a raw input; DataError when the file is missing or load
-    raises: naming the file for the errors in named, and in the error's own
-    words for any other ValueError or csv.Error."""
+    producer, a raw input; DataError naming the file when it is missing or
+    load raises OSError, ValueError or csv.Error."""
     if not path.exists():
         raise DataError(f"missing {path.name}; run the {producer} stage first" if producer else f"missing input file {path}")
     try:
         return load(path, *args)
-    except named as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise _unreadable(path, producer, exc) from exc
-    except (ValueError, csv.Error) as exc:
-        raise DataError(str(exc)) from exc
 
 
 def _checked(values, path: Path, producer: str | None):
@@ -700,8 +697,8 @@ def stage_ingest(out_dir, cfg: RunConfig):
         listed = ", ".join(repr(sid) for sid in unknown)
         raise DataError(f"records for stations missing from the inventory: {listed}")
 
-    pairs = pair_uc_nonuc(_load(paths["regions"], None, load_regions, named=OSError), stations)
-    _load(paths["covariates"], None, load_explanatory_vars, [p.uc_id for p in pairs], named=OSError)
+    pairs = pair_uc_nonuc(_load(paths["regions"], None, load_regions), stations)
+    _load(paths["covariates"], None, load_explanatory_vars, [p.uc_id for p in pairs])
     # the .npz files key series by station and corridor id in numpy string
     # arrays, which drop trailing NULs; such an id would not come back
     cut = sorted(i for i in {s.station_id for s in daily + monthly} | {p.uc_id for p in pairs} if i.endswith("\x00"))
@@ -946,7 +943,7 @@ def stage_correlate(out_dir, cfg: RunConfig):
     regional = _load(out / F_ANNUAL_REGIONAL, "indices", _read_annual, ANNUAL_REGIONAL_KEYS)
     pairs = _load(out / F_PAIRS, "ingest", _read_pairs)
     pair_ids = tuple(p.uc_id for p in pairs)
-    covariates = _load(_input_path(out, cfg, "covariates"), None, load_explanatory_vars, pair_ids, named=OSError)
+    covariates = _load(_input_path(out, cfg, "covariates"), None, load_explanatory_vars, pair_ids)
 
     cells = _cell_rows(cfg.metrics, cfg.seasons)
     keys = [(pid, group, metric, season) for pid in pair_ids for metric, season in cells for group in ("uc", "nonuc")]

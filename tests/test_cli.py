@@ -327,8 +327,11 @@ class TestDataErrors:
         capsys.readouterr()
         assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "megaheat: error: regions document: feature" in err and "name must be a non-empty string" in err
-        assert "Traceback" not in err
+        feature = len(doc["features"]) - 1
+        assert err == (
+            f"megaheat: error: cannot read input file {path}: "
+            f"regions document: feature {feature}: name must be a non-empty string, not {name!r}\n"
+        )
 
     def test_window_without_observations_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -452,7 +455,23 @@ class TestDataErrors:
         capsys.readouterr()
         assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("megaheat: error: field larger than field limit") and err.count("\n") == 1
+        assert err.startswith(f"megaheat: error: cannot read input file {table}: field larger than field limit")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage", ["ingest", "correlate"])
+    def test_bad_covariates_name_the_file(self, finished_run, tmp_path, capsys, stage):
+        done, cfg = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(done, out)
+        table = out / "covariates.csv"
+        header, first, *rest = table.read_text().split("\n")
+        at, fields = header.split(",").index("pct_urban"), first.split(",")
+        fields[at] = "150"
+        table.write_text("\n".join([header, ",".join(fields), *rest]))
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"megaheat: error: cannot read input file {table}: pct_urban 150.0 out of [0, 100] for {fields[0]!r}\n"
 
     @pytest.mark.parametrize("name", ["ghcnd.dly", "ghcnm.dat", "stations.txt", "regions.json", "covariates.csv"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, name):

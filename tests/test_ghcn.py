@@ -3,6 +3,7 @@ import datetime as dt
 import gc
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 from unittest import mock
@@ -266,7 +267,7 @@ class TestGatherLines:
 
     def _gather(self, blob):
         arr, starts, ends, numbers, _ = ghcn._split_lines(blob)
-        matrix, _, numbers, issues = ghcn._gather_lines(arr, starts, ends, numbers, 269)
+        matrix, numbers, issues = ghcn._gather_lines(arr, starts, ends, numbers, 269)
         return arr, matrix, numbers.tolist(), issues
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
@@ -308,8 +309,8 @@ class TestMemory:
     - while lines are split, a one-byte newline mask over the input; after
       that, the parsed values, 8 bytes per slot.  The larger of the two
       counts once;
-    - per line, at most 16 index values of 8 bytes: line offsets and
-      numbers, the header fields, the slots and the series grouping;
+    - per line, at most 16 index values of 8 bytes: line numbers, the
+      header fields, the slots and the series grouping;
     - one batch of whole series in flight: under 24 bytes per field (line
       bytes, byte columns, int32 values, masks) over at most _BLOCK_FIELDS
       plus one series' fields, and one series' scatter, under 48 bytes per
@@ -494,24 +495,31 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("layout", ["daily", "monthly"])
     def test_a_pipe_parses_like_a_file(self, layout, tmp_path):
-        # a pipe cannot seek, so it is framed from a temporary copy
+        # a pipe is read as it comes, like a file, and opens the temporary
+        # files a file opens (the spill and the index), no copy of the pipe
         parse = parse_ghcnd if layout == "daily" else parse_ghcnm
         _, lines = _edge_lines(layout)
         blob = ("\n".join(lines * 20) + "\n").encode()
-        fifo = tmp_path / "records"
+        path, fifo = tmp_path / "file", tmp_path / "records"
+        path.write_bytes(blob)
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
         writer.start()
-        piped = self._parsed(parse, fifo, 300)
+        with mock.patch.object(tempfile, "TemporaryFile", wraps=tempfile.TemporaryFile) as opened:
+            piped = self._parsed(parse, fifo, 300)
+            by_pipe = opened.call_count
+            assert self._parsed(parse, path, 300) == piped
         writer.join(timeout=10)
         assert not writer.is_alive()
+        assert by_pipe == opened.call_count - by_pipe == 2
         assert piped == self._parsed(parse, blob, 10**7)
 
 
 class TestChangedBetweenPasses:
     """read_ghcnd frames a file and spills its parsed value fields; values
     reads them back from the spill, never from the file.  A file rewritten
-    in between changes no value, and no descriptor outlives the values."""
+    in between changes no value, one that grows while it is framed is read
+    as it stands, and no descriptor outlives the values."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -557,12 +565,17 @@ class TestChangedBetweenPasses:
             gc.collect()
         assert self._open_fds() == before
 
-    def test_file_grown_while_framed_raises(self, path, monkeypatch):
+    def test_file_grown_while_framed_is_read_as_it_stands(self, path, monkeypatch):
+        # the appended lines repeat the file's, and a repeated line's later
+        # good copy wins, so the series are the file's own; every byte,
+        # those appended included, is read once
         blob = path.read_bytes()
-        blocks = ghcn._line_blocks
+        expected = parse_ghcnd(blob)
+        blocks, read = ghcn._line_blocks, []
 
         def appending(fh, longest):
             for k, block in enumerate(blocks(fh, longest)):
+                read.append(block.size)
                 yield block
                 if k == 0:
                     with open(path, "ab") as extra:
@@ -570,8 +583,12 @@ class TestChangedBetweenPasses:
 
         monkeypatch.setattr(ghcn, "_line_blocks", appending)
         monkeypatch.setattr(ghcn, "_BLOCK_BYTES", 4096)
-        with pytest.raises(ValueError, match="grew"):
-            ghcn.read_ghcnd(path)
+        series, issues = parse_ghcnd(path)
+        assert sum(read) == 2 * len(blob) and len(read) > 2
+        assert issues == expected[1] == []
+        assert [(s.station_id, s.element, first_slot(s), s.values.tobytes()) for s in series] == [
+            (s.station_id, s.element, first_slot(s), s.values.tobytes()) for s in expected[0]
+        ]
 
 
 class TestParseGhcnm:

@@ -1086,17 +1086,18 @@ class TestIngestMemory:
     spill, a temporary file in TMPDIR, which tracemalloc does not see.
 
     The budget follows the design, whatever the world's size:
-    - per record line, 32 bytes: framing holds 26 a line (an 11-byte raw
-      id, a 4-byte element, 6 header bytes, the first value group that
-      does not parse and a line number, 4 bytes in a file under 4 GiB)
-      until it has worked out each line's 4-byte first slot and 1-byte
-      slot count, 31 bytes in all; then the 20-byte index row (id,
-      element, first slot and count) stays;
-    - per record line, under 48 bytes of index arrays: the slots worked
-      out while framing, and the sort keys and kept rows of the series
-      grouping;
+    - per record line, 32 bytes: the 20-byte index row (an 11-byte raw
+      id, a 4-byte element, a 4-byte first slot and a 1-byte slot count),
+      which framing writes to a second temporary file and reads back into
+      one array per column when it ends;
+    - per record line, under 48 bytes of index arrays: the sort keys and
+      kept rows of the series grouping;
     - one block's work (the read buffer, newline mask, gathered lines and
-      parsed fields) in the framing pass, or one batch's (a block's worth
+      parsed fields) in the framing pass, and the check of the lines
+      framed since the last one, at most _BLOCK_BYTES // 64 and a block's
+      (30 bytes a line of framing columns, the 6 header bytes, the first
+      value group that does not parse and an 8-byte line number among
+      them, and about 50 a line of work), or one batch's (a block's worth
       of rows read back from the spill and one series more, their values,
       slot index and masks) in the values pass, under 8 blocks of
       _BLOCK_BYTES and 48 bytes per slot of the longest series; a line
