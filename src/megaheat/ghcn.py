@@ -19,8 +19,8 @@ line the month_index values of its year's 12 months.
 A record file, or a pipe, is read once and never held whole: framing
 reads blocks of whole lines into one reused buffer (a line too long for
 it is read through and reported by its length), spills the parsed value
-fields of each wanted line and writes its index row to a second temporary
-file, read back once framed; the values pass reads the spilled rows back.
+fields of each wanted line to a temporary file and keeps its 10-byte
+index row in memory; the values pass reads the spilled rows back.
 
 An integer field must match ``" *-?[0-9]+"`` (year and month take no
 sign); year 0 has no calendar date and is rejected like a month outside
@@ -73,6 +73,7 @@ class _Layout:
     the year (11-15), a month (15-17) when has_month, the element at
     element_cols, then ``groups`` value groups of 8 chars from column
     values_at: a 5-char integer in 1/scale degree C and 3 flag chars.
+    elements lists the elements read, sorted; an element's code is its index.
     """
 
     length: int
@@ -85,7 +86,7 @@ class _Layout:
 
 
 _DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
-_MONTHLY = _Layout(115, (15, 19), (b"TMIN", b"TAVG", b"TMAX"), False, 19, 12, 100.0)
+_MONTHLY = _Layout(115, (15, 19), (b"TAVG", b"TMAX", b"TMIN"), False, 19, 12, 100.0)
 
 _FIELD_MIN, _FIELD_MAX = -9999, 99999  # the values a 5-char field holds
 
@@ -197,28 +198,20 @@ def _station_id(raw: bytes) -> str:
     return raw.decode("ascii", "replace").strip()
 
 
-def _series_rows(ids, element, first, count):
-    """(rows, bounds): series k, of those sorted by (reported id, element),
-    keeps the lines rows[bounds[k] : bounds[k + 1]], in slot order.
+def _series_rows(station, element, first, count, n_elements: int):
+    """(rows, bounds): series k, of those sorted by (station code, element
+    code), keeps the lines rows[bounds[k] : bounds[k + 1]], in slot order.
 
     Lines with a count of 0 are dropped; of a series' lines that start at
-    one slot, the last in the file is kept.  Grouping by the reported id
-    makes lines under ``PAD1       `` and `` PAD1      `` one series.  Ids
-    are sorted once per run of rows with one raw id, so rows in any order
-    group alike.  The 4 element bytes, read as one big-endian integer, sort
-    as the bytes do.
+    one slot, the last in the file is kept.  Element codes run below
+    n_elements.
     """
-    if ids.size == 0:
+    if station.size == 0:
         return np.empty(0, np.intp), np.zeros(1, np.intp)
-    run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    raw, raw_of_run = np.unique(ids[run], return_inverse=True)
-    _, sid_of_raw = np.unique(np.array([_station_id(r) for r in raw.tolist()], dtype=object), return_inverse=True)
-    codes = element.view(">u4")
-    elements = np.unique(codes)
-    keys = np.repeat(sid_of_raw[raw_of_run] * elements.size, np.diff(np.append(run, ids.size)))
-    for rank, code in enumerate(elements[1:], 1):
-        keys[codes == code] += rank
     # one key per (series, first slot), worked out in place; dropped lines sort first
+    keys = station.astype(np.int64)
+    keys *= n_elements
+    keys += element
     low, span = int(first.min()), int(first.max() - first.min()) + 1
     keys *= span
     keys += first
@@ -296,17 +289,19 @@ def _read_through(fh, buf: bytearray):
 def _block_rows(layout: _Layout, block, number: int):
     """The framing of a block's lines, the first being line ``number``.
 
-    Returns, for the lines whose element is wanted: their raw ids,
-    elements, header bytes (year, and month when the layout has one), the
+    Returns, for the lines whose element is wanted: their raw ids, element
+    codes, header bytes (year, and month when the layout has one), the
     first value group that does not parse (groups when all do) and line
     numbers; and their int32 value fields.  Then the block's count of lines
     and its bad-length issues.  Any column may be a view of the block.
     """
     arr, starts, ends, numbers, lines = _split_lines(block)
     matrix, numbers, issues = _gather_lines(arr, starts, ends, numbers + (number - 1), layout.length)
-    element = _bytes_column(matrix, *layout.element_cols)
-    code = element.view(">u4")
-    wanted = functools.reduce(np.logical_or, [code == want for want in np.frombuffer(b"".join(layout.elements), ">u4")])
+    code = _bytes_column(matrix, *layout.element_cols).view(">u4")
+    element = np.full(code.shape, len(layout.elements), np.uint8)
+    for k, want in enumerate(np.frombuffer(b"".join(layout.elements), ">u4")):
+        element[code == want] = k
+    wanted = element < len(layout.elements)
     if not wanted.all():
         matrix, numbers, element = matrix[wanted], numbers[wanted], element[wanted]
     ints, ok = _parse_int_fields(matrix[:, layout.values_at :].reshape(-1, layout.groups, 8)[:, :, :5])
@@ -317,15 +312,17 @@ def _block_rows(layout: _Layout, block, number: int):
     return (_bytes_column(matrix, 0, 11), element, head, first_bad, numbers), ints, lines, issues
 
 
-_INDEX = np.dtype([("id", "S11"), ("element", "S4"), ("first", "<i4"), ("count", "u1")])
-
-
-def _index_rows(layout: _Layout, pending, bad) -> np.ndarray:
-    """The _INDEX rows of the framed lines whose _block_rows columns pending
-    holds.  A line with a non-ASCII id, a bad header or a bad value field
-    in its slots gets slot count 0, and its number goes to that list of bad."""
+def _index_rows(layout: _Layout, pending, bad, codes: dict):
+    """The index columns of the framed lines, one at least, whose _block_rows
+    columns pending holds; codes numbers each reported id as first seen.  A
+    line with a non-ASCII id, a bad header or a bad value field in its slots
+    gets slot count 0, and its number goes to that list of bad."""
     ids, element, head, first_bad, numbers = map(np.concatenate, pending)
     ascii = ids.view(np.uint8).reshape(-1, 11).max(axis=1) < 0x80
+    # an id is decoded once per run of lines under one raw id
+    run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    of_run = [codes.setdefault(_station_id(raw), len(codes)) for raw in ids[run].tolist()]
+    station = np.repeat(np.array(of_run, np.uint32), np.diff(np.append(run, ids.size)))
     # year 0 has no calendar date, so it is a damaged field like any other
     year, ok = _parse_int_fields(head[:, :4], allow_sign=False)
     ok &= year > 0
@@ -337,14 +334,15 @@ def _index_rows(layout: _Layout, pending, bad) -> np.ndarray:
     parsed = first_bad >= slots
     for lines, mask in zip(bad, (~ascii, ascii & ~ok, ascii & ok & ~parsed)):
         lines += numbers[mask].tolist()
-    return np.rec.fromarrays((ids, element, first, slots * (ascii & ok & parsed)), dtype=_INDEX)
+    return station, element, first.astype(np.int32, copy=False), (slots * (ascii & ok & parsed)).astype(np.uint8)
 
 
-def _frame(layout: _Layout, fh, spill, index):
+def _frame(layout: _Layout, fh, spill):
     """The framing pass, one read of a record file front to back: each framed
-    line's int32 value fields go to spill as one row, and its _INDEX row to
-    index.  Returns the index columns and the issues."""
+    line's int32 value fields go to spill as one row.  Returns the index
+    columns, the sorted reported ids that station codes index, and the issues."""
     pending, held, number, issues, bad = ([], [], [], [], []), 0, 1, [], ([], [], [])
+    chunks, codes = [tuple(np.empty(0, dtype) for dtype in (np.uint32, np.uint8, np.int32, np.uint8))], {}
     step = max(_BLOCK_BYTES // 64, 1)
     for block in _line_blocks(fh, layout.length):
         if isinstance(block, int):  # the length of a line too long to hold, read through
@@ -360,23 +358,18 @@ def _frame(layout: _Layout, fh, spill, index):
         issues += block_issues
         # headers, slots and ids once per step framed lines, a few blocks' worth, not per block
         if held >= step:
-            index.write(_index_rows(layout, pending, bad))
+            chunks.append(_index_rows(layout, pending, bad, codes))
             pending, held = ([], [], [], [], []), 0
-    if pending[0]:
-        index.write(_index_rows(layout, pending, bad))
+    if held:
+        chunks.append(_index_rows(layout, pending, bad, codes))
     head_message = "bad year/month field" if layout.has_month else "bad year field"
     for message, lines in zip(("non-ASCII station id", head_message, "non-numeric value field"), bad):
         issues += [ParseIssue(line=line, message=message) for line in lines]
-    # a step of rows at a time into one array per column: freeing a block larger than
-    # the ids would raise glibc's mmap threshold, and so the heap, of every later stage
-    n = index.tell() // _INDEX.itemsize
-    columns = [np.empty(n, _INDEX[name]) for name in _INDEX.names]
-    index.seek(0)
-    for lo in range(0, n, step):
-        rows = np.fromfile(index, _INDEX, step)
-        for column, name in zip(columns, _INDEX.names):
-            column[lo : lo + step] = rows[name]
-    return columns, issues
+    station, element, first, count = map(np.concatenate, zip(*chunks))
+    table = sorted(codes)
+    rank = dict(zip(table, range(len(table))))
+    station = np.array([rank[sid] for sid in codes], np.uint32)[station]
+    return (station, element, first, count), table, issues
 
 
 def _spilled(spill, rows: np.ndarray, groups: int, buf: bytearray) -> np.ndarray:
@@ -400,16 +393,16 @@ def _records(layout: _Layout, source):
     """Frame a record file (bytes or a path), yield (frames, issues), then
     each series' values in turn; see _read."""
     with tempfile.TemporaryFile() as spill:
-        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh, tempfile.TemporaryFile() as index:
-            (ids, element, first, count), issues = _frame(layout, fh, spill, index)
-        rows, bounds = _series_rows(ids, element, first, count)
+        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+            (station, element, first, count), table, issues = _frame(layout, fh, spill)
+        rows, bounds = _series_rows(station, element, first, count, len(layout.elements))
         # a series' lines are in slot order: its first line starts it, its last ends it
         heads, tails = rows[bounds[:-1]], rows[bounds[1:] - 1]
         starts, ends = first[heads], first[tails] + count[tails]
         kind = DailySeries if layout.has_month else MonthlySeries
         yield [
-            series_at(kind, _station_id(sid), e.decode("ascii"), a, np.broadcast_to(np.nan, b - a))
-            for sid, e, a, b in zip(ids[heads].tolist(), element[heads].tolist(), starts.tolist(), ends.tolist())
+            series_at(kind, table[sid], layout.elements[e].decode("ascii"), a, np.broadcast_to(np.nan, b - a))
+            for sid, e, a, b in zip(station[heads].tolist(), element[heads].tolist(), starts.tolist(), ends.tolist())
         ], issues
 
         # values pass: the rows of consecutive series, about a block's worth,
@@ -444,14 +437,13 @@ def _read(layout: _Layout, source):
     temporary file in tempfile's directory (TMPDIR, else /tmp; 124 bytes a
     daily line, 48 a monthly one), which is on disk only when that
     directory is: on a tmpfs it is memory that the process's resident set
-    does not count.  Each line's 20-byte index row (raw id, element, first
-    slot, slot count) goes to a second such file, read back into columns
-    once framed.  frames holds one series per (station, element) of the
-    layout's elements, grouped from the lines whose id is ASCII and whose
-    fields parse and sorted by station id then element, each with a
-    read-only all-NaN view as long as its values.  values
-    yields the series' values in turn, read back from the spill about a
-    block's worth at a time.  When a line's (station, element, year[,
+    does not count.  Each line's 10-byte index row (station code, element
+    code, first slot, slot count) is held in memory.  frames holds one
+    series per (station, element) of the layout's elements, grouped from
+    the lines whose id is ASCII and whose fields parse and sorted by
+    station id then element, each with a read-only all-NaN view as long as
+    its values.  values yields the series' values in turn, read back from
+    the spill about a block's worth at a time.  When a line's (station, element, year[,
     month]) repeats, the later line whose value fields parse wins.  Issues
     list bad line lengths, then non-ASCII ids, then bad headers, then
     non-numeric value fields, each in line order.

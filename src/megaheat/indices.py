@@ -156,13 +156,12 @@ def regional_annual_series(station_series, key):
     if len(metrics) != 1:
         raise ValueError(f"mixed metrics in one group: {sorted(metrics)}")
     ordered = sorted(station_series, key=lambda s: s.key)
-    years = np.unique(np.concatenate([s.years for s in ordered]))
+    years, rows = np.unique(np.concatenate([s.years for s in ordered]), return_inverse=True)
+    columns = np.repeat(np.arange(len(ordered)), [s.years.size for s in ordered])
     values = np.zeros((years.size, len(ordered)))
     reports = np.zeros(values.shape, dtype=bool)
-    for m, s in enumerate(ordered):
-        rows = np.searchsorted(years, s.years)
-        values[rows, m] = s.values
-        reports[rows, m] = True
+    values[rows, columns] = np.concatenate([s.values for s in ordered])
+    reports[rows, columns] = True
     by_mask: dict = {}
     for year, mask in enumerate(reports):
         by_mask.setdefault(mask.tobytes(), []).append(year)

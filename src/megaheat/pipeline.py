@@ -144,8 +144,9 @@ def load_config(source) -> RunConfig:
             source = json.loads(read_text(source))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:
-            # JSON text is UTF-8, so an undecodable file is no JSON either
+        except (ValueError, RecursionError) as exc:
+            # JSON text is UTF-8, so an undecodable file is no JSON either;
+            # json raises RecursionError on nesting deeper than the stack
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise ConfigError("config must be a JSON object")
@@ -249,7 +250,7 @@ def median_comparison_cell(pair, metric, season, uc, nonuc, alpha=stats.ALPHA) -
         return MedianCell(
             pair, metric, season, np.nan, np.nan, np.nan, "insufficient-data", "insufficient-data"
         )
-    med_u, med_n = float(np.median(u)), float(np.median(n))
+    med_u, med_n = float(stats.median(u)), float(stats.median(n))
     _, p = stats.wilcoxon_ranksum(u, n)
     direction = stats.comparison_direction(med_u - med_n, p, alpha)
     return MedianCell(pair, metric, season, med_u, med_n, p, direction, "")
@@ -523,12 +524,13 @@ def _unreadable(path: Path, producer: str | None, exc: Exception) -> DataError:
 def _load(path: Path, producer: str | None, load, *args):
     """load(path, *args), for a file the producer stage saved or, with no
     producer, a raw input; DataError naming the file when it is missing or
-    load raises OSError, ValueError or csv.Error."""
+    load raises OSError, ValueError, csv.Error or RecursionError (json's,
+    on nesting deeper than the stack)."""
     if not path.exists():
         raise DataError(f"missing {path.name}; run the {producer} stage first" if producer else f"missing input file {path}")
     try:
         return load(path, *args)
-    except (OSError, ValueError, csv.Error) as exc:
+    except (OSError, ValueError, csv.Error, RecursionError) as exc:
         raise _unreadable(path, producer, exc) from exc
 
 
@@ -950,7 +952,7 @@ def stage_correlate(out_dir, cfg: RunConfig):
     found = [s if s is not None and s.values.size else None for s in map(regional.get, keys)]
     # (median, Sen slope) per regional series, NaN for a missing one
     summary = {
-        key: (np.nan if series is None else float(np.median(series.values)), slope)
+        key: (np.nan if series is None else float(stats.median(series.values)), slope)
         for key, series, slope in zip(keys, found, stats.sen_slopes(found))
     }
 

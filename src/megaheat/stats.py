@@ -190,24 +190,30 @@ def _pair_diffs(x):
     return np.take(x, j, axis=1) - np.take(x, i, axis=1)
 
 
-def _sen_rows(times, diffs):
-    """Theil-Sen slope of each row given its _pair_diffs over the shared
-    times: the median of the pairwise slopes, bit for bit as np.median.
+def median(x):
+    """The median along the last axis of x, bit for bit as np.median,
+    which imports numpy.ma on its first call.
 
     np.median takes the mean of the middle one or two values, a sum that
     starts from +0.0: so a zero median is +0.0 whichever signed zeros meet
     in the middle, and (-0.0 + -tiny) / 2 stays -0.0.  A row holding NaN
-    has the median NaN, which sorts last.
+    has the median NaN, which sorts last, and so has an empty row.
     """
-    i, j = _pairs(times.size)
-    ratios = np.sort(diffs / (times[j] - times[i]), axis=1)
-    n = ratios.shape[1]
+    x = np.sort(x, axis=-1)
+    n = x.shape[-1]
     if not n:
-        return np.full(ratios.shape[0], np.nan)
+        return np.full(x.shape[:-1], np.nan)
     h = n // 2
-    mid = ratios[:, h] + 0.0 if n % 2 else (ratios[:, h - 1] + ratios[:, h] + 0.0) / 2.0
-    last = ratios[:, -1]
+    mid = x[..., h] + 0.0 if n % 2 else (x[..., h - 1] + x[..., h] + 0.0) / 2.0
+    last = x[..., -1]
     return np.where(np.isnan(last), last, mid)
+
+
+def _sen_rows(times, diffs):
+    """Theil-Sen slope of each row given its _pair_diffs over the shared
+    times: the median of the pairwise slopes."""
+    i, j = _pairs(times.size)
+    return median(diffs / (times[j] - times[i]))
 
 
 # pairwise slopes per stacked median: a piece's diffs, slopes and their
@@ -319,11 +325,10 @@ def regional_mann_kendall(series_list):
     if not series_list:
         raise ValueError("empty station group")
     k = len(series_list)
-    all_years = np.concatenate([s.years for s in series_list])
-    years = np.unique(all_years)
+    years, at = np.unique(np.concatenate([s.years for s in series_list]), return_inverse=True)
     n_years = years.size
     x = np.full((k, n_years), np.nan)
-    x[np.repeat(np.arange(k), [s.years.size for s in series_list]), np.searchsorted(years, all_years)] = (
+    x[np.repeat(np.arange(k), [s.years.size for s in series_list]), at] = (
         np.concatenate([s.values for s in series_list])
     )
     present = np.isfinite(x)

@@ -450,8 +450,8 @@ PERF_CFG = {
 
 # at most this VmHWM for ingest, which reads ghcnd.dly (390 MB) once in
 # blocks, spills its value fields to a temporary file in TMPDIR (124 bytes
-# per line, 179 MB; not counted in VmHWM) and a 20-byte index row per line
-# to a second one, read back once framed, and for each stage after it on
+# per line, 179 MB; not counted in VmHWM) and keeps a 10-byte index row
+# of integer codes per line in memory, and for each stage after it on
 # the PERF_CFG world, which reads
 # parsed_daily.npz (350 MB of values) one series at a time
 STAGE_PEAK_MIB = 150

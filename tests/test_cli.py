@@ -315,6 +315,31 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "megaheat: error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, stage, code, named",
+        [
+            ("run.json", "ingest", 1, "config is not valid JSON: "),
+            ("regions.json", "ingest", 2, "cannot read input file "),
+            (pipeline.F_PAIRS, "trends", 2, f"cannot read {pipeline.F_PAIRS}: "),
+        ],
+        ids=["config", "regions", "pairs"],
+    )
+    def test_deeply_nested_json_exits_with_one_error_line(self, tmp_path, capsys, name, stage, code, named):
+        # json raises RecursionError, not ValueError, on nesting this deep
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        if name == pipeline.F_PAIRS:
+            assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        (tmp_path / name if name == "run.json" else out / name).write_text("[" * 100_000 + "]" * 100_000)
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"megaheat: error: {named}") and err.count("\n") == 1
+        assert "recursion" in err and "Traceback" not in err
+        if name == pipeline.F_PAIRS:
+            assert err.endswith("; rerun the ingest stage\n")
+
     @pytest.mark.parametrize("name", [["UC00"], 7])
     def test_region_name_that_is_not_a_string_exits_2(self, tmp_path, capsys, name):
         out = tmp_path / "run"
@@ -745,12 +770,14 @@ class TestRuns:
         assert len(fig2a) == 1 + 2 and all(row[0] == "UC,00" for row in fig2a[1:])
 
 
-def test_no_scipy_module_is_loaded_by_import_or_a_full_run(tmp_path):
+def test_no_scipy_or_numpy_ma_module_is_loaded_by_import_or_a_full_run(tmp_path):
     """The stage processes run on numpy alone: importing the CLI loads no
-    scipy module, and neither does a whole run, lazy imports included."""
+    scipy module, and neither does a whole run, lazy imports included.
+    Nor does either load numpy.ma, which np.median and a plain np.unique
+    import on their first call."""
     src = str(Path(megaheat.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])"
     code = f"import sys, megaheat.cli; print({loaded})"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -1086,22 +1086,24 @@ class TestIngestMemory:
     spill, a temporary file in TMPDIR, which tracemalloc does not see.
 
     The budget follows the design, whatever the world's size:
-    - per record line, 32 bytes: the 20-byte index row (an 11-byte raw
-      id, a 4-byte element, a 4-byte first slot and a 1-byte slot count),
-      which framing writes to a second temporary file and reads back into
-      one array per column when it ends;
+    - per record line, 32 bytes: the 10-byte index row (a 4-byte station
+      code, a 1-byte element code, a 4-byte first slot and a 1-byte slot
+      count) twice, in its chunks and joined into one array per column
+      when framing ends, and the 4-byte station codes renumbered in sort
+      order;
     - per record line, under 48 bytes of index arrays: the sort keys and
       kept rows of the series grouping;
     - one block's work (the read buffer, newline mask, gathered lines and
       parsed fields) in the framing pass, and the check of the lines
       framed since the last one, at most _BLOCK_BYTES // 64 and a block's
-      (30 bytes a line of framing columns, the 6 header bytes, the first
-      value group that does not parse and an 8-byte line number among
-      them, and about 50 a line of work), or one batch's (a block's worth
-      of rows read back from the spill and one series more, their values,
-      slot index and masks) in the values pass, under 8 blocks of
-      _BLOCK_BYTES and 48 bytes per slot of the longest series; a line
-      too long for the buffer is read through in it, not held;
+      (27 bytes a line of framing columns: the 11-byte raw id, a 1-byte
+      element code, the 6 header bytes, the first value group that does
+      not parse and an 8-byte line number; and about 50 a line of work),
+      or one batch's (a block's worth of rows read back from the spill and
+      one series more, their values, slot index and masks) in the values
+      pass, under 8 blocks of _BLOCK_BYTES and 48 bytes per slot of the
+      longest series; a line too long for the buffer is read through in
+      it, not held;
     - 1 MiB for Python objects: the frames, issues, pairs and lists.
     A reader that keeps each line's int32 value fields (124 bytes per daily
     line) in memory until the series are saved needs more than that, and

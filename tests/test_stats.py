@@ -818,6 +818,19 @@ class TestBlocksMatchPerSeriesCode:
         assert repr(float(stats._sen_rows(times, np.array([diffs]))[0])) == want
         assert repr(float(np.median(np.array(diffs) / (times[j] - times[i])))) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, -5e-324, 5e-324, -1.5, 3.0, math.nan, math.inf, -math.inf]), min_size=1, max_size=9
+        )
+    )
+    def test_median_equals_np_median_signed_zeros_included(self, values):
+        # the one-dimensional form the compare and correlate stages take
+        x = np.array(values)
+        with np.errstate(invalid="ignore"):
+            got, want = float(stats.median(x)), float(np.median(x))
+        assert repr(got) == repr(want)
+
     def test_spearman_columns(self):
         rng = np.random.default_rng(63)
         for _ in range(300):
