@@ -32,14 +32,14 @@ victim = series[4]
 truth = victim.values[14]
 victim.values[14] = np.nan
 
-completed, masks, notes = impute_monthly(series, stations, window=(1956, 1960))
-# masks line up with the completed series by position
+completed, codes, notes = impute_monthly(series, stations, window=(1956, 1960))
+# each series' provenance codes line up with the completed series by position
 idx = next(i for i, c in enumerate(completed) if c.station_id == victim.station_id)
-filled_series, mask = completed[idx], masks[idx]
+filled_series, filled_codes = completed[idx], codes[idx]
 got = filled_series.values[filled_series.index_of(1957, 3)]
 k = filled_series.index_of(1957, 3)
 print(f"monthly fill: truth {truth:.3f}, imputed {got:.3f}")
-print("provenance codes around the hole:", "".join(mask.codes[k - 2 : k + 3]), "(i = imputed)")
+print("provenance codes around the hole:", "".join(filled_codes[k - 2 : k + 3]), "(i = imputed)")
 if notes:
     print("notes:", notes)
 print()
@@ -48,6 +48,6 @@ print()
 vals = 18.0 + 0.5 * np.arange(15.0)
 vals[6:9] = np.nan
 daily = DailySeries("DEMO0000004", "TMIN", dt.date(1980, 7, 1), vals)
-filled, mask = lwma_fill(daily)
+filled, daily_codes = lwma_fill(daily)
 print("daily gap fill:", np.round(filled.values[6:9], 3), "(linear ramp, so ~21.5)")
-print("codes:", "".join(mask.codes))
+print("codes:", "".join(daily_codes))

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import io
-import math
 import os
 import re
 import tempfile
@@ -55,7 +54,9 @@ from .series import (
     MonthlySeries,
     ParseIssue,
     StationMeta,
+    day_months,
     first_slot,
+    month_first_days,
     series_at,
 )
 
@@ -89,10 +90,6 @@ _DAILY = _Layout(269, (17, 21), (b"TMAX", b"TMIN"), True, 21, 31, 10.0)
 _MONTHLY = _Layout(115, (15, 19), (b"TAVG", b"TMAX", b"TMIN"), False, 19, 12, 100.0)
 
 _FIELD_MIN, _FIELD_MAX = -9999, 99999  # the values a 5-char field holds
-
-# fields per _parse_int_fields block: a couple of thousand daily lines,
-# whose byte columns and int32 accumulator stay in a core's cache
-_BLOCK_FIELDS = 1 << 16
 
 # bytes per read of a record file; each block is cut after its last line break
 _BLOCK_BYTES = 1 << 18
@@ -147,36 +144,32 @@ def _parse_int_fields(fields: np.ndarray, allow_sign: bool = True):
     ``" *-?[0-9]+"`` (``" *[0-9]+"`` without allow_sign), checked as three
     rules: every byte is a digit, a space or '-'; a space or '-' only ever
     follows a space; the last byte is a digit.  Values of fields that are
-    not ok are unspecified.  Lines go through in blocks of about
-    _BLOCK_FIELDS fields, each byte position read where it lies, with no
-    copy of the fields; int32 holds any field of up to 9 chars.
+    not ok are unspecified.  Each byte position is read where it lies,
+    with no copy of the fields; int32 holds any field of up to 9 chars.
+    Callers pass at most one read block's fields, which stay in cache.
     """
     values = np.zeros(fields.shape[:-1], dtype=np.int32)
-    ok = np.empty(fields.shape[:-1], dtype=bool)
-    step = max(1, _BLOCK_FIELDS // math.prod(fields.shape[1:-1]))
-    for lo in range(0, len(fields), step):
-        good, val = ok[lo : lo + step], values[lo : lo + step]
-        neg = np.zeros(good.shape, dtype=bool)
-        for p in range(fields.shape[-1]):
-            # the byte less '0': a digit's value, 0xF0 for a space, 0xFD for '-'
-            digit = fields[lo : lo + step, ..., p] - np.uint8(0x30)
-            is_digit = digit < 10
-            space = digit == 0xF0
-            blank = space
-            if allow_sign:
-                minus = digit == 0xFD
-                blank = space | minus
-                neg |= minus
-            if p == 0:
-                np.logical_or(is_digit, blank, out=good)
-            else:
-                good &= is_digit | (blank & after_space)
-            after_space = space
-            digit *= is_digit
-            val *= 10
-            val += digit
-        good &= is_digit
-        np.negative(val, out=val, where=neg)
+    neg = np.zeros(values.shape, dtype=bool)
+    for p in range(fields.shape[-1]):
+        # the byte less '0': a digit's value, 0xF0 for a space, 0xFD for '-'
+        digit = fields[..., p] - np.uint8(0x30)
+        is_digit = digit < 10
+        space = digit == 0xF0
+        blank = space
+        if allow_sign:
+            minus = digit == 0xFD
+            blank = space | minus
+            neg |= minus
+        if p == 0:
+            ok = is_digit | blank
+        else:
+            ok &= is_digit | (blank & after_space)
+        after_space = space
+        digit *= is_digit
+        values *= 10
+        values += digit
+    ok &= is_digit
+    np.negative(values, out=values, where=neg)
     return values, ok
 
 
@@ -235,7 +228,7 @@ def _line_slots(layout: _Layout, months: np.ndarray):
         return months, np.full(months.shape, layout.groups)
     # the first day of every month from the first month given to the one after the last
     lo = int(months.min())
-    days = (np.arange(lo, int(months.max()) + 2) - 1970 * 12).astype("M8[M]").astype("M8[D]").astype(np.int64)
+    days = month_first_days(np.arange(lo, int(months.max()) + 2))
     return days[months - lo], np.diff(days)[months - lo]
 
 
@@ -531,7 +524,7 @@ def _serialize(layout: _Layout, series):
             raise ValueError(f"value out of range for 5-char field: {_FIELD_MIN}..{_FIELD_MAX} in 1/{layout.scale:g} degree C")
         start, end = first_slot(s), first_slot(s) + s.values.size
         if layout.has_month:
-            m0, m1 = np.array([start, end - 1]).astype("M8[D]").astype("M8[M]").astype(np.int64) + 1970 * 12
+            m0, m1 = day_months(np.array([start, end - 1]))
             months = np.arange(m0, m1 + 1)
         else:
             months = np.arange(start - start % 12, end, 12)

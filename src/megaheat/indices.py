@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import AnnualSeries, month_index
+from .series import AnnualSeries, date_to_serial, month_first_days, month_index
 
 CDD_BASE_C = 23.89
 
@@ -61,8 +61,7 @@ def _complete_years(first, last):
     y1 = last.year if (last.month, last.day) == (12, 31) else last.year - 1
     years = np.arange(y0, max(y0, y1 + 1))
     # day offsets of 1 January of each year and of the year after the last
-    jan1 = np.arange(y0, y0 + years.size + 1) - 1970
-    edges = (jan1.astype("datetime64[Y]").astype("datetime64[D]") - np.datetime64(first, "D")).astype(int)
+    edges = month_first_days(np.arange(y0, y0 + years.size + 1) * 12) - date_to_serial(first)
     return years, edges[:-1], edges[1:]
 
 

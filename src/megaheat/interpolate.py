@@ -9,12 +9,12 @@ windows flanking each gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .qc import STUDY_WINDOW
-from .series import DailySeries, MonthlySeries, ProvenanceMask, copy_onto, month_index
+from .series import IMPUTED, OBSERVED, UNIMPUTABLE, MonthlySeries, copy_onto, month_index
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -517,7 +517,7 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
     observed at that timestep (with a known elevation) train the
     elevation regression; missing stations get the regression prediction
     plus the kriged residual. Returns (completed series, provenance
-    masks, notes), with completed series spanning December before the
+    codes, notes), with completed series spanning December before the
     window through its end so winter seasons at the window edge stay
     computable; the leading December is passed through, never imputed.
 
@@ -538,7 +538,7 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
 
     notes = []
     out_series = []
-    out_masks = []
+    out_codes = []
 
     by_element = {}
     for s in series:
@@ -562,7 +562,7 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
         grid = np.full((n_st, n_steps + 1), np.nan)
         for row, s in enumerate(group):
             copy_onto(grid[row], t0 - 1, s)
-        codes = np.where(np.isfinite(grid), ProvenanceMask.OBSERVED, ProvenanceMask.UNIMPUTABLE)
+        codes = np.where(np.isfinite(grid), OBSERVED, UNIMPUTABLE)
 
         has_elev = np.isfinite(elev)
         observed = np.isfinite(grid)
@@ -600,19 +600,10 @@ def impute_monthly(series, stations, cfg=None, window=STUDY_WINDOW):
             year, month = divmod(t0 + t - 1, 12)
             notes.append(f"{element} {year}-{month + 1:02d}: {reasons[t]}")
 
-        for row, sid in enumerate(ids):
-            out_series.append(
-                MonthlySeries(
-                    station_id=sid,
-                    element=element,
-                    first_year=year0 - 1,
-                    first_month=12,
-                    values=grid[row],
-                )
-            )
-            out_masks.append(ProvenanceMask(codes=codes[row]))
+        out_series += [MonthlySeries(sid, element, year0 - 1, 12, grid[row]) for row, sid in enumerate(ids)]
+        out_codes.extend(codes)
 
-    return out_series, out_masks, notes
+    return out_series, out_codes, notes
 
 
 @dataclass(frozen=True)
@@ -662,7 +653,7 @@ def _regress_group(grid, codes, reasons, steps, train_rows, target_rows, dist, e
         train[:, 3] = grid[train_rows, t]
         pred, resid = _gwr_apply(gwr, train[:, 3])
         grid[target_rows, t] = pred
-        codes[target_rows, t] = ProvenanceMask.IMPUTED
+        codes[target_rows, t] = IMPUTED
         if not krige:
             reasons[t] = "too few site pairs; regression only"
             continue
@@ -696,11 +687,12 @@ def lwma_fill(series):
     linearly toward the gap; the fill is the average of the two one-sided
     means. Gaps at the series edge use the single available side. A flank
     that would cross another missing day stays unfilled and is flagged.
+    Returns (completed series, per-slot provenance codes).
     """
     values = series.values.copy()
     missing = ~np.isfinite(series.values)
-    codes = np.full(values.size, ProvenanceMask.OBSERVED)
-    codes[missing] = ProvenanceMask.UNIMPUTABLE
+    codes = np.full(values.size, OBSERVED)
+    codes[missing] = UNIMPUTABLE
     size = values.size
 
     # gap g covers days [starts[g], stops[g]); a flank is clean when it
@@ -741,12 +733,6 @@ def lwma_fill(series):
         )
         days = starts[gaps, None] + np.arange(n)
         values[days] = fill[:, None]
-        codes[days] = ProvenanceMask.IMPUTED
+        codes[days] = IMPUTED
 
-    completed = DailySeries(
-        station_id=series.station_id,
-        element=series.element,
-        start=series.start,
-        values=values,
-    )
-    return completed, ProvenanceMask(codes=codes)
+    return replace(series, values=values), codes

@@ -32,10 +32,10 @@ from .regions import (
     pair_uc_nonuc,
 )
 from .series import (
+    IMPUTED,
     AnnualSeries,
     DailySeries,
     MonthlySeries,
-    ProvenanceMask,
     json_text,
     load_annual,
     load_fills,
@@ -552,9 +552,9 @@ def _read_parsed(path: Path, kind) -> tuple:
     return frames, _checked(values, path, "ingest")
 
 
-def _record_fills(series, mask: ProvenanceMask) -> tuple:
-    """(offsets, values) of the slots mask codes as imputed."""
-    offsets = np.flatnonzero(mask.codes == ProvenanceMask.IMPUTED)
+def _record_fills(series, codes) -> tuple:
+    """(offsets, values) of the slots the provenance codes mark as imputed."""
+    offsets = np.flatnonzero(codes == IMPUTED)
     return offsets, series.values[offsets]
 
 
@@ -766,8 +766,8 @@ def stage_impute(out_dir, cfg: RunConfig):
         listed = ", ".join(repr(sid) for sid in unlisted)
         raise DataError(f"{stations_path.name} no longer lists kept stations {listed}; rerun the ingest stage")
 
-    completed, masks, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
-    monthly_fills = [_record_fills(s, m) for s, m in zip(completed, masks)]
+    completed, codes, notes = impute_monthly(kept_monthly, stations, cfg.gwr, window=cfg.window)
+    monthly_fills = [_record_fills(s, c) for s, c in zip(completed, codes)]
     # one daily series at a time: only its frame and fills are kept, and
     # every series is read (its file checked to the end) before any output
     # is written

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DailySeries, MonthlySeries, date_to_serial, month_index
+from .series import DailySeries, MonthlySeries, date_to_serial, day_months, month_index
 
 STUDY_WINDOW = (1956, 2015)
 
@@ -128,13 +128,14 @@ def filter_daily_stations(
     """
     win_lo = date_to_serial(dt.date(window[0], 1, 1))
     win_hi = date_to_serial(dt.date(window[1], 12, 31))
+    cutoff = date_to_serial(params.daily_end_cutoff)
     # one summer calendar over the window clipped to the records' extent;
     # each series reads its slice of it
     serial0s = [date_to_serial(s.start) for s in frames]
     ends = [s0 + s.values.size - 1 for s0, s in zip(serial0s, frames)]
     cal_lo = max(win_lo, min(serial0s, default=win_lo))
     cal_hi = min(win_hi, max(ends, default=win_lo))
-    months = np.arange(cal_lo, cal_hi + 1).astype("M8[D]").astype("M8[M]").astype(np.int64) % 12 + 1
+    months = day_months(np.arange(cal_lo, cal_hi + 1)) % 12 + 1
     jja_calendar = np.isin(months, JJA_MONTHS)
 
     kept: list[DailySeries] = []
@@ -144,15 +145,12 @@ def filter_daily_stations(
         if not obs.any():
             reports.append(QcReport(s.station_id, s.element, "dropped", "no_data", 1.0, 0, False))
             continue
-        first_i, last_i = int(np.argmax(obs)), int(obs.size - 1 - np.argmax(obs[::-1]))
-        first_day = s.start + dt.timedelta(days=first_i)
-        last_day = s.start + dt.timedelta(days=last_i)
+        # the first and last observed days, as day serials
+        first, last = serial0 + int(np.argmax(obs)), serial0 + int(obs.size - 1 - np.argmax(obs[::-1]))
+        m0, m1 = day_months([first, last]).tolist()
+        length_drop = m1 - m0 + 1 < params.daily_min_span_months and last < cutoff
 
-        span_months = (last_day.year - first_day.year) * 12 + last_day.month - first_day.month + 1
-        length_drop = span_months < params.daily_min_span_months and last_day < params.daily_end_cutoff
-
-        lo = max(serial0 + first_i, win_lo)
-        hi = min(serial0 + last_i, win_hi)
+        lo, hi = max(first, win_lo), min(last, win_hi)
         jja_frac = 0.0
         gap = 0
         in_window = False

@@ -10,7 +10,7 @@ count as inside, which keeps station assignment deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,18 +70,7 @@ class ExplanatoryVars:
     elev_range: float
 
 
-COVARIATE_COLUMNS = (
-    "uc_id",
-    "cr_id",
-    "pop_uc",
-    "pop_diff",
-    "pop_pct_change_uc",
-    "pop_diff_pct_change",
-    "pct_urban",
-    "pct_cropland",
-    "mean_elev",
-    "elev_range",
-)
+COVARIATE_COLUMNS = tuple(f.name for f in fields(ExplanatoryVars))
 
 
 def _json_type(value) -> str:
@@ -199,17 +188,6 @@ def _first_holding(regions: list[Region], lon, lat) -> list:
     return names.tolist()
 
 
-def assign_station_region(station: StationMeta, regions: RegionSet):
-    """(climate-region name or None, corridor name or None) for a station.
-
-    Overlapping regions of the same kind resolve to the first match in
-    declaration order.
-    """
-    (cr_id,) = _first_holding(regions.climate_regions, [station.lon], [station.lat])
-    (uc_id,) = _first_holding(regions.ucs, [station.lon], [station.lat])
-    return cr_id, uc_id
-
-
 def pair_uc_nonuc(regions: RegionSet, stations: list[StationMeta]) -> list[RegionPair]:
     """Pair every corridor with its host climate region.
 
@@ -279,12 +257,8 @@ def load_explanatory_vars(path, uc_ids) -> dict[str, ExplanatoryVars]:
             continue
         if len(row) != len(COVARIATE_COLUMNS):
             raise ValueError(f"covariate line {reader.line_num} has {len(row)} fields, expected {len(COVARIATE_COLUMNS)}")
-        rec = dict(zip(COVARIATE_COLUMNS, row))
-        ev = ExplanatoryVars(
-            uc_id=rec["uc_id"],
-            cr_id=rec["cr_id"].strip(),
-            **{k: float(rec[k]) for k in COVARIATE_COLUMNS[2:]},
-        )
+        # the columns are ExplanatoryVars' fields, in order
+        ev = ExplanatoryVars(row[0], row[1].strip(), *map(float, row[2:]))
         for pct_field in ("pct_urban", "pct_cropland"):
             v = getattr(ev, pct_field)
             if not 0.0 <= v <= 100.0:

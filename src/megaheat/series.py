@@ -19,7 +19,7 @@ import io
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,16 @@ def serial_to_date(serial: int) -> dt.date:
 def month_index(year: int, month: int) -> int:
     """Months since January year 0; a linear key for calendar months."""
     return year * 12 + (month - 1)
+
+
+def month_first_days(months) -> np.ndarray:
+    """The day serial of the first day of each month_index in months, as int64."""
+    return (np.asarray(months) - 1970 * 12).astype("M8[M]").astype("M8[D]").astype(np.int64)
+
+
+def day_months(serials) -> np.ndarray:
+    """The month_index of the month holding each day serial in serials, as int64."""
+    return np.asarray(serials).astype("M8[D]").astype("M8[M]").astype(np.int64) + 1970 * 12
 
 
 @dataclass
@@ -217,9 +227,15 @@ def _frame_kinds(arrays: dict) -> dict:
     return {"station_id": "U", "element": "U", "length": "i", **dict.fromkeys(starts, "i")}
 
 
+def _distinct(keys: list, message: str) -> None:
+    """ValueError(message) when a key repeats among keys."""
+    if len(set(keys)) != len(keys):
+        raise ValueError(message)
+
+
 def _nan_frames(arrays: dict) -> list:
     """One series per frame of the arrays, its values a read-only all-NaN
-    view as long as the frame."""
+    view as long as the frame; ValueError when a (station, element) repeats."""
     if "first_year" in arrays:
         if np.any((arrays["first_month"] < 1) | (arrays["first_month"] > 12)):
             raise ValueError("series file holds a month outside 1-12")
@@ -228,6 +244,7 @@ def _nan_frames(arrays: dict) -> list:
     else:
         kind, firsts = DailySeries, arrays["start_day"].tolist()
     ids, elements, lengths = (arrays[name].tolist() for name in ("station_id", "element", "length"))
+    _distinct(list(zip(ids, elements)), "series file repeats a (station, element)")
     try:
         return [
             series_at(kind, sid, el, first, np.broadcast_to(np.nan, n))
@@ -279,8 +296,8 @@ def read_series(path) -> tuple:
     read-only all-NaN view of its length for values; ``values`` yields each
     one's values in turn, read into a fresh float64 array.  Raises OSError
     when the file cannot be read and ValueError when it is not a series
-    file (not an ``.npz``, truncated, corrupt, or with inconsistent
-    arrays), about the values as they are read.
+    file (not an ``.npz``, truncated, corrupt, with inconsistent arrays,
+    or repeating a (station, element)), about the values as they are read.
     """
     arrays = _read_npz(path, skip=("values",))
     _series_slices(arrays, _frame_kinds(arrays), {})
@@ -440,14 +457,12 @@ def load_annual(path, key_columns) -> dict:
     slices = _series_slices(
         arrays, {**dict.fromkeys(key_columns, "U"), "length": "i"}, {"year": "i", "value": "f"}
     )
-    keys = zip(*(arrays[name].tolist() for name in key_columns))
-    out = {
+    keys = list(zip(*(arrays[name].tolist() for name in key_columns)))
+    _distinct(keys, "annual file repeats a key")
+    return {
         key: AnnualSeries(key=key[0], metric=":".join(key[1:]), years=arrays["year"][sl], values=arrays["value"][sl])
         for key, sl in zip(keys, slices)
     }
-    if len(out) != len(slices):
-        raise ValueError("annual file repeats a key")
-    return out
 
 
 @dataclass
@@ -480,18 +495,8 @@ class ParseIssue:
     station_id: str = ""
 
 
-@dataclass
-class ProvenanceMask:
-    """Per-slot origin codes aligned with a series' value array.
-
-    Codes: 'o' observed, 'i' imputed, 'u' unimputable (still missing).
-    """
-
-    codes: np.ndarray  # dtype '<U1' or 'S1'
-
-    OBSERVED = "o"
-    IMPUTED = "i"
-    UNIMPUTABLE = "u"
+# per-slot provenance codes, in an array aligned with a series' values
+OBSERVED, IMPUTED, UNIMPUTABLE = "o", "i", "u"  # unimputable: still missing
 
 
 def read_text(path) -> str:

@@ -17,8 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from .ghcn import serialize_stations, write_records
-from .regions import COVARIATE_COLUMNS, assign_station_region, load_regions
-from .series import DailySeries, MonthlySeries, StationMeta, json_text, write_csv, write_text
+from .regions import COVARIATE_COLUMNS, _first_holding, load_regions
+from .series import (
+    DailySeries,
+    MonthlySeries,
+    StationMeta,
+    date_to_serial,
+    day_months,
+    json_text,
+    month_first_days,
+    write_csv,
+    write_text,
+)
 
 # annual cycles: value = base + amp * cos(2*pi*(t - peak)/period)
 # the five input files of a run, by name; ingest reads what write_world writes
@@ -239,10 +249,10 @@ def synth_generate(seed: int, params: SynthParams) -> SynthWorld:
     if p.daily:
         d_start = dt.date(p.start_year, 1, 1)
         n_days = (dt.date(p.end_year, 12, 31) - d_start).days + 1
-        days = np.datetime64(d_start, "D") + np.arange(n_days)
-        d_year = days.astype("datetime64[Y]").astype(int) + 1970
-        d_month = days.astype("datetime64[M]").astype(int) % 12 + 1
-        d_day = (days - days.astype("datetime64[M]").astype("datetime64[D]")).astype(int) + 1
+        days = date_to_serial(d_start) + np.arange(n_days)
+        d_months = day_months(days)
+        d_year, d_month = d_months // 12, d_months % 12 + 1
+        d_day = days - month_first_days(d_months) + 1
         # leap days reuse the Feb 28 phase so each calendar year repeats the
         # same cycle values
         doy = _CUM_DAYS[d_month - 1] + np.where((d_month == 2) & (d_day == 29), 28, d_day)
@@ -294,9 +304,10 @@ def validate_world(world: SynthWorld) -> None:
     means the world is inconsistent.
     """
     rs = load_regions(world.regions_doc)
-    for st in world.stations:
+    lons, lats = [st.lon for st in world.stations], [st.lat for st in world.stations]
+    held = zip(_first_holding(rs.climate_regions, lons, lats), _first_holding(rs.ucs, lons, lats))
+    for st, (cr_id, uc_id) in zip(world.stations, held):
         pair, group = st.station_id[3:5], st.station_id[5]
-        cr_id, uc_id = assign_station_region(st, rs)
         if cr_id != f"CR{pair}":
             raise ValueError(f"station {st.station_id} outside its climate region (in {cr_id!r})")
         want_uc = f"UC{pair}" if group == "U" else None

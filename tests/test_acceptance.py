@@ -191,10 +191,10 @@ def test_3_interpolation_oracles():
     ols = b0 + b1 * tgt_elev
     assert np.max(np.abs(pred - ols) / np.abs(ols)) <= 1e-6
 
-    filled, mask = lwma_fill(
+    filled, codes = lwma_fill(
         DailySeries("AVG00000001", "TMIN", dt.date(2000, 1, 1), np.array([10.0, 20.0, np.nan, 30.0, 40.0]))
     )
-    assert filled.values[2] == 25.0 and mask.codes[2] == "i"
+    assert filled.values[2] == 25.0 and codes[2] == "i"
 
     rng = np.random.default_rng(10)
     stations = _stations(9, rng)

@@ -1,6 +1,7 @@
 """Exit codes, flag handling, and an end-to-end run through the console entry."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import megaheat
 from megaheat import cli, pipeline
-from megaheat.series import load_annual
+from megaheat.series import load_annual, load_series, save_series
+from megaheat.synth import INPUT_FILES
 
 CFG = {
     "window": [1956, 1966],
@@ -217,6 +219,41 @@ class TestDataErrors:
             err = capsys.readouterr().err
             assert "megaheat: error" in err and name in err
             assert f"rerun the {producer} stage" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["qc", "impute"])
+    def test_series_file_that_repeats_a_series_exits_2(self, tmp_path, capsys, stage):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path)
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        for done in ("ingest", "qc"):
+            assert cli.main([done, "--out", str(out), "--config", cfg]) == 0
+        # series 0 written twice, and its qc row with it
+        parsed = out / pipeline.F_PARSED_MONTHLY
+        series = load_series(parsed)
+        series.append(series[0])
+        save_series(parsed, series, [s.values for s in series])
+        qc = out / pipeline.F_QC_MONTHLY
+        rows = qc.read_text().splitlines(keepends=True)
+        qc.write_text("".join(rows + rows[1:2]))
+        capsys.readouterr()
+        assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"megaheat: error: cannot read {pipeline.F_PARSED_MONTHLY}: series file repeats a (station, element);"
+            " rerun the ingest stage\n"
+        )
+
+    def test_records_without_a_temperature_line_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = _cfg_file(tmp_path, {"synth": dict(CFG["synth"], daily=True)})
+        assert cli.main(["synth", "--out", str(out), "--config", cfg]) == 0
+        # every line's element becomes PRCP, which neither layout reads
+        for name, at in (("ghcnd.dly", 17), ("ghcnm.dat", 15)):
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            assert lines
+            (out / name).write_bytes(b"".join(ln[:at] + b"PRCP" + ln[at + 4 :] for ln in lines))
+        capsys.readouterr()
+        assert cli.main(["ingest", "--out", str(out), "--config", cfg]) == 2
+        assert capsys.readouterr().err == "megaheat: error: no temperature series parsed\n"
 
     def test_qc_verdicts_from_an_earlier_ingest_exit_2(self, tmp_path, capsys):
         # ingest rerun on records that lost a station: the verdicts qc wrote
@@ -535,6 +572,40 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("megaheat: error: cannot write output file: ") and err.count("\n") == 1
         assert str(target) in err and "Traceback" not in err
+
+
+class TestConfigPaths:
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_stages_read_the_named_inputs(self, tmp_path, capsys, absolute):
+        out = tmp_path / "run"
+        assert cli.main(["synth", "--out", str(out), "--config", _cfg_file(tmp_path)]) == 0
+        # the inputs move away from their default names, so only the named files can be read
+        base = tmp_path / "elsewhere" if absolute else out / "inputs"
+        base.mkdir()
+        named = {"stations": base / "inventory.txt", "covariates": base / "table.csv"}
+        for name, path in named.items():
+            (out / INPUT_FILES[name]).rename(path)
+        paths = {name: str(path if absolute else path.relative_to(out)) for name, path in named.items()}
+        cfg = _cfg_file(tmp_path, {"paths": paths})
+        assert cli.main(["all", "--out", str(out), "--config", cfg]) == 0
+        manifest = json.loads((out / "report" / "manifest.json").read_text())
+        for name, path in named.items():
+            assert manifest["inputs"][name] == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["config"]["paths"][name] == paths[name]
+        # each stage that reads a named file names it once it is gone
+        readers = (("stations", "ingest"), ("covariates", "ingest"), ("stations", "impute"), ("covariates", "correlate"))
+        for name, stage in readers:
+            named[name].rename(base / "gone")
+            capsys.readouterr()
+            assert cli.main([stage, "--out", str(out), "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"megaheat: error: missing input file {out / paths[name]}\n"
+            (base / "gone").rename(named[name])
+
+    @pytest.mark.parametrize("value", [5, None, ["ghcnd.dly"], ""])
+    def test_daily_path_that_is_no_string_exits_1(self, tmp_path, capsys, value):
+        cfg = _cfg_file(tmp_path, {"paths": {"daily": value}})
+        assert cli.main(["ingest", "--out", str(tmp_path / "run"), "--config", cfg]) == 1
+        assert capsys.readouterr().err == "megaheat: error: paths.daily must be a non-empty string\n"
 
 
 @pytest.fixture(scope="module")

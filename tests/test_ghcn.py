@@ -212,37 +212,48 @@ class TestParseIntFields:
         width=st.integers(1, 5),
         n=st.integers(0, 40),
         allow_sign=st.booleans(),
-        block=st.integers(1, 9),
     )
-    def test_matches_the_field_grammar(self, data, width, n, allow_sign, block):
+    def test_matches_the_field_grammar(self, data, width, n, allow_sign):
         raw = data.draw(st.lists(_FIELD_BYTES, min_size=n * width, max_size=n * width))
         fields = np.array(raw, dtype=np.uint8).reshape(n, width)
-        with mock.patch.object(ghcn, "_BLOCK_FIELDS", block):
-            values, ok = ghcn._parse_int_fields(fields, allow_sign=allow_sign)
+        values, ok = ghcn._parse_int_fields(fields, allow_sign=allow_sign)
         _assert_grammar(fields, allow_sign, values, ok)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        edge=st.lists(_FIELD_BYTES, min_size=4 * 31 * 5, max_size=4 * 31 * 5),
-        allow_sign=st.booleans(),
-    )
-    def test_rows_on_each_side_of_a_block_boundary(self, edge, allow_sign):
-        # lines of 31 five-byte fields, as in the daily layout; the two
-        # lines on each side of the first block boundary are drawn
-        step = ghcn._BLOCK_FIELDS // 31
-        fields = np.frombuffer(b" -123" * (31 * (step + 3)), dtype=np.uint8).reshape(step + 3, 31, 5).copy()
+    @given(edge=st.lists(_FIELD_BYTES.filter(lambda b: b != 0x0A), min_size=4 * 31 * 5, max_size=4 * 31 * 5))
+    def test_rows_on_each_side_of_a_block_boundary(self, edge):
+        # daily January lines of 270 bytes with their line break: the first
+        # read block ends after `step` of them, and the value fields of the
+        # two lines on each side of that boundary are drawn
+        step = ghcn._BLOCK_BYTES // 270
+        n = step + 3
+        fields = np.frombuffer(b" -123" * (31 * n), dtype=np.uint8).reshape(n, 31, 5).copy()
         fields[step - 2 : step + 2] = np.array(edge, dtype=np.uint8).reshape(4, 31, 5)
-        values, ok = ghcn._parse_int_fields(fields, allow_sign=allow_sign)
+        groups = np.full((n, 31, 8), 0x20, dtype=np.uint8)
+        groups[:, :, :5] = fields
+        heads = b"".join(b"USW00000001%04d01TMAX" % (1800 + k) for k in range(n))
+        breaks = np.full((n, 1), 0x0A, dtype=np.uint8)
+        lines = np.concatenate([np.frombuffer(heads, dtype=np.uint8).reshape(n, 21), groups.reshape(n, 248), breaks], axis=1)
+        (s,), issues = parse_ghcnd(lines.tobytes())
+
+        # the oracle: the drawn lines' fields by the grammar, the rest " -123"
+        values, ok = ghcn._parse_int_fields(fields)
         edge_lines = slice(step - 2, step + 2)
-        _assert_grammar(fields[edge_lines], allow_sign, values[edge_lines], ok[edge_lines])
-        rest = np.ones(step + 3, dtype=bool)
+        _assert_grammar(fields[edge_lines], True, values[edge_lines], ok[edge_lines])
+        rest = np.ones(n, dtype=bool)
         rest[edge_lines] = False
-        assert (ok[rest] == allow_sign).all()
-        if allow_sign:
-            assert (values[rest] == -123).all()
+        assert ok[rest].all() and (values[rest] == -123).all()
+        good = ok.all(axis=1)
+        assert issues == [ParseIssue(k + 1, "non-numeric value field") for k in np.flatnonzero(~good)]
+        assert s.start == dt.date(1800, 1, 1)
+        for k in range(n):
+            days = s.values[s.index_of(dt.date(1800 + k, 1, 1)) :][:31]
+            want = np.where(values[k] == -9999, np.nan, values[k] / 10.0) if good[k] else np.full(31, np.nan)
+            assert_array_equal(days, want)
 
     def test_bad_daily_lines_on_a_block_boundary(self):
-        step = ghcn._BLOCK_FIELDS // 31
+        # 270-byte lines: the first read block ends after `step` of them
+        step = ghcn._BLOCK_BYTES // 270
         months = [(1800 + k // 12, k % 12 + 1) for k in range(step + 2)]
         lines = [dly_line("USW00000001", y, m, "TMAX", [10] * 31) for y, m in months]
         for k in (step - 1, step):
@@ -312,7 +323,8 @@ class TestMemory:
     - per line, at most 16 index values of 8 bytes: line numbers, the
       header fields, the slots and the series grouping;
     - one batch of whole series in flight: under 24 bytes per field (line
-      bytes, byte columns, int32 values, masks) over at most _BLOCK_FIELDS
+      bytes, byte columns, int32 values, masks) over at most the fields
+      of one read block, _BLOCK_BYTES // 8 (8 bytes per value group),
       plus one series' fields, and one series' scatter, under 48 bytes per
       field (float64 degrees, int64 slot index, masks);
     - 1 MiB for Python objects: the series, issues and lists;
@@ -337,7 +349,7 @@ class TestMemory:
         output = sum(s.values.nbytes for s in series)
         # a daily line holds at least 28 slots
         series_fields = (max(s.values.size for s in series) // 28 + 1) * 31
-        batch = 24 * (ghcn._BLOCK_FIELDS + series_fields) + 48 * series_fields
+        batch = 24 * (ghcn._BLOCK_BYTES // 8 + series_fields) + 48 * series_fields
         return max(len(blob), output) + 128 * n_lines + batch + 2**20 + 269 * gathered_lines
 
     @pytest.mark.parametrize("damage", ["clean", "crlf", "short line"])
@@ -1139,14 +1151,14 @@ class TestDamagedLines:
     @settings(max_examples=100, deadline=None)
     @given(edits=st.lists(_EDITS, max_size=4), repeats=st.lists(st.integers(0, 10**6), max_size=3))
     def test_batch_size_changes_nothing(self, layout, edits, repeats):
-        # one line per _parse_int_fields block, the default, and one block for the file
+        # one line per read block, the default, and one block for the file
         parse, good = _MANY_SERIES[layout]
         lines = _damage(good, edits)
         lines += [lines[k % len(lines)] for k in repeats]
         blob = b"\n".join(lines) + b"\n"
         results = []
-        for fields in (1, ghcn._BLOCK_FIELDS, 10**9):
-            with mock.patch.object(ghcn, "_BLOCK_FIELDS", fields):
+        for block in (1, ghcn._BLOCK_BYTES, 10**7):
+            with mock.patch.object(ghcn, "_BLOCK_BYTES", block):
                 records, issues = parse(blob)
             results.append(([(s.station_id, s.element, first_slot(s), s.values.tobytes()) for s in records], issues))
         assert results[0] == results[1] == results[2]

@@ -598,25 +598,25 @@ class TestImputeMonthly:
         rng = np.random.default_rng(7)
         stations = _station_grid(6, rng)
         series = [_monthly_for(st, rng.normal(15, 5, N_MONTHS)) for st in stations]
-        completed, masks, notes = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, notes = impute_monthly(series, stations, window=WINDOW)
         for inp in series:
             out = next(c for c in completed if c.station_id == inp.station_id)
             got = out.values[out.index_of(1956, 1) : out.index_of(1956, 1) + N_MONTHS]
             assert_allclose(got, inp.values, rtol=0, atol=0)
-        for m in masks:
-            assert np.all(m.codes[1:] == "o")
+        for c in codes:
+            assert np.all(c[1:] == "o")
 
     def test_single_missing_slot_filled(self):
         rng = np.random.default_rng(8)
         stations = _station_grid(6, rng)
         series = [_monthly_for(st, rng.normal(15, 5, N_MONTHS)) for st in stations]
         series[2].values[10] = np.nan
-        completed, masks, _ = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, _ = impute_monthly(series, stations, window=WINDOW)
         i = [c.station_id for c in completed].index(series[2].station_id)
-        out, mask = completed[i], masks[i]
+        out = completed[i]
         slot = out.index_of(*series[2].month_of(10))
         assert np.isfinite(out.values[slot])
-        assert mask.codes[slot] == "i"
+        assert codes[i][slot] == "i"
         # everyone else untouched
         other = [c for c in completed if c.station_id != series[2].station_id]
         for inp in series[:2] + series[3:]:
@@ -641,7 +641,7 @@ class TestImputeMonthly:
         series = [_monthly_for(st, np.full(N_MONTHS, truth[st.station_id])) for st in stations]
         for k, s in enumerate(series):
             s.values[(k * 11) % N_MONTHS] = np.nan
-        completed, masks, notes = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, notes = impute_monthly(series, stations, window=WINDOW)
         for c in completed:
             assert_allclose(c.values[1:], truth[c.station_id], atol=1e-9)
         assert not any("fallback" in n for n in notes)
@@ -652,12 +652,12 @@ class TestImputeMonthly:
         series = [_monthly_for(st, rng.normal(15, 5, N_MONTHS)) for st in stations]
         for s in series[:3]:
             s.values[20] = np.nan  # only 2 observed at t=20
-        completed, masks, notes = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, notes = impute_monthly(series, stations, window=WINDOW)
         for inp in series[:3]:
             i = [c.station_id for c in completed].index(inp.station_id)
             slot = completed[i].index_of(*inp.month_of(20))
             assert np.isnan(completed[i].values[slot])
-            assert masks[i].codes[slot] == "u"
+            assert codes[i][slot] == "u"
         assert any("unimputable" in n for n in notes)
 
     def test_station_without_elevation_not_trained_not_predicted(self):
@@ -666,11 +666,11 @@ class TestImputeMonthly:
         stations[0] = StationMeta(stations[0].station_id, stations[0].lat, stations[0].lon, None)
         series = [_monthly_for(st, rng.normal(15, 5, N_MONTHS)) for st in stations]
         series[0].values[5] = np.nan
-        completed, masks, _ = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, _ = impute_monthly(series, stations, window=WINDOW)
         i = [c.station_id for c in completed].index(stations[0].station_id)
         slot = completed[i].index_of(*series[0].month_of(5))
         assert np.isnan(completed[i].values[slot])
-        assert masks[i].codes[slot] == "u"
+        assert codes[i][slot] == "u"
 
     def test_observed_values_bit_identical(self):
         rng = np.random.default_rng(13)
@@ -679,7 +679,7 @@ class TestImputeMonthly:
         for s in series:
             s.values[rng.random(N_MONTHS) < 0.1] = np.nan
         originals = [s.values.copy() for s in series]
-        completed, masks, _ = impute_monthly(series, stations, window=WINDOW)
+        completed, codes, _ = impute_monthly(series, stations, window=WINDOW)
         for inp, orig in zip(series, originals):
             out = next(c for c in completed if c.station_id == inp.station_id)
             lo = out.index_of(1956, 1)
@@ -712,16 +712,16 @@ class TestLwmaFill:
     def test_constant_series(self):
         v = np.full(30, 4.5)
         v[10:13] = np.nan
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert_allclose(filled.values, 4.5, rtol=0, atol=0)
-        assert np.all(mask.codes[10:13] == "i")
+        assert np.all(codes[10:13] == "i")
 
     def test_worked_example_exact(self):
         v = np.array([10.0, 20.0, np.nan, 30.0, 40.0])
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert filled.values[2] == 25.0  # bit-exact by construction
-        assert mask.codes[2] == "i"
-        assert list(mask.codes[[0, 1, 3, 4]]) == ["o"] * 4
+        assert codes[2] == "i"
+        assert list(codes[[0, 1, 3, 4]]) == ["o"] * 4
 
     def test_flank_means_match_hand_values(self):
         v = np.array([10.0, 20.0, np.nan, 30.0, 40.0])
@@ -735,9 +735,9 @@ class TestLwmaFill:
     def test_insufficient_clean_flank_unfilled(self):
         # n=2 gap needs 4 clean days each side; only 3 exist before
         v = np.array([np.nan, 1.0, 2.0, 3.0, np.nan, np.nan, 7.0, 8.0, 9.0, 10.0, 11.0])
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert np.isnan(filled.values[4]) and np.isnan(filled.values[5])
-        assert mask.codes[4] == "u" and mask.codes[5] == "u"
+        assert codes[4] == "u" and codes[5] == "u"
 
     def test_nested_missing_in_flank_blocks_fill(self):
         # two single-day gaps two days apart: each one's flank contains the
@@ -746,25 +746,25 @@ class TestLwmaFill:
         v = np.arange(20.0)
         v[8] = np.nan
         v[10] = np.nan
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert np.isnan(filled.values[8]) and np.isnan(filled.values[10])
-        assert mask.codes[8] == "u" and mask.codes[10] == "u"
+        assert codes[8] == "u" and codes[10] == "u"
         # far enough apart the same two gaps both fill
         v = np.arange(20.0)
         v[5] = np.nan
         v[10] = np.nan
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert np.isfinite(filled.values[5]) and np.isfinite(filled.values[10])
 
     def test_edge_gap_one_sided(self):
         v = np.array([np.nan, 10.0, 20.0, 30.0])
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         # after-window [10, 20] with weights (2, 1)
         assert filled.values[0] == pytest.approx(40 / 3)
-        assert mask.codes[0] == "i"
+        assert codes[0] == "i"
 
         v = np.array([10.0, 20.0, np.nan])
-        filled, mask = lwma_fill(_daily(v))
+        filled, codes = lwma_fill(_daily(v))
         assert filled.values[2] == pytest.approx(50 / 3)
 
     def test_fill_within_flank_bounds(self):
@@ -774,19 +774,19 @@ class TestLwmaFill:
             left = rng.normal(10, 5, 2 * n)
             right = rng.normal(10, 5, 2 * n)
             v = np.concatenate([left, np.full(n, np.nan), right])
-            filled, mask = lwma_fill(_daily(v))
+            filled, codes = lwma_fill(_daily(v))
             lo = min(left.min(), right.min())
             hi = max(left.max(), right.max())
             got = filled.values[2 * n : 3 * n]
             assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
-            assert np.all(mask.codes[2 * n : 3 * n] == "i")
+            assert np.all(codes[2 * n : 3 * n] == "i")
 
     def test_observed_untouched(self):
         rng = np.random.default_rng(16)
         v = rng.normal(20, 3, 50)
         v[17:19] = np.nan
         s = _daily(v)
-        filled, mask = lwma_fill(s)
+        filled, codes = lwma_fill(s)
         obs = ~np.isnan(v)
         assert np.array_equal(filled.values[obs], v[obs])
         assert filled is not s
@@ -803,7 +803,7 @@ def _impute_monthly_reference(series, stations, cfg=None, window=interpolate.STU
     year0, year1 = window
     t0 = interpolate.month_index(year0, 1)
     n_steps = (year1 - year0 + 1) * 12
-    notes, out_series, out_masks = [], [], []
+    notes, out_series, out_codes = [], [], []
     by_element = {}
     for s in series:
         by_element.setdefault(s.element, []).append(s)
@@ -862,8 +862,8 @@ def _impute_monthly_reference(series, stations, cfg=None, window=interpolate.STU
             grid[target_rows, t] = pred
             codes[target_rows, t] = "i"
         out_series.extend(grid)
-        out_masks.extend(codes)
-    return out_series, out_masks, notes
+        out_codes.extend(codes)
+    return out_series, out_codes, notes
 
 
 def _lwma_reference(values):
@@ -901,13 +901,13 @@ def _lwma_reference(values):
 
 
 def _assert_impute_matches_reference(series, stations, cfg=None, window=WINDOW):
-    got_series, got_masks, got_notes = impute_monthly(series, stations, cfg, window=window)
-    ref_series, ref_masks, ref_notes = _impute_monthly_reference(series, stations, cfg, window)
+    got_series, got_codes, got_notes = impute_monthly(series, stations, cfg, window=window)
+    ref_series, ref_codes, ref_notes = _impute_monthly_reference(series, stations, cfg, window)
     assert got_notes == ref_notes
     assert len(got_series) == len(ref_series)
-    for got, mask, ref, ref_codes in zip(got_series, got_masks, ref_series, ref_masks):
+    for got, codes, ref, want_codes in zip(got_series, got_codes, ref_series, ref_codes):
         assert np.array_equal(got.values, ref, equal_nan=True)
-        assert np.array_equal(mask.codes, ref_codes)
+        assert np.array_equal(codes, want_codes)
     return got_notes
 
 
@@ -974,20 +974,20 @@ class TestGeometryOnceMatchesPerTimestepLoop:
                 v[start : start + int(rng.integers(1, 7))] = np.nan
             if case % 10 == 0:
                 v[:] = np.nan
-            filled, mask = lwma_fill(_daily(v))
+            filled, codes = lwma_fill(_daily(v))
             ref_values, ref_codes = _lwma_reference(v)
             assert np.array_equal(filled.values, ref_values, equal_nan=True), case
-            assert np.array_equal(mask.codes, ref_codes), case
+            assert np.array_equal(codes, ref_codes), case
 
     def test_lwma_matches_per_gap_loop_on_gappy_world(self):
         params = SynthParams(n_pairs=2, uc_stations=2, nonuc_stations=2, gap_rate=0.01)
         world = synth_generate(34, params)
         lengths = set()
         for s in world.daily:
-            filled, mask = lwma_fill(s)
+            filled, codes = lwma_fill(s)
             ref_values, ref_codes = _lwma_reference(s.values)
             assert np.array_equal(filled.values, ref_values, equal_nan=True)
-            assert np.array_equal(mask.codes, ref_codes)
+            assert np.array_equal(codes, ref_codes)
             edges = np.flatnonzero(np.diff(np.concatenate(([0], np.isnan(s.values), [0]))))
             lengths.update((edges[1::2] - edges[::2]).tolist())
         assert {1, 2, 3} <= lengths

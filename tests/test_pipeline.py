@@ -36,6 +36,7 @@ from megaheat.series import (
     load_fills,
     load_series,
     read_csv,
+    save_annual,
     save_series,
 )
 from megaheat.synth import SynthParams, synth_generate, write_world
@@ -227,6 +228,28 @@ class TestTrendCell:
         assert cell.note == "insufficient-data"
         assert cell.direction == "insufficient-data"
         assert cell.uc is None
+
+
+class TestTrendNotes:
+    def test_regional_flags_name_their_cell_and_group(self, tmp_path):
+        # uc: one station of constant values, untestable; nonuc: two
+        # stations with no common year
+        years, rising = np.arange(1956, 1966), np.arange(10.0)
+        station = {
+            ("U1", "TAVG", "JJA"): _annual("U1", "TAVG:JJA", years, np.ones(10)),
+            ("U2", "TAVG", "JJA"): _annual("U2", "TAVG:JJA", years, rising),
+            ("N1", "TAVG", "JJA"): _annual("N1", "TAVG:JJA", years, rising),
+            ("N2", "TAVG", "JJA"): _annual("N2", "TAVG:JJA", years + 20, rising),
+        }
+        save_annual(tmp_path / pipeline.F_ANNUAL_STATION, pipeline.ANNUAL_STATION_KEYS, station)
+        save_annual(tmp_path / pipeline.F_ANNUAL_REGIONAL, pipeline.ANNUAL_REGIONAL_KEYS, {})
+        pair = {"uc_id": "P1", "cr_id": "CR1", "uc_stations": ["U1", "U2"], "nonuc_stations": ["N1", "N2"]}
+        (tmp_path / pipeline.F_PAIRS).write_text(json.dumps({"pairs": [pair]}))
+        pipeline.stage_trends(tmp_path, load_config({"metrics": ["TAVG"], "seasons": ["JJA"]}))
+        assert (tmp_path / pipeline.F_TREND_NOTES).read_text() == (
+            "P1 TAVG JJA uc: U1: untestable station excluded\n"
+            "P1 TAVG JJA nonuc: N1/N2: no overlapping years; covariance skipped\n"
+        )
 
 
 def _covariate_row(rng, k, mean_elev=None):
@@ -650,13 +673,13 @@ class TestRebuiltSeries:
         out, cfg, no_elev = world
         kept = list(pipeline._kept_series(out, MonthlySeries))
         stations, _ = parse_stations((out / "stations.txt").read_bytes())
-        expected, masks, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
+        expected, want_codes, _ = impute_monthly(kept, stations, cfg.gwr, window=cfg.window)
         # rebuilt in file order; impute_monthly and the fills go by element
         rebuilt = {(s.station_id, s.element): s for s in _rebuilt(out, MonthlySeries)}
         parsed = {(s.station_id, s.element): s for s in kept}
         fills = load_fills(out / pipeline.F_FILLS_MONTHLY)
         assert len(rebuilt) == len(expected) == len(fills.frames) == len(kept)
-        for want, mask, frame, offsets in zip(expected, masks, fills.frames, fills.offsets):
+        for want, want_c, frame, offsets in zip(expected, want_codes, fills.frames, fills.offsets):
             got = rebuilt[(frame.station_id, frame.element)]
             assert (got.station_id, got.element, got.first_year, got.first_month) == (
                 want.station_id,
@@ -666,11 +689,11 @@ class TestRebuiltSeries:
             )
             assert np.array_equal(_bits(got.values), _bits(want.values)), got.station_id
             codes = _derived_codes(parsed[(frame.station_id, frame.element)], frame, offsets)
-            assert np.array_equal(codes, mask.codes), got.station_id
+            assert np.array_equal(codes, want_c), got.station_id
         # the world holds what the oracle is about
-        all_codes = np.concatenate([m.codes for m in masks])
+        all_codes = np.concatenate(want_codes)
         assert {"o", "i", "u"} <= set(all_codes.tolist())
-        assert any(m.codes[1:].tolist().count("u") for s, m in zip(expected, masks) if s.station_id == no_elev)
+        assert any(c[1:].tolist().count("u") for s, c in zip(expected, want_codes) if s.station_id == no_elev)
         assert any(first_slot(s) > first_slot(c) for s, c in zip(kept, expected))
         assert any(first_slot(s) + s.values.size < first_slot(c) + c.values.size for s, c in zip(kept, expected))
 
@@ -684,11 +707,11 @@ class TestRebuiltSeries:
         assert len(rebuilt) == len(kept) == len(fills.frames)
         seen = set()
         for s, got, frame, offsets in zip(kept, rebuilt, fills.frames, fills.offsets):
-            want, mask = lwma_fill(s)
+            want, want_codes = lwma_fill(s)
             assert (got.station_id, got.element, got.start) == (want.station_id, want.element, want.start)
             assert np.array_equal(_bits(got.values), _bits(want.values)), got.station_id
             codes = _derived_codes(s, frame, offsets)
-            assert np.array_equal(codes, mask.codes), got.station_id
+            assert np.array_equal(codes, want_codes), got.station_id
             seen |= set(codes.tolist())
         assert seen == {"o", "i", "u"}
         # daily frames are the parsed series' own: filled in place, not copied

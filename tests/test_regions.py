@@ -5,8 +5,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from megaheat.regions import (
-    RegionSet,
-    assign_station_region,
+    _first_holding,
     load_explanatory_vars,
     load_regions,
     pair_uc_nonuc,
@@ -124,14 +123,18 @@ class TestAssign:
     def setup_method(self):
         self.rs = load_regions(BASIC)
 
+    def held(self, lon, lat):
+        """(climate region, corridor) holding the point, one lookup per kind."""
+        return _first_holding(self.rs.climate_regions, [lon], [lat]) + _first_holding(self.rs.ucs, [lon], [lat])
+
     def test_uc_centroid(self):
-        assert assign_station_region(st("A", 5, 5), self.rs) == ("East", "Metro")
+        assert self.held(5, 5) == ["East", "Metro"]
 
     def test_inside_cr_only(self):
-        assert assign_station_region(st("A", 1, 1), self.rs) == ("East", None)
+        assert self.held(1, 1) == ["East", None]
 
     def test_ocean(self):
-        assert assign_station_region(st("A", -40, -40), self.rs) == (None, None)
+        assert self.held(-40, -40) == [None, None]
 
 
 class TestPairing:

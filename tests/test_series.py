@@ -18,9 +18,11 @@ from megaheat.series import (
     MonthlySeries,
     first_slot,
     load_annual,
+    load_fills,
     load_series,
     read_series,
     save_annual,
+    save_fills,
     save_series,
     series_at,
 )
@@ -59,6 +61,11 @@ _MONTHLY = st.builds(
 )
 
 
+def _key_of(s):
+    """A series' key: a series file holds one series per (station, element)."""
+    return s.station_id, s.element
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
@@ -84,12 +91,12 @@ def _assert_same(got, want):
 
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
-    @given(series=st.lists(_DAILY, max_size=6))
+    @given(series=st.lists(_DAILY, max_size=6, unique_by=_key_of))
     def test_daily(self, tmp_path_factory, series):
         _assert_same(_round_trip(tmp_path_factory.mktemp("d"), series), series)
 
     @settings(max_examples=80, deadline=None)
-    @given(series=st.lists(_MONTHLY, max_size=6))
+    @given(series=st.lists(_MONTHLY, max_size=6, unique_by=_key_of))
     def test_monthly(self, tmp_path_factory, series):
         _assert_same(_round_trip(tmp_path_factory.mktemp("m"), series), series)
 
@@ -349,6 +356,15 @@ class TestBadFiles:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=match):
             load_series(bad)
+
+    def test_repeated_station_and_element(self, tmp_path):
+        s = DailySeries("A", "TMAX", dt.date(1956, 1, 1), np.arange(3.0))
+        save_series(tmp_path / "twice.npz", [s, s], [s.values, s.values])
+        with pytest.raises(ValueError, match=r"repeats a \(station, element\)"):
+            read_series(tmp_path / "twice.npz")
+        save_fills(tmp_path / "fills.npz", [s, s], [(np.array([0]), np.array([1.0]))] * 2, [])
+        with pytest.raises(ValueError, match=r"repeats a \(station, element\)"):
+            load_fills(tmp_path / "fills.npz")
 
     def test_pickled_arrays_are_refused(self, tmp_path):
         bad = tmp_path / "bad.npz"
